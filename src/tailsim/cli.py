@@ -18,15 +18,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .experiments import (ConstraintStudyEntry, ExperimentSpec,
-                          ExperimentError, SweepResult, CalibrationError,
-                          calibrate_profile, cat_sweep,
+from .experiments import (ExperimentSpec, ExperimentError, SweepResult,
+                          CalibrationError, calibrate_profile,
                           closed_loop_saturation, compare_scenarios,
-                          derive_lqos, load_experiment_spec, mba_sweep,
-                          qps_sweep, saturation_qps)
-from .metrics import SWEEP_CSV_COLUMNS, summary_csv_row
+                          constraint_study, derive_lqos, load_experiment_spec,
+                          qos_saturation, qps_sweep)
+from .metrics import SWEEP_CSV_COLUMNS, default_warmup, summary_csv_row
 from .model import (ClosedLoop, FileFormatError, ModelError, PlatformConfig,
-                    Topology, load_platform, profile_to_text, save_profile)
+                    Topology, load_platform, platform_to_text,
+                    profile_to_text, save_profile)
 from .svgplot import line_plot
 from .taxonomy import Thresholds, classify, extract_features
 
@@ -138,8 +138,11 @@ def _write_manifest(out_dir: Path, command: str, spec: ExperimentSpec,
         "spec_name": spec.name,
         "spec_content": _spec_text(spec),
         "profile_content": profile_to_text(spec.profile),
+        "platform_content": platform_to_text(spec.config.platform),
         "seed": spec.config.seed,
         "points": spec.n_points,
+        "warmup": (spec.config.warmup if spec.config.warmup is not None
+                   else default_warmup(spec.scenario.duration)),
         "out_dir": str(out_dir),
         "outputs": outputs,
         "status": _sanitize(status),
@@ -169,10 +172,14 @@ def _cmd_replay(args) -> int:
         else:
             spec_lines.append(line)
     spec_path.write_text("\n".join(spec_lines) + "\n")
+    platform_path = None
+    if manifest.get("platform_content") is not None:
+        platform_path = out_dir / "replayed.platform"
+        platform_path.write_text(manifest["platform_content"])
     ns = argparse.Namespace(
         command=manifest["command"], spec=spec_path, out=out_dir,
-        seed=manifest["seed"], points=manifest["points"], warmup=None,
-        parallelism=1, platform=None)
+        seed=manifest["seed"], points=manifest["points"],
+        warmup=manifest.get("warmup"), parallelism=1, platform=platform_path)
     return _dispatch(ns, spec_path)
 
 
@@ -223,7 +230,7 @@ def cmd_sweep(spec: ExperimentSpec, out_dir: Path) -> int:
         qos = derive_lqos(sweep, spec.profile.qos_multiplier,
                           manual_override=spec.lqos_override,
                           override_reason=spec.override_reason)
-        sat = (saturation_qps(sweep, qos) if qos.resolved else None)
+        sat = qos_saturation(sweep, qos)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_sweep_csv(out_dir / "sweep.csv", sweep)
@@ -234,7 +241,9 @@ def cmd_sweep(spec: ExperimentSpec, out_dir: Path) -> int:
         "qps_range": list(spec.qps_range),
         "points": _point_rows(sweep),
         "qos": _qos_dict(qos) if qos else None,
-        "saturation": _sat_dict(sat) if sat else None,
+        # No saturation is reported under an unresolved QoS target.
+        "saturation": (_sat_dict(sat) if qos is None or qos.resolved
+                       else None),
     }
     _write_json(out_dir / "summary.json", _sanitize(summary))
     outputs = ["sweep.csv", "summary.json"]
@@ -334,23 +343,18 @@ def cmd_partition(spec: ExperimentSpec, out_dir: Path) -> int:
     if not spec.ways_list and not spec.bw_limits:
         raise FileFormatError(
             f"{spec.name}: partition study needs ways_list and/or bw_limits")
-    entries: list[tuple[str, ConstraintStudyEntry]] = []
-    if spec.ways_list:
-        for e in cat_sweep(spec.profile, spec.scenario, list(spec.ways_list),
-                           spec.qps_range, spec.n_points, spec.config,
-                           base_limits=spec.limits,
-                           lqos_override=spec.lqos_override):
-            entries.append((f"cat_w{int(e.constraint)}", e))
-    if spec.bw_limits:
-        ways = spec.limits.llc_ways
-        for e in mba_sweep(spec.profile, spec.scenario, ways,
-                           list(spec.bw_limits), spec.qps_range,
-                           spec.n_points, spec.config,
-                           base_limits=spec.limits,
-                           lqos_override=spec.lqos_override):
-            label = ("mba_unlimited" if math.isinf(e.constraint)
-                     else f"mba_{int(e.constraint)}")
-            entries.append((label, e))
+
+    def study(axis: str, values) -> list:
+        levels = [replace(spec.limits, **{axis: v}) for v in values]
+        return constraint_study(spec.profile, spec.scenario, levels,
+                                spec.qps_range, spec.n_points, spec.config,
+                                axis=axis, lqos_override=spec.lqos_override)
+
+    entries = [(f"cat_w{int(e.constraint)}", e)
+               for e in study("llc_ways", spec.ways_list)]
+    entries += [("mba_unlimited" if math.isinf(e.constraint)
+                 else f"mba_{int(e.constraint)}", e)
+                for e in study("mem_bw_limit", spec.bw_limits)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -405,14 +409,9 @@ def cmd_classify(spec: ExperimentSpec, out_dir: Path) -> int:
     scen = replace(spec.scenario, topology=Topology.ONE_ST)
     sweep = qps_sweep(spec.profile, scen, spec.limits, spec.qps_range,
                       spec.n_points, spec.config)
-    closed = isinstance(spec.scenario.mode, ClosedLoop)
-    if closed:
-        qos = derive_lqos(sweep, spec.profile.qos_multiplier,
-                          manual_override=spec.lqos_override)
-    else:
-        qos = derive_lqos(sweep, spec.profile.qos_multiplier,
-                          manual_override=spec.lqos_override,
-                          override_reason=spec.override_reason)
+    qos = derive_lqos(sweep, spec.profile.qos_multiplier,
+                      manual_override=spec.lqos_override,
+                      override_reason=spec.override_reason)
     features = extract_features(sweep, qos)
     result = classify(features, Thresholds.from_mapping(spec.thresholds))
     out_dir.mkdir(parents=True, exist_ok=True)

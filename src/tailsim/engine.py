@@ -5,9 +5,13 @@ passes through up to three sequential phases (compute, memory, disk); the
 worker is occupied for all of them but only compute and memory count as
 CPU-busy time. Drain rates are recomputed on every event so SMT slowdown,
 shared memory-bandwidth limits, and disk fair-sharing take effect the moment
-the active set changes. Clients issue their requests in order and are busy
-until a round trip after the completion of the previous one, which is what
-makes a request late (non-timely) when its client cannot keep up.
+the active set changes: a compute phase drains at 1.0, or at the profile's
+SMT efficiency on TWO_SMT while the sibling is compute- or memory-busy;
+memory phases share the effective bandwidth limit in proportion to their
+lone-request rates; disk phases split the disk limit evenly. Clients issue
+their requests in order and are busy until a round trip after the
+completion of the previous one, which is what makes a request late
+(non-timely) when its client cannot keep up.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,32 +34,12 @@ TIMELY_EPS = 1e-6  # seconds of slack when judging issue punctuality
 _COMPUTE, _MEMORY, _DISK = 0, 1, 2
 _EV_ISSUE, _EV_PHASE = 0, 1
 
-PHASE_NAMES = {"compute": _COMPUTE, "memory": _MEMORY, "disk": _DISK}
-
-
-@dataclass(frozen=True)
-class RequestRecord:
-    """Full lifecycle of one request. Censored requests carry NaN for the
-    timestamps that never happened."""
-
-    index: int
-    client: int
-    scheduled_time: float
-    issue_time: float
-    service_start: float
-    completion_time: float
-    timely: bool
-    latency: float
-
-    @property
-    def censored(self) -> bool:
-        return math.isnan(self.completion_time)
-
 
 @dataclass
 class Trace:
     """Simulation output: per-request lifecycle columns, per-core busy
-    intervals split by phase class, and sampled byte-movement series."""
+    intervals split by phase class, and sampled byte-movement series.
+    Censored requests carry NaN for the timestamps that never happened."""
 
     client: np.ndarray
     scheduled: np.ndarray
@@ -91,68 +74,11 @@ class Trace:
     def is_closed_loop(self) -> bool:
         return self.meta.get("mode") == "closed_loop"
 
-    def records(self) -> Iterator[RequestRecord]:
-        for i in range(len(self.scheduled)):
-            yield RequestRecord(
-                index=i,
-                client=int(self.client[i]),
-                scheduled_time=float(self.scheduled[i]),
-                issue_time=float(self.issue[i]),
-                service_start=float(self.service_start[i]),
-                completion_time=float(self.completion[i]),
-                timely=bool(self.timely[i]),
-                latency=float(self.latency[i]),
-            )
-
-
-@dataclass(frozen=True)
-class ActivePhase:
-    """One concurrently served request, as seen by the rate solver."""
-
-    phase: str  # compute | memory | disk
-    mem_stream_rate: float = 0.0  # MB/s this request drains when alone
-    smt_efficiency: float = 1.0
-
-
-def recompute_drain_rates(active: Sequence[ActivePhase], topology: Topology,
-                          limits: ResourceLimits,
-                          platform: PlatformConfig) -> list[float]:
-    """Per-request drain rates for the current active set.
-
-    Compute-phase requests drain at 1.0 work-seconds/second, reduced to the
-    profile's SMT efficiency when the topology is TWO_SMT and the sibling is
-    simultaneously compute- or memory-busy. Memory-phase requests share the
-    effective bandwidth limit proportionally to their lone-request rates;
-    disk-phase requests split the disk limit equally. Memory and disk rates
-    are MB/s, compute rates are dimensionless.
-    """
-    phases = [PHASE_NAMES[a.phase] for a in active]
-    mem_limit = limits.effective_mem_bw(platform)
-    disk_limit = limits.effective_disk_bw(platform)
-    mem_demand = sum(a.mem_stream_rate for a, p in zip(active, phases)
-                     if p == _MEMORY)
-    mem_factor = 1.0 if mem_demand <= mem_limit else mem_limit / mem_demand
-    n_disk = sum(1 for p in phases if p == _DISK)
-    rates: list[float] = []
-    for i, (a, p) in enumerate(zip(active, phases)):
-        if p == _COMPUTE:
-            sibling_cpu_busy = any(
-                q in (_COMPUTE, _MEMORY) for j, q in enumerate(phases)
-                if j != i)
-            slowed = topology is Topology.TWO_SMT and sibling_cpu_busy
-            rates.append(a.smt_efficiency if slowed else 1.0)
-        elif p == _MEMORY:
-            rates.append(a.mem_stream_rate * mem_factor)
-        else:
-            rates.append(disk_limit / n_disk)
-    return rates
-
 
 def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
                        limits: ResourceLimits, platform: PlatformConfig,
                        schedule: ArrivalSchedule,
-                       assignment: ClientAssignment, seed: int,
-                       sample_dt: float | None = None) -> Trace:
+                       assignment: ClientAssignment, seed: int) -> Trace:
     """Run an open-loop simulation of the full schedule.
 
     Every scheduled request appears in the trace exactly once; requests
@@ -167,13 +93,13 @@ def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
         raise ModelError("assignment does not cover the schedule")
     validate_profile(profile, platform)
     limits.validate_against(platform)
-    return _run(profile, scenario, limits, platform, seed, sample_dt,
+    return _run(profile, scenario, limits, platform, seed,
                 schedule=schedule, assignment=assignment)
 
 
 def simulate_closed_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
                          limits: ResourceLimits, platform: PlatformConfig,
-                         seed: int, sample_dt: float | None = None) -> Trace:
+                         seed: int) -> Trace:
     """Run a closed-loop simulation: each session issues its next request a
     round trip plus think time after the previous completion. Issue and
     scheduled times coincide, so every request is timely by definition."""
@@ -181,12 +107,11 @@ def simulate_closed_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
         raise ModelError("scenario.mode: closed_loop required")
     validate_profile(profile, platform)
     limits.validate_against(platform)
-    return _run(profile, scenario, limits, platform, seed, sample_dt)
+    return _run(profile, scenario, limits, platform, seed)
 
 
 def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
          limits: ResourceLimits, platform: PlatformConfig, seed: int,
-         sample_dt: float | None,
          schedule: ArrivalSchedule | None = None,
          assignment: ClientAssignment | None = None) -> Trace:
     open_mode = schedule is not None
@@ -207,8 +132,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     disk_limit_b = limits.effective_disk_bw(platform) * MB
     solo_mem_rate_b = min(stream_mb, mem_limit_mb) * MB
 
-    if sample_dt is None:
-        sample_dt = max(0.001, hard_stop / 200000.0)
+    sample_dt = max(0.001, hard_stop / 200000.0)
     nbins = int(hard_stop / sample_dt) + 2
     mem_series = np.zeros(nbins)
     disk_series = np.zeros(nbins)
@@ -523,12 +447,15 @@ def export_trace_csv(trace: Trace, path: str | Path) -> None:
     """One row per request with the full lifecycle timestamps."""
     lines = ["index,client,scheduled,issue,service_start,completion,"
              "timely,latency"]
-    for rec in trace.records():
+    columns = zip(trace.client.tolist(), trace.scheduled.tolist(),
+                  trace.issue.tolist(), trace.service_start.tolist(),
+                  trace.completion.tolist(), trace.timely.tolist(),
+                  trace.latency.tolist())
+    for i, (client, sched, issue, start, done, timely, lat) in enumerate(
+            columns):
         lines.append(",".join([
-            str(rec.index), str(rec.client), _num(rec.scheduled_time),
-            _num(rec.issue_time), _num(rec.service_start),
-            _num(rec.completion_time), str(int(rec.timely)),
-            _num(rec.latency),
+            str(i), str(client), _num(sched), _num(issue), _num(start),
+            _num(done), str(int(timely)), _num(lat),
         ]))
     Path(path).write_text("\n".join(lines) + "\n")
 

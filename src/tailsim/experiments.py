@@ -50,10 +50,6 @@ class SweepResult:
     qps_range: tuple[float, float]
     warmup: float
 
-    @property
-    def qps_values(self) -> list[float]:
-        return [p.qps for p in self.points]
-
 
 @dataclass(frozen=True)
 class QosTarget:
@@ -95,7 +91,6 @@ class RunConfig:
     arrival: ArrivalModel = ArrivalModel("zipf", 1.0, 1000)
     seed: int = 1
     warmup: float | None = None  # None: metrics default
-    sample_dt: float | None = None
     parallelism: int = 1  # worker processes for independent sweep points
 
 
@@ -143,12 +138,10 @@ def run_point(profile: WorkloadProfile, scenario: ScenarioConfig,
                                   scenario.duration, sched_seed)
         assignment = assign_clients(schedule, scenario.n_clients)
         trace = simulate_open_loop(profile, scenario, limits, config.platform,
-                                   schedule, assignment, sim_seed,
-                                   sample_dt=config.sample_dt)
+                                   schedule, assignment, sim_seed)
     else:
         trace = simulate_closed_loop(profile, scenario, limits,
-                                     config.platform, sim_seed,
-                                     sample_dt=config.sample_dt)
+                                     config.platform, sim_seed)
     return trace, summarize(trace, config.warmup)
 
 
@@ -199,26 +192,39 @@ def _sweep_point_job(job) -> tuple[float, int, MetricsSummary]:
     return q, seed, summary
 
 
-def _interp(x0: float, y0: float, x1: float, y1: float, y: float) -> float:
-    if y1 == y0:
-        return x0
-    return x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+def interpolate(xs, ys, x: float) -> float | None:
+    """Linear interpolation of the polyline through (xs, ys) at x.
+
+    Reads the first segment whose ends enclose x, in either order, so xs
+    need not be monotone; a zero-width segment yields its left end. None
+    when no segment encloses x.
+    """
+    for i in range(1, len(xs)):
+        x0, x1 = xs[i - 1], xs[i]
+        if x0 <= x <= x1 or x1 <= x <= x0:
+            y0, y1 = ys[i - 1], ys[i]
+            if x1 == x0:
+                return y0
+            return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+    return None
+
+
+def _unsaturated(sweep: SweepResult) -> list[SweepPoint]:
+    """Points before the first saturated one."""
+    usable = []
+    for p in sweep.points:
+        if p.summary.saturated:
+            break
+        usable.append(p)
+    return usable
 
 
 def qps_at_utilization(sweep: SweepResult, target: float) -> float | None:
     """Load at which CPU utilization crosses the target, interpolated
     between adjacent non-saturated points (the origin anchors the curve)."""
-    qs = [0.0]
-    us = [0.0]
-    for p in sweep.points:
-        if p.summary.saturated:
-            break
-        qs.append(p.qps)
-        us.append(p.summary.cpu_utilization)
-    for i in range(1, len(qs)):
-        if us[i - 1] <= target <= us[i]:
-            return _interp(qs[i - 1], us[i - 1], qs[i], us[i], target)
-    return None
+    usable = _unsaturated(sweep)
+    return interpolate([0.0] + [p.summary.cpu_utilization for p in usable],
+                       [0.0] + [p.qps for p in usable], target)
 
 
 def derive_lqos(sweep: SweepResult, qos_multiplier: float = 5.0,
@@ -232,11 +238,7 @@ def derive_lqos(sweep: SweepResult, qos_multiplier: float = 5.0,
     When utilization never reaches 20% before saturation the target is
     UNREACHABLE and a manual override is required.
     """
-    usable = []
-    for p in sweep.points:
-        if p.summary.saturated:
-            break
-        usable.append(p)
+    usable = _unsaturated(sweep)
     crossing = None
     prev_q, prev_u, prev_s = 0.0, 0.0, (
         usable[0].summary.mean_service_time if usable else 0.0)
@@ -244,9 +246,9 @@ def derive_lqos(sweep: SweepResult, qos_multiplier: float = 5.0,
         u = p.summary.cpu_utilization
         s = p.summary.mean_service_time
         if prev_u <= 0.20 <= u:
-            bq = _interp(prev_q, prev_u, p.qps, u, 0.20)
-            bs = (prev_s if p.qps == prev_q else
-                  prev_s + (bq - prev_q) * (s - prev_s) / (p.qps - prev_q))
+            bq = interpolate((prev_u, u), (prev_q, p.qps), 0.20)
+            # Rounding can put bq an ulp past the segment's end.
+            bs = interpolate((prev_q, p.qps), (prev_s, s), min(bq, p.qps))
             crossing = (bq, bs)
             break
         prev_q, prev_u, prev_s = p.qps, u, s
@@ -295,18 +297,27 @@ def saturation_qps(sweep: SweepResult, qos: QosTarget) -> SaturationResult:
     if math.isnan(nxt.summary.p95) or nxt.summary.saturated:
         candidates.append((p_ok.qps, "saturated"))
     else:
+        loads = (p_ok.qps, nxt.qps)
         if nxt.summary.p95 > lqos:
-            candidates.append((_interp(p_ok.qps, p_ok.summary.p95, nxt.qps,
-                                       nxt.summary.p95, lqos), "qos"))
+            candidates.append((interpolate(
+                (p_ok.summary.p95, nxt.summary.p95), loads, lqos), "qos"))
         if nxt.summary.timely_ratio < TIMELY_GATE:
-            candidates.append((_interp(p_ok.qps, p_ok.summary.timely_ratio,
-                                       nxt.qps, nxt.summary.timely_ratio,
-                                       TIMELY_GATE), "timely"))
+            candidates.append((interpolate(
+                (p_ok.summary.timely_ratio, nxt.summary.timely_ratio), loads,
+                TIMELY_GATE), "timely"))
     if not candidates:
         return SaturationResult(p_ok.qps, True, "range")
     qps, binding = min(candidates, key=lambda c: c[0])
     qps = max(qps, p_ok.qps)
     return SaturationResult(qps, True, binding)
+
+
+def qos_saturation(sweep: SweepResult, qos: QosTarget) -> SaturationResult:
+    """Saturation under a QoS target: saturation_qps when the target is
+    resolved, zero and unqualified (binding "none") when it is not."""
+    if not qos.resolved:
+        return SaturationResult(0.0, False, "none")
+    return saturation_qps(sweep, qos)
 
 
 def closed_loop_saturation(sweep: SweepResult) -> SaturationResult:
@@ -349,8 +360,7 @@ def compare_scenarios(profile: WorkloadProfile, limits: ResourceLimits,
         q = derive_lqos(sw, profile.qos_multiplier,
                         manual_override=lqos_override)
         qos[topo] = q
-        sat[topo] = (saturation_qps(sw, q) if q.resolved
-                     else SaturationResult(0.0, False, "none"))
+        sat[topo] = qos_saturation(sw, q)
         at20[topo] = qps_at_utilization(sw, 0.20)
         at50[topo] = qps_at_utilization(sw, 0.50)
 
@@ -375,27 +385,29 @@ def compare_scenarios(profile: WorkloadProfile, limits: ResourceLimits,
 
 @dataclass(frozen=True)
 class ConstraintStudyEntry:
-    constraint: float  # ways value, or MB/s limit (inf for unlimited)
+    constraint: float  # the level's value on the study axis; inf for None
     sweep: SweepResult
     qos: QosTarget
     saturation: SaturationResult
 
 
-def cat_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
-              ways_list: list[int], qps_range: tuple[float, float],
-              n_points: int, config: RunConfig,
-              base_limits: ResourceLimits | None = None,
-              lqos_override: float | None = None) -> list[ConstraintStudyEntry]:
-    """One sweep per assigned way count.
+def constraint_study(profile: WorkloadProfile, scenario: ScenarioConfig,
+                     levels: list[ResourceLimits],
+                     qps_range: tuple[float, float], n_points: int,
+                     config: RunConfig, axis: str = "llc_ways",
+                     lqos_override: float | None = None
+                     ) -> list[ConstraintStudyEntry]:
+    """One sweep per constraint level: LLC ways for a CAT study, memory
+    bandwidth (axis "mem_bw_limit", None for unlimited) for an MBA study.
 
-    Each constraint level derives its own QoS target (the service time at
-    20% utilization shifts as the miss ratio grows), so saturation tracks
-    the achievable service rate under that cache allocation.
+    Each level derives its own QoS target (the service time at 20%
+    utilization shifts as the miss ratio grows or the bandwidth binds), so
+    saturation tracks the achievable service rate under that allocation.
+    All levels share the same load points, so utilization at matching
+    loads compares directly.
     """
-    base = base_limits or ResourceLimits.unconstrained(config.platform)
     out = []
-    for ways in ways_list:
-        limits = replace(base, llc_ways=ways)
+    for limits in levels:
         sw = qps_sweep(profile, scenario, limits, qps_range, n_points, config)
         if isinstance(scenario.mode, ClosedLoop):
             qos = QosTarget(None, None, None, profile.qos_multiplier,
@@ -404,37 +416,10 @@ def cat_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
         else:
             qos = derive_lqos(sw, profile.qos_multiplier,
                               manual_override=lqos_override)
-            sat = (saturation_qps(sw, qos) if qos.resolved
-                   else SaturationResult(0.0, False, "none"))
-        out.append(ConstraintStudyEntry(float(ways), sw, qos, sat))
-    return out
-
-
-def mba_sweep(profile: WorkloadProfile, scenario: ScenarioConfig, ways: int,
-              bw_limits: list[float | None],
-              qps_range: tuple[float, float], n_points: int,
-              config: RunConfig,
-              base_limits: ResourceLimits | None = None,
-              lqos_override: float | None = None) -> list[ConstraintStudyEntry]:
-    """One sweep per memory-bandwidth limit at a fixed way count; None means
-    unlimited. Entries report saturation per limit; utilization deltas at
-    matching loads come free since all sweeps share the same QPS points."""
-    base = base_limits or ResourceLimits.unconstrained(config.platform)
-    out = []
-    for lim in bw_limits:
-        limits = replace(base, llc_ways=ways, mem_bw_limit=lim)
-        sw = qps_sweep(profile, scenario, limits, qps_range, n_points, config)
-        if isinstance(scenario.mode, ClosedLoop):
-            qos = QosTarget(None, None, None, profile.qos_multiplier,
-                            unreachable=True)
-            sat = closed_loop_saturation(sw)
-        else:
-            qos = derive_lqos(sw, profile.qos_multiplier,
-                              manual_override=lqos_override)
-            sat = (saturation_qps(sw, qos) if qos.resolved
-                   else SaturationResult(0.0, False, "none"))
+            sat = qos_saturation(sw, qos)
+        value = getattr(limits, axis)
         out.append(ConstraintStudyEntry(
-            float(lim) if lim is not None else math.inf, sw, qos, sat))
+            math.inf if value is None else float(value), sw, qos, sat))
     return out
 
 
@@ -445,15 +430,8 @@ def peak_mem_bw(sweep: SweepResult) -> float:
 
 def utilization_at(sweep: SweepResult, qps: float) -> float | None:
     """CPU utilization interpolated at a load, None outside the sweep."""
-    qs = [p.qps for p in sweep.points]
-    us = [p.summary.cpu_utilization for p in sweep.points]
-    if qps < qs[0] or qps > qs[-1]:
-        return None
-    for i in range(1, len(qs)):
-        if qs[i - 1] <= qps <= qs[i]:
-            return us[i - 1] + (qps - qs[i - 1]) * (us[i] - us[i - 1]) / (
-                qs[i] - qs[i - 1])
-    return None
+    return interpolate([p.qps for p in sweep.points],
+                       [p.summary.cpu_utilization for p in sweep.points], qps)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +453,10 @@ class CalibrationError(ExperimentError):
     """Raised when targets cannot be met; names the binding constraint."""
 
 
+CALIBRATION_TARGETS = frozenset((
+    "lqos", "saturation_qps", "mem_bw_at_saturation", "smt_ratio_20"))
+
+
 def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
                       scenario: ScenarioConfig,
                       qps_range: tuple[float, float], n_points: int,
@@ -493,8 +475,7 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
     """
     if not targets:
         raise CalibrationError("targets: must not be empty")
-    known = {"lqos", "saturation_qps", "mem_bw_at_saturation", "smt_ratio_20"}
-    unknown = set(targets) - known
+    unknown = set(targets) - CALIBRATION_TARGETS
     if unknown:
         raise CalibrationError(f"targets: unknown keys {sorted(unknown)}")
 
@@ -578,13 +559,12 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
         achieved["lqos"] = got
         residuals["lqos"] = (got - lqos_t) / lqos_t if qos.resolved else math.inf
     if sat_t is not None:
-        sat = (saturation_qps(sweep, qos) if qos.resolved
-               else SaturationResult(0.0, False, "none"))
+        sat = qos_saturation(sweep, qos)
         achieved["saturation_qps"] = sat.qps
         residuals["saturation_qps"] = (sat.qps - sat_t) / sat_t
     if bw_t is not None:
         sat_anchor = achieved.get("saturation_qps", sat_t)
-        bw = _mem_bw_at(sweep, sat_anchor)
+        bw = sweep_metric_at(sweep, sat_anchor, "mem_bw")
         achieved["mem_bw_at_saturation"] = bw
         residuals["mem_bw_at_saturation"] = (bw - bw_t) / bw_t
     if ratio_t is not None:
@@ -605,16 +585,19 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
     return p, report
 
 
-def _mem_bw_at(sweep: SweepResult, qps: float) -> float:
-    qs = [p.qps for p in sweep.points]
-    bw = [p.summary.mem_bw for p in sweep.points]
+def sweep_metric_at(sweep: SweepResult, qps: float, name: str) -> float:
+    """A summary metric interpolated at a load, held at the end values
+    outside the sweep; points where the metric is NaN are skipped (NaN when
+    all are)."""
+    pts = [(p.qps, getattr(p.summary, name)) for p in sweep.points
+           if not math.isnan(getattr(p.summary, name))]
+    if not pts:
+        return math.nan
+    qs, vs = zip(*pts)
     if qps <= qs[0]:
-        return bw[0]
-    for i in range(1, len(qs)):
-        if qs[i - 1] <= qps <= qs[i]:
-            return bw[i - 1] + (qps - qs[i - 1]) * (bw[i] - bw[i - 1]) / (
-                qs[i] - qs[i - 1])
-    return bw[-1]
+        return vs[0]
+    v = interpolate(qs, vs, qps)
+    return vs[-1] if v is None else v
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +647,13 @@ def _spec_float(fields, key, source, default=None):
         return float(raw)
     except ValueError:
         raise FileFormatError(f"{source}: key {key!r}: not a number")
+
+
+def _spec_int(fields, key, source, default=None):
+    value = _spec_float(fields, key, source, default)
+    if not value.is_integer():
+        raise FileFormatError(f"{source}: key {key!r}: not an integer")
+    return int(value)
 
 
 def load_experiment_spec(path: str | Path,
@@ -716,11 +706,11 @@ def load_experiment_spec(path: str | Path,
     if mode_raw == "open_loop":
         qps_lo = _spec_float(fields, "qps_min", source)
         qps_hi = _spec_float(fields, "qps_max", source)
-        n_clients = int(_spec_float(fields, "n_clients", source, "1"))
+        n_clients = _spec_int(fields, "n_clients", source, "1")
         mode: OpenLoop | ClosedLoop = OpenLoop(qps_lo)
     elif mode_raw == "closed_loop":
-        qps_lo = _spec_float(fields, "sessions_min", source, "1")
-        qps_hi = _spec_float(fields, "sessions_max", source)
+        qps_lo = float(_spec_int(fields, "sessions_min", source, "1"))
+        qps_hi = float(_spec_int(fields, "sessions_max", source))
         think = _spec_float(fields, "think_time", source, "0")
         n_clients = int(qps_hi)
         mode = ClosedLoop(int(qps_lo), think)
@@ -729,8 +719,7 @@ def load_experiment_spec(path: str | Path,
     scenario = ScenarioConfig(topology=topology, n_clients=n_clients,
                               mode=mode, duration=duration, rtt=rtt)
 
-    ways = int(_spec_float(fields, "llc_ways", source,
-                           str(platform.llc_total_ways)))
+    ways = _spec_int(fields, "llc_ways", source, str(platform.llc_total_ways))
     mem_lim_raw = _spec_get(fields, "mem_bw_limit", source, "unlimited")
     mem_lim = None if mem_lim_raw in ("unlimited", "none") else float(mem_lim_raw)
     disk_lim_raw = _spec_get(fields, "disk_bw_limit", source, "default")
@@ -743,16 +732,16 @@ def load_experiment_spec(path: str | Path,
     arrival = ArrivalModel(
         kind=arrival_kind,
         alpha=_spec_float(fields, "zipf_alpha", source, "1.0"),
-        support_n=int(_spec_float(fields, "zipf_support", source, "1000")),
+        support_n=_spec_int(fields, "zipf_support", source, "1000"),
     )
-    seed = int(_spec_float(fields, "seed", source, "1"))
+    seed = _spec_int(fields, "seed", source, "1")
     if seed_override is not None:
         seed = seed_override
     warmup_raw = fields.get("warmup")
     config = RunConfig(platform=platform, arrival=arrival, seed=seed,
                        warmup=float(warmup_raw) if warmup_raw else None)
 
-    n_points = int(_spec_float(fields, "points", source, "12"))
+    n_points = _spec_int(fields, "points", source, "12")
     lqos_override = (float(fields["lqos_override"])
                      if "lqos_override" in fields else None)
 
@@ -762,6 +751,11 @@ def load_experiment_spec(path: str | Path,
             ways_list = tuple(int(w) for w in fields["ways_list"].split(","))
         except ValueError:
             raise FileFormatError(f"{source}: ways_list: expected integers")
+        for w in ways_list:
+            if not 1 <= w <= platform.llc_total_ways:
+                raise FileFormatError(
+                    f"{source}: ways_list: {w} outside [1, "
+                    f"{platform.llc_total_ways}]")
     bw_limits: tuple[float | None, ...] = ()
     if "bw_limits" in fields:
         vals = []
@@ -771,11 +765,10 @@ def load_experiment_spec(path: str | Path,
                         else float(tok))
         bw_limits = tuple(vals)
 
-    targets = {key[len("target_"):]: float(val)
-               for key, val in fields.items() if key.startswith("target_")}
-    thresholds = {key[len("threshold_"):]: float(val)
-                  for key, val in fields.items()
-                  if key.startswith("threshold_")}
+    from .taxonomy import Thresholds  # taxonomy imports this module
+    targets = _prefixed(fields, "target_", CALIBRATION_TARGETS, source)
+    thresholds = _prefixed(fields, "threshold_",
+                           Thresholds.__dataclass_fields__, source)
 
     return ExperimentSpec(
         name=fields.get("name", path.stem), profile=profile,
@@ -785,6 +778,22 @@ def load_experiment_spec(path: str | Path,
         override_reason=fields.get("override_reason"),
         ways_list=ways_list, bw_limits=bw_limits, targets=targets,
         thresholds=thresholds, raw=raw)
+
+
+def _prefixed(fields: dict[str, str], prefix: str, known,
+              source: str) -> dict[str, float]:
+    """Numeric values of the prefix_* keys, by name without the prefix;
+    names outside known are rejected."""
+    out = {}
+    for key in fields:
+        if key.startswith(prefix):
+            name = key[len(prefix):]
+            if name not in known:
+                raise FileFormatError(
+                    f"{source}: unknown key {key!r} (known: "
+                    f"{', '.join(prefix + k for k in sorted(known))})")
+            out[name] = _spec_float(fields, key, source)
+    return out
 
 
 def shipped_spec_path(name: str) -> Path:

@@ -9,7 +9,6 @@ scheduled instant (the timeliness test).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -133,56 +132,3 @@ def assign_clients(schedule: ArrivalSchedule,
     idx = np.arange(n)
     parts = tuple(idx[c::n_clients] for c in range(n_clients))
     return ClientAssignment(client_indices=parts, n_clients=n_clients)
-
-
-def export_schedule(schedule: ArrivalSchedule, path: str | Path) -> None:
-    """Write the schedule as two-column text (index, scheduled_time_seconds).
-
-    Header comments carry the generation parameters so imports round-trip.
-    """
-    lines = [
-        f"# target_qps: {schedule.target_qps!r}",
-        f"# model: {schedule.model.kind}",
-        f"# alpha: {schedule.model.alpha!r}",
-        f"# support_n: {schedule.model.support_n}",
-        f"# seed: {schedule.seed}",
-        f"# duration: {schedule.duration!r}",
-    ]
-    lines.extend(f"{i} {float(t)!r}" for i, t in enumerate(schedule.times))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def import_schedule(path: str | Path) -> ArrivalSchedule:
-    """Read back a schedule written by export_schedule."""
-    meta: dict[str, str] = {}
-    times: list[float] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, value = body.split(":", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ModelError(f"{path}:{lineno}: expected 'index time'")
-        times.append(float(parts[1]))
-    model = ArrivalModel(
-        kind=meta.get("model", "deterministic"),
-        alpha=float(meta.get("alpha", "1.0")),
-        support_n=int(meta.get("support_n", "1000")),
-    )
-    arr = np.asarray(times, dtype=np.float64)
-    if np.any(np.diff(arr) < 0):
-        raise ModelError(f"{path}: times must be non-decreasing")
-    return ArrivalSchedule(
-        times=arr,
-        target_qps=float(meta.get("target_qps", "0") or 0) or
-        (len(arr) / float(meta["duration"]) if "duration" in meta else 0.0),
-        model=model,
-        seed=int(meta.get("seed", "0")),
-        duration=float(meta.get("duration", arr[-1] + 1.0 if len(arr) else 1.0)),
-    )

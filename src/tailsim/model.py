@@ -12,13 +12,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from statistics import NormalDist
 
 import numpy as np
 
 MB = 1e6  # bytes per MB (decimal, matching bandwidth reporting)
-
-_STD_NORMAL = NormalDist()
 
 
 class ModelError(ValueError):
@@ -43,23 +40,22 @@ class PlatformConfig:
     """Server platform constants.
 
     Defaults model a 12-core Xeon-class node with an 11-way 16.5 MB LLC,
-    ~111 GB/s measured memory bandwidth (~9 GB/s achievable per core),
-    a 550 MB/s SSD-backed remote disk, and two 20 Gbps network links.
+    ~111 GB/s measured memory bandwidth and a 550 MB/s SSD-backed remote
+    disk. The rate a lone request drains memory at is a profile property
+    (mem_stream_rate), and network transfers are not rate-limited.
     """
 
     llc_total_ways: int = 11
     llc_way_capacity: float = 1.5  # MB per way
     mem_bw_capacity: float = 111000.0  # MB/s
-    core_mem_bw_max: float = 9000.0  # MB/s a single core can drain
     disk_bw_capacity: float = 550.0  # MB/s
-    net_bw_capacity: float = 2500.0  # MB/s per link, two links
     cache_line: int = 64  # bytes
 
     def __post_init__(self) -> None:
         if self.llc_total_ways < 1:
             raise ModelError("llc_total_ways: must be >= 1")
-        for name in ("llc_way_capacity", "mem_bw_capacity", "core_mem_bw_max",
-                     "disk_bw_capacity", "net_bw_capacity", "cache_line"):
+        for name in ("llc_way_capacity", "mem_bw_capacity",
+                     "disk_bw_capacity", "cache_line"):
             if getattr(self, name) <= 0:
                 raise ModelError(f"{name}: must be strictly positive")
 
@@ -92,19 +88,8 @@ class ServiceDist:
         sigma2 = math.log(1.0 + self.cv * self.cv)
         return -0.5 * sigma2, math.sqrt(sigma2)
 
-    def multiplier(self, rng_draw: float) -> float:
-        """Map a uniform [0, 1) draw to a service multiplier (inverse CDF)."""
-        if not 0.0 <= rng_draw < 1.0:
-            raise ModelError("rng_draw: must lie in [0, 1)")
-        if self.kind == "deterministic":
-            return 1.0
-        if self.kind == "exponential":
-            return -math.log1p(-rng_draw)
-        mu, sigma = self._lognormal_params()
-        return math.exp(mu + sigma * _STD_NORMAL.inv_cdf(max(rng_draw, 1e-320)))
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n multipliers (vectorized path used by the simulator)."""
+        """Draw n multipliers."""
         if self.kind == "deterministic":
             return np.ones(n)
         if self.kind == "exponential":
@@ -320,34 +305,18 @@ def miss_ratio(profile: WorkloadProfile, ways: int, total_ways: int) -> float:
         span ** profile.miss_shape)
 
 
-def request_demands(profile: WorkloadProfile, limits: ResourceLimits,
-                    platform: PlatformConfig,
-                    rng_draw: float) -> WorkDemand:
-    """Realize one request's demands under the given limits.
-
-    rng_draw is a uniform [0, 1) draw mapped through the profile's service
-    distribution to the compute-time multiplier; memory traffic follows the
-    miss curve at the assigned way count.
-    """
-    mult = profile.service_dist.multiplier(rng_draw)
-    return _demands_with_multiplier(profile, limits, platform, mult)
-
-
 def mean_demands(profile: WorkloadProfile, limits: ResourceLimits,
                  platform: PlatformConfig) -> WorkDemand:
-    """Expected per-request demand (the service multiplier has mean 1)."""
-    return _demands_with_multiplier(profile, limits, platform, 1.0)
-
-
-def _demands_with_multiplier(profile: WorkloadProfile, limits: ResourceLimits,
-                             platform: PlatformConfig,
-                             mult: float) -> WorkDemand:
+    """Expected per-request demand under the given limits: the service
+    multiplier has mean 1, and memory traffic follows the miss curve at the
+    assigned way count. Only compute time varies from request to request
+    (cpu_work times a ServiceDist.sample draw)."""
     mem_bytes = 0.0
     if profile.mem_accesses > 0:
         m = miss_ratio(profile, limits.llc_ways, platform.llc_total_ways)
         mem_bytes = profile.mem_accesses * m * platform.cache_line
     return WorkDemand(
-        cpu_seconds=profile.cpu_work * mult,
+        cpu_seconds=profile.cpu_work,
         mem_bytes=mem_bytes,
         disk_bytes=profile.disk_bytes,
         net_tx_bytes=profile.net_tx_bytes,
@@ -366,7 +335,7 @@ _PROFILE_FLOAT_FIELDS = (
 
 _PLATFORM_FIELDS = (
     "llc_total_ways", "llc_way_capacity", "mem_bw_capacity",
-    "core_mem_bw_max", "disk_bw_capacity", "net_bw_capacity", "cache_line",
+    "disk_bw_capacity", "cache_line",
 )
 
 
@@ -435,6 +404,12 @@ def profile_to_text(profile: WorkloadProfile) -> str:
 
 def save_profile(profile: WorkloadProfile, path: str | Path) -> None:
     Path(path).write_text(profile_to_text(profile))
+
+
+def platform_to_text(platform: PlatformConfig) -> str:
+    """Platform file text that load_platform reads back exactly."""
+    return "".join(f"{key}: {getattr(platform, key)!r}\n"
+                   for key in _PLATFORM_FIELDS)
 
 
 def load_platform(path: str | Path) -> PlatformConfig:

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .experiments import (QosTarget, SaturationResult, SweepResult,
-                          closed_loop_saturation, saturation_qps)
+from .experiments import (QosTarget, SweepResult, closed_loop_saturation,
+                          qos_saturation, sweep_metric_at)
 from .model import ClosedLoop
 
 
@@ -89,13 +89,9 @@ def extract_features(sweep: SweepResult, qos: QosTarget) -> FeatureVector:
     if closed:
         sat = closed_loop_saturation(sweep)
         anchor = sweep.points[-1].qps
-    elif qos.resolved:
-        sat_res = saturation_qps(sweep, qos)
-        sat = sat_res
-        anchor = sat_res.qps
     else:
-        sat = SaturationResult(0.0, False, "none")
-        anchor = 0.0
+        sat = qos_saturation(sweep, qos)
+        anchor = sat.qps
 
     flagged = False
     if not closed and (not sat.qualified or anchor <= 0):
@@ -104,9 +100,9 @@ def extract_features(sweep: SweepResult, qos: QosTarget) -> FeatureVector:
         anchor = anchor_point.qps
         flagged = True
 
-    p95 = _interp_metric(sweep, anchor, "p95")
-    mem_bw = _interp_metric(sweep, anchor, "mem_bw")
-    disk_bw = _interp_metric(sweep, anchor, "disk_bw")
+    p95 = sweep_metric_at(sweep, anchor, "p95")
+    mem_bw = sweep_metric_at(sweep, anchor, "mem_bw")
+    disk_bw = sweep_metric_at(sweep, anchor, "disk_bw")
     max_util = max(p.summary.cpu_utilization for p in sweep.points)
     net_peak = max(p.summary.net_tx_bw for p in sweep.points)
     return FeatureVector(
@@ -119,19 +115,6 @@ def extract_features(sweep: SweepResult, qos: QosTarget) -> FeatureVector:
         mode="closed" if closed else "open",
         flagged=flagged,
     )
-
-
-def _interp_metric(sweep: SweepResult, qps: float, name: str) -> float:
-    pts = [(p.qps, getattr(p.summary, name)) for p in sweep.points
-           if not math.isnan(getattr(p.summary, name))]
-    if not pts:
-        return math.nan
-    if qps <= pts[0][0]:
-        return pts[0][1]
-    for (q0, v0), (q1, v1) in zip(pts, pts[1:]):
-        if q0 <= qps <= q1:
-            return v0 + (qps - q0) * (v1 - v0) / (q1 - q0)
-    return pts[-1][1]
 
 
 def classify(features: FeatureVector,

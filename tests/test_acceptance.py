@@ -16,9 +16,9 @@ import pytest
 from tailsim.cli import main as cli_main
 from tailsim.engine import (export_series_csv, export_trace_csv,
                             simulate_open_loop)
-from tailsim.experiments import (RunConfig, cat_sweep, compare_scenarios,
-                                 derive_lqos, load_experiment_spec,
-                                 mba_sweep, peak_mem_bw, qps_sweep,
+from tailsim.experiments import (RunConfig, compare_scenarios,
+                                 constraint_study, derive_lqos,
+                                 load_experiment_spec, peak_mem_bw, qps_sweep,
                                  saturation_qps, shipped_spec_path,
                                  utilization_at)
 from tailsim.loadgen import ArrivalModel, assign_clients, build_schedule
@@ -236,9 +236,10 @@ def test_criterion_5_scenario_ordering(shipped_runs):
 
 def test_criterion_6_partitioning_reproduction():
     spec = load_experiment_spec(shipped_spec_path("img-dnn-partition"))
-    entries = cat_sweep(spec.profile, spec.scenario, list(spec.ways_list),
-                        spec.qps_range, spec.n_points, spec.config,
-                        base_limits=spec.limits)
+    entries = constraint_study(spec.profile, spec.scenario,
+                               [replace(spec.limits, llc_ways=w)
+                                for w in spec.ways_list],
+                               spec.qps_range, spec.n_points, spec.config)
     sats = {int(e.constraint): e.saturation.qps for e in entries}
     ordered = [sats[w] for w in (11, 8, 5, 2)]
     assert ordered == sorted(ordered, reverse=True)
@@ -249,10 +250,10 @@ def test_criterion_6_partitioning_reproduction():
 
     mspec = load_experiment_spec(shipped_spec_path(
         "media-streaming-partition"))
-    mentries = cat_sweep(mspec.profile, mspec.scenario,
-                         list(mspec.ways_list), mspec.qps_range,
-                         mspec.n_points, mspec.config,
-                         base_limits=mspec.limits)
+    mentries = constraint_study(mspec.profile, mspec.scenario,
+                                [replace(mspec.limits, llc_ways=w)
+                                 for w in mspec.ways_list], mspec.qps_range,
+                                mspec.n_points, mspec.config)
     msats = [e.saturation.qps for e in mentries]
     delta = abs(msats[0] - msats[1]) / msats[0]
     assert delta < 0.02
@@ -264,9 +265,11 @@ def test_criterion_6_partitioning_reproduction():
 
 def test_criterion_7_mba_reproduction():
     spec = load_experiment_spec(shipped_spec_path("img-dnn-mba"))
-    entries = mba_sweep(spec.profile, spec.scenario, spec.limits.llc_ways,
-                        list(spec.bw_limits), spec.qps_range, spec.n_points,
-                        spec.config)
+    entries = constraint_study(spec.profile, spec.scenario,
+                               [replace(spec.limits, mem_bw_limit=b)
+                                for b in spec.bw_limits],
+                               spec.qps_range, spec.n_points, spec.config,
+                               axis="mem_bw_limit")
     unlimited = next(e for e in entries if math.isinf(e.constraint))
     limited = next(e for e in entries if e.constraint == 4000.0)
     peak = peak_mem_bw(unlimited.sweep)

@@ -159,6 +159,91 @@ class TestReplay:
             assert read(out / name) == read(replay_out / name), name
 
 
+    def _replay_matches(self, flags, spec, tmp_path):
+        out = tmp_path / "orig"
+        assert main(["--out", str(out), *flags, "sweep", str(spec)]) == 0
+        replay_out = tmp_path / "replayed"
+        assert main(["--out", str(replay_out), "replay",
+                     str(out / "manifest.json")]) == 0
+        assert read(out / "sweep.csv") == read(replay_out / "sweep.csv")
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_replay_keeps_warmup_override(self, spec_dir, tmp_path):
+        manifest = self._replay_matches(["--warmup", "3", "--points", "3"],
+                                        spec_dir / "synth.spec", tmp_path)
+        assert manifest["warmup"] == 3.0
+
+    def test_replay_keeps_platform_file(self, spec_dir, tmp_path):
+        box = spec_dir / "box.platform"
+        box.write_text("mem_bw_capacity: 250\n")
+        manifest = self._replay_matches(["--platform", str(box)],
+                                        spec_dir / "synth.spec", tmp_path)
+        assert "mem_bw_capacity: 250.0" in manifest["platform_content"]
+        # the platform binds, so a replay on the default one would differ
+        default = tmp_path / "default"
+        assert main(["--out", str(default), "sweep",
+                     str(spec_dir / "synth.spec")]) == 0
+        assert read(default / "sweep.csv") != read(
+            tmp_path / "orig" / "sweep.csv")
+
+
+class TestSpecValidation:
+    CLOSED_SPEC = """\
+name: closed
+profile: synth.profile
+mode: closed_loop
+sessions_min: 1
+sessions_max: 8
+duration: 5.0
+"""
+
+    @pytest.mark.parametrize("key,value", [
+        ("points", "2.7"), ("n_clients", "1.5"), ("llc_ways", "5.5"),
+        ("seed", "7.5"), ("zipf_support", "100.5"),
+        ("sessions_min", "1.5"), ("sessions_max", "8.5")])
+    def test_non_integral_count_exit_2(self, spec_dir, tmp_path, capsys,
+                                       key, value):
+        base = (self.CLOSED_SPEC if key.startswith("sessions")
+                else FAST_SPEC)
+        lines = [l for l in base.splitlines()
+                 if not l.startswith(key + ":")]
+        (spec_dir / "bad.spec").write_text(
+            "\n".join(lines + [f"{key}: {value}"]) + "\n")
+        rc = main(["--out", str(tmp_path / "o"), "sweep",
+                   str(spec_dir / "bad.spec")])
+        assert rc == 2
+        assert f"'{key}': not an integer" in capsys.readouterr().err
+
+    def test_integral_float_accepted(self, spec_dir):
+        from tailsim.experiments import load_experiment_spec
+        (spec_dir / "ok.spec").write_text(
+            FAST_SPEC.replace("points: 5", "points: 5.0"))
+        assert load_experiment_spec(spec_dir / "ok.spec").n_points == 5
+
+    def test_ways_list_checked_at_load(self, spec_dir, tmp_path, capsys):
+        from tailsim.experiments import load_experiment_spec
+        from tailsim.model import FileFormatError
+        (spec_dir / "part.spec").write_text(FAST_SPEC
+                                            + "ways_list: 11,0,99\n")
+        with pytest.raises(FileFormatError, match="ways_list: 0 outside"):
+            load_experiment_spec(spec_dir / "part.spec")
+        rc = main(["--out", str(tmp_path / "p"), "partition",
+                   str(spec_dir / "part.spec")])
+        assert rc == 2
+        assert "ways_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["threshold_streaming_nettx",
+                                     "target_saturation"])
+    def test_unknown_prefixed_key_exit_2(self, spec_dir, tmp_path, capsys,
+                                         key):
+        (spec_dir / "bad.spec").write_text(FAST_SPEC + f"{key}: 0.0001\n")
+        rc = main(["--out", str(tmp_path / "o"), "classify",
+                   str(spec_dir / "bad.spec")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestCharacterize:
     def test_bundle_contents(self, spec_dir, tmp_path):
         out = tmp_path / "char"

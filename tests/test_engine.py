@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tailsim.engine import (ActivePhase, export_series_csv, export_trace_csv,
-                            recompute_drain_rates, simulate_closed_loop,
-                            simulate_open_loop)
-from tailsim.loadgen import ArrivalModel, assign_clients, build_schedule
+from tailsim.engine import (export_series_csv, export_trace_csv,
+                            simulate_closed_loop, simulate_open_loop)
+from tailsim.loadgen import (ArrivalModel, ArrivalSchedule, assign_clients,
+                             build_schedule)
 from tailsim.metrics import summarize, timely_ratio
 from tailsim.model import (MB, ClosedLoop, ModelError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
@@ -275,62 +275,87 @@ class TestDiskAccounting:
         assert tr.completion[1] > tr.completion[0]
 
 
+def run_pair(profile, topology, times, limits=FREE):
+    """Two requests from two clients issued at the given times, with no
+    network delay; returns their completion times."""
+    sched = ArrivalSchedule(np.asarray(times, dtype=float), 1.0,
+                            ArrivalModel("deterministic"), 0, 1.0)
+    scen = ScenarioConfig(topology, 2, OpenLoop(1.0), 1.0, rtt=0.0)
+    tr = simulate_open_loop(profile, scen, limits, PLATFORM, sched,
+                            assign_clients(sched, 2), 0)
+    return tr.completion
+
+
+def memory_only(stream_rate):
+    # 1e5 accesses x 0.5 miss x 64 B = 3.2 MB of memory traffic per request
+    return WorkloadProfile(name="mem", mem_accesses=1e5, miss_min=0.5,
+                           miss_max=0.5, mem_stream_rate=stream_rate)
+
+
 class TestDrainRates:
+    """The drain-rate rules of the event loop, read off the completion
+    times of two requests served together."""
+
     def test_proportional_memory_sharing(self):
-        r = recompute_drain_rates(
-            [ActivePhase("memory", 6000.0), ActivePhase("memory", 6000.0)],
-            Topology.TWO_ST, ResourceLimits(11, mem_bw_limit=9000.0),
-            PLATFORM)
-        assert r == [4500.0, 4500.0]
+        # 2 x 6000 MB/s oversubscribes the 9000 MB/s cap: 4500 MB/s each
+        done = run_pair(memory_only(6000.0), Topology.TWO_ST, [0.0, 0.0],
+                        ResourceLimits(11, mem_bw_limit=9000.0))
+        assert done == pytest.approx([3.2e6 / (4500 * MB)] * 2, rel=1e-12)
 
     def test_undersubscribed_memory(self):
-        r = recompute_drain_rates(
-            [ActivePhase("memory", 3000.0)],
-            Topology.ONE_ST, ResourceLimits(11, mem_bw_limit=4000.0),
-            PLATFORM)
-        assert r == [3000.0]
+        # 2 x 3000 MB/s fits under the cap: each drains at its own rate
+        done = run_pair(memory_only(3000.0), Topology.TWO_ST, [0.0, 0.0],
+                        ResourceLimits(11, mem_bw_limit=9000.0))
+        assert done == pytest.approx([3.2e6 / (3000 * MB)] * 2, rel=1e-12)
 
     def test_smt_compute_pair(self):
-        r = recompute_drain_rates(
-            [ActivePhase("compute", smt_efficiency=0.7),
-             ActivePhase("compute", smt_efficiency=0.7)],
-            Topology.TWO_SMT, FREE, PLATFORM)
-        assert r == [0.7, 0.7]
+        prof = WorkloadProfile(name="cpu", cpu_work=0.001,
+                               smt_efficiency=0.7)
+        smt = run_pair(prof, Topology.TWO_SMT, [0.0, 0.0])
+        assert smt == pytest.approx([0.001 / 0.7] * 2, rel=1e-12)
+        st = run_pair(prof, Topology.TWO_ST, [0.0, 0.0])
+        assert st == pytest.approx([0.001] * 2, rel=1e-12)
 
     def test_compute_with_disk_sibling_runs_full_speed(self):
-        r = recompute_drain_rates(
-            [ActivePhase("compute", smt_efficiency=0.7),
-             ActivePhase("disk")],
-            Topology.TWO_SMT, FREE, PLATFORM)
-        assert r[0] == 1.0
-        assert r[1] == PLATFORM.disk_bw_capacity
+        # 1 ms compute, then 1.1 MB of disk (2 ms alone at 550 MB/s).
+        # Request 0 computes over [0, 1] ms and reads alone over [1, 2.5];
+        # request 1 computes at full speed over [1.5, 2.5] beside it. Both
+        # read at half rate until request 0's last 0.5 ms of disk work is
+        # done at 3.5 ms; request 1 then reads its remaining 1.5 ms alone.
+        prof = WorkloadProfile(name="cd", cpu_work=0.001, disk_bytes=1.1e6,
+                               smt_efficiency=0.5)
+        done = run_pair(prof, Topology.TWO_SMT, [0.0, 0.0015])
+        assert done == pytest.approx([0.0035, 0.005], rel=1e-9)
 
     def test_disk_fair_share(self):
-        r = recompute_drain_rates(
-            [ActivePhase("disk"), ActivePhase("disk")],
-            Topology.TWO_ST, ResourceLimits(11, disk_bw_limit=100.0),
-            PLATFORM)
-        assert r == [50.0, 50.0]
+        prof = WorkloadProfile(name="disk", disk_bytes=1e6)
+        done = run_pair(prof, Topology.TWO_ST, [0.0, 0.0],
+                        ResourceLimits(11, disk_bw_limit=100.0))
+        assert done == pytest.approx([1e6 / (50 * MB)] * 2, rel=1e-12)
 
     def test_aggregate_never_exceeds_limits(self):
+        # random mixed-phase loads on every topology: no sampling bin may
+        # carry more than limit x dt plus one quantum of slack
         import random
         rnd = random.Random(5)
-        for _ in range(200):
-            n = rnd.randint(1, 2)
-            phases = [rnd.choice(["compute", "memory", "disk"])
-                      for _ in range(n)]
-            stream = rnd.uniform(100, 12000)
+        for _ in range(12):
+            prof = WorkloadProfile(
+                name="mix", cpu_work=rnd.uniform(1e-4, 1e-3),
+                mem_accesses=rnd.uniform(1e4, 4e5), miss_min=0.25,
+                miss_max=0.25, mem_stream_rate=rnd.uniform(100, 12000),
+                disk_bytes=rnd.uniform(1e3, 1e5), smt_efficiency=0.8,
+                service_dist=ServiceDist("exponential"))
             lim = ResourceLimits(11, mem_bw_limit=rnd.uniform(500, 10000),
                                  disk_bw_limit=rnd.uniform(10, 550))
-            active = [ActivePhase(p, stream, 0.8) for p in phases]
-            rates = recompute_drain_rates(active, Topology.TWO_SMT, lim,
-                                          PLATFORM)
-            mem_total = sum(r for r, p in zip(rates, phases)
-                            if p == "memory")
-            disk_total = sum(r for r, p in zip(rates, phases)
-                             if p == "disk")
-            assert mem_total <= lim.effective_mem_bw(PLATFORM) + 1e-9
-            assert disk_total <= lim.effective_disk_bw(PLATFORM) + 1e-9
+            topo = rnd.choice(list(Topology))
+            scen = ScenarioConfig(topo, 8, OpenLoop(300.0), 2.0)
+            tr = run_open(prof, scen, limits=lim,
+                          sched_seed=rnd.randrange(1000))
+            dt = tr.sample_dt
+            mem_cap = lim.effective_mem_bw(PLATFORM) * MB * dt
+            disk_cap = lim.effective_disk_bw(PLATFORM) * MB * dt
+            assert tr.mem_series.max() <= mem_cap * (1 + 1e-9) + 1.0
+            assert tr.disk_series.max() <= disk_cap * (1 + 1e-9) + 1.0
 
 
 class TestThroughputCap:

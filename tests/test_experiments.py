@@ -4,10 +4,11 @@ import pytest
 
 from tailsim.loadgen import ArrivalModel
 from tailsim.experiments import (CalibrationError, ExperimentError,
-                                 RunConfig, calibrate_profile, cat_sweep,
+                                 RunConfig, calibrate_profile,
                                  closed_loop_saturation, compare_scenarios,
-                                 derive_lqos, geometric_points,
-                                 load_experiment_spec, mba_sweep, peak_mem_bw,
+                                 constraint_study, derive_lqos,
+                                 geometric_points, load_experiment_spec,
+                                 peak_mem_bw,
                                  point_seed, qps_at_utilization, qps_sweep,
                                  saturation_qps, session_points,
                                  shipped_spec_path, utilization_at)
@@ -31,6 +32,25 @@ def scen(qps=100.0, clients=16, duration=10.0, topo=Topology.ONE_ST,
 
 
 DET_1MS = WorkloadProfile(name="det1ms", cpu_work=0.001)
+
+
+def cat_levels(ways_list):
+    return [ResourceLimits(llc_ways=w) for w in ways_list]
+
+
+def mba_levels(bw_limits, ways=11):
+    return [ResourceLimits(llc_ways=ways, mem_bw_limit=b) for b in bw_limits]
+
+
+class TestInterpolate:
+    def test_first_enclosing_segment_in_either_order(self):
+        from tailsim.experiments import interpolate
+        assert interpolate([0.0, 1.0, 3.0], [0.0, 10.0, 30.0], 2.0) == 20.0
+        # a falling segment reads the same line from its left end
+        assert interpolate([1.0, 0.5], [10.0, 20.0], 0.75) == 15.0
+        assert interpolate([0.0, 1.0, 0.0], [0.0, 1.0, 2.0], 0.5) == 0.5
+        assert interpolate([2.0, 2.0], [5.0, 7.0], 2.0) == 5.0
+        assert interpolate([0.0, 1.0], [0.0, 1.0], 1.5) is None
 
 
 class TestSpacing:
@@ -188,22 +208,25 @@ class TestConstraintStudies:
                            mem_stream_rate=6000.0, footprint=5.0)
 
     def test_flat_miss_profile_invariant_across_ways(self):
-        entries = cat_sweep(self.FLAT, scen(duration=8.0), [11, 8, 5, 2],
-                            (100.0, 700.0), 5, cfg(warmup=1.0))
+        entries = constraint_study(self.FLAT, scen(duration=8.0),
+                                   cat_levels([11, 8, 5, 2]), (100.0, 700.0),
+                                   5, cfg(warmup=1.0))
         sats = [e.saturation.qps for e in entries]
         assert all(s == pytest.approx(sats[0], rel=1e-12) for s in sats)
 
     def test_capacity_report_matches_way_count(self):
-        entries = cat_sweep(self.FLAT, scen(duration=5.0), [11, 8, 5, 2],
-                            (100.0, 300.0), 2, cfg(warmup=1.0))
+        entries = constraint_study(self.FLAT, scen(duration=5.0),
+                                   cat_levels([11, 8, 5, 2]), (100.0, 300.0),
+                                   2, cfg(warmup=1.0))
         occupancies = [e.sweep.points[0].summary.llc_occupancy
                        for e in entries]
         assert occupancies == [5.0, 5.0, 5.0, 3.0]  # capped by footprint
 
     def test_nonbinding_mba_limit_identical_to_unlimited(self):
-        entries = mba_sweep(self.FLAT, scen(duration=8.0), 11,
-                            [None, 50000.0], (100.0, 700.0), 5,
-                            cfg(warmup=1.0))
+        entries = constraint_study(self.FLAT, scen(duration=8.0),
+                                   mba_levels([None, 50000.0]),
+                                   (100.0, 700.0), 5, cfg(warmup=1.0),
+                                   axis="mem_bw_limit")
         unlimited, limited = entries
         for a, b in zip(unlimited.sweep.points, limited.sweep.points):
             assert a.summary == b.summary
@@ -212,8 +235,9 @@ class TestConstraintStudies:
         prof = WorkloadProfile(name="mem", cpu_work=0.0004,
                                mem_accesses=800000, miss_min=0.3,
                                miss_max=0.3, mem_stream_rate=9000.0)
-        entries = mba_sweep(prof, scen(duration=8.0), 11, [None, 2000.0],
-                            (50.0, 500.0), 6, cfg(warmup=1.0))
+        entries = constraint_study(prof, scen(duration=8.0),
+                                   mba_levels([None, 2000.0]), (50.0, 500.0),
+                                   6, cfg(warmup=1.0), axis="mem_bw_limit")
         unlimited, limited = entries
         assert limited.saturation.qps < unlimited.saturation.qps
         assert peak_mem_bw(limited.sweep) <= 2000.0 * 1.02
@@ -330,8 +354,9 @@ class TestSweepMonotonicity:
                                mem_accesses=300000, miss_min=0.05,
                                miss_max=0.6, miss_shape=1.4,
                                mem_stream_rate=9000.0, footprint=6.0)
-        entries = cat_sweep(prof, scen(duration=10.0), [11, 6, 2],
-                            (50.0, 1200.0), 7, cfg(warmup=1.0))
+        entries = constraint_study(prof, scen(duration=10.0),
+                                   cat_levels([11, 6, 2]), (50.0, 1200.0), 7,
+                                   cfg(warmup=1.0))
         sats = [e.saturation.qps for e in entries]
         assert sats[0] > sats[1] > sats[2]
 
@@ -339,9 +364,10 @@ class TestSweepMonotonicity:
         prof = WorkloadProfile(name="memy", cpu_work=0.0004,
                                mem_accesses=700000, miss_min=0.3,
                                miss_max=0.3, mem_stream_rate=9000.0)
-        entries = mba_sweep(prof, scen(duration=10.0), 11,
-                            [None, 6000.0, 3000.0], (50.0, 800.0), 6,
-                            cfg(warmup=1.0))
+        entries = constraint_study(prof, scen(duration=10.0),
+                                   mba_levels([None, 6000.0, 3000.0]),
+                                   (50.0, 800.0), 6, cfg(warmup=1.0),
+                                   axis="mem_bw_limit")
         sats = [e.saturation.qps for e in entries]
         assert sats[0] >= sats[1] >= sats[2]
         assert sats[0] > sats[2]

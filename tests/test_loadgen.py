@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tailsim.loadgen import (ArrivalModel, assign_clients, build_schedule,
-                             export_schedule, import_schedule)
+from tailsim.loadgen import ArrivalModel, assign_clients, build_schedule
 from tailsim.model import ModelError
 
 
@@ -86,25 +85,6 @@ class TestAssignClients:
         assert sorted(seen.tolist()) == list(range(len(s)))
         for ix in a.client_indices:
             assert np.all(np.diff(ix) > 0)  # per-client order preserved
-
-
-class TestScheduleFiles:
-    def test_export_import_roundtrip(self, tmp_path):
-        s = build_schedule(ArrivalModel("zipf", 1.0, 200), 120.0, 20.0, 5)
-        path = tmp_path / "sched.txt"
-        export_schedule(s, path)
-        r = import_schedule(path)
-        assert np.array_equal(r.times, s.times)
-        assert r.target_qps == s.target_qps
-        assert r.model == s.model
-        assert r.seed == s.seed
-        assert r.duration == s.duration
-
-    def test_import_rejects_unsorted(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 1.0\n1 0.5\n")
-        with pytest.raises(ModelError):
-            import_schedule(path)
 
 
 class TestShippedClientCounts:

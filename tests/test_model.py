@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tailsim.model import (MB, ModelError, PlatformConfig, ResourceLimits,
                            ServiceDist, WorkloadProfile, load_profile,
                            mean_demands, miss_ratio, profile_from_mapping,
-                           request_demands, save_profile, validate_profile)
+                           save_profile, validate_profile)
 
 PLATFORM = PlatformConfig()
 
@@ -129,26 +129,25 @@ class TestMissRatio:
 class TestRequestDemands:
     def test_deterministic_no_memory(self):
         p = make_profile(cpu_work=0.004)
-        d = request_demands(p, ResourceLimits(), PLATFORM, rng_draw=0.5)
+        d = mean_demands(p, ResourceLimits(), PLATFORM)
         assert d.cpu_seconds == 0.004
         assert d.mem_bytes == 0.0
+        rng = np.random.default_rng(1)
+        assert np.all(p.cpu_work * p.service_dist.sample(rng, 100) == 0.004)
 
     def test_memory_traffic_arithmetic(self):
         p = make_profile(mem_accesses=1e6, miss_min=0.25, miss_max=0.25)
-        d = request_demands(p, ResourceLimits(llc_ways=11), PLATFORM, 0.0)
+        d = mean_demands(p, ResourceLimits(llc_ways=11), PLATFORM)
         assert d.mem_bytes == pytest.approx(16_000_000)
 
     def test_exponential_multiplier_mean_is_one(self):
         p = make_profile(cpu_work=0.002,
                          service_dist=ServiceDist("exponential"))
         rng = np.random.default_rng(7)
-        draws = rng.random(10**6)
-        mults = -np.log1p(-draws)
-        cpu = p.cpu_work * mults
+        cpu = p.cpu_work * p.service_dist.sample(rng, 10**6)
         assert cpu.mean() == pytest.approx(0.002, rel=0.01)
-        spot = request_demands(p, ResourceLimits(), PLATFORM,
-                               float(draws[0]))
-        assert spot.cpu_seconds == pytest.approx(0.002 * mults[0])
+        assert mean_demands(p, ResourceLimits(), PLATFORM).cpu_seconds \
+            == 0.002
 
     @given(a=st.integers(1, 11), b=st.integers(1, 11))
     @settings(max_examples=60, deadline=None)
@@ -157,8 +156,8 @@ class TestRequestDemands:
             a, b = b, a
         p = make_profile(mem_accesses=5e5, miss_min=0.05, miss_max=0.5,
                          miss_shape=1.7)
-        da = request_demands(p, ResourceLimits(llc_ways=a), PLATFORM, 0.0)
-        db = request_demands(p, ResourceLimits(llc_ways=b), PLATFORM, 0.0)
+        da = mean_demands(p, ResourceLimits(llc_ways=a), PLATFORM)
+        db = mean_demands(p, ResourceLimits(llc_ways=b), PLATFORM)
         assert da.mem_bytes >= db.mem_bytes - 1e-9
 
 
@@ -171,11 +170,18 @@ class TestServiceDist:
         assert xs.std() == pytest.approx(1.5, rel=0.05)
 
     def test_inverse_cdf_matches_kind(self):
-        assert ServiceDist("deterministic").multiplier(0.3) == 1.0
-        assert ServiceDist("exponential").multiplier(0.5) == pytest.approx(
-            math.log(2))
-        ln = ServiceDist("lognormal", cv=0.8)
-        assert ln.multiplier(0.5) < 1.0  # median below mean
+        # empirical medians of the drawn multipliers against each kind's
+        # inverse CDF at 0.5
+        rng = np.random.default_rng(11)
+        det = ServiceDist("deterministic").sample(rng, 1000)
+        assert np.all(det == 1.0)
+        exp = ServiceDist("exponential").sample(rng, 200_000)
+        assert np.median(exp) == pytest.approx(math.log(2), rel=0.02)
+        med = np.median(ServiceDist("lognormal", cv=0.8).sample(rng, 200_000))
+        # mean one: mu = -sigma^2 / 2 with sigma^2 = ln(1 + cv^2)
+        assert med == pytest.approx(math.exp(-0.5 * math.log(1.64)),
+                                    rel=0.02)
+        assert med < 1.0  # median below mean
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ModelError):

@@ -21,8 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from tailsim.loadgen import ArrivalModel
-from tailsim.experiments import (RunConfig, derive_lqos, qps_sweep,
-                                 saturation_qps, compare_scenarios)
+from tailsim.experiments import (RunConfig, derive_lqos, qos_saturation,
+                                 qps_sweep, compare_scenarios)
 from tailsim.model import (MB, OpenLoop, PlatformConfig,
                            ResourceLimits, ScenarioConfig, ServiceDist,
                            Topology, WorkloadProfile, save_profile)
@@ -148,10 +148,7 @@ def measure_sat(profile, w, support, limits=LIMITS, duration_scale=1.0):
     sweep = qps_sweep(profile, scen, limits, w["qps_range"], 12, cfg)
     override = w["lqos"] if w.get("lqos_override") else None
     qos = derive_lqos(sweep, 5.0, manual_override=override)
-    if not qos.resolved:
-        return 0.0, qos, sweep
-    sat = saturation_qps(sweep, qos)
-    return sat.qps, qos, sweep
+    return qos_saturation(sweep, qos).qps, qos, sweep
 
 
 def pick_support(profile_det, w, target) -> int:
