@@ -17,6 +17,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .experiments import (ExperimentSpec, ExperimentError, SweepResult,
                           CalibrationError, calibrate_profile,
@@ -147,7 +149,8 @@ def _write_manifest(out_dir: Path, command: str, spec: ExperimentSpec,
         "outputs": outputs,
         "status": _sanitize(status),
         "versions": {"tailsim": __version__,
-                     "python": sys.version.split()[0]},
+                     "python": sys.version.split()[0],
+                     "numpy": np.__version__},
         "wall_clock_s": wall_clock,
     }
     _write_json(out_dir / "manifest.json", manifest)

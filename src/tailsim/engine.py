@@ -1,23 +1,31 @@
-"""Deterministic discrete-event simulation of the server.
+"""Deterministic simulation of the server.
 
 Each run models a FIFO server with one or two worker threads. A request
 passes through up to three sequential phases (compute, memory, disk); the
 worker is occupied for all of them but only compute and memory count as
-CPU-busy time. Drain rates are recomputed on every event so SMT slowdown,
-shared memory-bandwidth limits, and disk fair-sharing take effect the moment
-the active set changes: a compute phase drains at 1.0, or at the profile's
-SMT efficiency on TWO_SMT while the sibling is compute- or memory-busy;
-memory phases share the effective bandwidth limit in proportion to their
+CPU-busy time. A compute phase drains at 1.0, or at the profile's SMT
+efficiency on TWO_SMT while the sibling is compute- or memory-busy; memory
+phases share the effective bandwidth limit in proportion to their
 lone-request rates; disk phases split the disk limit evenly. Clients issue
 their requests in order and are busy until a round trip after the
 completion of the previous one, which is what makes a request late
 (non-timely) when its client cannot keep up.
+
+Two paths produce the same trace. With two workers the rates depend on
+what the sibling is doing, so the event engine (``_run``) recomputes them
+on every event; it also runs every closed-loop scenario. With one worker
+every phase drains at a constant rate, so a request's phase ends are fixed
+the moment it starts (Lindley, "The theory of queues with a single server",
+1952), and open-loop runs take ``_run_single_worker``, which steps request
+by request over a heap of the clients' next issues. The event engine is the
+reference that the single-worker path is tested against.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +38,7 @@ from .model import (MB, ClosedLoop, ModelError, OpenLoop, PlatformConfig,
                     mean_demands, validate_profile)
 
 TIMELY_EPS = 1e-6  # seconds of slack when judging issue punctuality
+_BLOCK = 4096  # phases per deposit step; bounds the temporary arrays
 
 _COMPUTE, _MEMORY, _DISK = 0, 1, 2
 _EV_ISSUE, _EV_PHASE = 0, 1
@@ -39,7 +48,9 @@ _EV_ISSUE, _EV_PHASE = 0, 1
 class Trace:
     """Simulation output: per-request lifecycle columns, per-core busy
     intervals split by phase class, and sampled byte-movement series.
-    Censored requests carry NaN for the timestamps that never happened."""
+    Censored requests carry NaN for the timestamps that never happened.
+    Busy intervals are one (k, 2) array of [start, end] rows per core, in
+    the order the intervals closed."""
 
     client: np.ndarray
     scheduled: np.ndarray
@@ -55,8 +66,8 @@ class Trace:
     disk_series: np.ndarray
     tx_series: np.ndarray
     rx_series: np.ndarray
-    cpu_busy: list[list[tuple[float, float]]]
-    disk_busy: list[list[tuple[float, float]]]
+    cpu_busy: list[np.ndarray]
+    disk_busy: list[np.ndarray]
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -93,6 +104,9 @@ def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
         raise ModelError("assignment does not cover the schedule")
     validate_profile(profile, platform)
     limits.validate_against(platform)
+    if scenario.topology.n_workers == 1:
+        return _run_single_worker(profile, scenario, limits, platform, seed,
+                                  schedule, assignment)
     return _run(profile, scenario, limits, platform, seed,
                 schedule=schedule, assignment=assignment)
 
@@ -120,7 +134,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     sigma = profile.smt_efficiency
     rtt2 = 2.0 * scenario.rtt
     duration = scenario.duration
-    hard_stop = 2.0 * duration + 10.0
+    hard_stop, sample_dt, nbins = _sample_grid(duration)
 
     base = mean_demands(profile, limits, platform)
     mem_bytes = base.mem_bytes
@@ -132,8 +146,6 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     disk_limit_b = limits.effective_disk_bw(platform) * MB
     solo_mem_rate_b = min(stream_mb, mem_limit_mb) * MB
 
-    sample_dt = max(0.001, hard_stop / 200000.0)
-    nbins = int(hard_stop / sample_dt) + 2
     mem_series = np.zeros(nbins)
     disk_series = np.zeros(nbins)
     tx_series = np.zeros(nbins)
@@ -185,8 +197,9 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     w_client = [0] * n_workers
     w_dirty = [False] * n_workers  # entered a new phase since last schedule
     fifo: deque[int] = deque()
-    cpu_busy: list[list[tuple[float, float]]] = [[] for _ in range(n_workers)]
-    disk_busy: list[list[tuple[float, float]]] = [[] for _ in range(n_workers)]
+    # Busy intervals per worker, flat [start, end, start, end, ...].
+    cpu_busy = [array("d") for _ in range(n_workers)]
+    disk_busy = [array("d") for _ in range(n_workers)]
 
     def deposit(series: np.ndarray, t0: float, t1: float,
                 amount: float) -> None:
@@ -255,14 +268,14 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
         if ph != _DISK:
             # Leaving the CPU-busy phases (compute and/or memory).
             if t > w_start[w]:
-                cpu_busy[w].append((w_start[w], t))
+                cpu_busy[w].extend((w_start[w], t))
             if disk_bytes > 0.0:
                 w_phase[w] = _DISK
                 w_remaining[w] = disk_bytes
                 w_disk_start[w] = t
                 return
         else:
-            disk_busy[w].append((w_disk_start[w], t))
+            disk_busy[w].extend((w_disk_start[w], t))
         client = w_client[w]
         j = complete(w, t)
         free_at = t + rtt2
@@ -402,9 +415,9 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
         if w_req[w] >= 0:
             if w_phase[w] == _DISK:
                 if truncated_at > w_disk_start[w]:
-                    disk_busy[w].append((w_disk_start[w], truncated_at))
+                    disk_busy[w].extend((w_disk_start[w], truncated_at))
             elif truncated_at > w_start[w]:
-                cpu_busy[w].append((w_start[w], truncated_at))
+                cpu_busy[w].extend((w_start[w], truncated_at))
 
     if open_mode:
         client = a_client
@@ -423,8 +436,242 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     latency = completion - scheduled + rtt2
 
     n_cores = n_workers  # one logical core per worker thread
-    meta = {
+    return Trace(client=client, scheduled=scheduled, issue=issue,
+                 service_start=service_start, completion=completion,
+                 timely=timely, latency=latency, n_cores=n_cores,
+                 duration=duration, sample_dt=sample_dt,
+                 mem_series=mem_series, disk_series=disk_series,
+                 tx_series=tx_series, rx_series=rx_series,
+                 cpu_busy=[_rows(iv) for iv in cpu_busy],
+                 disk_busy=[_rows(iv) for iv in disk_busy],
+                 meta=_meta(profile, scenario, limits, platform, seed,
+                            schedule, "event"))
+
+
+def _run_single_worker(profile: WorkloadProfile, scenario: ScenarioConfig,
+                       limits: ResourceLimits, platform: PlatformConfig,
+                       seed: int, schedule: ArrivalSchedule,
+                       assignment: ClientAssignment) -> Trace:
+    """Open-loop run with one worker, taken request by request.
+
+    A request starts at max(issue, previous completion) and its phase ends
+    follow at constant rates, summed in the event engine's order. Requests
+    are served in the order ``_run`` pops their issue events: a heap holds
+    each client's next issue keyed by (issue time, service position of the
+    client's previous request), initial issues first, which is the event
+    heap's push-order tie-break. The hard stop is applied as ``_run``
+    applies it: nothing later is issued, started or completed, and the
+    busy interval and bytes of the request in flight end at the last event
+    before it. Bytes are deposited in the pieces ``_run`` deposits, so the
+    trace is identical to the event engine's, bit for bit.
+    """
+    rtt2 = 2.0 * scenario.rtt
+    duration = scenario.duration
+    hard_stop, sample_dt, nbins = _sample_grid(duration)
+
+    base = mean_demands(profile, limits, platform)
+    mem_bytes = base.mem_bytes
+    disk_bytes = base.disk_bytes
+    mem_rate = min(profile.mem_stream_rate,
+                   limits.effective_mem_bw(platform)) * MB
+    disk_rate = limits.effective_disk_bw(platform) * MB
+    mem_time = mem_bytes / mem_rate if mem_bytes > 0.0 else 0.0
+    disk_time = disk_bytes / disk_rate if disk_bytes > 0.0 else 0.0
+
+    n = len(schedule)
+    sched = schedule.times
+    rng = np.random.default_rng(seed)
+    cpu_demands = profile.cpu_work * profile.service_dist.sample(rng, n)
+    client_of = np.empty(n, dtype=np.int64)
+    next_of = np.full(n, -1, dtype=np.int64)  # client's following request
+    heap: list[tuple[float, int, int]] = []
+    n_clients = assignment.n_clients
+    for c, ix in enumerate(assignment.client_indices):
+        client_of[ix] = c
+        if len(ix):
+            next_of[ix[:-1]] = ix[1:]
+            heap.append((float(sched[ix[0]]), c - n_clients, int(ix[0])))
+    heapq.heapify(heap)
+
+    issue = array("d", [math.nan]) * n
+    start = array("d", [math.nan]) * n
+    completion = array("d", [math.nan]) * n
+    served = array("q")  # started requests in service order
+    sched_v, cpu_v, next_v = (memoryview(sched), memoryview(cpu_demands),
+                              memoryview(next_of))
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
+    free_at = -math.inf  # completion of the last started request
+    position = 0
+    while heap:
+        t, _, j = heap[0]
+        if t > hard_stop:
+            break
+        issue[j] = t
+        s = t if t > free_at else free_at
+        if s > hard_stop:  # queued behind a request that never completes
+            heappop(heap)
+            continue
+        start[j] = s
+        served.append(j)
+        free_at = s + cpu_v[j] + mem_time + disk_time
+        if free_at > hard_stop:  # in flight at the hard stop
+            heappop(heap)
+            continue
+        completion[j] = free_at
+        nxt = next_v[j]
+        if nxt < 0:  # the client's last request
+            heappop(heap)
+            continue
+        ready = free_at + rtt2
+        t_next = sched_v[nxt]
+        heapreplace(heap, (t_next if t_next > ready else ready, position,
+                           nxt))
+        position += 1
+
+    # The per-request temporaries below are dropped as soon as they are
+    # used: they would otherwise set the run's peak memory.
+    issue_a = np.frombuffer(issue)
+    start_a = np.frombuffer(start)
+    done_a = np.frombuffer(completion)
+    del next_of, sched_v, cpu_v, next_v
+
+    # Phase ends of the started requests, in service order.
+    order = np.frombuffer(served, dtype=np.int64)
+    s = start_a[order]
+    cpu = cpu_demands[order]
+    del order, served
+    has_cpu = (cpu > 0.0) | (mem_bytes > 0.0)
+    has_disk = ~has_cpu | (disk_bytes > 0.0)
+    mem_start = s + cpu
+    del cpu
+    cpu_end = mem_start + mem_time
+    end = cpu_end + disk_time
+    # The request in flight at the hard stop, if any, is the last started
+    # one; its phases end at the last event time not past the stop, and a
+    # phase it has not entered shrinks to nothing.
+    if len(s) and end[-1] > hard_stop:
+        events = [x for x in (s[-1], mem_start[-1], cpu_end[-1])
+                  if x <= hard_stop]
+        cut = max(events + [float(np.nanmax(issue_a))])
+        cpu_end[-1] = min(cpu_end[-1], cut)
+        end[-1] = min(end[-1], cut)
+        has_disk[-1] &= end[-1] > cpu_end[-1]
+    in_cpu = has_cpu & (cpu_end > s)
+    cpu_busy = np.column_stack((s[in_cpu], cpu_end[in_cpu]))
+    del s, has_cpu, in_cpu
+    disk_busy = np.column_stack((cpu_end[has_disk], end[has_disk]))
+    del end, has_disk
+
+    mem_series = np.zeros(nbins)
+    disk_series = np.zeros(nbins)
+    tx_series = np.zeros(nbins)
+    rx_series = np.zeros(nbins)
+    issued = issue_a[~np.isnan(issue_a)]
+    # _run deposits a phase in pieces cut at the issue events inside it.
+    cuts = np.unique(issued)
+    if mem_bytes > 0.0:
+        _deposit(mem_series, sample_dt, mem_start, cpu_end, mem_rate, cuts)
+    del mem_start, cpu_end
+    _deposit(disk_series, sample_dt, disk_busy[:, 0], disk_busy[:, 1],
+             disk_rate, cuts)
+    del cuts
+    _impulses(rx_series, sample_dt, issued, base.net_rx_bytes)
+    del issued
+    _impulses(tx_series, sample_dt, done_a[~np.isnan(done_a)],
+              base.net_tx_bytes)
+
+    return Trace(client=client_of, scheduled=sched.copy(), issue=issue_a,
+                 service_start=start_a, completion=done_a,
+                 timely=issue_a <= sched + TIMELY_EPS,
+                 latency=done_a - sched + rtt2, n_cores=1,
+                 duration=duration, sample_dt=sample_dt,
+                 mem_series=mem_series, disk_series=disk_series,
+                 tx_series=tx_series, rx_series=rx_series,
+                 cpu_busy=[cpu_busy], disk_busy=[disk_busy],
+                 meta=_meta(profile, scenario, limits, platform, seed,
+                            schedule, "single_worker"))
+
+
+def _sample_grid(duration: float) -> tuple[float, float, int]:
+    """Hard stop of a run, and the width and count of its sampling bins."""
+    hard_stop = 2.0 * duration + 10.0
+    sample_dt = max(0.001, hard_stop / 200000.0)
+    return hard_stop, sample_dt, int(hard_stop / sample_dt) + 2
+
+
+def _rows(flat: array) -> np.ndarray:
+    """[start, end] rows over a flat array of interval bounds."""
+    return np.frombuffer(flat).reshape(-1, 2)
+
+
+def _split(t0: np.ndarray, t1: np.ndarray,
+           cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut the disjoint, time-ordered intervals [t0, t1] at the sorted
+    times in cuts that fall strictly inside them; returns the pieces'
+    starts and ends, in time order."""
+    lo = np.searchsorted(cuts, t0, side="right")
+    n_in = np.maximum(np.searchsorted(cuts, t1, side="left") - lo, 0)
+    before = np.cumsum(n_in) - n_in  # inner cuts of the earlier intervals
+    inner = np.repeat(lo - before, n_in) + np.arange(int(n_in.sum()))
+    first = np.arange(len(t0)) + before  # each interval's first piece
+    starts = np.empty(len(t0) + len(inner))
+    ends = np.empty_like(starts)
+    opens = np.zeros(len(starts), dtype=bool)
+    opens[first] = True
+    closes = np.zeros(len(starts), dtype=bool)
+    closes[first + n_in] = True
+    starts[opens] = t0
+    starts[~opens] = cuts[inner]
+    ends[closes] = t1
+    ends[~closes] = cuts[inner]
+    return starts, ends
+
+
+def _deposit(series: np.ndarray, dt: float, t0: np.ndarray, t1: np.ndarray,
+             rate: float, cuts: np.ndarray) -> None:
+    """Spread rate x (t1 - t0) bytes over the bins of each phase [t0, t1],
+    the phases disjoint and in time order, exactly as ``_run`` deposits
+    them: in pieces cut at the event times in cuts, a piece at a time.
+    Phases go in blocks to bound the temporary arrays."""
+    for i in range(0, len(t0), _BLOCK):
+        p0, p1 = _split(t0[i:i + _BLOCK], t1[i:i + _BLOCK], cuts)
+        amount = rate * (p1 - p0)
+        keep = amount > 0.0
+        p0, p1, amount = p0[keep], p1[keep], amount[keep]
+        last = len(series) - 1
+        b0 = np.minimum((p0 / dt).astype(np.int64), last)
+        b1 = np.minimum((p1 / dt).astype(np.int64), last)
+        one = b0 >= b1
+        per_s = amount / (p1 - p0)
+        head = np.where(one, amount, ((b0 + 1) * dt - p0) * per_s)
+        tail = np.where(one, 0.0, (p1 - b1 * dt) * per_s)
+        # Head then tail of each piece, the pieces in time order; a bin
+        # strictly inside a piece gets nothing from the others.
+        np.add.at(series, np.column_stack((b0, b1)).ravel(),
+                  np.column_stack((head, tail)).ravel())
+        inner = np.maximum(b1 - b0 - 1, 0)
+        n_inner = int(inner.sum())
+        if n_inner:
+            first = np.repeat(b0 + 1 - np.cumsum(inner) + inner, inner)
+            series[first + np.arange(n_inner)] += np.repeat(dt * per_s,
+                                                            inner)
+
+
+def _impulses(series: np.ndarray, dt: float, times: np.ndarray,
+              amount: float) -> None:
+    """Add amount to the bin of each time, as ``_run``'s impulse does."""
+    if amount > 0.0:
+        np.add.at(series, np.minimum((times / dt).astype(np.int64),
+                                     len(series) - 1), amount)
+
+
+def _meta(profile: WorkloadProfile, scenario: ScenarioConfig,
+          limits: ResourceLimits, platform: PlatformConfig, seed: int,
+          schedule: ArrivalSchedule | None, engine: str) -> dict:
+    open_mode = schedule is not None
+    return {
         "mode": "open_loop" if open_mode else "closed_loop",
+        "engine": engine,
         "profile": profile,
         "scenario": scenario,
         "limits": limits,
@@ -434,13 +681,6 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
         "sessions": None if open_mode else scenario.mode.sessions,
         "arrival_model": schedule.model.label() if open_mode else None,
     }
-    return Trace(client=client, scheduled=scheduled, issue=issue,
-                 service_start=service_start, completion=completion,
-                 timely=timely, latency=latency, n_cores=n_cores,
-                 duration=duration, sample_dt=sample_dt,
-                 mem_series=mem_series, disk_series=disk_series,
-                 tx_series=tx_series, rx_series=rx_series,
-                 cpu_busy=cpu_busy, disk_busy=disk_busy, meta=meta)
 
 
 def export_trace_csv(trace: Trace, path: str | Path) -> None:

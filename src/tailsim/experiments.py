@@ -642,7 +642,10 @@ def _spec_get(fields: dict[str, str], key: str, source: str,
 
 
 def _spec_float(fields, key, source, default=None):
-    raw = _spec_get(fields, key, source, default)
+    return _number(_spec_get(fields, key, source, default), key, source)
+
+
+def _number(raw: str, key: str, source: str) -> float:
     try:
         return float(raw)
     except ValueError:
@@ -721,10 +724,11 @@ def load_experiment_spec(path: str | Path,
 
     ways = _spec_int(fields, "llc_ways", source, str(platform.llc_total_ways))
     mem_lim_raw = _spec_get(fields, "mem_bw_limit", source, "unlimited")
-    mem_lim = None if mem_lim_raw in ("unlimited", "none") else float(mem_lim_raw)
+    mem_lim = (None if mem_lim_raw in ("unlimited", "none")
+               else _number(mem_lim_raw, "mem_bw_limit", source))
     disk_lim_raw = _spec_get(fields, "disk_bw_limit", source, "default")
     disk_lim = (None if disk_lim_raw in ("default", "unlimited", "none")
-                else float(disk_lim_raw))
+                else _number(disk_lim_raw, "disk_bw_limit", source))
     limits = ResourceLimits(llc_ways=ways, mem_bw_limit=mem_lim,
                             disk_bw_limit=disk_lim).validate_against(platform)
 
@@ -737,12 +741,12 @@ def load_experiment_spec(path: str | Path,
     seed = _spec_int(fields, "seed", source, "1")
     if seed_override is not None:
         seed = seed_override
-    warmup_raw = fields.get("warmup")
     config = RunConfig(platform=platform, arrival=arrival, seed=seed,
-                       warmup=float(warmup_raw) if warmup_raw else None)
+                       warmup=(_spec_float(fields, "warmup", source)
+                               if fields.get("warmup") else None))
 
     n_points = _spec_int(fields, "points", source, "12")
-    lqos_override = (float(fields["lqos_override"])
+    lqos_override = (_spec_float(fields, "lqos_override", source)
                      if "lqos_override" in fields else None)
 
     ways_list: tuple[int, ...] = ()
@@ -762,7 +766,7 @@ def load_experiment_spec(path: str | Path,
         for tok in fields["bw_limits"].split(","):
             tok = tok.strip()
             vals.append(None if tok in ("unlimited", "none")
-                        else float(tok))
+                        else _number(tok, "bw_limits", source))
         bw_limits = tuple(vals)
 
     from .taxonomy import Thresholds  # taxonomy imports this module

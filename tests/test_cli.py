@@ -67,6 +67,15 @@ class TestSweepCommand:
         assert set(manifest["outputs"]) == {"sweep.csv", "summary.json"}
         assert manifest["command"] == "sweep"
 
+    def test_manifest_records_numpy_version(self, spec_dir, tmp_path):
+        # numpy versions may change the Generator streams behind a run
+        import numpy as np
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--points", "2", "sweep",
+                     str(spec_dir / "synth.spec")]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["versions"]["numpy"] == np.__version__
+
     def test_unknown_profile_exit_2(self, tmp_path):
         bad = tmp_path / "bad.spec"
         bad.write_text(FAST_SPEC.replace("synth.profile", "nope.profile"))
@@ -213,6 +222,32 @@ duration: 5.0
                    str(spec_dir / "bad.spec")])
         assert rc == 2
         assert f"'{key}': not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("mem_bw_limit", "abc"), ("disk_bw_limit", "fast"),
+        ("bw_limits", "unlimited,lots"), ("warmup", "soon"),
+        ("lqos_override", "2ms")])
+    def test_non_number_exit_2(self, spec_dir, tmp_path, capsys, key,
+                               value):
+        lines = [l for l in FAST_SPEC.splitlines()
+                 if not l.startswith(key + ":")]
+        (spec_dir / "bad.spec").write_text(
+            "\n".join(lines + [f"{key}: {value}"]) + "\n")
+        rc = main(["--out", str(tmp_path / "o"), "sweep",
+                   str(spec_dir / "bad.spec")])
+        assert rc == 2
+        assert f"'{key}': not a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_limit_words_accepted(self, spec_dir):
+        from tailsim.experiments import load_experiment_spec
+        (spec_dir / "ok.spec").write_text(
+            FAST_SPEC + "mem_bw_limit: none\ndisk_bw_limit: default\n"
+            "bw_limits: unlimited, none, 300\n")
+        spec = load_experiment_spec(spec_dir / "ok.spec")
+        assert spec.limits.mem_bw_limit is None
+        assert spec.limits.disk_bw_limit is None
+        assert spec.bw_limits == (None, None, 300.0)
 
     def test_integral_float_accepted(self, spec_dir):
         from tailsim.experiments import load_experiment_spec

@@ -1,10 +1,16 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tailsim import engine
 from tailsim.engine import (export_series_csv, export_trace_csv,
                             simulate_closed_loop, simulate_open_loop)
-from tailsim.loadgen import (ArrivalModel, ArrivalSchedule, assign_clients,
-                             build_schedule)
+from tailsim.loadgen import (ArrivalModel, ArrivalSchedule, ClientAssignment,
+                             assign_clients, build_schedule)
 from tailsim.metrics import summarize, timely_ratio
 from tailsim.model import (MB, ClosedLoop, ModelError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
@@ -161,7 +167,8 @@ class TestConservationAndCausality:
         scen = ScenarioConfig(Topology.TWO_ST, 6, OpenLoop(900.0), 8.0)
         tr = run_open(prof, scen)
         for core in range(tr.n_cores):
-            merged = sorted(tr.cpu_busy[core] + tr.disk_busy[core])
+            rows = np.concatenate((tr.cpu_busy[core], tr.disk_busy[core]))
+            merged = sorted(map(tuple, rows.tolist()))
             for (a0, a1), (b0, b1) in zip(merged, merged[1:]):
                 assert a1 <= b0 + 1e-12
 
@@ -405,3 +412,92 @@ class TestTraceExport:
         opened = ScenarioConfig(Topology.ONE_ST, 1, OpenLoop(1.0), 1.0)
         with pytest.raises(ModelError):
             simulate_closed_loop(prof, opened, FREE, PLATFORM, 0)
+
+
+@st.composite
+def single_worker_runs(draw):
+    """A random ONE_ST open-loop run: phase mix (zero-memory and disk-only
+    profiles included), limits, arrival model, clients and round trip. The
+    load reaches far past saturation, so some runs censor at the hard
+    stop."""
+    cpu = draw(st.sampled_from([0.0, 0.0005, 0.004]))
+    mem = draw(st.sampled_from([0.0, 2e4, 3e5]))
+    disk = draw(st.sampled_from([0.0, 2e4, 4e5]))
+    if cpu == mem == disk == 0.0:
+        cpu = 0.001
+    dist = draw(st.sampled_from([ServiceDist("deterministic"),
+                                 ServiceDist("exponential"),
+                                 ServiceDist("lognormal", 1.5)]))
+    prof = WorkloadProfile(name="r", cpu_work=cpu, mem_accesses=mem,
+                           miss_min=0.1, miss_max=0.6,
+                           mem_stream_rate=draw(st.floats(200.0, 12000.0)),
+                           disk_bytes=disk, net_tx_bytes=1500.0,
+                           net_rx_bytes=draw(st.sampled_from([0.0, 300.0])),
+                           service_dist=dist)
+    limits = ResourceLimits(
+        llc_ways=draw(st.integers(1, 11)),
+        mem_bw_limit=draw(st.none() | st.floats(100.0, 9000.0)),
+        disk_bw_limit=draw(st.none() | st.floats(5.0, 500.0)))
+    arrival = draw(st.sampled_from([ArrivalModel("deterministic"),
+                                    ArrivalModel("poisson"),
+                                    ArrivalModel("zipf", 1.0, 50)]))
+    n_clients = draw(st.integers(1, 16))
+    rtt = draw(st.sampled_from([0.0, 0.0001, 0.002]))
+    duration = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    qps = draw(st.sampled_from([20.0, 400.0, 1500.0]))
+    scen = ScenarioConfig(Topology.ONE_ST, n_clients, OpenLoop(qps),
+                          duration, rtt=rtt)
+    sched = build_schedule(arrival, qps, duration, draw(st.integers(0, 99)))
+    if draw(st.booleans()):
+        asg = assign_clients(sched, n_clients)
+    else:  # clients of random size, in schedule order
+        owner = np.random.default_rng(draw(st.integers(0, 99))).integers(
+            0, n_clients, len(sched))
+        asg = ClientAssignment(tuple(np.flatnonzero(owner == c)
+                                     for c in range(n_clients)), n_clients)
+    return prof, scen, limits, sched, asg, draw(st.integers(0, 99))
+
+
+class TestSingleWorkerPath:
+    """The request-by-request ONE_ST path against the event engine."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(single_worker_runs(), st.sampled_from([5, 4096]))
+    def test_matches_event_engine(self, run, block):
+        # block: phases per deposit step; small blocks split the phases
+        # of one run across many steps
+        prof, scen, limits, sched, asg, seed = run
+        with mock.patch.object(engine, "_BLOCK", block):
+            fast = simulate_open_loop(prof, scen, limits, PLATFORM, sched,
+                                      asg, seed)
+        ref = engine._run(prof, scen, limits, PLATFORM, seed,
+                          schedule=sched, assignment=asg)
+        assert fast.meta["engine"] == "single_worker"
+        assert ref.meta["engine"] == "event"
+        for col in ("client", "scheduled", "issue", "service_start",
+                    "completion", "latency", "timely"):
+            np.testing.assert_array_equal(getattr(fast, col),
+                                          getattr(ref, col), err_msg=col)
+        for kind in ("cpu_busy", "disk_busy"):
+            np.testing.assert_array_equal(getattr(fast, kind)[0],
+                                          getattr(ref, kind)[0],
+                                          err_msg=kind)
+        for series in ("mem_series", "disk_series", "tx_series",
+                       "rx_series"):
+            np.testing.assert_array_equal(getattr(fast, series),
+                                          getattr(ref, series),
+                                          err_msg=series)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "fast.csv", Path(tmp) / "ref.csv"
+            export_trace_csv(fast, a)
+            export_trace_csv(ref, b)
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_two_workers_and_closed_loop_use_the_event_engine(self):
+        prof = WorkloadProfile(name="x", cpu_work=0.001)
+        for topo in (Topology.TWO_ST, Topology.TWO_SMT):
+            scen = ScenarioConfig(topo, 2, OpenLoop(50.0), 1.0)
+            assert run_open(prof, scen).meta["engine"] == "event"
+        scen = ScenarioConfig(Topology.ONE_ST, 2, ClosedLoop(2), 1.0)
+        tr = simulate_closed_loop(prof, scen, FREE, PLATFORM, 0)
+        assert tr.meta["engine"] == "event"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from tailsim.engine import simulate_closed_loop, simulate_open_loop
 from tailsim.loadgen import ArrivalModel, assign_clients, build_schedule
-from tailsim.metrics import (MetricsError, default_warmup, percentile,
-                             summarize, summary_csv_row, timely_ratio,
-                             SWEEP_CSV_COLUMNS)
+from tailsim.metrics import (MetricsError, _overlap_sum, default_warmup,
+                             percentile, summarize, summary_csv_row,
+                             timely_ratio, SWEEP_CSV_COLUMNS)
 from tailsim.model import (ClosedLoop, OpenLoop, PlatformConfig,
                            ResourceLimits, ScenarioConfig, ServiceDist,
                            Topology, WorkloadProfile)
@@ -138,6 +139,43 @@ class TestSummarize:
         assert default_warmup(600.0) == 60.0
         assert default_warmup(20.0) == 5.0
         assert default_warmup(3.0) < 3.0
+
+
+def overlap_loop(rows, a, b):
+    """Busy time inside [a, b], one interval at a time."""
+    total = 0.0
+    for lo, hi in rows:
+        lo, hi = max(lo, a), min(hi, b)
+        if hi > lo:
+            total += hi - lo
+    return total
+
+
+class TestBusyOverlap:
+    def rows(self):
+        rng = np.random.default_rng(3)
+        starts = np.sort(rng.uniform(0.0, 12.0, 2000))
+        rows = np.column_stack((starts,
+                                starts + rng.exponential(0.003, 2000)))
+        # intervals across the warmup (2 s) and the horizon (10 s) edges
+        return np.vstack((rows, [[1.5, 2.5], [9.99, 10.2], [0.0, 12.0]]))
+
+    def test_vectorised_sum_equals_scalar_loop(self):
+        rows = self.rows()
+        for a, b in ((2.0, 10.0), (0.0, 12.0), (5.0, 5.001), (11.0, 13.0)):
+            assert _overlap_sum(rows, a, b) == overlap_loop(rows.tolist(),
+                                                            a, b)
+        assert _overlap_sum(np.empty((0, 2)), 2.0, 10.0) == 0.0
+
+    def test_idle_core_counts_zero(self):
+        prof = WorkloadProfile(name="p", cpu_work=0.001)
+        scen = ScenarioConfig(Topology.TWO_ST, 4, OpenLoop(100.0), 10.0)
+        rows = self.rows()
+        tr = dataclasses.replace(run(prof, scen),
+                                 cpu_busy=[rows, np.empty((0, 2))])
+        s = summarize(tr, warmup=2.0)
+        assert s.cpu_utilization == overlap_loop(rows.tolist(), 2.0,
+                                                 10.0) / (8.0 * 2)
 
 
 class TestTimelyRatio:
