@@ -85,6 +85,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args, spec_path: Path) -> int:
+    if args.parallelism < 1:
+        raise ExperimentError("--parallelism: must be at least 1")
+    if args.seed is not None and args.seed < 0:
+        raise ExperimentError("--seed: must be a non-negative integer")
     platform = (load_platform(args.platform) if args.platform
                 else PlatformConfig())
     spec = load_experiment_spec(spec_path, platform=platform,
@@ -92,8 +96,12 @@ def _dispatch(args, spec_path: Path) -> int:
     if args.points is not None:
         spec = replace(spec, n_points=args.points)
     if args.warmup is not None:
+        duration = spec.scenario.duration
+        if not 0.0 <= args.warmup < duration:
+            raise ExperimentError(
+                f"--warmup: must lie in [0, duration) = [0, {duration:g}) s")
         spec = replace(spec, config=replace(spec.config, warmup=args.warmup))
-    if args.parallelism and args.parallelism > 1:
+    if args.parallelism > 1:
         spec = replace(spec, config=replace(spec.config,
                                             parallelism=args.parallelism))
     out_dir = _resolve_out(args, spec.name)

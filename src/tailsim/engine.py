@@ -19,11 +19,22 @@ the moment it starts (Lindley, "The theory of queues with a single server",
 1952), and open-loop runs take ``_run_single_worker``, which steps request
 by request over a heap of the clients' next issues. The event engine is the
 reference that the single-worker path is tested against.
+
+Neither path touches the byte series event by event. The event engine logs
+each memory or disk drain piece (step start, step end, rate) and both paths
+deposit pieces with one kernel, ``_deposit``, in bounded blocks and in
+piece order, so every bin receives its additions in the order a piece-by-
+piece loop would make them. Network bytes are added per issue and per
+completion after the run. The event heap keeps superseded (stale) phase
+events: one still pops and ends the drain step at its time, and that split
+changes both the float subtractions of the remaining work and the deposit
+pieces, so dropping it would change the trace's bits.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from array import array
 from collections import deque
@@ -38,7 +49,7 @@ from .model import (MB, ClosedLoop, ModelError, OpenLoop, PlatformConfig,
                     mean_demands, validate_profile)
 
 TIMELY_EPS = 1e-6  # seconds of slack when judging issue punctuality
-_BLOCK = 4096  # phases per deposit step; bounds the temporary arrays
+_BLOCK = 4096  # phases, pieces or times per step; bounds the temporaries
 
 _COMPUTE, _MEMORY, _DISK = 0, 1, 2
 _EV_ISSUE, _EV_PHASE = 0, 1
@@ -180,12 +191,8 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
         mult_pos = 0
 
     heap: list[tuple[float, int, int, int, int]] = []
-    seq = 0
-
-    def push(t: float, kind: int, a: int, b: int) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, a, b))
-        seq += 1
+    seq = itertools.count()  # push order breaks ties between equal times
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     w_req = [-1] * n_workers  # request index, -1 when idle
     w_phase = [0] * n_workers
@@ -200,25 +207,11 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     # Busy intervals per worker, flat [start, end, start, end, ...].
     cpu_busy = [array("d") for _ in range(n_workers)]
     disk_busy = [array("d") for _ in range(n_workers)]
-
-    def deposit(series: np.ndarray, t0: float, t1: float,
-                amount: float) -> None:
-        if amount <= 0.0:
-            return
-        b0 = min(int(t0 / sample_dt), nbins - 1)
-        b1 = min(int(t1 / sample_dt), nbins - 1)
-        if b0 >= b1:
-            series[b0] += amount
-            return
-        rate = amount / (t1 - t0)
-        series[b0] += ((b0 + 1) * sample_dt - t0) * rate
-        if b1 > b0 + 1:
-            series[b0 + 1:b1] += sample_dt * rate
-        series[b1] += (t1 - b1 * sample_dt) * rate
-
-    def impulse(series: np.ndarray, t: float, amount: float) -> None:
-        if amount > 0.0:
-            series[min(int(t / sample_dt), nbins - 1)] += amount
+    # Memory and disk drain pieces, flat [t0, t1, rate, ...] in the order
+    # they drained; deposited into the series a block at a time.
+    mem_log = array("d")
+    disk_log = array("d")
+    log_cap = 3 * _BLOCK
 
     def start_service(w: int, j: int, t: float, cpu_demand: float,
                       client: int) -> None:
@@ -244,7 +237,6 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             a_done[j] = t
         else:
             l_done[j] = t
-        impulse(tx_series, t, tx_bytes)
         w_req[w] = -1
         if fifo:
             nxt = fifo.popleft()
@@ -284,11 +276,12 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             lst = client_lists[client]
             if pos < len(lst):
                 nxt = int(lst[pos])
-                push(max(float(a_sched[nxt]), free_at), _EV_ISSUE, client, 0)
+                heappush(heap, (max(float(a_sched[nxt]), free_at), next(seq),
+                                _EV_ISSUE, client, 0))
         else:
             t_next = free_at + think
             if t_next < duration:
-                push(t_next, _EV_ISSUE, client, 0)
+                heappush(heap, (t_next, next(seq), _EV_ISSUE, client, 0))
 
     def next_mult() -> float:
         nonlocal mult_buf, mult_pos
@@ -304,29 +297,37 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     if open_mode:
         for c in range(n_clients):
             if len(client_lists[c]):
-                push(float(a_sched[client_lists[c][0]]), _EV_ISSUE, c, 0)
+                heappush(heap, (float(a_sched[client_lists[c][0]]),
+                                next(seq), _EV_ISSUE, c, 0))
     else:
         for s in range(sessions):
-            push(0.0, _EV_ISSUE, s, 0)
+            heappush(heap, (0.0, next(seq), _EV_ISSUE, s, 0))
 
     t_last = 0.0
     truncated_at = hard_stop
+    stopped = False  # an event past the hard stop was popped
+    stale = 0
     while heap:
-        t, _, kind, a, b = heapq.heappop(heap)
+        t, _, kind, a, b = heappop(heap)
         if t > hard_stop:
             truncated_at = t_last
+            stopped = True
             break
         if t > t_last:
             dt = t - t_last
             for w in range(n_workers):
                 if w_req[w] >= 0:
-                    amount = w_rate[w] * dt
-                    w_remaining[w] -= amount
+                    rate = w_rate[w]
+                    w_remaining[w] -= rate * dt
                     ph = w_phase[w]
                     if ph == _MEMORY:
-                        deposit(mem_series, t_last, t, amount)
+                        mem_log.extend((t_last, t, rate))
+                        if len(mem_log) >= log_cap:
+                            _flush(mem_series, sample_dt, mem_log)
                     elif ph == _DISK:
-                        deposit(disk_series, t_last, t, amount)
+                        disk_log.extend((t_last, t, rate))
+                        if len(disk_log) >= log_cap:
+                            _flush(disk_series, sample_dt, disk_log)
             t_last = t
 
         if kind == _EV_ISSUE:
@@ -336,7 +337,6 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                 client_pos[c] += 1
                 a_issue[j] = t
                 a_timely[j] = t <= a_sched[j] + TIMELY_EPS
-                impulse(rx_series, t, rx_bytes)
                 cpu_d = float(cpu_demands[j])
                 client = c
             else:
@@ -347,7 +347,6 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                 l_done.append(math.nan)
                 cpu_d = profile.cpu_work * next_mult()
                 cpu_list.append(cpu_d)
-                impulse(rx_series, t, rx_bytes)
                 client = a
             if w_req[0] < 0:
                 start_service(0, j, t, cpu_d, client)
@@ -363,9 +362,11 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                     l_start[j] = t
             else:
                 fifo.append(j)
+                continue  # both workers stay busy: no rate can change
         else:  # _EV_PHASE
             w = a
             if b != w_ver[w] or w_req[w] < 0:
+                stale += 1
                 continue  # superseded by a later rate change
             w_remaining[w] = 0.0
             advance(w, t)
@@ -381,7 +382,8 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                 w_rate[0] = rate
                 w_dirty[0] = False
                 w_ver[0] += 1
-                push(t + w_remaining[0] / rate, _EV_PHASE, 0, w_ver[0])
+                heappush(heap, (t + w_remaining[0] / rate, next(seq),
+                                _EV_PHASE, 0, w_ver[0]))
         else:
             busy0 = w_req[0] >= 0
             busy1 = w_req[1] >= 0
@@ -408,7 +410,14 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                     w_rate[w] = rate
                     w_dirty[w] = False
                     w_ver[w] += 1
-                    push(t + w_remaining[w] / rate, _EV_PHASE, w, w_ver[w])
+                    heappush(heap, (t + w_remaining[w] / rate, next(seq),
+                                    _EV_PHASE, w, w_ver[w]))
+
+    _flush(mem_series, sample_dt, mem_log)
+    _flush(disk_series, sample_dt, disk_log)
+    # Every pushed event was popped except those left in the heap and the
+    # one past the hard stop.
+    events = next(seq) - len(heap) - stopped
 
     # Close busy intervals of requests still in flight at truncation.
     for w in range(n_workers):
@@ -434,6 +443,13 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
         completion = np.asarray(l_done)
         timely = np.ones(len(l_sched), dtype=bool)
     latency = completion - scheduled + rtt2
+    # Each bin gets the same amount per request, so the order of these
+    # additions does not matter.
+    _impulses(rx_series, sample_dt, issue, rx_bytes)
+    _impulses(tx_series, sample_dt, completion, tx_bytes)
+    meta = _meta(profile, scenario, limits, platform, seed, schedule, "event")
+    meta["events"] = events
+    meta["stale_events"] = stale
 
     n_cores = n_workers  # one logical core per worker thread
     return Trace(client=client, scheduled=scheduled, issue=issue,
@@ -443,9 +459,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                  mem_series=mem_series, disk_series=disk_series,
                  tx_series=tx_series, rx_series=rx_series,
                  cpu_busy=[_rows(iv) for iv in cpu_busy],
-                 disk_busy=[_rows(iv) for iv in disk_busy],
-                 meta=_meta(profile, scenario, limits, platform, seed,
-                            schedule, "event"))
+                 disk_busy=[_rows(iv) for iv in disk_busy], meta=meta)
 
 
 def _run_single_worker(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -570,15 +584,15 @@ def _run_single_worker(profile: WorkloadProfile, scenario: ScenarioConfig,
     # _run deposits a phase in pieces cut at the issue events inside it.
     cuts = np.unique(issued)
     if mem_bytes > 0.0:
-        _deposit(mem_series, sample_dt, mem_start, cpu_end, mem_rate, cuts)
+        _deposit_phases(mem_series, sample_dt, mem_start, cpu_end, mem_rate,
+                        cuts)
     del mem_start, cpu_end
-    _deposit(disk_series, sample_dt, disk_busy[:, 0], disk_busy[:, 1],
-             disk_rate, cuts)
+    _deposit_phases(disk_series, sample_dt, disk_busy[:, 0], disk_busy[:, 1],
+                    disk_rate, cuts)
     del cuts
     _impulses(rx_series, sample_dt, issued, base.net_rx_bytes)
     del issued
-    _impulses(tx_series, sample_dt, done_a[~np.isnan(done_a)],
-              base.net_tx_bytes)
+    _impulses(tx_series, sample_dt, done_a, base.net_tx_bytes)
 
     return Trace(client=client_of, scheduled=sched.copy(), issue=issue_a,
                  service_start=start_a, completion=done_a,
@@ -627,42 +641,65 @@ def _split(t0: np.ndarray, t1: np.ndarray,
     return starts, ends
 
 
-def _deposit(series: np.ndarray, dt: float, t0: np.ndarray, t1: np.ndarray,
-             rate: float, cuts: np.ndarray) -> None:
+def _deposit_phases(series: np.ndarray, dt: float, t0: np.ndarray,
+                    t1: np.ndarray, rate: float, cuts: np.ndarray) -> None:
     """Spread rate x (t1 - t0) bytes over the bins of each phase [t0, t1],
     the phases disjoint and in time order, exactly as ``_run`` deposits
-    them: in pieces cut at the event times in cuts, a piece at a time.
-    Phases go in blocks to bound the temporary arrays."""
+    them: in pieces cut at the event times in cuts, in time order. Phases
+    go in blocks to bound the temporary arrays."""
     for i in range(0, len(t0), _BLOCK):
         p0, p1 = _split(t0[i:i + _BLOCK], t1[i:i + _BLOCK], cuts)
-        amount = rate * (p1 - p0)
-        keep = amount > 0.0
-        p0, p1, amount = p0[keep], p1[keep], amount[keep]
-        last = len(series) - 1
-        b0 = np.minimum((p0 / dt).astype(np.int64), last)
-        b1 = np.minimum((p1 / dt).astype(np.int64), last)
-        one = b0 >= b1
-        per_s = amount / (p1 - p0)
-        head = np.where(one, amount, ((b0 + 1) * dt - p0) * per_s)
-        tail = np.where(one, 0.0, (p1 - b1 * dt) * per_s)
-        # Head then tail of each piece, the pieces in time order; a bin
-        # strictly inside a piece gets nothing from the others.
-        np.add.at(series, np.column_stack((b0, b1)).ravel(),
-                  np.column_stack((head, tail)).ravel())
-        inner = np.maximum(b1 - b0 - 1, 0)
-        n_inner = int(inner.sum())
-        if n_inner:
-            first = np.repeat(b0 + 1 - np.cumsum(inner) + inner, inner)
-            series[first + np.arange(n_inner)] += np.repeat(dt * per_s,
-                                                            inner)
+        _deposit(series, dt, p0, p1, rate)
+
+
+def _flush(series: np.ndarray, dt: float, log: array) -> None:
+    """Deposit the pieces of a flat [t0, t1, rate, ...] log, then empty
+    it."""
+    pieces = np.array(log).reshape(-1, 3)
+    _deposit(series, dt, pieces[:, 0], pieces[:, 1], pieces[:, 2])
+    del log[:]
+
+
+def _deposit(series: np.ndarray, dt: float, t0: np.ndarray, t1: np.ndarray,
+             rate: np.ndarray | float) -> None:
+    """Spread rate x (t1 - t0) bytes of each piece [t0, t1] over the bins
+    it covers: the part up to its first bin's upper edge, dt x rate in each
+    inner bin and the rest in its last bin, or all of it when it lies in
+    one bin (times past the last bin count in the last bin). The result is
+    the same, bit for bit, as adding the pieces one after the other: pieces
+    may cover the same bins, inner ones too when two workers drain over
+    one step, so every bin receives its additions in piece order."""
+    amount = rate * (t1 - t0)
+    keep = amount > 0.0
+    t0, t1, amount = t0[keep], t1[keep], amount[keep]
+    last = len(series) - 1
+    b0 = np.minimum((t0 / dt).astype(np.int64), last)
+    b1 = np.minimum((t1 / dt).astype(np.int64), last)
+    per_s = amount / (t1 - t0)
+    n_bins = b1 - b0 + 1
+    ends = np.cumsum(n_bins)  # one past each piece's last entry
+    firsts = ends - n_bins
+    bins = (np.repeat(b0 - firsts, n_bins)
+            + np.arange(int(ends[-1]) if len(ends) else 0))
+    values = np.repeat(dt * per_s, n_bins)
+    values[ends - 1] = (t1 - b1 * dt) * per_s
+    values[firsts] = np.where(n_bins == 1, amount,
+                              ((b0 + 1) * dt - t0) * per_s)
+    np.add.at(series, bins, values)
 
 
 def _impulses(series: np.ndarray, dt: float, times: np.ndarray,
               amount: float) -> None:
-    """Add amount to the bin of each time, as ``_run``'s impulse does."""
-    if amount > 0.0:
-        np.add.at(series, np.minimum((times / dt).astype(np.int64),
-                                     len(series) - 1), amount)
+    """Add amount to the bin of each time that is not NaN (times past the
+    last bin count in the last bin). Times go in blocks to bound the
+    temporary arrays."""
+    if amount <= 0.0:
+        return
+    for i in range(0, len(times), _BLOCK):
+        block = times[i:i + _BLOCK]
+        bins = (block[~np.isnan(block)] / dt).astype(np.int64)
+        np.add.at(series, np.minimum(bins, len(series) - 1, out=bins),
+                  amount)
 
 
 def _meta(profile: WorkloadProfile, scenario: ScenarioConfig,

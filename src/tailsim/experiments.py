@@ -739,11 +739,19 @@ def load_experiment_spec(path: str | Path,
         support_n=_spec_int(fields, "zipf_support", source, "1000"),
     )
     seed = _spec_int(fields, "seed", source, "1")
+    if seed < 0:
+        raise FileFormatError(
+            f"{source}: key 'seed': must be a non-negative integer")
     if seed_override is not None:
         seed = seed_override
+    warmup = (_spec_float(fields, "warmup", source)
+              if fields.get("warmup") else None)
+    if warmup is not None and not 0.0 <= warmup < duration:
+        raise FileFormatError(
+            f"{source}: key 'warmup': must lie in [0, duration) = "
+            f"[0, {duration:g}) s")
     config = RunConfig(platform=platform, arrival=arrival, seed=seed,
-                       warmup=(_spec_float(fields, "warmup", source)
-                               if fields.get("warmup") else None))
+                       warmup=warmup)
 
     n_points = _spec_int(fields, "points", source, "12")
     lqos_override = (_spec_float(fields, "lqos_override", source)

@@ -239,6 +239,44 @@ duration: 5.0
         assert f"'{key}': not a number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", "-1", "'seed': must be a non-negative integer"),
+        ("warmup", "500", "'warmup': must lie in [0, duration)"),
+        ("warmup", "8.0", "'warmup': must lie in [0, duration)"),
+        ("warmup", "nan", "'warmup': must lie in [0, duration)"),
+        ("warmup", "-1", "'warmup': must lie in [0, duration)")])
+    def test_out_of_range_exit_2(self, spec_dir, tmp_path, capsys, key,
+                                 value, message):
+        lines = [l for l in FAST_SPEC.splitlines()
+                 if not l.startswith(key + ":")]
+        (spec_dir / "bad.spec").write_text(
+            "\n".join(lines + [f"{key}: {value}"]) + "\n")
+        rc = main(["--out", str(tmp_path / "o"), "sweep",
+                   str(spec_dir / "bad.spec")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("option,value", [
+        ("--seed", "-1"), ("--warmup", "1000"), ("--warmup", "8"),
+        ("--warmup", "nan"), ("--warmup", "-1")])
+    def test_out_of_range_option_exit_2(self, spec_dir, tmp_path, capsys,
+                                        option, value):
+        rc = main(["--out", str(tmp_path / "o"), option, value, "sweep",
+                   str(spec_dir / "synth.spec")])
+        assert rc == 2
+        assert f"error: {option}: must" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_parallelism_below_one_exit_2(self, spec_dir, tmp_path, capsys,
+                                          value):
+        rc = main(["--out", str(tmp_path / "o"), "--parallelism", value,
+                   "sweep", str(spec_dir / "synth.spec")])
+        assert rc == 2
+        assert "--parallelism: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_limit_words_accepted(self, spec_dir):
         from tailsim.experiments import load_experiment_spec
         (spec_dir / "ok.spec").write_text(

@@ -415,11 +415,9 @@ class TestTraceExport:
 
 
 @st.composite
-def single_worker_runs(draw):
-    """A random ONE_ST open-loop run: phase mix (zero-memory and disk-only
-    profiles included), limits, arrival model, clients and round trip. The
-    load reaches far past saturation, so some runs censor at the hard
-    stop."""
+def phase_mixes(draw):
+    """A random profile and limits: phase mix (zero-memory and disk-only
+    profiles included), service distribution, SMT efficiency and caps."""
     cpu = draw(st.sampled_from([0.0, 0.0005, 0.004]))
     mem = draw(st.sampled_from([0.0, 2e4, 3e5]))
     disk = draw(st.sampled_from([0.0, 2e4, 4e5]))
@@ -433,11 +431,21 @@ def single_worker_runs(draw):
                            mem_stream_rate=draw(st.floats(200.0, 12000.0)),
                            disk_bytes=disk, net_tx_bytes=1500.0,
                            net_rx_bytes=draw(st.sampled_from([0.0, 300.0])),
+                           smt_efficiency=draw(st.sampled_from([0.6, 1.0])),
                            service_dist=dist)
     limits = ResourceLimits(
         llc_ways=draw(st.integers(1, 11)),
         mem_bw_limit=draw(st.none() | st.floats(100.0, 9000.0)),
         disk_bw_limit=draw(st.none() | st.floats(5.0, 500.0)))
+    return prof, limits
+
+
+@st.composite
+def open_loop_runs(draw, topologies=(Topology.ONE_ST,)):
+    """A random open-loop run on one of the topologies: phase mix, limits,
+    arrival model, clients and round trip. The load reaches far past
+    saturation, so some runs censor at the hard stop."""
+    prof, limits = draw(phase_mixes())
     arrival = draw(st.sampled_from([ArrivalModel("deterministic"),
                                     ArrivalModel("poisson"),
                                     ArrivalModel("zipf", 1.0, 50)]))
@@ -445,8 +453,8 @@ def single_worker_runs(draw):
     rtt = draw(st.sampled_from([0.0, 0.0001, 0.002]))
     duration = draw(st.sampled_from([0.5, 1.0, 2.0]))
     qps = draw(st.sampled_from([20.0, 400.0, 1500.0]))
-    scen = ScenarioConfig(Topology.ONE_ST, n_clients, OpenLoop(qps),
-                          duration, rtt=rtt)
+    scen = ScenarioConfig(draw(st.sampled_from(topologies)), n_clients,
+                          OpenLoop(qps), duration, rtt=rtt)
     sched = build_schedule(arrival, qps, duration, draw(st.integers(0, 99)))
     if draw(st.booleans()):
         asg = assign_clients(sched, n_clients)
@@ -458,11 +466,26 @@ def single_worker_runs(draw):
     return prof, scen, limits, sched, asg, draw(st.integers(0, 99))
 
 
+@st.composite
+def closed_loop_runs(draw):
+    """A random two-worker closed-loop run; no schedule or client
+    assignment."""
+    prof, limits = draw(phase_mixes())
+    sessions = draw(st.integers(1, 12))
+    topology = draw(st.sampled_from([Topology.TWO_ST, Topology.TWO_SMT]))
+    scen = ScenarioConfig(topology, sessions,
+                          ClosedLoop(sessions, draw(st.sampled_from(
+                              [0.0, 0.001, 0.01]))),
+                          draw(st.sampled_from([0.5, 1.0])),
+                          rtt=draw(st.sampled_from([0.0, 0.0001])))
+    return prof, scen, limits, None, None, draw(st.integers(0, 99))
+
+
 class TestSingleWorkerPath:
     """The request-by-request ONE_ST path against the event engine."""
 
     @settings(max_examples=60, deadline=None)
-    @given(single_worker_runs(), st.sampled_from([5, 4096]))
+    @given(open_loop_runs(), st.sampled_from([5, 4096]))
     def test_matches_event_engine(self, run, block):
         # block: phases per deposit step; small blocks split the phases
         # of one run across many steps
@@ -501,3 +524,120 @@ class TestSingleWorkerPath:
         scen = ScenarioConfig(Topology.ONE_ST, 2, ClosedLoop(2), 1.0)
         tr = simulate_closed_loop(prof, scen, FREE, PLATFORM, 0)
         assert tr.meta["engine"] == "event"
+
+
+def scalar_deposit(series, dt, t0, t1, amount):
+    """The event engine's former per-piece deposit, kept as the reference
+    for engine._deposit."""
+    nbins = len(series)
+    if amount <= 0.0:
+        return
+    b0 = min(int(t0 / dt), nbins - 1)
+    b1 = min(int(t1 / dt), nbins - 1)
+    if b0 >= b1:
+        series[b0] += amount
+        return
+    rate = amount / (t1 - t0)
+    series[b0] += ((b0 + 1) * dt - t0) * rate
+    if b1 > b0 + 1:
+        series[b0 + 1:b1] += dt * rate
+    series[b1] += (t1 - b1 * dt) * rate
+
+
+@st.composite
+def ordered_pieces(draw):
+    """Drain pieces as the event loop logs them: steps between event times
+    in order (bin edges, times inside a bin, times past the last bin,
+    steps of zero length), each drained by one or two workers over the
+    same [t0, t1], some steps skipped and some rates zero."""
+    dt = draw(st.sampled_from([0.001, 0.00045, 0.25]))
+    nbins = draw(st.integers(1, 40))
+    marks = draw(st.lists(
+        st.tuples(st.integers(0, nbins + 3),
+                  st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999)),
+        min_size=2, max_size=14))
+    times = sorted((k + frac) * dt for k, frac in marks)
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1e9)
+    pieces = []
+    for t0, t1 in zip(times, times[1:]):
+        for _ in range(draw(st.integers(0, 2))):
+            pieces.append((t0, t1, draw(rate)))
+    start = draw(st.lists(st.floats(0.0, 1e6), min_size=nbins,
+                          max_size=nbins))
+    return dt, np.array(start), pieces
+
+
+class TestDeposit:
+    """The ordered vectorised deposit kernel against the scalar loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ordered_pieces(), st.booleans())
+    def test_matches_scalar_deposit(self, drawn, one_rate):
+        dt, start, pieces = drawn
+        if one_rate:  # the single-worker path passes one rate for all
+            pieces = [(t0, t1, 3.5e6) for t0, t1, _ in pieces]
+        ref = start.copy()
+        for t0, t1, rate in pieces:
+            scalar_deposit(ref, dt, t0, t1, rate * (t1 - t0))
+        got = start.copy()
+        t0, t1, rate = (np.array([p[i] for p in pieces], dtype=float)
+                        for i in range(3))
+        engine._deposit(got, dt, t0, t1, 3.5e6 if one_rate else rate)
+        np.testing.assert_array_equal(got, ref)
+
+    def test_shared_inner_bins_keep_both_pieces(self):
+        # two workers over one many-bin step: a fancy-index += would keep
+        # only one of the two additions to each inner bin
+        got = np.zeros(8)
+        engine._deposit(got, 1.0, np.array([0.5, 0.5]), np.array([6.5, 6.5]),
+                        np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(got, [1.5, 3, 3, 3, 3, 3, 1.5, 0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(open_loop_runs((Topology.TWO_ST, Topology.TWO_SMT))
+           | closed_loop_runs())
+    def test_flush_size_does_not_change_the_trace(self, run):
+        # _BLOCK = 3: the event loop flushes its piece logs every 3 pieces
+        prof, scen, limits, sched, asg, seed = run
+
+        def go():
+            return engine._run(prof, scen, limits, PLATFORM, seed,
+                               schedule=sched, assignment=asg)
+        ref = go()
+        with mock.patch.object(engine, "_BLOCK", 3):
+            small = go()
+        for col in ("mem_series", "disk_series", "tx_series", "rx_series",
+                    "completion"):
+            np.testing.assert_array_equal(getattr(small, col),
+                                          getattr(ref, col), err_msg=col)
+
+
+class TestEventCounts:
+    def test_compute_only_two_st_has_no_stale_events(self):
+        prof = WorkloadProfile(name="c", cpu_work=0.001,
+                               service_dist=ServiceDist("exponential"))
+        scen = ScenarioConfig(Topology.TWO_ST, 8, OpenLoop(900.0), 5.0)
+        tr = run_open(prof, scen)
+        assert tr.censored_count == 0
+        assert tr.meta["stale_events"] == 0
+        # one issue and one phase end per request
+        assert tr.meta["events"] == 2 * len(tr)
+
+    def test_loaded_smt_run_skips_stale_events(self):
+        prof = WorkloadProfile(name="c", cpu_work=0.001, smt_efficiency=0.7,
+                               service_dist=ServiceDist("exponential"))
+        scen = ScenarioConfig(Topology.TWO_SMT, 8, OpenLoop(1100.0), 5.0)
+        tr = run_open(prof, scen)
+        assert tr.censored_count == 0
+        stale = tr.meta["stale_events"]
+        assert stale > 0
+        assert tr.meta["events"] == 2 * len(tr) + stale
+
+    def test_events_stop_at_the_hard_stop(self):
+        prof = WorkloadProfile(name="slow", cpu_work=0.05)
+        scen = ScenarioConfig(Topology.TWO_ST, 50, OpenLoop(500.0), 2.0)
+        tr = run_open(prof, scen)
+        assert tr.censored_count > 0
+        issued = int((~np.isnan(tr.issue)).sum())
+        done = int(tr.completed_mask.sum())
+        assert tr.meta["events"] == issued + done + tr.meta["stale_events"]
