@@ -20,15 +20,18 @@ the moment it starts (Lindley, "The theory of queues with a single server",
 by request over a heap of the clients' next issues. The event engine is the
 reference that the single-worker path is tested against.
 
-Neither path touches the byte series event by event. The event engine logs
-each memory or disk drain piece (step start, step end, rate) and both paths
-deposit pieces with one kernel, ``_deposit``, in bounded blocks and in
-piece order, so every bin receives its additions in the order a piece-by-
-piece loop would make them. Network bytes are added per issue and per
-completion after the run. The event heap keeps superseded (stale) phase
-events: one still pops and ends the drain step at its time, and that split
-changes both the float subtractions of the remaining work and the deposit
-pieces, so dropping it would change the trace's bits.
+Neither path touches the byte series event by event. A deposit piece is a
+constant-rate segment: a stretch of one worker's memory or disk phase at
+one rate (start, end, rate). The event engine logs a segment when the
+phase ends, when the worker's rate changes, or at the hard stop; with one
+worker every phase is one segment, which is how the single-worker path
+deposits it. Both paths deposit with one kernel, ``_deposit``, in bounded
+blocks and in piece order, so every bin receives its additions in the
+order a piece-by-piece loop would make them. Network bytes are added per
+issue and per completion after the run. The event heap keeps superseded
+(stale) phase events: one still pops and ends the drain step at its time,
+which splits the float subtractions of the remaining work, so dropping it
+would change the completion times' bits.
 """
 
 from __future__ import annotations
@@ -57,11 +60,11 @@ _EV_ISSUE, _EV_PHASE = 0, 1
 
 @dataclass
 class Trace:
-    """Simulation output: per-request lifecycle columns, per-core busy
-    intervals split by phase class, and sampled byte-movement series.
-    Censored requests carry NaN for the timestamps that never happened.
-    Busy intervals are one (k, 2) array of [start, end] rows per core, in
-    the order the intervals closed."""
+    """Simulation output: per-request lifecycle columns, per-core CPU-busy
+    intervals (compute and memory phases) and sampled byte-movement
+    series. Censored requests carry NaN for the timestamps that never
+    happened. Busy intervals are one (k, 2) array of [start, end] rows per
+    core, in the order the intervals closed."""
 
     client: np.ndarray
     scheduled: np.ndarray
@@ -78,7 +81,6 @@ class Trace:
     tx_series: np.ndarray
     rx_series: np.ndarray
     cpu_busy: list[np.ndarray]
-    disk_busy: list[np.ndarray]
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -150,8 +152,6 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     base = mean_demands(profile, limits, platform)
     mem_bytes = base.mem_bytes
     disk_bytes = base.disk_bytes
-    tx_bytes = base.net_tx_bytes
-    rx_bytes = base.net_rx_bytes
     stream_mb = profile.mem_stream_rate
     mem_limit_mb = limits.effective_mem_bw(platform)
     disk_limit_b = limits.effective_disk_bw(platform) * MB
@@ -162,33 +162,32 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     tx_series = np.zeros(nbins)
     rx_series = np.zeros(nbins)
 
+    # One request store for both modes, indexed by request: open loop
+    # fills it by schedule position, closed loop appends each request as
+    # its session issues it.
     rng = np.random.default_rng(seed)
     if open_mode:
         n = len(schedule)
-        sched = schedule.times
-        cpu_demands = profile.cpu_work * profile.service_dist.sample(rng, n)
+        scheduled = _typed("d", schedule.times)
+        cpu = _typed("d", profile.cpu_work
+                     * profile.service_dist.sample(rng, n))
         client_lists = assignment.client_indices
-        n_clients = assignment.n_clients
-        client_of = np.empty(n, dtype=np.int64)
+        owner = np.empty(n, dtype=np.int64)
         for c, ix in enumerate(client_lists):
-            client_of[ix] = c
-        a_client = client_of
-        a_sched = sched.copy()
-        a_issue = np.full(n, np.nan)
-        a_start = np.full(n, np.nan)
-        a_done = np.full(n, np.nan)
-        a_timely = np.zeros(n, dtype=bool)
-        client_pos = [0] * n_clients
+            owner[ix] = c
+        client_of = _typed("q", owner)
+        del owner
+        client_pos = [0] * assignment.n_clients
     else:
+        n = 0
+        client_of, scheduled, cpu = array("q"), array("d"), array("d")
         sessions = scenario.mode.sessions
         think = scenario.mode.think_time
-        l_client: list[int] = []
-        l_sched: list[float] = []
-        l_start: list[float] = []
-        l_done: list[float] = []
-        cpu_list: list[float] = []
         mult_buf = profile.service_dist.sample(rng, 1024)
         mult_pos = 0
+    issue = array("d", [math.nan]) * n
+    start = array("d", [math.nan]) * n
+    done = array("d", [math.nan]) * n
 
     heap: list[tuple[float, int, int, int, int]] = []
     seq = itertools.count()  # push order breaks ties between equal times
@@ -199,84 +198,73 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     w_remaining = [0.0] * n_workers
     w_rate = [1.0] * n_workers
     w_ver = [0] * n_workers
-    w_disk_start = [0.0] * n_workers
-    w_start = [0.0] * n_workers  # service_start of current request
-    w_client = [0] * n_workers
+    w_since = [0.0] * n_workers  # when the current rate was set
     w_dirty = [False] * n_workers  # entered a new phase since last schedule
     fifo: deque[int] = deque()
     # Busy intervals per worker, flat [start, end, start, end, ...].
     cpu_busy = [array("d") for _ in range(n_workers)]
-    disk_busy = [array("d") for _ in range(n_workers)]
-    # Memory and disk drain pieces, flat [t0, t1, rate, ...] in the order
-    # they drained; deposited into the series a block at a time.
+    # Memory and disk segments, flat [t0, t1, rate, ...] in the order they
+    # closed; deposited into the series a block at a time.
     mem_log = array("d")
     disk_log = array("d")
     log_cap = 3 * _BLOCK
 
-    def start_service(w: int, j: int, t: float, cpu_demand: float,
-                      client: int) -> None:
+    def close_segment(w: int, t: float) -> None:
+        """Log the worker's memory or disk stretch at its current rate,
+        from when that rate was set until t."""
+        if w_phase[w] == _MEMORY:
+            log, series = mem_log, mem_series
+        else:
+            log, series = disk_log, disk_series
+        log.extend((w_since[w], t, w_rate[w]))
+        if len(log) >= log_cap:
+            _flush(series, sample_dt, log)
+
+    def start_service(w: int, j: int, t: float) -> None:
         w_req[w] = j
-        w_start[w] = t
-        w_client[w] = client
+        start[j] = t
         w_dirty[w] = True
-        if cpu_demand > 0.0:
+        if cpu[j] > 0.0:
             w_phase[w] = _COMPUTE
-            w_remaining[w] = cpu_demand
+            w_remaining[w] = cpu[j]
         elif mem_bytes > 0.0:
             w_phase[w] = _MEMORY
             w_remaining[w] = mem_bytes
         else:
             w_phase[w] = _DISK
             w_remaining[w] = disk_bytes
-            w_disk_start[w] = t
-
-    def complete(w: int, t: float) -> int:
-        """Finish the worker's request; returns the finished index."""
-        j = w_req[w]
-        if open_mode:
-            a_done[j] = t
-        else:
-            l_done[j] = t
-        w_req[w] = -1
-        if fifo:
-            nxt = fifo.popleft()
-            if open_mode:
-                start_service(w, nxt, t, float(cpu_demands[nxt]),
-                              int(client_of[nxt]))
-                a_start[nxt] = t
-            else:
-                start_service(w, nxt, t, cpu_list[nxt], l_client[nxt])
-                l_start[nxt] = t
-        return j
 
     def advance(w: int, t: float) -> None:
         """Move the worker's request past its just-finished phase."""
         ph = w_phase[w]
         w_dirty[w] = True
-        if ph == _COMPUTE and mem_bytes > 0.0:
+        if ph != _COMPUTE:
+            close_segment(w, t)
+        elif mem_bytes > 0.0:
             w_phase[w] = _MEMORY
             w_remaining[w] = mem_bytes
             return
+        j = w_req[w]
         if ph != _DISK:
             # Leaving the CPU-busy phases (compute and/or memory).
-            if t > w_start[w]:
-                cpu_busy[w].extend((w_start[w], t))
+            if t > start[j]:
+                cpu_busy[w].extend((start[j], t))
             if disk_bytes > 0.0:
                 w_phase[w] = _DISK
                 w_remaining[w] = disk_bytes
-                w_disk_start[w] = t
                 return
-        else:
-            disk_busy[w].extend((w_disk_start[w], t))
-        client = w_client[w]
-        j = complete(w, t)
+        done[j] = t
+        w_req[w] = -1
+        if fifo:
+            start_service(w, fifo.popleft(), t)
+        client = client_of[j]
         free_at = t + rtt2
         if open_mode:
             pos = client_pos[client]
             lst = client_lists[client]
             if pos < len(lst):
                 nxt = int(lst[pos])
-                heappush(heap, (max(float(a_sched[nxt]), free_at), next(seq),
+                heappush(heap, (max(scheduled[nxt], free_at), next(seq),
                                 _EV_ISSUE, client, 0))
         else:
             t_next = free_at + think
@@ -295,71 +283,45 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     # Initial events: each open-loop client waits for its first scheduled
     # time; every closed-loop session fires at t=0.
     if open_mode:
-        for c in range(n_clients):
-            if len(client_lists[c]):
-                heappush(heap, (float(a_sched[client_lists[c][0]]),
-                                next(seq), _EV_ISSUE, c, 0))
+        for c, ix in enumerate(client_lists):
+            if len(ix):
+                heappush(heap, (scheduled[ix[0]], next(seq), _EV_ISSUE, c, 0))
     else:
         for s in range(sessions):
             heappush(heap, (0.0, next(seq), _EV_ISSUE, s, 0))
 
     t_last = 0.0
-    truncated_at = hard_stop
     stopped = False  # an event past the hard stop was popped
     stale = 0
     while heap:
         t, _, kind, a, b = heappop(heap)
         if t > hard_stop:
-            truncated_at = t_last
             stopped = True
             break
         if t > t_last:
             dt = t - t_last
             for w in range(n_workers):
                 if w_req[w] >= 0:
-                    rate = w_rate[w]
-                    w_remaining[w] -= rate * dt
-                    ph = w_phase[w]
-                    if ph == _MEMORY:
-                        mem_log.extend((t_last, t, rate))
-                        if len(mem_log) >= log_cap:
-                            _flush(mem_series, sample_dt, mem_log)
-                    elif ph == _DISK:
-                        disk_log.extend((t_last, t, rate))
-                        if len(disk_log) >= log_cap:
-                            _flush(disk_series, sample_dt, disk_log)
+                    w_remaining[w] -= w_rate[w] * dt
             t_last = t
 
         if kind == _EV_ISSUE:
             if open_mode:
-                c = a
-                j = int(client_lists[c][client_pos[c]])
-                client_pos[c] += 1
-                a_issue[j] = t
-                a_timely[j] = t <= a_sched[j] + TIMELY_EPS
-                cpu_d = float(cpu_demands[j])
-                client = c
+                j = int(client_lists[a][client_pos[a]])
+                client_pos[a] += 1
+                issue[j] = t
             else:
-                j = len(l_sched)
-                l_client.append(a)
-                l_sched.append(t)
-                l_start.append(math.nan)
-                l_done.append(math.nan)
-                cpu_d = profile.cpu_work * next_mult()
-                cpu_list.append(cpu_d)
-                client = a
+                j = len(issue)
+                client_of.append(a)
+                scheduled.append(t)
+                issue.append(t)
+                start.append(math.nan)
+                done.append(math.nan)
+                cpu.append(profile.cpu_work * next_mult())
             if w_req[0] < 0:
-                start_service(0, j, t, cpu_d, client)
-                if open_mode:
-                    a_start[j] = t
-                else:
-                    l_start[j] = t
+                start_service(0, j, t)
             elif n_workers == 2 and w_req[1] < 0:
-                start_service(1, j, t, cpu_d, client)
-                if open_mode:
-                    a_start[j] = t
-                else:
-                    l_start[j] = t
+                start_service(1, j, t)
             else:
                 fifo.append(j)
                 continue  # both workers stay busy: no rate can change
@@ -373,13 +335,15 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
 
         # Recompute drain rates; reschedule a worker's completion only when
         # its rate changed or it just entered a new phase (version guards
-        # invalidate the superseded event).
+        # invalidate the superseded event). A rate change mid-phase closes
+        # the memory or disk segment drained at the old rate.
         if n_workers == 1:
             if w_req[0] >= 0 and w_dirty[0]:
                 ph = w_phase[0]
                 rate = (1.0 if ph == _COMPUTE else
                         solo_mem_rate_b if ph == _MEMORY else disk_limit_b)
                 w_rate[0] = rate
+                w_since[0] = t
                 w_dirty[0] = False
                 w_ver[0] += 1
                 heappush(heap, (t + w_remaining[0] / rate, next(seq),
@@ -407,59 +371,52 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                 else:
                     rate = disk_limit_b / n_disk
                 if w_dirty[w] or rate != w_rate[w]:
+                    if not w_dirty[w] and ph != _COMPUTE:
+                        close_segment(w, t)
                     w_rate[w] = rate
+                    w_since[w] = t
                     w_dirty[w] = False
                     w_ver[w] += 1
                     heappush(heap, (t + w_remaining[w] / rate, next(seq),
                                     _EV_PHASE, w, w_ver[w]))
 
-    _flush(mem_series, sample_dt, mem_log)
-    _flush(disk_series, sample_dt, disk_log)
     # Every pushed event was popped except those left in the heap and the
     # one past the hard stop.
     events = next(seq) - len(heap) - stopped
-
-    # Close busy intervals of requests still in flight at truncation.
+    # Requests still in flight at truncation: their busy intervals and
+    # segments end at the last event time.
     for w in range(n_workers):
-        if w_req[w] >= 0:
-            if w_phase[w] == _DISK:
-                if truncated_at > w_disk_start[w]:
-                    disk_busy[w].extend((w_disk_start[w], truncated_at))
-            elif truncated_at > w_start[w]:
-                cpu_busy[w].extend((w_start[w], truncated_at))
+        j = w_req[w]
+        if j < 0:
+            continue
+        if w_phase[w] != _DISK and t_last > start[j]:
+            cpu_busy[w].extend((start[j], t_last))
+        if w_phase[w] != _COMPUTE:
+            close_segment(w, t_last)
+    _flush(mem_series, sample_dt, mem_log)
+    _flush(disk_series, sample_dt, disk_log)
 
-    if open_mode:
-        client = a_client
-        scheduled = a_sched
-        issue = a_issue
-        service_start = a_start
-        completion = a_done
-        timely = a_timely
-    else:
-        client = np.asarray(l_client, dtype=np.int64)
-        scheduled = np.asarray(l_sched)
-        issue = scheduled.copy()
-        service_start = np.asarray(l_start)
-        completion = np.asarray(l_done)
-        timely = np.ones(len(l_sched), dtype=bool)
-    latency = completion - scheduled + rtt2
+    client = np.frombuffer(client_of, dtype=np.int64)
+    scheduled_a = np.frombuffer(scheduled)
+    issue_a = np.frombuffer(issue)
+    done_a = np.frombuffer(done)
     # Each bin gets the same amount per request, so the order of these
     # additions does not matter.
-    _impulses(rx_series, sample_dt, issue, rx_bytes)
-    _impulses(tx_series, sample_dt, completion, tx_bytes)
+    _impulses(rx_series, sample_dt, issue_a, base.net_rx_bytes)
+    _impulses(tx_series, sample_dt, done_a, base.net_tx_bytes)
     meta = _meta(profile, scenario, limits, platform, seed, schedule, "event")
     meta["events"] = events
     meta["stale_events"] = stale
 
     n_cores = n_workers  # one logical core per worker thread
-    return Trace(client=client, scheduled=scheduled, issue=issue,
-                 service_start=service_start, completion=completion,
-                 timely=timely, latency=latency, n_cores=n_cores,
+    return Trace(client=client, scheduled=scheduled_a, issue=issue_a,
+                 service_start=np.frombuffer(start), completion=done_a,
+                 timely=issue_a <= scheduled_a + TIMELY_EPS,
+                 latency=done_a - scheduled_a + rtt2, n_cores=n_cores,
                  duration=duration, sample_dt=sample_dt,
                  mem_series=mem_series, disk_series=disk_series,
                  tx_series=tx_series, rx_series=rx_series,
-                 cpu_busy=[_rows(iv) for iv in cpu_busy],
-                 disk_busy=[_rows(iv) for iv in disk_busy], meta=meta)
+                 cpu_busy=[_rows(iv) for iv in cpu_busy], meta=meta)
 
 
 def _run_single_worker(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -476,8 +433,9 @@ def _run_single_worker(profile: WorkloadProfile, scenario: ScenarioConfig,
     heap's push-order tie-break. The hard stop is applied as ``_run``
     applies it: nothing later is issued, started or completed, and the
     busy interval and bytes of the request in flight end at the last event
-    before it. Bytes are deposited in the pieces ``_run`` deposits, so the
-    trace is identical to the event engine's, bit for bit.
+    before it. Each phase is deposited as one piece, as ``_run`` logs a
+    phase drained at one rate, so the trace is identical to the event
+    engine's, bit for bit.
     """
     rtt2 = 2.0 * scenario.rtt
     duration = scenario.duration
@@ -555,7 +513,6 @@ def _run_single_worker(profile: WorkloadProfile, scenario: ScenarioConfig,
     cpu = cpu_demands[order]
     del order, served
     has_cpu = (cpu > 0.0) | (mem_bytes > 0.0)
-    has_disk = ~has_cpu | (disk_bytes > 0.0)
     mem_start = s + cpu
     del cpu
     cpu_end = mem_start + mem_time
@@ -569,29 +526,22 @@ def _run_single_worker(profile: WorkloadProfile, scenario: ScenarioConfig,
         cut = max(events + [float(np.nanmax(issue_a))])
         cpu_end[-1] = min(cpu_end[-1], cut)
         end[-1] = min(end[-1], cut)
-        has_disk[-1] &= end[-1] > cpu_end[-1]
     in_cpu = has_cpu & (cpu_end > s)
     cpu_busy = np.column_stack((s[in_cpu], cpu_end[in_cpu]))
     del s, has_cpu, in_cpu
-    disk_busy = np.column_stack((cpu_end[has_disk], end[has_disk]))
-    del end, has_disk
 
     mem_series = np.zeros(nbins)
     disk_series = np.zeros(nbins)
     tx_series = np.zeros(nbins)
     rx_series = np.zeros(nbins)
-    issued = issue_a[~np.isnan(issue_a)]
-    # _run deposits a phase in pieces cut at the issue events inside it.
-    cuts = np.unique(issued)
+    # One piece per phase: with one worker every phase drains at one rate.
     if mem_bytes > 0.0:
-        _deposit_phases(mem_series, sample_dt, mem_start, cpu_end, mem_rate,
-                        cuts)
-    del mem_start, cpu_end
-    _deposit_phases(disk_series, sample_dt, disk_busy[:, 0], disk_busy[:, 1],
-                    disk_rate, cuts)
-    del cuts
-    _impulses(rx_series, sample_dt, issued, base.net_rx_bytes)
-    del issued
+        _deposit_phases(mem_series, sample_dt, mem_start, cpu_end, mem_rate)
+    del mem_start
+    if disk_bytes > 0.0:
+        _deposit_phases(disk_series, sample_dt, cpu_end, end, disk_rate)
+    del cpu_end, end
+    _impulses(rx_series, sample_dt, issue_a, base.net_rx_bytes)
     _impulses(tx_series, sample_dt, done_a, base.net_tx_bytes)
 
     return Trace(client=client_of, scheduled=sched.copy(), issue=issue_a,
@@ -601,7 +551,7 @@ def _run_single_worker(profile: WorkloadProfile, scenario: ScenarioConfig,
                  duration=duration, sample_dt=sample_dt,
                  mem_series=mem_series, disk_series=disk_series,
                  tx_series=tx_series, rx_series=rx_series,
-                 cpu_busy=[cpu_busy], disk_busy=[disk_busy],
+                 cpu_busy=[cpu_busy],
                  meta=_meta(profile, scenario, limits, platform, seed,
                             schedule, "single_worker"))
 
@@ -613,43 +563,25 @@ def _sample_grid(duration: float) -> tuple[float, float, int]:
     return hard_stop, sample_dt, int(hard_stop / sample_dt) + 2
 
 
+def _typed(code: str, values: np.ndarray) -> array:
+    """A typed array holding a copy of a contiguous numpy array of the
+    matching item type."""
+    out = array(code)
+    out.frombytes(memoryview(values).cast("B"))
+    return out
+
+
 def _rows(flat: array) -> np.ndarray:
     """[start, end] rows over a flat array of interval bounds."""
     return np.frombuffer(flat).reshape(-1, 2)
 
 
-def _split(t0: np.ndarray, t1: np.ndarray,
-           cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cut the disjoint, time-ordered intervals [t0, t1] at the sorted
-    times in cuts that fall strictly inside them; returns the pieces'
-    starts and ends, in time order."""
-    lo = np.searchsorted(cuts, t0, side="right")
-    n_in = np.maximum(np.searchsorted(cuts, t1, side="left") - lo, 0)
-    before = np.cumsum(n_in) - n_in  # inner cuts of the earlier intervals
-    inner = np.repeat(lo - before, n_in) + np.arange(int(n_in.sum()))
-    first = np.arange(len(t0)) + before  # each interval's first piece
-    starts = np.empty(len(t0) + len(inner))
-    ends = np.empty_like(starts)
-    opens = np.zeros(len(starts), dtype=bool)
-    opens[first] = True
-    closes = np.zeros(len(starts), dtype=bool)
-    closes[first + n_in] = True
-    starts[opens] = t0
-    starts[~opens] = cuts[inner]
-    ends[closes] = t1
-    ends[~closes] = cuts[inner]
-    return starts, ends
-
-
 def _deposit_phases(series: np.ndarray, dt: float, t0: np.ndarray,
-                    t1: np.ndarray, rate: float, cuts: np.ndarray) -> None:
-    """Spread rate x (t1 - t0) bytes over the bins of each phase [t0, t1],
-    the phases disjoint and in time order, exactly as ``_run`` deposits
-    them: in pieces cut at the event times in cuts, in time order. Phases
-    go in blocks to bound the temporary arrays."""
+                    t1: np.ndarray, rate: float) -> None:
+    """Deposit each phase [t0, t1], the phases in time order, as one piece
+    drained at rate. Phases go in blocks to bound the temporary arrays."""
     for i in range(0, len(t0), _BLOCK):
-        p0, p1 = _split(t0[i:i + _BLOCK], t1[i:i + _BLOCK], cuts)
-        _deposit(series, dt, p0, p1, rate)
+        _deposit(series, dt, t0[i:i + _BLOCK], t1[i:i + _BLOCK], rate)
 
 
 def _flush(series: np.ndarray, dt: float, log: array) -> None:

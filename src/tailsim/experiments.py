@@ -20,8 +20,8 @@ from .engine import Trace, simulate_closed_loop, simulate_open_loop
 from .metrics import MetricsSummary, summarize
 from .model import (ClosedLoop, FileFormatError, OpenLoop,
                     PlatformConfig, ResourceLimits, ScenarioConfig, Topology,
-                    WorkloadProfile, load_profile,
-                    parse_kv_text, shipped_profile_path, validate_profile)
+                    WorkloadProfile, load_profile, parse_kv_text,
+                    parse_number, shipped_profile_path, validate_profile)
 
 TIMELY_GATE = 0.975  # minimum timely-requests ratio for a valid load point
 
@@ -642,14 +642,7 @@ def _spec_get(fields: dict[str, str], key: str, source: str,
 
 
 def _spec_float(fields, key, source, default=None):
-    return _number(_spec_get(fields, key, source, default), key, source)
-
-
-def _number(raw: str, key: str, source: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise FileFormatError(f"{source}: key {key!r}: not a number")
+    return parse_number(_spec_get(fields, key, source, default), key, source)
 
 
 def _spec_int(fields, key, source, default=None):
@@ -725,10 +718,10 @@ def load_experiment_spec(path: str | Path,
     ways = _spec_int(fields, "llc_ways", source, str(platform.llc_total_ways))
     mem_lim_raw = _spec_get(fields, "mem_bw_limit", source, "unlimited")
     mem_lim = (None if mem_lim_raw in ("unlimited", "none")
-               else _number(mem_lim_raw, "mem_bw_limit", source))
+               else parse_number(mem_lim_raw, "mem_bw_limit", source))
     disk_lim_raw = _spec_get(fields, "disk_bw_limit", source, "default")
     disk_lim = (None if disk_lim_raw in ("default", "unlimited", "none")
-                else _number(disk_lim_raw, "disk_bw_limit", source))
+                else parse_number(disk_lim_raw, "disk_bw_limit", source))
     limits = ResourceLimits(llc_ways=ways, mem_bw_limit=mem_lim,
                             disk_bw_limit=disk_lim).validate_against(platform)
 
@@ -744,7 +737,8 @@ def load_experiment_spec(path: str | Path,
             f"{source}: key 'seed': must be a non-negative integer")
     if seed_override is not None:
         seed = seed_override
-    warmup = (_spec_float(fields, "warmup", source)
+    # nan and inf fail the range check below, which names the range.
+    warmup = (parse_number(fields["warmup"], "warmup", source, finite=False)
               if fields.get("warmup") else None)
     if warmup is not None and not 0.0 <= warmup < duration:
         raise FileFormatError(
@@ -774,7 +768,7 @@ def load_experiment_spec(path: str | Path,
         for tok in fields["bw_limits"].split(","):
             tok = tok.strip()
             vals.append(None if tok in ("unlimited", "none")
-                        else _number(tok, "bw_limits", source))
+                        else parse_number(tok, "bw_limits", source))
         bw_limits = tuple(vals)
 
     from .taxonomy import Thresholds  # taxonomy imports this module

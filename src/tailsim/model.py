@@ -362,6 +362,19 @@ def parse_kv_text(text: str, source: str = "<text>") -> dict[str, str]:
     return out
 
 
+def parse_number(raw: str, key: str, source: str,
+                 finite: bool = True) -> float:
+    """The number a file gives for key; FileFormatError naming the key when
+    it is not a number or, unless finite is False, is inf or nan."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise FileFormatError(f"{source}: key {key!r}: not a number")
+    if finite and not math.isfinite(value):
+        raise FileFormatError(f"{source}: key {key!r}: not a finite number")
+    return value
+
+
 def profile_from_mapping(fields: dict[str, str],
                          source: str = "<mapping>") -> WorkloadProfile:
     kwargs: dict = {}
@@ -371,14 +384,11 @@ def profile_from_mapping(fields: dict[str, str],
     except KeyError:
         raise FileFormatError(f"{source}: missing required key 'name'")
     dist_kind = fields.pop("service_dist", "deterministic")
-    cv = float(fields.pop("service_cv", "0") or 0)
+    cv = parse_number(fields.pop("service_cv", "0"), "service_cv", source)
     for key, value in fields.items():
         if key not in _PROFILE_FLOAT_FIELDS:
             raise FileFormatError(f"{source}: unknown profile key {key!r}")
-        try:
-            kwargs[key] = float(value)
-        except ValueError:
-            raise FileFormatError(f"{source}: key {key!r}: not a number")
+        kwargs[key] = parse_number(value, key, source)
     try:
         kwargs["service_dist"] = ServiceDist(dist_kind, cv)
         return WorkloadProfile(**kwargs)
@@ -419,10 +429,7 @@ def load_platform(path: str | Path) -> PlatformConfig:
     for key, value in fields.items():
         if key not in _PLATFORM_FIELDS:
             raise FileFormatError(f"{path}: unknown platform key {key!r}")
-        try:
-            num = float(value)
-        except ValueError:
-            raise FileFormatError(f"{path}: key {key!r}: not a number")
+        num = parse_number(value, key, str(path))
         kwargs[key] = int(num) if key in ("llc_total_ways", "cache_line") else num
     try:
         return PlatformConfig(**kwargs)

@@ -226,7 +226,8 @@ duration: 5.0
     @pytest.mark.parametrize("key,value", [
         ("mem_bw_limit", "abc"), ("disk_bw_limit", "fast"),
         ("bw_limits", "unlimited,lots"), ("warmup", "soon"),
-        ("lqos_override", "2ms")])
+        ("lqos_override", "2ms"), ("duration", "inf"), ("rtt", "nan"),
+        ("zipf_alpha", "nan"), ("qps_max", "-inf"), ("points", "inf")])
     def test_non_number_exit_2(self, spec_dir, tmp_path, capsys, key,
                                value):
         lines = [l for l in FAST_SPEC.splitlines()
@@ -236,7 +237,8 @@ duration: 5.0
         rc = main(["--out", str(tmp_path / "o"), "sweep",
                    str(spec_dir / "bad.spec")])
         assert rc == 2
-        assert f"'{key}': not a number" in capsys.readouterr().err
+        finite = "finite " if value.lstrip("-") in ("inf", "nan") else ""
+        assert f"'{key}': not a {finite}number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key,value,message", [

@@ -167,10 +167,19 @@ class TestConservationAndCausality:
         scen = ScenarioConfig(Topology.TWO_ST, 6, OpenLoop(900.0), 8.0)
         tr = run_open(prof, scen)
         for core in range(tr.n_cores):
-            rows = np.concatenate((tr.cpu_busy[core], tr.disk_busy[core]))
-            merged = sorted(map(tuple, rows.tolist()))
+            merged = sorted(map(tuple, tr.cpu_busy[core].tolist()))
             for (a0, a1), (b0, b1) in zip(merged, merged[1:]):
                 assert a1 <= b0 + 1e-12
+        # at most n_cores requests in service at any instant; a censored
+        # request stays in service to the end, and a request that ends at
+        # t is out before one that starts at t is in
+        started = ~np.isnan(tr.service_start)
+        ends = np.where(np.isnan(tr.completion), np.inf, tr.completion)
+        times = np.concatenate((ends[started], tr.service_start[started]))
+        steps = np.concatenate((-np.ones(started.sum()),
+                                np.ones(started.sum())))
+        order = np.lexsort((steps, times))
+        assert np.cumsum(steps[order]).max() <= tr.n_cores
 
     def test_determinism_same_inputs_same_trace(self):
         prof = WorkloadProfile(name="d", cpu_work=0.001,
@@ -258,6 +267,26 @@ class TestClosedLoop:
         # plateau at 1/service = 50 req/s -> 50 MB/s
         assert rates[-1] == pytest.approx(50.0, rel=0.05)
         assert rates[0] == pytest.approx(1e6 / 0.12 / 1e6, rel=0.05)
+
+    @pytest.mark.parametrize("sessions,rtt", [(4, 0.0), (8, 0.0001)])
+    def test_exact_mva(self, sessions, rtt):
+        # one FCFS exponential server plus a delay of think + 2 rtt is a
+        # product-form network, so exact mean value analysis (Reiser and
+        # Lavenberg 1980) gives its mean response time and throughput
+        service, think = 0.005, 0.015
+        prof = WorkloadProfile(name="c", cpu_work=service,
+                               service_dist=ServiceDist("exponential"))
+        scen = ScenarioConfig(Topology.ONE_ST, sessions,
+                              ClosedLoop(sessions, think), 300.0, rtt=rtt)
+        s = summarize(simulate_closed_loop(prof, scen, FREE, PLATFORM, 1),
+                      warmup=30.0)
+        queue = 0.0
+        for n in range(1, sessions + 1):
+            response = service * (1.0 + queue)
+            throughput = n / (response + think + 2 * rtt)
+            queue = throughput * response
+        assert s.mean_latency - 2 * rtt == pytest.approx(response, rel=0.03)
+        assert s.completed / 270.0 == pytest.approx(throughput, rel=0.03)
 
 
 class TestDiskAccounting:
@@ -468,11 +497,11 @@ def open_loop_runs(draw, topologies=(Topology.ONE_ST,)):
 
 @st.composite
 def closed_loop_runs(draw):
-    """A random two-worker closed-loop run; no schedule or client
+    """A random closed-loop run on any topology; no schedule or client
     assignment."""
     prof, limits = draw(phase_mixes())
     sessions = draw(st.integers(1, 12))
-    topology = draw(st.sampled_from([Topology.TWO_ST, Topology.TWO_SMT]))
+    topology = draw(st.sampled_from(list(Topology)))
     scen = ScenarioConfig(topology, sessions,
                           ClosedLoop(sessions, draw(st.sampled_from(
                               [0.0, 0.001, 0.01]))),
@@ -501,10 +530,7 @@ class TestSingleWorkerPath:
                     "completion", "latency", "timely"):
             np.testing.assert_array_equal(getattr(fast, col),
                                           getattr(ref, col), err_msg=col)
-        for kind in ("cpu_busy", "disk_busy"):
-            np.testing.assert_array_equal(getattr(fast, kind)[0],
-                                          getattr(ref, kind)[0],
-                                          err_msg=kind)
+        np.testing.assert_array_equal(fast.cpu_busy[0], ref.cpu_busy[0])
         for series in ("mem_series", "disk_series", "tx_series",
                        "rx_series"):
             np.testing.assert_array_equal(getattr(fast, series),
@@ -592,6 +618,27 @@ class TestDeposit:
         engine._deposit(got, 1.0, np.array([0.5, 0.5]), np.array([6.5, 6.5]),
                         np.array([1.0, 2.0]))
         np.testing.assert_array_equal(got, [1.5, 3, 3, 3, 3, 3, 1.5, 0])
+
+    def test_constant_rate_phase_is_one_piece(self):
+        # the memory limit is twice the lone rate, so memory never contends:
+        # each memory phase drains at one rate from the end of its compute
+        # to the completion and is one piece, logged when it completes
+        prof = WorkloadProfile(name="cm", cpu_work=0.0005, mem_accesses=2e5,
+                               miss_min=0.25, miss_max=0.25,
+                               mem_stream_rate=3000.0,
+                               service_dist=ServiceDist("exponential"))
+        limits = ResourceLimits(11, mem_bw_limit=6000.0)
+        scen = ScenarioConfig(Topology.TWO_ST, 8, OpenLoop(800.0), 5.0)
+        tr = run_open(prof, scen, limits=limits, seed=11)
+        assert tr.censored_count == 0
+        cpu = prof.cpu_work * prof.service_dist.sample(
+            np.random.default_rng(11), len(tr))
+        order = np.argsort(tr.completion, kind="stable")
+        ref = np.zeros_like(tr.mem_series)
+        engine._deposit(ref, tr.sample_dt,
+                        (tr.service_start + cpu)[order], tr.completion[order],
+                        prof.mem_stream_rate * MB)
+        np.testing.assert_array_equal(tr.mem_series, ref)
 
     @settings(max_examples=40, deadline=None)
     @given(open_loop_runs((Topology.TWO_ST, Topology.TWO_SMT))

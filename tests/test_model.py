@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tailsim.model import (MB, ModelError, PlatformConfig, ResourceLimits,
-                           ServiceDist, WorkloadProfile, load_profile,
-                           mean_demands, miss_ratio, profile_from_mapping,
-                           save_profile, validate_profile)
+from tailsim.model import (MB, FileFormatError, ModelError, PlatformConfig,
+                           ResourceLimits, ServiceDist, WorkloadProfile,
+                           load_profile, mean_demands, miss_ratio,
+                           profile_from_mapping, save_profile,
+                           validate_profile)
 
 PLATFORM = PlatformConfig()
 
@@ -204,9 +205,17 @@ class TestProfileFiles:
         with pytest.raises(ValueError, match=":2"):
             load_profile(path)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown profile key"):
-            profile_from_mapping({"name": "a", "bogus": "1"})
+    @pytest.mark.parametrize("key,value,message", [
+        ("bogus", "1", "unknown profile key 'bogus'"),
+        ("cpu_work", "nan", "'cpu_work': not a finite number"),
+        ("disk_bytes", "inf", "'disk_bytes': not a finite number"),
+        ("service_cv", "nan", "'service_cv': not a finite number"),
+        ("service_cv", "abc", "'service_cv': not a number")],
+        ids=["unknown-key", "cpu_work-nan", "disk_bytes-inf",
+             "service_cv-nan", "service_cv-abc"])
+    def test_bad_entry_rejected(self, key, value, message):
+        with pytest.raises(FileFormatError, match=message):
+            profile_from_mapping({"name": "a", key: value})
 
     def test_isolated_service_time_sums_phases(self):
         p = make_profile(cpu_work=0.001, mem_accesses=1e6, miss_min=0.25,
@@ -237,9 +246,17 @@ class TestPlatformFiles:
         assert p.cache_line == 128
         assert p.disk_bw_capacity == 550.0  # unspecified keys keep defaults
 
-    def test_platform_file_rejects_unknown_key(self, tmp_path):
-        from tailsim.model import FileFormatError, load_platform
+    @pytest.mark.parametrize("key,value,message", [
+        ("llc_ways", "4", "unknown platform key 'llc_ways'"),
+        ("disk_bw_capacity", "nan", "'disk_bw_capacity': not a finite"),
+        ("llc_total_ways", "inf", "'llc_total_ways': not a finite"),
+        ("cache_line", "wide", "'cache_line': not a number")],
+        ids=["unknown-key", "disk_bw_capacity-nan", "llc_total_ways-inf",
+             "cache_line-wide"])
+    def test_platform_file_rejects_bad_entry(self, tmp_path, key, value,
+                                             message):
+        from tailsim.model import load_platform
         path = tmp_path / "bad.platform"
-        path.write_text("llc_ways: 4\n")
-        with pytest.raises(FileFormatError, match="unknown platform key"):
+        path.write_text(f"{key}: {value}\n")
+        with pytest.raises(FileFormatError, match=message):
             load_platform(path)
