@@ -6,14 +6,13 @@ resource-signature workload taxonomy."""
 
 from .model import (ClosedLoop, ModelError, OpenLoop, PlatformConfig,
                     ResourceLimits, ScenarioConfig, ServiceDist, Topology,
-                    WorkDemand, WorkloadProfile, list_shipped_profiles,
-                    load_profile, mean_demands, miss_ratio, save_profile,
-                    shipped_profile, validate_profile)
+                    WorkDemand, WorkloadProfile, load_profile, mean_demands,
+                    miss_ratio, save_profile, shipped_profile,
+                    validate_profile)
 from .loadgen import (ArrivalModel, ArrivalSchedule, ClientAssignment,
                       assign_clients, build_schedule)
 from .engine import (Trace, export_series_csv, export_trace_csv,
                      simulate_closed_loop, simulate_open_loop)
-from .metrics import (MetricsSummary, default_warmup, percentile, summarize,
-                      timely_ratio)
+from .metrics import MetricsSummary, default_warmup, percentile, summarize
 
 __version__ = "0.1.0"

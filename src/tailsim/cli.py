@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -221,6 +222,12 @@ def _sat_dict(sat) -> dict:
             "binding": sat.binding}
 
 
+def _sweep_status(sweep: SweepResult) -> dict:
+    """Load points of a sweep and how many ran on each engine path."""
+    return {"points": len(sweep.points),
+            "engine": dict(Counter(p.engine for p in sweep.points))}
+
+
 def _point_rows(sweep: SweepResult) -> list[dict]:
     return [{"qps": p.qps, "gate_ok": p.gate_ok,
              "saturated": p.summary.saturated} for p in sweep.points]
@@ -258,7 +265,7 @@ def cmd_sweep(spec: ExperimentSpec, out_dir: Path) -> int:
     }
     _write_json(out_dir / "summary.json", _sanitize(summary))
     outputs = ["sweep.csv", "summary.json"]
-    status = {"sweep": {"points": len(sweep.points),
+    status = {"sweep": {**_sweep_status(sweep),
                         "gated": sum(p.gate_ok for p in sweep.points)}}
     _write_manifest(out_dir, "sweep", spec, outputs, status,
                     time.time() - t0)
@@ -336,8 +343,7 @@ def cmd_characterize(spec: ExperimentSpec, out_dir: Path) -> int:
     outputs.append("summary.json")
     _write_json(out_dir / "features.json", _sanitize(result.to_dict()))
     outputs.append("features.json")
-    status = {t.value: {"points": len(s.points)}
-              for t, s in comp.sweeps.items()}
+    status = {t.value: _sweep_status(s) for t, s in comp.sweeps.items()}
     _write_manifest(out_dir, "characterize", spec, outputs, status,
                     time.time() - t0)
     if not closed and not qos.resolved:
@@ -407,8 +413,11 @@ def cmd_partition(spec: ExperimentSpec, out_dir: Path) -> int:
     }
     _write_json(out_dir / "summary.json", _sanitize(summary))
     outputs.append("summary.json")
-    _write_manifest(out_dir, "partition", spec, outputs,
-                    {"entries": len(entries)}, time.time() - t0)
+    status = {"entries": len(entries),
+              "sweeps": {label: _sweep_status(e.sweep)
+                         for label, e in entries}}
+    _write_manifest(out_dir, "partition", spec, outputs, status,
+                    time.time() - t0)
     print(f"partition {spec.name}: {len(entries)} constraint levels "
           f"-> {out_dir}")
     return EXIT_OK
@@ -430,7 +439,8 @@ def cmd_classify(spec: ExperimentSpec, out_dir: Path) -> int:
     _write_json(out_dir / "classification.json", _sanitize(result.to_dict()))
     _write_manifest(out_dir, "classify", spec,
                     ["sweep.csv", "classification.json"],
-                    {"category": result.category.value}, time.time() - t0)
+                    {"category": result.category.value,
+                     "sweep": _sweep_status(sweep)}, time.time() - t0)
     print(f"classify {spec.name}: {result.category.value} "
           f"(rule: {result.rule}) -> {out_dir}")
     return EXIT_OK

@@ -11,23 +11,32 @@ their requests in order and are busy until a round trip after the
 completion of the previous one, which is what makes a request late
 (non-timely) when its client cannot keep up.
 
-Two paths produce the same trace. With two workers the rates depend on
-what the sibling is doing, so the event engine (``_run``) recomputes them
-on every event; it also runs every closed-loop scenario. With one worker
-every phase drains at a constant rate, so a request's phase ends are fixed
-the moment it starts (Lindley, "The theory of queues with a single server",
-1952), and open-loop runs take ``_run_single_worker``, which steps request
-by request over a heap of the clients' next issues. The event engine is the
-reference that the single-worker path is tested against.
+Two paths produce the same trace. The event engine (``_run``) recomputes
+the rates on every event; it is the reference, and the only path for runs
+whose rates vary: two workers splitting the disk, contending for memory
+bandwidth, or slowing each other's compute on SMT siblings. Every other
+run, whatever its topology and loop mode, drains each phase at one rate
+(``_constant_rate``): one worker always; two workers when there is no disk
+phase, two lone memory streams fit under the memory limit and, on SMT
+siblings, the SMT efficiency is 1. Then a request's phase ends are fixed
+the moment it starts, and ``_run_constant_rate`` steps request by request:
+with one worker a request starts at the later of its issue and the
+previous completion (Lindley, "The theory of queues with a single server",
+1952); with two it takes the worker that frees first, in FIFO order
+(Kiefer and Wolfowitz, "On the theory of queues with many servers", 1955),
+and the phase ends of the two workers are taken in the event engine's
+(time, push order) order, which decides equal times. The simulate_*
+functions choose the path and record it in ``Trace.meta["engine"]``
+(``"constant_rate"`` or ``"event"``).
 
 Neither path touches the byte series event by event. A deposit piece is a
 constant-rate segment: a stretch of one worker's memory or disk phase at
 one rate (start, end, rate). The event engine logs a segment when the
-phase ends, when the worker's rate changes, or at the hard stop; with one
-worker every phase is one segment, which is how the single-worker path
-deposits it. Both paths deposit with one kernel, ``_deposit``, in bounded
-blocks and in piece order, so every bin receives its additions in the
-order a piece-by-piece loop would make them. Network bytes are added per
+phase ends, when the worker's rate changes, or at the hard stop; at
+constant rates every phase is one segment, which is how the constant-rate
+path deposits it. Both paths deposit with one kernel, ``_deposit``, in
+bounded blocks and in piece order, so every bin receives its additions in
+the order a piece-by-piece loop would make them. Network bytes are added per
 issue and per completion after the run. The event heap keeps superseded
 (stale) phase events: one still pops and ends the drain step at its time,
 which splits the float subtractions of the remaining work, so dropping it
@@ -87,16 +96,8 @@ class Trace:
         return len(self.scheduled)
 
     @property
-    def completed_mask(self) -> np.ndarray:
-        return ~np.isnan(self.completion)
-
-    @property
     def censored_count(self) -> int:
         return int(np.isnan(self.completion).sum())
-
-    @property
-    def is_closed_loop(self) -> bool:
-        return self.meta.get("mode") == "closed_loop"
 
 
 def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -117,11 +118,10 @@ def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
         raise ModelError("assignment does not cover the schedule")
     validate_profile(profile, platform)
     limits.validate_against(platform)
-    if scenario.topology.n_workers == 1:
-        return _run_single_worker(profile, scenario, limits, platform, seed,
-                                  schedule, assignment)
-    return _run(profile, scenario, limits, platform, seed,
-                schedule=schedule, assignment=assignment)
+    run = (_run_constant_rate
+           if _constant_rate(profile, scenario, limits, platform) else _run)
+    return run(profile, scenario, limits, platform, seed, schedule=schedule,
+               assignment=assignment)
 
 
 def simulate_closed_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -134,7 +134,9 @@ def simulate_closed_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
         raise ModelError("scenario.mode: closed_loop required")
     validate_profile(profile, platform)
     limits.validate_against(platform)
-    return _run(profile, scenario, limits, platform, seed)
+    run = (_run_constant_rate
+           if _constant_rate(profile, scenario, limits, platform) else _run)
+    return run(profile, scenario, limits, platform, seed)
 
 
 def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -419,24 +421,48 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                  cpu_busy=[_rows(iv) for iv in cpu_busy], meta=meta)
 
 
-def _run_single_worker(profile: WorkloadProfile, scenario: ScenarioConfig,
-                       limits: ResourceLimits, platform: PlatformConfig,
-                       seed: int, schedule: ArrivalSchedule,
-                       assignment: ClientAssignment) -> Trace:
-    """Open-loop run with one worker, taken request by request.
+def _constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
+                   limits: ResourceLimits, platform: PlatformConfig) -> bool:
+    """Whether every phase of the run drains at one rate from its start to
+    its end: always with one worker; with two, when there is no disk phase
+    (two workers split the disk), memory never contends (two lone streams
+    fit under the limit) and, on SMT siblings, compute keeps its rate
+    beside a busy sibling."""
+    if scenario.topology.n_workers == 1:
+        return True
+    base = mean_demands(profile, limits, platform)
+    if base.disk_bytes > 0.0:
+        return False
+    if (base.mem_bytes > 0.0 and 2.0 * profile.mem_stream_rate
+            > limits.effective_mem_bw(platform)):
+        return False
+    return (scenario.topology is Topology.TWO_ST
+            or profile.smt_efficiency == 1.0)
 
-    A request starts at max(issue, previous completion) and its phase ends
-    follow at constant rates, summed in the event engine's order. Requests
-    are served in the order ``_run`` pops their issue events: a heap holds
-    each client's next issue keyed by (issue time, service position of the
-    client's previous request), initial issues first, which is the event
-    heap's push-order tie-break. The hard stop is applied as ``_run``
-    applies it: nothing later is issued, started or completed, and the
-    busy interval and bytes of the request in flight end at the last event
-    before it. Each phase is deposited as one piece, as ``_run`` logs a
-    phase drained at one rate, so the trace is identical to the event
-    engine's, bit for bit.
+
+def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
+                       limits: ResourceLimits, platform: PlatformConfig,
+                       seed: int, schedule: ArrivalSchedule | None = None,
+                       assignment: ClientAssignment | None = None) -> Trace:
+    """A run whose phases drain at constant rates (``_constant_rate``),
+    taken request by request; the trace is ``_run``'s, bit for bit.
+
+    A request's phase ends are fixed when it starts: compute ends at
+    start + cpu, memory mem_bytes / rate later and disk disk_bytes / rate
+    after that, summed in ``_run``'s order. An issue takes worker 0 if it
+    is idle, else worker 1, else waits in FIFO order for the worker that
+    frees first (Kiefer and Wolfowitz, "On the theory of queues with many
+    servers", 1955). Equal times are taken in ``_run``'s (time, push order)
+    order. A completion pushes its client's next issue: open loop at
+    max(scheduled, done + 2 rtt), closed loop at done + 2 rtt + think while
+    that is before the duration, with the service multipliers drawn in
+    issue order. At the hard stop nothing later is issued, started or
+    completed, and the busy intervals and bytes of requests in flight end
+    at the last event at or before it. Each phase is deposited as one
+    piece, in the order ``_run`` closes it.
     """
+    open_mode = schedule is not None
+    n_workers = scenario.topology.n_workers
     rtt2 = 2.0 * scenario.rtt
     duration = scenario.duration
     hard_stop, sample_dt, nbins = _sample_grid(duration)
@@ -450,110 +476,254 @@ def _run_single_worker(profile: WorkloadProfile, scenario: ScenarioConfig,
     mem_time = mem_bytes / mem_rate if mem_bytes > 0.0 else 0.0
     disk_time = disk_bytes / disk_rate if disk_bytes > 0.0 else 0.0
 
-    n = len(schedule)
-    sched = schedule.times
+    # _run's request store; in open loop the per-request inputs are read
+    # through memoryviews of numpy arrays. The issue heap holds (time, push
+    # order, request) in open loop and (time, push order, session) in
+    # closed loop; the initial issues are pushed first, in client order.
     rng = np.random.default_rng(seed)
-    cpu_demands = profile.cpu_work * profile.service_dist.sample(rng, n)
-    client_of = np.empty(n, dtype=np.int64)
-    next_of = np.full(n, -1, dtype=np.int64)  # client's following request
-    heap: list[tuple[float, int, int]] = []
-    n_clients = assignment.n_clients
-    for c, ix in enumerate(assignment.client_indices):
-        client_of[ix] = c
-        if len(ix):
-            next_of[ix[:-1]] = ix[1:]
-            heap.append((float(sched[ix[0]]), c - n_clients, int(ix[0])))
-    heapq.heapify(heap)
-
+    if open_mode:
+        n = len(schedule)
+        scheduled = memoryview(schedule.times)
+        cpu = memoryview(profile.cpu_work
+                         * profile.service_dist.sample(rng, n))
+        client_of = np.empty(n, dtype=np.int64)
+        next_of = np.full(n, -1, dtype=np.int64)  # client's next request
+        heap = []
+        for c, ix in enumerate(assignment.client_indices):
+            client_of[ix] = c
+            if len(ix):
+                next_of[ix[:-1]] = ix[1:]
+                heap.append((scheduled[ix[0]], len(heap), int(ix[0])))
+        heapq.heapify(heap)
+        next_v = memoryview(next_of)
+    else:
+        n = 0
+        client_of, scheduled, cpu = array("q"), array("d"), array("d")
+        think = scenario.mode.think_time
+        mult_buf = profile.service_dist.sample(rng, 1024)
+        mult_pos = 0
+        heap = [(0.0, s, s) for s in range(scenario.mode.sessions)]
+    seq = len(heap)
     issue = array("d", [math.nan]) * n
     start = array("d", [math.nan]) * n
-    completion = array("d", [math.nan]) * n
-    served = array("q")  # started requests in service order
-    sched_v, cpu_v, next_v = (memoryview(sched), memoryview(cpu_demands),
-                              memoryview(next_of))
-    heappop, heapreplace = heapq.heappop, heapq.heapreplace
-    free_at = -math.inf  # completion of the last started request
-    position = 0
-    while heap:
-        t, _, j = heap[0]
-        if t > hard_stop:
-            break
-        issue[j] = t
-        s = t if t > free_at else free_at
-        if s > hard_stop:  # queued behind a request that never completes
-            heappop(heap)
-            continue
-        start[j] = s
-        served.append(j)
-        free_at = s + cpu_v[j] + mem_time + disk_time
-        if free_at > hard_stop:  # in flight at the hard stop
-            heappop(heap)
-            continue
-        completion[j] = free_at
-        nxt = next_v[j]
-        if nxt < 0:  # the client's last request
-            heappop(heap)
-            continue
-        ready = free_at + rtt2
-        t_next = sched_v[nxt]
-        heapreplace(heap, (t_next if t_next > ready else ready, position,
-                           nxt))
-        position += 1
+    done = array("d", [math.nan]) * n
+
+    def closed_issue(session: int, t: float) -> int:
+        """Append the request a session issues at t; its multiplier is the
+        next draw of the 1024-blocks _run draws."""
+        nonlocal mult_buf, mult_pos
+        if mult_pos >= len(mult_buf):
+            mult_buf = profile.service_dist.sample(rng, 1024)
+            mult_pos = 0
+        client_of.append(session)
+        scheduled.append(t)
+        issue.append(t)
+        start.append(math.nan)
+        done.append(math.nan)
+        cpu.append(profile.cpu_work * float(mult_buf[mult_pos]))
+        mult_pos += 1
+        return len(issue) - 1
+
+    # Started requests in the order _run closes their CPU-busy phases:
+    # completions, then requests in flight at the hard stop in worker
+    # order; with two workers, the worker of each.
+    closed = array("q")
+    closed_on = array("b")
+    heappop, heappush = heapq.heappop, heapq.heappush
+    if open_mode and n_workers == 1:
+        # One worker completes requests in the order they start, so each
+        # completion is taken when its request starts (Lindley) and pushes
+        # the client's next issue then, in the same order as _run would.
+        heapreplace = heapq.heapreplace
+        free_at = -math.inf  # completion of the last started request
+        while heap:
+            t, _, j = heap[0]
+            if t > hard_stop:
+                break
+            issue[j] = t
+            s = t if t > free_at else free_at
+            if s > hard_stop:  # queued behind a request that never completes
+                heappop(heap)
+                continue
+            start[j] = s
+            closed.append(j)
+            free_at = s + cpu[j] + mem_time + disk_time
+            if free_at > hard_stop:  # in flight at the hard stop
+                heappop(heap)
+                continue
+            done[j] = free_at
+            key = next_v[j]
+            if key < 0:  # the client's last request
+                heappop(heap)
+                continue
+            t_next = scheduled[key]
+            ready = free_at + rtt2
+            if ready > t_next:
+                t_next = ready
+            heapreplace(heap, (t_next, seq, key))
+            seq += 1
+        # The request in flight at the stop, if any, started last; the
+        # last event before the stop was the last issue or its start.
+        in_flight = [j for j in closed[-1:] if math.isnan(done[j])]
+        t_last = (max(float(np.nanmax(np.frombuffer(issue))),
+                      start[in_flight[0]]) if in_flight else hard_stop)
+    else:
+        # Two workers complete out of start order, and equal times pop in
+        # push order, which follows when each phase began; so every phase
+        # end that a completion's push order depends on is an event, taken
+        # against the issues in (time, push order). A missing second worker
+        # is never idle and has no events, so closed-loop runs with one
+        # worker take this loop too.
+        inf = math.inf
+        end = [inf, inf]  # next phase end per worker, inf when idle
+        end_seq = [0, 0]  # its push order
+        busy = [-1, -1 if n_workers == 2 else inf]  # request in service
+        to_mem = [False, False]  # the phase ending is compute, memory next
+        split = mem_bytes > 0.0
+        fifo: deque[int] = deque()
+        t_last = 0.0
+        while True:
+            w = 1 if (end[1] < end[0] or end[1] == end[0]
+                      and end_seq[1] < end_seq[0]) else 0
+            t = end[w]
+            if heap and ((top := heap[0])[0] < t
+                         or top[0] == t and top[1] < end_seq[w]):
+                t = top[0]
+                if t > hard_stop:
+                    break
+                t_last = t
+                heappop(heap)
+                if open_mode:
+                    j = top[2]
+                    issue[j] = t
+                else:
+                    j = closed_issue(top[2], t)
+                if busy[0] < 0:
+                    w = 0
+                elif busy[1] < 0:
+                    w = 1
+                else:
+                    fifo.append(j)
+                    continue
+            else:
+                if t > hard_stop:
+                    break
+                t_last = t
+                if to_mem[w]:
+                    to_mem[w] = False
+                    end[w] = t + mem_time + disk_time
+                    end_seq[w] = seq
+                    seq += 1
+                    continue
+                j = busy[w]
+                done[j] = t
+                closed.append(j)
+                closed_on.append(w)
+                # _run pushes the next issue before the phase end of the
+                # request the worker takes from the queue.
+                if open_mode:
+                    key = next_v[j]
+                    if key >= 0:
+                        ready = t + rtt2
+                        t_next = scheduled[key]
+                        heappush(heap, (t_next if t_next > ready else ready,
+                                        seq, key))
+                        seq += 1
+                else:
+                    t_next = t + rtt2 + think
+                    if t_next < duration:
+                        heappush(heap, (t_next, seq, client_of[j]))
+                        seq += 1
+                if not fifo:
+                    busy[w] = -1
+                    end[w] = inf
+                    continue
+                j = fifo.popleft()
+            # Worker w starts request j at t.
+            busy[w] = j
+            start[j] = t
+            x = cpu[j]
+            if split and x > 0.0:
+                end[w] = t + x
+                to_mem[w] = True
+            else:
+                end[w] = t + x + mem_time + disk_time
+            end_seq[w] = seq
+            seq += 1
+        in_flight = [j for j in busy[:n_workers] if j >= 0]
+        closed.extend(in_flight)
+        closed_on.extend(w for w in range(n_workers) if busy[w] >= 0)
+    for j in in_flight:
+        # _run took the phase ends of a request in flight up to the stop
+        # as events.
+        a = start[j] + cpu[j]
+        for x in (a, a + mem_time):
+            if t_last < x <= hard_stop:
+                t_last = x
 
     # The per-request temporaries below are dropped as soon as they are
     # used: they would otherwise set the run's peak memory.
+    if open_mode:
+        del next_of, next_v
     issue_a = np.frombuffer(issue)
     start_a = np.frombuffer(start)
-    done_a = np.frombuffer(completion)
-    del next_of, sched_v, cpu_v, next_v
-
-    # Phase ends of the started requests, in service order.
-    order = np.frombuffer(served, dtype=np.int64)
+    done_a = np.frombuffer(done)
+    # Phase ends of the started requests in closing order, clipped at the
+    # last event; a phase a request in flight has not entered shrinks to
+    # nothing. The temporaries are built in place where the sums allow.
+    order = np.frombuffer(closed, dtype=np.int64)
     s = start_a[order]
-    cpu = cpu_demands[order]
-    del order, served
-    has_cpu = (cpu > 0.0) | (mem_bytes > 0.0)
-    mem_start = s + cpu
-    del cpu
+    mem_start = np.frombuffer(cpu)[order]
+    has_cpu = (mem_start > 0.0) | (mem_bytes > 0.0)
+    mem_start += s  # start + cpu, as _run sums it
+    del order
     cpu_end = mem_start + mem_time
-    end = cpu_end + disk_time
-    # The request in flight at the hard stop, if any, is the last started
-    # one; its phases end at the last event time not past the stop, and a
-    # phase it has not entered shrinks to nothing.
-    if len(s) and end[-1] > hard_stop:
-        events = [x for x in (s[-1], mem_start[-1], cpu_end[-1])
-                  if x <= hard_stop]
-        cut = max(events + [float(np.nanmax(issue_a))])
-        cpu_end[-1] = min(cpu_end[-1], cut)
-        end[-1] = min(end[-1], cut)
+    end = None
+    if disk_bytes > 0.0:
+        end = cpu_end + disk_time
+        np.minimum(end, t_last, out=end)
+    np.minimum(cpu_end, t_last, out=cpu_end)
     in_cpu = has_cpu & (cpu_end > s)
-    cpu_busy = np.column_stack((s[in_cpu], cpu_end[in_cpu]))
-    del s, has_cpu, in_cpu
+    del has_cpu, closed
 
     mem_series = np.zeros(nbins)
     disk_series = np.zeros(nbins)
     tx_series = np.zeros(nbins)
     rx_series = np.zeros(nbins)
-    # One piece per phase: with one worker every phase drains at one rate.
+    # One piece per phase: every phase drains at one rate.
     if mem_bytes > 0.0:
         _deposit_phases(mem_series, sample_dt, mem_start, cpu_end, mem_rate)
     del mem_start
     if disk_bytes > 0.0:
         _deposit_phases(disk_series, sample_dt, cpu_end, end, disk_rate)
-    del cpu_end, end
+    del end
+    # The busy intervals outlive the run; made last, after the series,
+    # they measured a lower process peak memory than made first.
+    if n_workers == 1:
+        cpu_busy = [np.column_stack((s[in_cpu], cpu_end[in_cpu]))]
+    else:
+        on_1 = np.frombuffer(closed_on, dtype=np.int8) == 1
+        cpu_busy = [np.column_stack((s[rows], cpu_end[rows]))
+                    for rows in (in_cpu & ~on_1, in_cpu & on_1)]
+        del on_1
+    del s, in_cpu, cpu_end, closed_on
     _impulses(rx_series, sample_dt, issue_a, base.net_rx_bytes)
     _impulses(tx_series, sample_dt, done_a, base.net_tx_bytes)
 
-    return Trace(client=client_of, scheduled=sched.copy(), issue=issue_a,
+    # The trace gets its own copy of the schedule's times.
+    scheduled_a = (schedule.times.copy() if open_mode
+                   else np.frombuffer(scheduled))
+    return Trace(client=np.frombuffer(client_of, dtype=np.int64),
+                 scheduled=scheduled_a, issue=issue_a,
                  service_start=start_a, completion=done_a,
-                 timely=issue_a <= sched + TIMELY_EPS,
-                 latency=done_a - sched + rtt2, n_cores=1,
+                 timely=issue_a <= scheduled_a + TIMELY_EPS,
+                 latency=done_a - scheduled_a + rtt2, n_cores=n_workers,
                  duration=duration, sample_dt=sample_dt,
                  mem_series=mem_series, disk_series=disk_series,
                  tx_series=tx_series, rx_series=rx_series,
-                 cpu_busy=[cpu_busy],
+                 cpu_busy=cpu_busy,
                  meta=_meta(profile, scenario, limits, platform, seed,
-                            schedule, "single_worker"))
+                            schedule, "constant_rate"))
 
 
 def _sample_grid(duration: float) -> tuple[float, float, int]:

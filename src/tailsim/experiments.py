@@ -35,6 +35,7 @@ class SweepPoint:
     qps: float  # offered load; session count for closed-loop sweeps
     summary: MetricsSummary
     seed: int
+    engine: str  # engine path that ran the point: constant_rate or event
 
     @property
     def gate_ok(self) -> bool:
@@ -174,9 +175,7 @@ def qps_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
             results = list(pool.map(_sweep_point_job, jobs))
     else:
         results = [_sweep_point_job(j) for j in jobs]
-    points = [SweepPoint(qps=q, summary=s, seed=seed)
-              for (q, seed, s) in results]
-    points.sort(key=lambda p: p.qps)
+    points = sorted(results, key=lambda p: p.qps)
     from .metrics import default_warmup
     warmup = (config.warmup if config.warmup is not None
               else default_warmup(scenario.duration))
@@ -186,10 +185,14 @@ def qps_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
                        warmup=warmup)
 
 
-def _sweep_point_job(job) -> tuple[float, int, MetricsSummary]:
+def _sweep_point_job(job) -> SweepPoint:
     profile, scen, limits, config, seed, q = job
-    _, summary = run_point(profile, scen, limits, config, seed)
-    return q, seed, summary
+    trace, summary = run_point(profile, scen, limits, config, seed)
+    engine = trace.meta["engine"]
+    # The point outlives the sweep; freeing the trace before making it
+    # measured a lower process peak memory.
+    del trace
+    return SweepPoint(qps=q, summary=summary, seed=seed, engine=engine)
 
 
 def interpolate(xs, ys, x: float) -> float | None:
@@ -421,17 +424,6 @@ def constraint_study(profile: WorkloadProfile, scenario: ScenarioConfig,
         out.append(ConstraintStudyEntry(
             math.inf if value is None else float(value), sw, qos, sat))
     return out
-
-
-def peak_mem_bw(sweep: SweepResult) -> float:
-    """Highest average memory bandwidth across the sweep points, MB/s."""
-    return max(p.summary.mem_bw for p in sweep.points)
-
-
-def utilization_at(sweep: SweepResult, qps: float) -> float | None:
-    """CPU utilization interpolated at a load, None outside the sweep."""
-    return interpolate([p.qps for p in sweep.points],
-                       [p.summary.cpu_utilization for p in sweep.points], qps)
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +801,3 @@ def shipped_spec_path(name: str) -> Path:
     if not path.exists():
         raise FileNotFoundError(f"no shipped spec named {name!r}")
     return path
-
-
-def list_shipped_specs() -> list[str]:
-    root = Path(__file__).parent / "specs"
-    return sorted(p.stem for p in root.glob("*.spec"))

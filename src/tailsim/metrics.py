@@ -161,19 +161,6 @@ def summarize(trace: Trace, warmup: float | None = None) -> MetricsSummary:
     )
 
 
-def timely_ratio(trace: Trace) -> float:
-    """Fraction of all requests in the trace issued at their scheduled time.
-
-    Closed-loop traces have no independent schedule, so the ratio is 1.0 by
-    definition there.
-    """
-    if trace.is_closed_loop:
-        return 1.0
-    if len(trace) == 0:
-        raise MetricsError("timely_ratio: empty trace")
-    return float(trace.timely.mean())
-
-
 def summary_csv_row(qps: float, summary: MetricsSummary) -> str:
     vals = [qps, summary.p50, summary.p95, summary.p99,
             summary.cpu_utilization, summary.mem_bw, summary.disk_bw,

@@ -448,8 +448,3 @@ def shipped_profile_path(name: str) -> Path:
 
 def shipped_profile(name: str) -> WorkloadProfile:
     return load_profile(shipped_profile_path(name))
-
-
-def list_shipped_profiles() -> list[str]:
-    root = Path(__file__).parent / "profiles"
-    return sorted(p.stem for p in root.glob("*.profile"))

@@ -18,11 +18,11 @@ from tailsim.engine import (export_series_csv, export_trace_csv,
                             simulate_open_loop)
 from tailsim.experiments import (RunConfig, compare_scenarios,
                                  constraint_study, derive_lqos,
-                                 load_experiment_spec, peak_mem_bw, qps_sweep,
-                                 saturation_qps, shipped_spec_path,
-                                 utilization_at)
+                                 interpolate, load_experiment_spec,
+                                 qps_sweep, saturation_qps,
+                                 shipped_spec_path)
 from tailsim.loadgen import ArrivalModel, assign_clients, build_schedule
-from tailsim.metrics import summarize, timely_ratio
+from tailsim.metrics import summarize
 from tailsim.model import (OpenLoop, PlatformConfig, ResourceLimits,
                            ScenarioConfig, ServiceDist, Topology,
                            WorkloadProfile)
@@ -272,9 +272,11 @@ def test_criterion_7_mba_reproduction():
                                axis="mem_bw_limit")
     unlimited = next(e for e in entries if math.isinf(e.constraint))
     limited = next(e for e in entries if e.constraint == 4000.0)
-    peak = peak_mem_bw(unlimited.sweep)
+    peak = max(p.summary.mem_bw for p in unlimited.sweep.points)
     assert peak == pytest.approx(5500.0, rel=0.20)
-    util_700 = utilization_at(limited.sweep, 700.0)
+    util_700 = interpolate([p.qps for p in limited.sweep.points],
+                           [p.summary.cpu_utilization
+                            for p in limited.sweep.points], 700.0)
     assert util_700 is not None and util_700 >= 0.85
     assert limited.saturation.qps < unlimited.saturation.qps
     report(7, True,
@@ -293,7 +295,7 @@ def test_criterion_8_timeliness_property():
     assert len(sched) == 1000
     trace = simulate_open_loop(prof, scen, FREE, PLATFORM, sched,
                                assign_clients(sched, 1), 3)
-    ratio = timely_ratio(trace)
+    ratio = float(trace.timely.mean())
     assert ratio == 1.0 / 1000.0
 
     # adequate clients: every request timely
@@ -303,7 +305,7 @@ def test_criterion_8_timeliness_property():
         WorkloadProfile(name="fast", cpu_work=0.0005,
                         service_dist=ServiceDist("exponential")),
         scen_ok, FREE, PLATFORM, sched_ok, assign_clients(sched_ok, 64), 10)
-    assert timely_ratio(trace_ok) == 1.0
+    assert trace_ok.timely.all()
 
     # the 97.5% gate flags exactly the points the hand oracle predicts:
     # with one client, deterministic everything, requests are late iff the

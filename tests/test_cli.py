@@ -352,6 +352,23 @@ class TestCharacterize:
             (out / "sweep_two_smt.csv").open()))
         assert rows_st == rows_smt
 
+    def test_manifest_counts_engine_paths(self, tmp_path):
+        # img-dnn has no disk phase and its memory never contends, so ONE_ST
+        # and TWO_ST take the constant-rate path; its SMT slowdown keeps
+        # TWO_SMT on the event engine
+        out = tmp_path / "imgdnn"
+        rc = main(["--out", str(out), "--points", "3", "characterize",
+                   str(shipped_spec_path("img-dnn"))])
+        assert rc == 0
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status == {
+            "ONE_ST": {"points": 3, "engine": {"constant_rate": 3}},
+            "TWO_ST": {"points": 3, "engine": {"constant_rate": 3}},
+            "TWO_SMT": {"points": 3, "engine": {"event": 3}},
+        }
+        for name in ("summary.json", "features.json"):
+            assert "engine" not in (out / name).read_text()
+
     def test_closed_loop_spec(self, tmp_path):
         out = tmp_path / "media"
         rc = main(["--out", str(out), "--points", "3", "characterize",

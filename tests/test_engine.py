@@ -1,4 +1,6 @@
+import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -9,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from tailsim import engine
 from tailsim.engine import (export_series_csv, export_trace_csv,
                             simulate_closed_loop, simulate_open_loop)
+from tailsim.experiments import load_experiment_spec, shipped_spec_path
 from tailsim.loadgen import (ArrivalModel, ArrivalSchedule, ClientAssignment,
                              assign_clients, build_schedule)
-from tailsim.metrics import summarize, timely_ratio
+from tailsim.metrics import summarize
 from tailsim.model import (MB, ClosedLoop, ModelError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
                            ServiceDist, Topology, WorkloadProfile)
@@ -28,6 +31,15 @@ def run_open(profile, scenario, limits=FREE, arrival=None, seed=11,
     asg = assign_clients(sched, scenario.n_clients)
     return simulate_open_loop(profile, scenario, limits, PLATFORM, sched,
                               asg, seed)
+
+
+def run_event(profile, scenario, limits=FREE, seed=11, sched_seed=7):
+    """run_open's run, always through the event engine."""
+    sched = build_schedule(ArrivalModel("poisson"), scenario.mode.qps,
+                           scenario.duration, sched_seed)
+    return engine._run(profile, scenario, limits, PLATFORM, seed,
+                       schedule=sched,
+                       assignment=assign_clients(sched, scenario.n_clients))
 
 
 class TestSingleRequest:
@@ -141,7 +153,7 @@ class TestConservationAndCausality:
         tr = run_open(prof, scen, arrival=ArrivalModel("zipf", 1.0, 300))
         sched = build_schedule(ArrivalModel("zipf", 1.0, 300), 600.0, 10.0, 7)
         assert len(tr) == len(sched)
-        done = tr.completed_mask
+        done = ~np.isnan(tr.completion)
         assert np.all(tr.issue[done] >= tr.scheduled[done] - 1e-12)
         assert np.all(tr.service_start[done] >= tr.issue[done] - 1e-12)
         assert np.all(tr.completion[done] >= tr.service_start[done] - 1e-12)
@@ -153,7 +165,7 @@ class TestConservationAndCausality:
                                disk_bytes=30000.0)
         scen = ScenarioConfig(Topology.ONE_ST, 4, OpenLoop(150.0), 10.0)
         tr = run_open(prof, scen)
-        n_done = int(tr.completed_mask.sum())
+        n_done = len(tr) - tr.censored_count
         mem_per_req = 200000 * 0.2 * 64
         assert tr.mem_series.sum() == pytest.approx(
             n_done * mem_per_req, rel=1e-6)
@@ -241,8 +253,8 @@ class TestClosedLoop:
         scen = ScenarioConfig(Topology.ONE_ST, 1, ClosedLoop(1, 0.0), 1.0,
                               rtt=0.0)
         tr = simulate_closed_loop(prof, scen, FREE, PLATFORM, 1)
-        assert int(tr.completed_mask.sum()) == 100
-        assert timely_ratio(tr) == 1.0
+        assert len(tr) - tr.censored_count == 100
+        assert tr.timely.all()
 
     def test_think_time_paces_sessions(self):
         # service + think = 0.125 exactly in binary, so the cycle count is
@@ -251,7 +263,7 @@ class TestClosedLoop:
         scen = ScenarioConfig(Topology.ONE_ST, 1, ClosedLoop(1, 0.1171875),
                               1.0, rtt=0.0)
         tr = simulate_closed_loop(prof, scen, FREE, PLATFORM, 1)
-        assert int(tr.completed_mask.sum()) == 8
+        assert len(tr) - tr.censored_count == 8
 
     def test_tx_bandwidth_grows_to_plateau(self):
         prof = WorkloadProfile(name="net", cpu_work=0.02,
@@ -510,46 +522,190 @@ def closed_loop_runs(draw):
     return prof, scen, limits, None, None, draw(st.integers(0, 99))
 
 
-class TestSingleWorkerPath:
-    """The request-by-request ONE_ST path against the event engine."""
+def constant_rate(run):
+    """The run with its profile and limits made constant-rate for its
+    topology: with two workers no disk phase and a memory limit of at least
+    twice the lone stream rate (exactly twice when it was lower), and on
+    TWO_SMT no compute slowdown."""
+    prof, scen, limits, sched, asg, seed = run
+    if scen.topology is not Topology.ONE_ST:
+        prof = replace(prof, disk_bytes=0.0)
+        if prof.cpu_work == prof.mem_accesses == 0.0:  # disk-only before
+            prof = replace(prof, cpu_work=0.001)
+        if scen.topology is Topology.TWO_SMT:
+            prof = replace(prof, smt_efficiency=1.0)
+        if limits.effective_mem_bw(PLATFORM) < 2 * prof.mem_stream_rate:
+            limits = replace(limits, mem_bw_limit=2 * prof.mem_stream_rate)
+    return prof, scen, limits, sched, asg, seed
 
-    @settings(max_examples=60, deadline=None)
-    @given(open_loop_runs(), st.sampled_from([5, 4096]))
+
+TICK = 2.0 ** -10  # seconds; sums of ticks are exact in binary
+
+
+@st.composite
+def tied_runs(draw, closed=False):
+    """Runs on exact binary fractions, where issues, phase ends and
+    completions fall on equal times: deterministic 1-3 tick compute, an
+    optional one-tick memory phase, a round trip of none or one tick, and
+    either several requests per two-tick slot (open loop) or sessions that
+    all start at 0 with a whole number of ticks of think time (closed
+    loop)."""
+    prof = WorkloadProfile(
+        name="tie", cpu_work=draw(st.sampled_from([TICK, 2 * TICK,
+                                                   3 * TICK])),
+        # 976562.5 B per request: one tick at 1000 MB/s
+        mem_accesses=draw(st.sampled_from([0.0, 30517.578125])),
+        miss_min=0.5, miss_max=0.5, mem_stream_rate=1000.0,
+        net_tx_bytes=1500.0, net_rx_bytes=300.0)
+    topology = draw(st.sampled_from(list(Topology)))
+    rtt = draw(st.sampled_from([0.0, TICK / 2]))
+    if closed:
+        sessions = draw(st.integers(1, 8))
+        think = draw(st.sampled_from([0.0, TICK, 4 * TICK]))
+        scen = ScenarioConfig(topology, sessions, ClosedLoop(sessions, think),
+                              0.25, rtt=rtt)
+        return prof, scen, FREE, None, None, 0
+    per_slot = draw(st.lists(st.integers(0, 4), min_size=1, max_size=120))
+    times = np.repeat(np.arange(len(per_slot)) * 2 * TICK, per_slot)
+    if len(times) == 0:
+        times = np.zeros(1)
+    sched = ArrivalSchedule(times, 1.0, ArrivalModel("deterministic"), 0,
+                            0.25)
+    n_clients = draw(st.integers(1, 8))
+    owner = np.random.default_rng(draw(st.integers(0, 99))).integers(
+        0, n_clients, len(times))
+    asg = ClientAssignment(tuple(np.flatnonzero(owner == c)
+                                 for c in range(n_clients)), n_clients)
+    scen = ScenarioConfig(topology, n_clients, OpenLoop(1.0), 0.25, rtt=rtt)
+    return prof, scen, FREE, sched, asg, 0
+
+
+def assert_same_trace(fast, ref):
+    """Bit-equal columns, per-core busy intervals, series and trace CSV."""
+    for col in ("client", "scheduled", "issue", "service_start",
+                "completion", "latency", "timely"):
+        np.testing.assert_array_equal(getattr(fast, col), getattr(ref, col),
+                                      err_msg=col)
+    assert len(fast.cpu_busy) == len(ref.cpu_busy)
+    for core, (a, b) in enumerate(zip(fast.cpu_busy, ref.cpu_busy)):
+        np.testing.assert_array_equal(a, b, err_msg=f"cpu_busy[{core}]")
+    for series in ("mem_series", "disk_series", "tx_series", "rx_series"):
+        np.testing.assert_array_equal(getattr(fast, series),
+                                      getattr(ref, series), err_msg=series)
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "fast.csv", Path(tmp) / "ref.csv"
+        export_trace_csv(fast, a)
+        export_trace_csv(ref, b)
+        assert a.read_bytes() == b.read_bytes()
+
+
+def run_both(run, platform=PLATFORM):
+    """The run through the simulate_* dispatch and through engine._run."""
+    prof, scen, limits, sched, asg, seed = run
+    if sched is None:
+        fast = simulate_closed_loop(prof, scen, limits, platform, seed)
+    else:
+        fast = simulate_open_loop(prof, scen, limits, platform, sched, asg,
+                                  seed)
+    ref = engine._run(prof, scen, limits, platform, seed, schedule=sched,
+                      assignment=asg)
+    assert fast.meta["engine"] == "constant_rate"
+    assert ref.meta["engine"] == "event"
+    return fast, ref
+
+
+class TestConstantRatePath:
+    """The constant-rate path against the event engine, on every topology
+    and loop mode it serves."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(open_loop_runs(tuple(Topology)).map(constant_rate)
+           | tied_runs(), st.sampled_from([5, 4096]))
     def test_matches_event_engine(self, run, block):
         # block: phases per deposit step; small blocks split the phases
         # of one run across many steps
-        prof, scen, limits, sched, asg, seed = run
         with mock.patch.object(engine, "_BLOCK", block):
-            fast = simulate_open_loop(prof, scen, limits, PLATFORM, sched,
-                                      asg, seed)
-        ref = engine._run(prof, scen, limits, PLATFORM, seed,
-                          schedule=sched, assignment=asg)
-        assert fast.meta["engine"] == "single_worker"
-        assert ref.meta["engine"] == "event"
-        for col in ("client", "scheduled", "issue", "service_start",
-                    "completion", "latency", "timely"):
-            np.testing.assert_array_equal(getattr(fast, col),
-                                          getattr(ref, col), err_msg=col)
-        np.testing.assert_array_equal(fast.cpu_busy[0], ref.cpu_busy[0])
-        for series in ("mem_series", "disk_series", "tx_series",
-                       "rx_series"):
-            np.testing.assert_array_equal(getattr(fast, series),
-                                          getattr(ref, series),
-                                          err_msg=series)
-        with tempfile.TemporaryDirectory() as tmp:
-            a, b = Path(tmp) / "fast.csv", Path(tmp) / "ref.csv"
-            export_trace_csv(fast, a)
-            export_trace_csv(ref, b)
-            assert a.read_bytes() == b.read_bytes()
+            fast, ref = run_both(run)
+        assert_same_trace(fast, ref)
 
-    def test_two_workers_and_closed_loop_use_the_event_engine(self):
-        prof = WorkloadProfile(name="x", cpu_work=0.001)
-        for topo in (Topology.TWO_ST, Topology.TWO_SMT):
-            scen = ScenarioConfig(topo, 2, OpenLoop(50.0), 1.0)
-            assert run_open(prof, scen).meta["engine"] == "event"
-        scen = ScenarioConfig(Topology.ONE_ST, 2, ClosedLoop(2), 1.0)
-        tr = simulate_closed_loop(prof, scen, FREE, PLATFORM, 0)
-        assert tr.meta["engine"] == "event"
+    @settings(max_examples=80, deadline=None)
+    @given(closed_loop_runs().map(constant_rate) | tied_runs(closed=True))
+    def test_closed_loop_matches_event_engine(self, run):
+        assert_same_trace(*run_both(run))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("topology", list(Topology))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_censored_runs_match_event_engine(self, topology, closed, seed):
+        # far past saturation: requests are in flight, in compute or in
+        # memory (or on disk, with one worker), at the hard stop
+        prof = WorkloadProfile(
+            name="slow", cpu_work=4.0 if closed else 0.02, mem_accesses=1e5,
+            miss_min=0.5, miss_max=0.5, mem_stream_rate=400.0,
+            disk_bytes=2e6 if topology is Topology.ONE_ST else 0.0,
+            net_tx_bytes=1500.0, service_dist=ServiceDist("lognormal", 1.0))
+        if closed:
+            scen = ScenarioConfig(topology, 12, ClosedLoop(12, 0.001), 2.0)
+            run = prof, scen, FREE, None, None, seed
+        else:
+            scen = ScenarioConfig(topology, 16, OpenLoop(600.0), 2.0)
+            sched = build_schedule(ArrivalModel("poisson"), 600.0, 2.0, seed)
+            run = prof, scen, FREE, sched, assign_clients(sched, 16), seed
+        fast, ref = run_both(run)
+        assert ref.censored_count > 0
+        assert_same_trace(fast, ref)
+
+    def test_dispatch_rule(self):
+        def engine_of(prof, topology, limits=FREE, closed=False):
+            if closed:
+                scen = ScenarioConfig(topology, 2, ClosedLoop(2, 0.01), 1.0)
+                return simulate_closed_loop(prof, scen, limits, PLATFORM,
+                                            0).meta["engine"]
+            scen = ScenarioConfig(topology, 2, OpenLoop(50.0), 1.0)
+            return run_open(prof, scen, limits).meta["engine"]
+
+        mem = memory_only(3000.0)
+        at_limit = ResourceLimits(11, mem_bw_limit=6000.0)  # 2 x stream
+        contended = ResourceLimits(11, mem_bw_limit=4500.0)  # 1.5 x stream
+        disk = WorkloadProfile(name="d", cpu_work=0.001, disk_bytes=1e4)
+        slow_smt = WorkloadProfile(name="s", cpu_work=0.001,
+                                   smt_efficiency=0.9)
+        for closed in (False, True):
+            # one worker: every phase drains at one rate
+            for prof in (mem, disk, slow_smt):
+                assert engine_of(prof, Topology.ONE_ST, contended,
+                                 closed) == "constant_rate"
+            for topo in (Topology.TWO_ST, Topology.TWO_SMT):
+                assert engine_of(mem, topo, at_limit,
+                                 closed) == "constant_rate"
+                assert engine_of(mem, topo, contended, closed) == "event"
+                assert engine_of(disk, topo, closed=closed) == "event"
+            # no memory phase: the memory limit does not matter
+            assert engine_of(slow_smt, Topology.TWO_ST, contended,
+                             closed) == "constant_rate"
+            assert engine_of(slow_smt, Topology.TWO_SMT,
+                             closed=closed) == "event"
+
+    @pytest.mark.parametrize("name", ["img-dnn", "masstree", "silo",
+                                      "specjbb", "sphinx"])
+    def test_shipped_disk_free_specs(self, name):
+        # Each disk-free shipped spec in the middle of its load range,
+        # shortened: its TWO_ST run takes the constant-rate path and matches
+        # the event engine. No shipped profile has smt_efficiency 1, so no
+        # shipped TWO_SMT run qualifies.
+        spec = load_experiment_spec(shipped_spec_path(name))
+        qps = math.sqrt(spec.qps_range[0] * spec.qps_range[1])
+        sched = build_schedule(spec.config.arrival, qps, 3.0, 5)
+        asg = assign_clients(sched, spec.scenario.n_clients)
+        scen = replace(spec.scenario, topology=Topology.TWO_SMT,
+                       mode=OpenLoop(qps), duration=3.0)
+        smt = simulate_open_loop(spec.profile, scen, spec.limits,
+                                 spec.config.platform, sched, asg, 3)
+        assert smt.meta["engine"] == "event"
+        scen = replace(scen, topology=Topology.TWO_ST)
+        assert_same_trace(*run_both(
+            (spec.profile, scen, spec.limits, sched, asg, 3),
+            spec.config.platform))
 
 
 def scalar_deposit(series, dt, t0, t1, amount):
@@ -621,15 +777,16 @@ class TestDeposit:
 
     def test_constant_rate_phase_is_one_piece(self):
         # the memory limit is twice the lone rate, so memory never contends:
-        # each memory phase drains at one rate from the end of its compute
-        # to the completion and is one piece, logged when it completes
+        # the event engine drains each memory phase at one rate from the end
+        # of its compute to the completion and logs it as one piece when it
+        # completes
         prof = WorkloadProfile(name="cm", cpu_work=0.0005, mem_accesses=2e5,
                                miss_min=0.25, miss_max=0.25,
                                mem_stream_rate=3000.0,
                                service_dist=ServiceDist("exponential"))
         limits = ResourceLimits(11, mem_bw_limit=6000.0)
         scen = ScenarioConfig(Topology.TWO_ST, 8, OpenLoop(800.0), 5.0)
-        tr = run_open(prof, scen, limits=limits, seed=11)
+        tr = run_event(prof, scen, limits=limits, seed=11)
         assert tr.censored_count == 0
         cpu = prof.cpu_work * prof.service_dist.sample(
             np.random.default_rng(11), len(tr))
@@ -660,11 +817,13 @@ class TestDeposit:
 
 
 class TestEventCounts:
+    """Event counts of the event engine, which records them."""
+
     def test_compute_only_two_st_has_no_stale_events(self):
         prof = WorkloadProfile(name="c", cpu_work=0.001,
                                service_dist=ServiceDist("exponential"))
         scen = ScenarioConfig(Topology.TWO_ST, 8, OpenLoop(900.0), 5.0)
-        tr = run_open(prof, scen)
+        tr = run_event(prof, scen)
         assert tr.censored_count == 0
         assert tr.meta["stale_events"] == 0
         # one issue and one phase end per request
@@ -674,7 +833,7 @@ class TestEventCounts:
         prof = WorkloadProfile(name="c", cpu_work=0.001, smt_efficiency=0.7,
                                service_dist=ServiceDist("exponential"))
         scen = ScenarioConfig(Topology.TWO_SMT, 8, OpenLoop(1100.0), 5.0)
-        tr = run_open(prof, scen)
+        tr = run_event(prof, scen)
         assert tr.censored_count == 0
         stale = tr.meta["stale_events"]
         assert stale > 0
@@ -683,8 +842,8 @@ class TestEventCounts:
     def test_events_stop_at_the_hard_stop(self):
         prof = WorkloadProfile(name="slow", cpu_work=0.05)
         scen = ScenarioConfig(Topology.TWO_ST, 50, OpenLoop(500.0), 2.0)
-        tr = run_open(prof, scen)
+        tr = run_event(prof, scen)
         assert tr.censored_count > 0
         issued = int((~np.isnan(tr.issue)).sum())
-        done = int(tr.completed_mask.sum())
+        done = int((~np.isnan(tr.completion)).sum())
         assert tr.meta["events"] == issued + done + tr.meta["stale_events"]

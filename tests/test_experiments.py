@@ -7,11 +7,11 @@ from tailsim.experiments import (CalibrationError, ExperimentError,
                                  RunConfig, calibrate_profile,
                                  closed_loop_saturation, compare_scenarios,
                                  constraint_study, derive_lqos,
-                                 geometric_points, load_experiment_spec,
-                                 peak_mem_bw,
-                                 point_seed, qps_at_utilization, qps_sweep,
+                                 geometric_points, interpolate,
+                                 load_experiment_spec, point_seed,
+                                 qps_at_utilization, qps_sweep,
                                  saturation_qps, session_points,
-                                 shipped_spec_path, utilization_at)
+                                 shipped_spec_path)
 from tailsim.model import (ClosedLoop, FileFormatError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
                            ServiceDist, Topology, WorkloadProfile)
@@ -44,7 +44,6 @@ def mba_levels(bw_limits, ways=11):
 
 class TestInterpolate:
     def test_first_enclosing_segment_in_either_order(self):
-        from tailsim.experiments import interpolate
         assert interpolate([0.0, 1.0, 3.0], [0.0, 10.0, 30.0], 2.0) == 20.0
         # a falling segment reads the same line from its left end
         assert interpolate([1.0, 0.5], [10.0, 20.0], 0.75) == 15.0
@@ -199,7 +198,10 @@ class TestCompare:
         q50 = qps_at_utilization(sw, 0.50)
         assert q20 == pytest.approx(200.0, rel=0.06)
         assert q50 == pytest.approx(500.0, rel=0.06)
-        assert utilization_at(sw, q20) == pytest.approx(0.20, abs=0.01)
+        util = interpolate([p.qps for p in sw.points],
+                           [p.summary.cpu_utilization for p in sw.points],
+                           q20)
+        assert util == pytest.approx(0.20, abs=0.01)
 
 
 class TestConstraintStudies:
@@ -240,7 +242,8 @@ class TestConstraintStudies:
                                    6, cfg(warmup=1.0), axis="mem_bw_limit")
         unlimited, limited = entries
         assert limited.saturation.qps < unlimited.saturation.qps
-        assert peak_mem_bw(limited.sweep) <= 2000.0 * 1.02
+        assert max(p.summary.mem_bw
+                   for p in limited.sweep.points) <= 2000.0 * 1.02
 
 
 class TestCalibrate:
@@ -280,8 +283,8 @@ class TestCalibrate:
 
 class TestSpecFiles:
     def test_all_shipped_specs_parse(self):
-        from tailsim.experiments import list_shipped_specs
-        names = list_shipped_specs()
+        specs = shipped_spec_path("img-dnn").parent.glob("*.spec")
+        names = sorted(p.stem for p in specs)
         assert len(names) == 12
         for name in names:
             spec = load_experiment_spec(shipped_spec_path(name))

@@ -8,7 +8,7 @@ from tailsim.engine import simulate_closed_loop, simulate_open_loop
 from tailsim.loadgen import ArrivalModel, assign_clients, build_schedule
 from tailsim.metrics import (MetricsError, _overlap_sum, default_warmup,
                              percentile, summarize, summary_csv_row,
-                             timely_ratio, SWEEP_CSV_COLUMNS)
+                             SWEEP_CSV_COLUMNS)
 from tailsim.model import (ClosedLoop, OpenLoop, PlatformConfig,
                            ResourceLimits, ScenarioConfig, ServiceDist,
                            Topology, WorkloadProfile)
@@ -184,12 +184,13 @@ class TestTimelyRatio:
                                service_dist=ServiceDist("exponential"))
         scen = ScenarioConfig(Topology.ONE_ST, 500, OpenLoop(400.0), 20.0)
         tr = run(prof, scen)
-        assert timely_ratio(tr) == 1.0
+        assert tr.timely.all()
+        assert summarize(tr).timely_ratio == 1.0
 
     def test_single_client_overload_exact_hand_oracle(self):
         # 1 client, deterministic 2 ms service, deterministic 1 ms gaps:
         # only the first request is issued on time, every later one waits
-        # on the client; ratio is exactly 1/1000.
+        # on the client.
         prof = WorkloadProfile(name="slow", cpu_work=0.002)
         scen = ScenarioConfig(Topology.ONE_ST, 1, OpenLoop(1000.0), 1.0,
                               rtt=0.0)
@@ -197,13 +198,14 @@ class TestTimelyRatio:
         assert len(sched) == 1000
         tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched,
                                 assign_clients(sched, 1), 3)
-        assert timely_ratio(tr) == 1.0 / 1000.0
+        np.testing.assert_array_equal(np.flatnonzero(tr.timely), [0])
 
     def test_closed_loop_ratio_is_one(self):
         prof = WorkloadProfile(name="c", cpu_work=0.01)
         scen = ScenarioConfig(Topology.ONE_ST, 2, ClosedLoop(2, 0.05), 2.0)
         tr = simulate_closed_loop(prof, scen, FREE, PLATFORM, 1)
-        assert timely_ratio(tr) == 1.0
+        assert tr.timely.all()
+        assert summarize(tr).timely_ratio == 1.0
 
 
 class TestCsvRow:
