@@ -169,8 +169,20 @@ def _spec_text(spec: ExperimentSpec) -> str:
     return "\n".join(f"{k}: {v}" for k, v in spec.raw.items()) + "\n"
 
 
+_REPLAY_KEYS = ("command", "spec_content", "profile_content", "seed",
+                "points")
+
+
 def _cmd_replay(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
+    path = Path(args.manifest)
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: not a JSON manifest ({exc})") from None
+    needed = _REPLAY_KEYS + (() if args.out is not None else ("out_dir",))
+    for key in needed:
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise FileFormatError(f"{path}: manifest lacks key {key!r}")
     out_dir = (args.out if args.out is not None
                else Path(manifest["out_dir"] + "-replay"))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -29,18 +29,19 @@ and the phase ends of the two workers are taken in the event engine's
 functions choose the path and record it in ``Trace.meta["engine"]``
 (``"constant_rate"`` or ``"event"``).
 
-Neither path touches the byte series event by event. A deposit piece is a
-constant-rate segment: a stretch of one worker's memory or disk phase at
-one rate (start, end, rate). The event engine logs a segment when the
-phase ends, when the worker's rate changes, or at the hard stop; at
-constant rates every phase is one segment, which is how the constant-rate
-path deposits it. Both paths deposit with one kernel, ``_deposit``, in
-bounded blocks and in piece order, so every bin receives its additions in
-the order a piece-by-piece loop would make them. Network bytes are added per
-issue and per completion after the run. The event heap keeps superseded
-(stale) phase events: one still pops and ends the drain step at its time,
-which splits the float subtractions of the remaining work, so dropping it
-would change the completion times' bits.
+Both paths record memory and disk traffic as constant-rate segments: a
+stretch of one worker's memory or disk phase at one rate, as a
+[start, end, bytes/s] row, logged only when it has positive length. The
+event engine closes a segment when the phase ends, when the worker's rate
+changes, or at the hard stop; at constant rates every phase is one
+segment, and the constant-rate path builds the rows in the order the event
+engine closes them, so the two paths' segment arrays are the same, bit for
+bit. Network traffic is a fixed amount per issue (received) and per
+completion (sent). ``metrics.summarize`` integrates the segments exactly
+over its window; only ``export_series_csv`` bins them onto a sampling grid.
+The event heap keeps superseded (stale) phase events: one still pops and
+ends the drain step at its time, which splits the float subtractions of
+the remaining work, so dropping it would change the completion times' bits.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .model import (MB, ClosedLoop, ModelError, OpenLoop, PlatformConfig,
                     mean_demands, validate_profile)
 
 TIMELY_EPS = 1e-6  # seconds of slack when judging issue punctuality
-_BLOCK = 4096  # phases, pieces or times per step; bounds the temporaries
+_BLOCK = 4096  # segments per export deposit step; bounds the temporaries
 
 _COMPUTE, _MEMORY, _DISK = 0, 1, 2
 _EV_ISSUE, _EV_PHASE = 0, 1
@@ -70,10 +71,13 @@ _EV_ISSUE, _EV_PHASE = 0, 1
 @dataclass
 class Trace:
     """Simulation output: per-request lifecycle columns, per-core CPU-busy
-    intervals (compute and memory phases) and sampled byte-movement
-    series. Censored requests carry NaN for the timestamps that never
-    happened. Busy intervals are one (k, 2) array of [start, end] rows per
-    core, in the order the intervals closed."""
+    intervals (compute and memory phases) and byte movement. Censored
+    requests carry NaN for the timestamps that never happened. Busy
+    intervals are one (k, 2) array of [start, end] rows per core, in the
+    order the intervals closed. Memory and disk traffic are (k, 3) arrays
+    of constant-rate [t0, t1, bytes/s] segments with t1 > t0, in the order
+    the segments closed; network traffic is net_rx_bytes per issue and
+    net_tx_bytes per completion."""
 
     client: np.ndarray
     scheduled: np.ndarray
@@ -84,11 +88,10 @@ class Trace:
     latency: np.ndarray
     n_cores: int
     duration: float
-    sample_dt: float
-    mem_series: np.ndarray  # bytes moved per sampling bin
-    disk_series: np.ndarray
-    tx_series: np.ndarray
-    rx_series: np.ndarray
+    mem_segments: np.ndarray
+    disk_segments: np.ndarray
+    net_tx_bytes: float
+    net_rx_bytes: float
     cpu_busy: list[np.ndarray]
     meta: dict = field(default_factory=dict)
 
@@ -149,7 +152,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     sigma = profile.smt_efficiency
     rtt2 = 2.0 * scenario.rtt
     duration = scenario.duration
-    hard_stop, sample_dt, nbins = _sample_grid(duration)
+    hard_stop = _sample_grid(duration)[0]
 
     base = mean_demands(profile, limits, platform)
     mem_bytes = base.mem_bytes
@@ -158,11 +161,6 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     mem_limit_mb = limits.effective_mem_bw(platform)
     disk_limit_b = limits.effective_disk_bw(platform) * MB
     solo_mem_rate_b = min(stream_mb, mem_limit_mb) * MB
-
-    mem_series = np.zeros(nbins)
-    disk_series = np.zeros(nbins)
-    tx_series = np.zeros(nbins)
-    rx_series = np.zeros(nbins)
 
     # One request store for both modes, indexed by request: open loop
     # fills it by schedule position, closed loop appends each request as
@@ -206,21 +204,16 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     # Busy intervals per worker, flat [start, end, start, end, ...].
     cpu_busy = [array("d") for _ in range(n_workers)]
     # Memory and disk segments, flat [t0, t1, rate, ...] in the order they
-    # closed; deposited into the series a block at a time.
+    # closed.
     mem_log = array("d")
     disk_log = array("d")
-    log_cap = 3 * _BLOCK
 
     def close_segment(w: int, t: float) -> None:
         """Log the worker's memory or disk stretch at its current rate,
-        from when that rate was set until t."""
-        if w_phase[w] == _MEMORY:
-            log, series = mem_log, mem_series
-        else:
-            log, series = disk_log, disk_series
-        log.extend((w_since[w], t, w_rate[w]))
-        if len(log) >= log_cap:
-            _flush(series, sample_dt, log)
+        from when that rate was set until t, if it has positive length."""
+        if t > w_since[w]:
+            log = mem_log if w_phase[w] == _MEMORY else disk_log
+            log.extend((w_since[w], t, w_rate[w]))
 
     def start_service(w: int, j: int, t: float) -> None:
         w_req[w] = j
@@ -395,17 +388,11 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             cpu_busy[w].extend((start[j], t_last))
         if w_phase[w] != _COMPUTE:
             close_segment(w, t_last)
-    _flush(mem_series, sample_dt, mem_log)
-    _flush(disk_series, sample_dt, disk_log)
 
     client = np.frombuffer(client_of, dtype=np.int64)
     scheduled_a = np.frombuffer(scheduled)
     issue_a = np.frombuffer(issue)
     done_a = np.frombuffer(done)
-    # Each bin gets the same amount per request, so the order of these
-    # additions does not matter.
-    _impulses(rx_series, sample_dt, issue_a, base.net_rx_bytes)
-    _impulses(tx_series, sample_dt, done_a, base.net_tx_bytes)
     meta = _meta(profile, scenario, limits, platform, seed, schedule, "event")
     meta["events"] = events
     meta["stale_events"] = stale
@@ -415,9 +402,11 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                  service_start=np.frombuffer(start), completion=done_a,
                  timely=issue_a <= scheduled_a + TIMELY_EPS,
                  latency=done_a - scheduled_a + rtt2, n_cores=n_cores,
-                 duration=duration, sample_dt=sample_dt,
-                 mem_series=mem_series, disk_series=disk_series,
-                 tx_series=tx_series, rx_series=rx_series,
+                 duration=duration,
+                 mem_segments=np.frombuffer(mem_log).reshape(-1, 3),
+                 disk_segments=np.frombuffer(disk_log).reshape(-1, 3),
+                 net_tx_bytes=base.net_tx_bytes,
+                 net_rx_bytes=base.net_rx_bytes,
                  cpu_busy=[_rows(iv) for iv in cpu_busy], meta=meta)
 
 
@@ -458,14 +447,14 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     that is before the duration, with the service multipliers drawn in
     issue order. At the hard stop nothing later is issued, started or
     completed, and the busy intervals and bytes of requests in flight end
-    at the last event at or before it. Each phase is deposited as one
-    piece, in the order ``_run`` closes it.
+    at the last event at or before it. Each phase is one segment, in the
+    order ``_run`` closes it.
     """
     open_mode = schedule is not None
     n_workers = scenario.topology.n_workers
     rtt2 = 2.0 * scenario.rtt
     duration = scenario.duration
-    hard_stop, sample_dt, nbins = _sample_grid(duration)
+    hard_stop = _sample_grid(duration)[0]
 
     base = mean_demands(profile, limits, platform)
     mem_bytes = base.mem_bytes
@@ -668,36 +657,23 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     issue_a = np.frombuffer(issue)
     start_a = np.frombuffer(start)
     done_a = np.frombuffer(done)
-    # Phase ends of the started requests in closing order, clipped at the
-    # last event; a phase a request in flight has not entered shrinks to
-    # nothing. The temporaries are built in place where the sums allow.
+    # Phase bounds of the started requests in closing order, clipped at
+    # the last event; a phase a request in flight has not entered shrinks
+    # to nothing. The temporaries are built in place where the sums allow.
     order = np.frombuffer(closed, dtype=np.int64)
     s = start_a[order]
-    mem_start = np.frombuffer(cpu)[order]
-    has_cpu = (mem_start > 0.0) | (mem_bytes > 0.0)
-    mem_start += s  # start + cpu, as _run sums it
-    del order
-    cpu_end = mem_start + mem_time
-    end = None
-    if disk_bytes > 0.0:
-        end = cpu_end + disk_time
-        np.minimum(end, t_last, out=end)
+    cpu_end = np.frombuffer(cpu)[order]
+    has_cpu = (cpu_end > 0.0) | (mem_bytes > 0.0)
+    cpu_end += s  # start + cpu, as _run sums it
+    del order, closed
+    # One segment per phase: every phase drains at one rate.
+    mem_segments = _phase_rows(cpu_end, mem_time, mem_rate, t_last)
+    cpu_end += mem_time
+    disk_segments = _phase_rows(cpu_end, disk_time, disk_rate, t_last)
     np.minimum(cpu_end, t_last, out=cpu_end)
     in_cpu = has_cpu & (cpu_end > s)
-    del has_cpu, closed
-
-    mem_series = np.zeros(nbins)
-    disk_series = np.zeros(nbins)
-    tx_series = np.zeros(nbins)
-    rx_series = np.zeros(nbins)
-    # One piece per phase: every phase drains at one rate.
-    if mem_bytes > 0.0:
-        _deposit_phases(mem_series, sample_dt, mem_start, cpu_end, mem_rate)
-    del mem_start
-    if disk_bytes > 0.0:
-        _deposit_phases(disk_series, sample_dt, cpu_end, end, disk_rate)
-    del end
-    # The busy intervals outlive the run; made last, after the series,
+    del has_cpu
+    # The busy intervals outlive the run; made last, after the segments,
     # they measured a lower process peak memory than made first.
     if n_workers == 1:
         cpu_busy = [np.column_stack((s[in_cpu], cpu_end[in_cpu]))]
@@ -707,8 +683,6 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                     for rows in (in_cpu & ~on_1, in_cpu & on_1)]
         del on_1
     del s, in_cpu, cpu_end, closed_on
-    _impulses(rx_series, sample_dt, issue_a, base.net_rx_bytes)
-    _impulses(tx_series, sample_dt, done_a, base.net_tx_bytes)
 
     # The trace gets its own copy of the schedule's times.
     scheduled_a = (schedule.times.copy() if open_mode
@@ -718,10 +692,10 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                  service_start=start_a, completion=done_a,
                  timely=issue_a <= scheduled_a + TIMELY_EPS,
                  latency=done_a - scheduled_a + rtt2, n_cores=n_workers,
-                 duration=duration, sample_dt=sample_dt,
-                 mem_series=mem_series, disk_series=disk_series,
-                 tx_series=tx_series, rx_series=rx_series,
-                 cpu_busy=cpu_busy,
+                 duration=duration, mem_segments=mem_segments,
+                 disk_segments=disk_segments,
+                 net_tx_bytes=base.net_tx_bytes,
+                 net_rx_bytes=base.net_rx_bytes, cpu_busy=cpu_busy,
                  meta=_meta(profile, scenario, limits, platform, seed,
                             schedule, "constant_rate"))
 
@@ -746,31 +720,31 @@ def _rows(flat: array) -> np.ndarray:
     return np.frombuffer(flat).reshape(-1, 2)
 
 
-def _deposit_phases(series: np.ndarray, dt: float, t0: np.ndarray,
-                    t1: np.ndarray, rate: float) -> None:
-    """Deposit each phase [t0, t1], the phases in time order, as one piece
-    drained at rate. Phases go in blocks to bound the temporary arrays."""
-    for i in range(0, len(t0), _BLOCK):
-        _deposit(series, dt, t0[i:i + _BLOCK], t1[i:i + _BLOCK], rate)
-
-
-def _flush(series: np.ndarray, dt: float, log: array) -> None:
-    """Deposit the pieces of a flat [t0, t1, rate, ...] log, then empty
-    it."""
-    pieces = np.array(log).reshape(-1, 3)
-    _deposit(series, dt, pieces[:, 0], pieces[:, 1], pieces[:, 2])
-    del log[:]
+def _phase_rows(begin: np.ndarray, length: float, rate: float,
+                t_last: float) -> np.ndarray:
+    """[t0, t1, rate] segments of phases that begin at `begin` and last
+    `length`, clipped at t_last; segments of zero length are left out."""
+    if length <= 0.0:
+        return np.empty((0, 3))
+    rows = np.empty((len(begin), 3))
+    t0, t1 = rows[:, 0], rows[:, 1]
+    np.add(begin, length, out=t1)
+    np.minimum(t1, t_last, out=t1)
+    np.minimum(begin, t_last, out=t0)
+    rows[:, 2] = rate
+    keep = t1 > t0
+    return rows if keep.all() else rows[keep]
 
 
 def _deposit(series: np.ndarray, dt: float, t0: np.ndarray, t1: np.ndarray,
-             rate: np.ndarray | float) -> None:
-    """Spread rate x (t1 - t0) bytes of each piece [t0, t1] over the bins
+             rate: np.ndarray) -> None:
+    """Spread rate x (t1 - t0) bytes of each segment [t0, t1] over the bins
     it covers: the part up to its first bin's upper edge, dt x rate in each
     inner bin and the rest in its last bin, or all of it when it lies in
     one bin (times past the last bin count in the last bin). The result is
-    the same, bit for bit, as adding the pieces one after the other: pieces
-    may cover the same bins, inner ones too when two workers drain over
-    one step, so every bin receives its additions in piece order."""
+    the same, bit for bit, as adding the segments one after the other:
+    segments may cover the same bins, inner ones too when two workers drain
+    over one step, so every bin receives its additions in segment order."""
     amount = rate * (t1 - t0)
     keep = amount > 0.0
     t0, t1, amount = t0[keep], t1[keep], amount[keep]
@@ -779,7 +753,7 @@ def _deposit(series: np.ndarray, dt: float, t0: np.ndarray, t1: np.ndarray,
     b1 = np.minimum((t1 / dt).astype(np.int64), last)
     per_s = amount / (t1 - t0)
     n_bins = b1 - b0 + 1
-    ends = np.cumsum(n_bins)  # one past each piece's last entry
+    ends = np.cumsum(n_bins)  # one past each segment's last entry
     firsts = ends - n_bins
     bins = (np.repeat(b0 - firsts, n_bins)
             + np.arange(int(ends[-1]) if len(ends) else 0))
@@ -788,20 +762,6 @@ def _deposit(series: np.ndarray, dt: float, t0: np.ndarray, t1: np.ndarray,
     values[firsts] = np.where(n_bins == 1, amount,
                               ((b0 + 1) * dt - t0) * per_s)
     np.add.at(series, bins, values)
-
-
-def _impulses(series: np.ndarray, dt: float, times: np.ndarray,
-              amount: float) -> None:
-    """Add amount to the bin of each time that is not NaN (times past the
-    last bin count in the last bin). Times go in blocks to bound the
-    temporary arrays."""
-    if amount <= 0.0:
-        return
-    for i in range(0, len(times), _BLOCK):
-        block = times[i:i + _BLOCK]
-        bins = (block[~np.isnan(block)] / dt).astype(np.int64)
-        np.add.at(series, np.minimum(bins, len(series) - 1, out=bins),
-                  amount)
 
 
 def _meta(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -840,21 +800,31 @@ def export_trace_csv(trace: Trace, path: str | Path) -> None:
 
 
 def export_series_csv(trace: Trace, path: str | Path) -> None:
-    """Sampled resource movement: bytes per bin converted to MB/s."""
-    dt = trace.sample_dt
+    """Sampled resource movement up to the run's horizon: the bytes of
+    each bin of the run's sampling grid (``_sample_grid``), in MB/s. A
+    segment's bytes spread over the bins it covers, a request's network
+    bytes fall in the bin of its issue (rx) or completion (tx), and bytes
+    past the last bin count in the last bin."""
+    _, dt, nbins = _sample_grid(trace.duration)
+    mem, disk, tx, rx = series = [np.zeros(nbins) for _ in range(4)]
+    for out, segments in ((mem, trace.mem_segments),
+                          (disk, trace.disk_segments)):
+        for i in range(0, len(segments), _BLOCK):
+            block = segments[i:i + _BLOCK]
+            _deposit(out, dt, block[:, 0], block[:, 1], block[:, 2])
+    for out, times, amount in ((tx, trace.completion, trace.net_tx_bytes),
+                               (rx, trace.issue, trace.net_rx_bytes)):
+        if amount > 0.0:
+            bins = (times[~np.isnan(times)] / dt).astype(np.int64)
+            np.add.at(out, np.minimum(bins, nbins - 1, out=bins), amount)
     lines = ["t,mem_mbps,disk_mbps,net_tx_mbps,net_rx_mbps"]
     scale = 1.0 / (dt * MB)
-    for b in range(len(trace.mem_series)):
+    for b in range(nbins):
         t0 = b * dt
         if t0 > trace.duration:
             break
-        lines.append(",".join([
-            _num(t0),
-            _num(trace.mem_series[b] * scale),
-            _num(trace.disk_series[b] * scale),
-            _num(trace.tx_series[b] * scale),
-            _num(trace.rx_series[b] * scale),
-        ]))
+        lines.append(",".join([_num(t0)]
+                              + [_num(x[b] * scale) for x in series]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,9 +1,14 @@
 """Per-run metric aggregation: tail-latency percentiles, CPU utilization,
 bandwidth averages, modeled LLC occupancy, and the timely-requests ratio.
 
-All aggregates are computed over a measurement window that discards a
-warmup prefix of the run; censored requests never enter latency statistics
-but are counted and flagged.
+All aggregates are computed over a measurement window [warmup, horizon]
+that discards a warmup prefix of the run; censored requests never enter
+latency statistics but are counted and flagged. Bandwidths are exact
+window integrals of the trace: memory and disk bytes are the constant-rate
+segments' rates times their overlap with the window, and network bytes are
+the per-request amount times the issues (received) or completions (sent)
+in [warmup, horizon). No sampling grid enters them; bins exist only in
+``engine.export_series_csv``.
 """
 
 from __future__ import annotations
@@ -127,14 +132,14 @@ def summarize(trace: Trace, warmup: float | None = None) -> MetricsSummary:
         busy_total += _overlap_sum(trace.cpu_busy[core], warmup, horizon)
     cpu_utilization = busy_total / (window * trace.n_cores)
 
-    mem_bw = _window_bytes(trace.mem_series, trace.sample_dt, warmup,
-                           horizon) / window / MB
-    disk_bw = _window_bytes(trace.disk_series, trace.sample_dt, warmup,
+    mem_bw = _segment_bytes(trace.mem_segments, warmup,
                             horizon) / window / MB
-    net_tx_bw = _window_bytes(trace.tx_series, trace.sample_dt, warmup,
-                              horizon) / window / MB
-    net_rx_bw = _window_bytes(trace.rx_series, trace.sample_dt, warmup,
-                              horizon) / window / MB
+    disk_bw = _segment_bytes(trace.disk_segments, warmup,
+                             horizon) / window / MB
+    net_tx_bw = (trace.net_tx_bytes * _count_in(completion, warmup, horizon)
+                 / window / MB)
+    net_rx_bw = (trace.net_rx_bytes * _count_in(trace.issue, warmup, horizon)
+                 / window / MB)
 
     llc_occ = math.nan
     profile = trace.meta.get("profile")
@@ -187,16 +192,16 @@ def _overlap_sum(intervals: np.ndarray, a: float, b: float) -> float:
     return float(np.cumsum(part)[-1]) if len(part) else 0.0
 
 
-def _window_bytes(series: np.ndarray, dt: float, a: float, b: float) -> float:
-    """Bytes deposited within [a, b], counting boundary bins fractionally."""
-    first = int(a / dt)
-    last = min(int(b / dt), len(series) - 1)
-    if first >= len(series):
-        return 0.0
-    if first == last:
-        return float(series[first]) * (b - a) / dt
-    total = float(series[first]) * ((first + 1) * dt - a) / dt
-    if last > first + 1:
-        total += float(series[first + 1:last].sum())
-    total += float(series[last]) * min((b - last * dt) / dt, 1.0)
-    return total
+def _segment_bytes(segments: np.ndarray, a: float, b: float) -> float:
+    """Bytes the (k, 3) [t0, t1, rate] segments move within [a, b]: each
+    rate times the length of its segment's overlap with [a, b]."""
+    part = np.minimum(segments[:, 1], b)
+    part -= np.maximum(segments[:, 0], a)
+    np.maximum(part, 0.0, out=part)
+    part *= segments[:, 2]
+    return float(part.sum())
+
+
+def _count_in(times: np.ndarray, a: float, b: float) -> int:
+    """How many times lie in [a, b); NaN never does."""
+    return int(((times >= a) & (times < b)).sum())

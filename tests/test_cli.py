@@ -195,6 +195,31 @@ class TestReplay:
         assert read(default / "sweep.csv") != read(
             tmp_path / "orig" / "sweep.csv")
 
+    def test_replay_of_non_json_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text("not json")
+        assert main(["--out", str(tmp_path / "r"), "replay", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not a JSON manifest" in err
+
+    def test_replay_of_manifest_without_key_exit_2(self, spec_dir, tmp_path,
+                                                   capsys):
+        out = tmp_path / "orig"
+        assert main(["--out", str(out), "--points", "2", "sweep",
+                     str(spec_dir / "synth.spec")]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        bad = tmp_path / "manifest.json"
+        for key in ("command", "spec_content", "profile_content", "seed",
+                    "points", "out_dir"):
+            bad.write_text(json.dumps({k: v for k, v in manifest.items()
+                                       if k != key}))
+            assert main(["replay", str(bad)]) == 2, key
+            err = capsys.readouterr().err
+            assert str(bad) in err and f"lacks key '{key}'" in err
+        bad.write_text('{"seed": 1}')
+        assert main(["--out", str(tmp_path / "r"), "replay", str(bad)]) == 2
+        assert "lacks key 'command'" in capsys.readouterr().err
+
 
 class TestSpecValidation:
     CLOSED_SPEC = """\

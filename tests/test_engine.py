@@ -2,7 +2,6 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +30,26 @@ def run_open(profile, scenario, limits=FREE, arrival=None, seed=11,
     asg = assign_clients(sched, scenario.n_clients)
     return simulate_open_loop(profile, scenario, limits, PLATFORM, sched,
                               asg, seed)
+
+
+def moved_bytes(segments):
+    """Bytes moved by (k, 3) [t0, t1, rate] segments."""
+    return float((segments[:, 2] * (segments[:, 1] - segments[:, 0])).sum())
+
+
+def peak_rate(segments):
+    """The largest summed rate of the half-open [t0, t1) segments covering
+    a segment endpoint. The summed rate changes only at endpoints, so this
+    is the largest aggregate rate anywhere in the run."""
+    rows = segments[np.argsort(segments[:, 0], kind="stable")].tolist()
+    active, i, peak = [], 0, 0.0
+    for t in np.unique(segments[:, :2]).tolist():
+        while i < len(rows) and rows[i][0] <= t:
+            active.append(rows[i])
+            i += 1
+        active = [row for row in active if row[1] > t]
+        peak = max(peak, sum(row[2] for row in active))
+    return peak
 
 
 def run_event(profile, scenario, limits=FREE, seed=11, sched_seed=7):
@@ -103,8 +122,8 @@ class TestDegeneracy:
         np.testing.assert_array_equal(a.service_start, b.service_start)
         np.testing.assert_array_equal(a.completion, b.completion)
         np.testing.assert_array_equal(a.timely, b.timely)
-        np.testing.assert_array_equal(a.mem_series, b.mem_series)
-        np.testing.assert_array_equal(a.disk_series, b.disk_series)
+        np.testing.assert_array_equal(a.mem_segments, b.mem_segments)
+        np.testing.assert_array_equal(a.disk_segments, b.disk_segments)
 
     def test_sigma_one_makes_smt_equal_two_st(self, tmp_path):
         a, b = self.trace_pair(Topology.TWO_ST, Topology.TWO_SMT)
@@ -167,9 +186,9 @@ class TestConservationAndCausality:
         tr = run_open(prof, scen)
         n_done = len(tr) - tr.censored_count
         mem_per_req = 200000 * 0.2 * 64
-        assert tr.mem_series.sum() == pytest.approx(
+        assert moved_bytes(tr.mem_segments) == pytest.approx(
             n_done * mem_per_req, rel=1e-6)
-        assert tr.disk_series.sum() == pytest.approx(
+        assert moved_bytes(tr.disk_segments) == pytest.approx(
             n_done * 30000.0, rel=1e-6)
 
     def test_no_overlapping_busy_intervals_per_core(self):
@@ -382,8 +401,9 @@ class TestDrainRates:
         assert done == pytest.approx([1e6 / (50 * MB)] * 2, rel=1e-12)
 
     def test_aggregate_never_exceeds_limits(self):
-        # random mixed-phase loads on every topology: no sampling bin may
-        # carry more than limit x dt plus one quantum of slack
+        # random mixed-phase loads on every topology: the memory (or disk)
+        # segments in progress at any time never sum to more than the
+        # effective limit
         import random
         rnd = random.Random(5)
         for _ in range(12):
@@ -399,17 +419,16 @@ class TestDrainRates:
             scen = ScenarioConfig(topo, 8, OpenLoop(300.0), 2.0)
             tr = run_open(prof, scen, limits=lim,
                           sched_seed=rnd.randrange(1000))
-            dt = tr.sample_dt
-            mem_cap = lim.effective_mem_bw(PLATFORM) * MB * dt
-            disk_cap = lim.effective_disk_bw(PLATFORM) * MB * dt
-            assert tr.mem_series.max() <= mem_cap * (1 + 1e-9) + 1.0
-            assert tr.disk_series.max() <= disk_cap * (1 + 1e-9) + 1.0
+            mem_cap = lim.effective_mem_bw(PLATFORM) * MB
+            disk_cap = lim.effective_disk_bw(PLATFORM) * MB
+            assert peak_rate(tr.mem_segments) <= mem_cap * (1 + 1e-12)
+            assert peak_rate(tr.disk_segments) <= disk_cap * (1 + 1e-12)
 
 
 class TestThroughputCap:
-    def test_series_never_exceed_limits_per_bin(self):
-        # two workers driving memory and disk against hard caps: no sampling
-        # bin may carry more than limit x dt plus one quantum of slack
+    def test_segments_never_exceed_limits(self):
+        # two workers driving memory and disk against hard caps: the
+        # segments in progress at any time never sum to more than the cap
         prof = WorkloadProfile(name="mm", cpu_work=0.0002,
                                mem_accesses=400000, miss_min=0.25,
                                miss_max=0.25, mem_stream_rate=9000.0,
@@ -420,9 +439,8 @@ class TestThroughputCap:
         scen = ScenarioConfig(Topology.TWO_ST, 12, OpenLoop(500.0), 10.0)
         tr = run_open(prof, scen, limits=limits,
                       arrival=ArrivalModel("zipf", 1.0, 300))
-        dt = tr.sample_dt
-        assert tr.mem_series.max() <= 3000.0 * MB * dt * (1 + 1e-9) + 1.0
-        assert tr.disk_series.max() <= 40.0 * MB * dt * (1 + 1e-9) + 1.0
+        assert peak_rate(tr.mem_segments) <= 3000.0 * MB * (1 + 1e-12)
+        assert peak_rate(tr.disk_segments) <= 40.0 * MB * (1 + 1e-12)
 
 
 class TestTraceExport:
@@ -581,7 +599,8 @@ def tied_runs(draw, closed=False):
 
 
 def assert_same_trace(fast, ref):
-    """Bit-equal columns, per-core busy intervals, series and trace CSV."""
+    """Bit-equal columns, per-core busy intervals, segments (each of
+    positive length), network amounts and trace CSV."""
     for col in ("client", "scheduled", "issue", "service_start",
                 "completion", "latency", "timely"):
         np.testing.assert_array_equal(getattr(fast, col), getattr(ref, col),
@@ -589,9 +608,13 @@ def assert_same_trace(fast, ref):
     assert len(fast.cpu_busy) == len(ref.cpu_busy)
     for core, (a, b) in enumerate(zip(fast.cpu_busy, ref.cpu_busy)):
         np.testing.assert_array_equal(a, b, err_msg=f"cpu_busy[{core}]")
-    for series in ("mem_series", "disk_series", "tx_series", "rx_series"):
-        np.testing.assert_array_equal(getattr(fast, series),
-                                      getattr(ref, series), err_msg=series)
+    for col in ("mem_segments", "disk_segments"):
+        np.testing.assert_array_equal(getattr(fast, col), getattr(ref, col),
+                                      err_msg=col)
+        rows = getattr(ref, col)
+        assert (rows[:, 1] > rows[:, 0]).all(), col
+    assert fast.net_tx_bytes == ref.net_tx_bytes
+    assert fast.net_rx_bytes == ref.net_rx_bytes
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp) / "fast.csv", Path(tmp) / "ref.csv"
         export_trace_csv(fast, a)
@@ -619,14 +642,9 @@ class TestConstantRatePath:
     and loop mode it serves."""
 
     @settings(max_examples=80, deadline=None)
-    @given(open_loop_runs(tuple(Topology)).map(constant_rate)
-           | tied_runs(), st.sampled_from([5, 4096]))
-    def test_matches_event_engine(self, run, block):
-        # block: phases per deposit step; small blocks split the phases
-        # of one run across many steps
-        with mock.patch.object(engine, "_BLOCK", block):
-            fast, ref = run_both(run)
-        assert_same_trace(fast, ref)
+    @given(open_loop_runs(tuple(Topology)).map(constant_rate) | tied_runs())
+    def test_matches_event_engine(self, run):
+        assert_same_trace(*run_both(run))
 
     @settings(max_examples=80, deadline=None)
     @given(closed_loop_runs().map(constant_rate) | tied_runs(closed=True))
@@ -750,13 +768,14 @@ def ordered_pieces(draw):
 
 
 class TestDeposit:
-    """The ordered vectorised deposit kernel against the scalar loop."""
+    """The ordered vectorised deposit kernel of the series export against
+    the scalar loop."""
 
     @settings(max_examples=300, deadline=None)
     @given(ordered_pieces(), st.booleans())
     def test_matches_scalar_deposit(self, drawn, one_rate):
         dt, start, pieces = drawn
-        if one_rate:  # the single-worker path passes one rate for all
+        if one_rate:  # every phase of a constant-rate run has one rate
             pieces = [(t0, t1, 3.5e6) for t0, t1, _ in pieces]
         ref = start.copy()
         for t0, t1, rate in pieces:
@@ -764,7 +783,7 @@ class TestDeposit:
         got = start.copy()
         t0, t1, rate = (np.array([p[i] for p in pieces], dtype=float)
                         for i in range(3))
-        engine._deposit(got, dt, t0, t1, 3.5e6 if one_rate else rate)
+        engine._deposit(got, dt, t0, t1, rate)
         np.testing.assert_array_equal(got, ref)
 
     def test_shared_inner_bins_keep_both_pieces(self):
@@ -778,8 +797,8 @@ class TestDeposit:
     def test_constant_rate_phase_is_one_piece(self):
         # the memory limit is twice the lone rate, so memory never contends:
         # the event engine drains each memory phase at one rate from the end
-        # of its compute to the completion and logs it as one piece when it
-        # completes
+        # of its compute to the completion and logs it as one segment when
+        # it completes
         prof = WorkloadProfile(name="cm", cpu_work=0.0005, mem_accesses=2e5,
                                miss_min=0.25, miss_max=0.25,
                                mem_stream_rate=3000.0,
@@ -791,29 +810,10 @@ class TestDeposit:
         cpu = prof.cpu_work * prof.service_dist.sample(
             np.random.default_rng(11), len(tr))
         order = np.argsort(tr.completion, kind="stable")
-        ref = np.zeros_like(tr.mem_series)
-        engine._deposit(ref, tr.sample_dt,
-                        (tr.service_start + cpu)[order], tr.completion[order],
-                        prof.mem_stream_rate * MB)
-        np.testing.assert_array_equal(tr.mem_series, ref)
-
-    @settings(max_examples=40, deadline=None)
-    @given(open_loop_runs((Topology.TWO_ST, Topology.TWO_SMT))
-           | closed_loop_runs())
-    def test_flush_size_does_not_change_the_trace(self, run):
-        # _BLOCK = 3: the event loop flushes its piece logs every 3 pieces
-        prof, scen, limits, sched, asg, seed = run
-
-        def go():
-            return engine._run(prof, scen, limits, PLATFORM, seed,
-                               schedule=sched, assignment=asg)
-        ref = go()
-        with mock.patch.object(engine, "_BLOCK", 3):
-            small = go()
-        for col in ("mem_series", "disk_series", "tx_series", "rx_series",
-                    "completion"):
-            np.testing.assert_array_equal(getattr(small, col),
-                                          getattr(ref, col), err_msg=col)
+        ref = np.column_stack(((tr.service_start + cpu)[order],
+                               tr.completion[order],
+                               np.full(len(tr), prof.mem_stream_rate * MB)))
+        np.testing.assert_array_equal(tr.mem_segments, ref)
 
 
 class TestEventCounts:

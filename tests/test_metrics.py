@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from tailsim.engine import simulate_closed_loop, simulate_open_loop
+from tailsim.engine import (Trace, _sample_grid, export_series_csv,
+                            simulate_closed_loop, simulate_open_loop)
+from tailsim.experiments import load_experiment_spec, shipped_spec_path
 from tailsim.loadgen import ArrivalModel, assign_clients, build_schedule
 from tailsim.metrics import (MetricsError, _overlap_sum, default_warmup,
                              percentile, summarize, summary_csv_row,
                              SWEEP_CSV_COLUMNS)
-from tailsim.model import (ClosedLoop, OpenLoop, PlatformConfig,
+from tailsim.model import (MB, ClosedLoop, OpenLoop, PlatformConfig,
                            ResourceLimits, ScenarioConfig, ServiceDist,
                            Topology, WorkloadProfile)
 
@@ -176,6 +178,109 @@ class TestBusyOverlap:
         s = summarize(tr, warmup=2.0)
         assert s.cpu_utilization == overlap_loop(rows.tolist(), 2.0,
                                                  10.0) / (8.0 * 2)
+
+
+def hand_trace(scheduled, issue, completion, mem=(), disk=(),
+               net_tx_bytes=0.0, net_rx_bytes=0.0, duration=10.0):
+    """A one-core trace made by hand; mem and disk are [t0, t1, rate]
+    rows."""
+    scheduled, issue, completion = (np.array(x, dtype=float)
+                                    for x in (scheduled, issue, completion))
+    return Trace(client=np.zeros(len(scheduled), dtype=np.int64),
+                 scheduled=scheduled, issue=issue, service_start=issue,
+                 completion=completion,
+                 timely=np.ones(len(scheduled), dtype=bool),
+                 latency=completion - scheduled, n_cores=1,
+                 duration=duration,
+                 mem_segments=np.array(mem, dtype=float).reshape(-1, 3),
+                 disk_segments=np.array(disk, dtype=float).reshape(-1, 3),
+                 net_tx_bytes=net_tx_bytes, net_rx_bytes=net_rx_bytes,
+                 cpu_busy=[np.empty((0, 2))])
+
+
+def export_bins(trace, tmp_path):
+    """export_series_csv's bin width and rows (t and four MB/s
+    columns)."""
+    path = tmp_path / "series.csv"
+    export_series_csv(trace, path)
+    return _sample_grid(trace.duration)[1], np.loadtxt(path, delimiter=",",
+                                                       skiprows=1)
+
+
+def shipped_run(name, topology):
+    """A shipped spec's run at the geometric middle of its load range."""
+    spec = load_experiment_spec(shipped_spec_path(name))
+    qps = math.sqrt(spec.qps_range[0] * spec.qps_range[1])
+    duration = spec.scenario.duration
+    sched = build_schedule(spec.config.arrival, qps, duration, 5)
+    scen = dataclasses.replace(spec.scenario, topology=topology,
+                               mode=OpenLoop(qps))
+    return simulate_open_loop(spec.profile, scen, spec.limits,
+                              spec.config.platform, sched,
+                              assign_clients(sched, scen.n_clients), 3)
+
+
+class TestWindowIntegral:
+    """Bandwidths are exact integrals over [warmup, horizon]."""
+
+    def test_segments_are_clipped_to_the_window(self):
+        tr = hand_trace([5.0], [5.0], [6.0], mem=[
+            [0.0, 1.0, 5e6],     # before the window
+            [1.5, 2.5, 4e6],     # straddles the warmup: 0.5 s inside
+            [3.0, 4.0, 1e6],     # inside
+            [9.5, 11.0, 2e6],    # straddles the horizon: 0.5 s inside
+            [10.5, 12.0, 1e6],   # after the window
+            [1.0, 11.0, 3e6],    # covers the window: 8 s inside
+        ], disk=[[2.0, 10.0, 5e5]])
+        s = summarize(tr, warmup=2.0)
+        assert s.mem_bw == (2e6 + 1e6 + 1e6 + 24e6) / 8.0 / MB
+        assert s.disk_bw == 4e6 / 8.0 / MB
+
+    def test_network_counts_issues_and_completions_in_window(self):
+        # an issue exactly at the warmup counts, one exactly at the horizon
+        # does not, and a NaN (never issued or never completed) never does
+        tr = hand_trace(scheduled=[2.0, 5.0, 9.0, 9.5, 1.5],
+                        issue=[2.0, 5.0, 10.0, math.nan, 1.5],
+                        completion=[3.0, 6.0, math.nan, math.nan, 2.0],
+                        net_tx_bytes=3000.0, net_rx_bytes=1000.0)
+        s = summarize(tr, warmup=2.0)
+        assert s.net_rx_bw == 1000.0 * 2 / 8.0 / MB
+        assert s.net_tx_bw == 3000.0 * 3 / 8.0 / MB
+
+    @pytest.mark.parametrize("topology", [Topology.ONE_ST,
+                                          Topology.TWO_SMT])
+    def test_on_grid_window_equals_exported_bins(self, tmp_path, topology):
+        # img-dnn: warmup 5 s and horizon 25 s lie on the 1 ms grid, so
+        # the window is a whole number of bins
+        tr = shipped_run("img-dnn", topology)
+        s = summarize(tr)
+        dt, rows = export_bins(tr, tmp_path)
+        lo, hi = round(5.0 / dt), round(tr.duration / dt)
+        window = tr.duration - 5.0
+        binned = rows[lo:hi, 1:].sum(axis=0) * dt / window
+        assert s.mem_bw > 0.0 and s.net_tx_bw > 0.0
+        for got, want in zip((s.mem_bw, s.disk_bw, s.net_tx_bw, s.net_rx_bw),
+                             binned):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_off_grid_window_within_boundary_bins(self, tmp_path):
+        # sphinx: warmup 240 s and horizon 2400 s fall inside bins of its
+        # 0.02405 s grid; the window holds the bins strictly inside it and
+        # parts of the two boundary bins, and nothing else
+        tr = shipped_run("sphinx", Topology.ONE_ST)
+        s = summarize(tr)
+        warmup = default_warmup(tr.duration)
+        dt, rows = export_bins(tr, tmp_path)
+        lo, hi = int(warmup / dt), int(tr.duration / dt)
+        assert lo * dt < warmup and hi * dt < tr.duration
+        window = tr.duration - warmup
+        inner = rows[lo + 1:hi, 1:].sum(axis=0) * dt / window
+        edges = (rows[lo, 1:] + rows[hi, 1:]) * dt / window
+        assert s.mem_bw > 0.0 and s.net_rx_bw > 0.0
+        for got, low, edge in zip(
+                (s.mem_bw, s.disk_bw, s.net_tx_bw, s.net_rx_bw), inner,
+                edges):
+            assert low * (1 - 1e-12) <= got <= (low + edge) * (1 + 1e-12)
 
 
 class TestTimelyRatio:
