@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__
 from .experiments import (ExperimentSpec, ExperimentError, SweepResult,
                           CalibrationError, calibrate_profile,
-                          closed_loop_saturation, compare_scenarios,
-                          constraint_study, derive_lqos, load_experiment_spec,
-                          qos_saturation, qps_sweep)
+                          compare_scenarios, constraint_study, derive_lqos,
+                          load_experiment_spec, qos_saturation, qps_sweep)
 from .metrics import SWEEP_CSV_COLUMNS, default_warmup, summary_csv_row
 from .model import (ClosedLoop, FileFormatError, ModelError, PlatformConfig,
                     Topology, load_platform, platform_to_text,
@@ -253,14 +252,11 @@ def cmd_sweep(spec: ExperimentSpec, out_dir: Path) -> int:
     sweep = qps_sweep(spec.profile, spec.scenario, spec.limits,
                       spec.qps_range, spec.n_points, spec.config)
     closed = isinstance(spec.scenario.mode, ClosedLoop)
-    if closed:
-        qos = None
-        sat = closed_loop_saturation(sweep)
-    else:
-        qos = derive_lqos(sweep, spec.profile.qos_multiplier,
-                          manual_override=spec.lqos_override,
-                          override_reason=spec.override_reason)
-        sat = qos_saturation(sweep, qos)
+    qos = None if closed else derive_lqos(
+        sweep, spec.profile.qos_multiplier,
+        manual_override=spec.lqos_override,
+        override_reason=spec.override_reason)
+    sat = qos_saturation(sweep, qos)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_sweep_csv(out_dir / "sweep.csv", sweep)

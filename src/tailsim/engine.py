@@ -27,7 +27,10 @@ previous completion (Lindley, "The theory of queues with a single server",
 and the phase ends of the two workers are taken in the event engine's
 (time, push order) order, which decides equal times. The simulate_*
 functions choose the path and record it in ``Trace.meta["engine"]``
-(``"constant_rate"`` or ``"event"``).
+(``"constant_rate"`` or ``"event"``). Both paths fill one request store,
+which ``_request_store`` builds: in open loop the schedule times, compute
+seconds, clients and each client's next request; in closed loop a request
+appended as its session issues it.
 
 Both paths record memory and disk traffic as constant-rate segments: a
 stretch of one worker's memory or disk phase at one rate, as a
@@ -142,6 +145,63 @@ def simulate_closed_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
     return run(profile, scenario, limits, platform, seed)
 
 
+def _request_store(profile: WorkloadProfile, scenario: ScenarioConfig,
+                   seed: int, schedule: ArrivalSchedule | None,
+                   assignment: ClientAssignment | None) -> tuple:
+    """The request store both paths fill, indexed by request: (client,
+    scheduled, cpu, next, issue, start, done, first, closed_issue).
+
+    In open loop the schedule times, the compute seconds and the client's
+    next request (-1 after its last) are memoryviews and the client an
+    int64 array; issue, start and done are NaN; first holds each client's
+    first (time, request) in client order, and closed_issue is None. In
+    closed loop every column starts empty and next is None; first holds
+    (0, session) for each session, and closed_issue(session, t) appends the
+    request a session issues at t and returns its index. Compute seconds
+    are cpu_work times service multipliers drawn from the seed's generator:
+    all at once in open loop, in blocks of 1024 in issue order in closed
+    loop.
+    """
+    rng = np.random.default_rng(seed)
+    if schedule is None:
+        client, scheduled, cpu = array("q"), array("d"), array("d")
+        issue, start, done = array("d"), array("d"), array("d")
+        mult = profile.service_dist.sample(rng, 1024)
+        pos = 0
+
+        def closed_issue(session: int, t: float) -> int:
+            nonlocal mult, pos
+            if pos == len(mult):
+                mult = profile.service_dist.sample(rng, 1024)
+                pos = 0
+            client.append(session)
+            scheduled.append(t)
+            issue.append(t)
+            start.append(math.nan)
+            done.append(math.nan)
+            cpu.append(profile.cpu_work * float(mult[pos]))
+            pos += 1
+            return len(issue) - 1
+
+        first = [(0.0, s) for s in range(scenario.mode.sessions)]
+        return (client, scheduled, cpu, None, issue, start, done, first,
+                closed_issue)
+    n = len(schedule)
+    scheduled = memoryview(schedule.times)
+    cpu = memoryview(profile.cpu_work * profile.service_dist.sample(rng, n))
+    client = np.empty(n, dtype=np.int64)
+    next_of = np.full(n, -1, dtype=np.int64)
+    first = []
+    for c, ix in enumerate(assignment.client_indices):
+        client[ix] = c
+        if len(ix):
+            next_of[ix[:-1]] = ix[1:]
+            first.append((scheduled[ix[0]], int(ix[0])))
+    issue, start, done = (array("d", [math.nan]) * n for _ in range(3))
+    return (client, scheduled, cpu, memoryview(next_of), issue, start, done,
+            first, None)
+
+
 def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
          limits: ResourceLimits, platform: PlatformConfig, seed: int,
          schedule: ArrivalSchedule | None = None,
@@ -162,33 +222,11 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     disk_limit_b = limits.effective_disk_bw(platform) * MB
     solo_mem_rate_b = min(stream_mb, mem_limit_mb) * MB
 
-    # One request store for both modes, indexed by request: open loop
-    # fills it by schedule position, closed loop appends each request as
-    # its session issues it.
-    rng = np.random.default_rng(seed)
-    if open_mode:
-        n = len(schedule)
-        scheduled = _typed("d", schedule.times)
-        cpu = _typed("d", profile.cpu_work
-                     * profile.service_dist.sample(rng, n))
-        client_lists = assignment.client_indices
-        owner = np.empty(n, dtype=np.int64)
-        for c, ix in enumerate(client_lists):
-            owner[ix] = c
-        client_of = _typed("q", owner)
-        del owner
-        client_pos = [0] * assignment.n_clients
-    else:
-        n = 0
-        client_of, scheduled, cpu = array("q"), array("d"), array("d")
-        sessions = scenario.mode.sessions
+    (client_of, scheduled, cpu, next_of, issue, start, done, first,
+     closed_issue) = _request_store(profile, scenario, seed, schedule,
+                                    assignment)
+    if not open_mode:
         think = scenario.mode.think_time
-        mult_buf = profile.service_dist.sample(rng, 1024)
-        mult_pos = 0
-    issue = array("d", [math.nan]) * n
-    start = array("d", [math.nan]) * n
-    done = array("d", [math.nan]) * n
-
     heap: list[tuple[float, int, int, int, int]] = []
     seq = itertools.count()  # push order breaks ties between equal times
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -252,38 +290,22 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
         w_req[w] = -1
         if fifo:
             start_service(w, fifo.popleft(), t)
-        client = client_of[j]
         free_at = t + rtt2
         if open_mode:
-            pos = client_pos[client]
-            lst = client_lists[client]
-            if pos < len(lst):
-                nxt = int(lst[pos])
+            nxt = next_of[j]
+            if nxt >= 0:
                 heappush(heap, (max(scheduled[nxt], free_at), next(seq),
-                                _EV_ISSUE, client, 0))
+                                _EV_ISSUE, nxt, 0))
         else:
             t_next = free_at + think
             if t_next < duration:
-                heappush(heap, (t_next, next(seq), _EV_ISSUE, client, 0))
+                heappush(heap, (t_next, next(seq), _EV_ISSUE, client_of[j],
+                                0))
 
-    def next_mult() -> float:
-        nonlocal mult_buf, mult_pos
-        if mult_pos >= len(mult_buf):
-            mult_buf = profile.service_dist.sample(rng, 1024)
-            mult_pos = 0
-        v = float(mult_buf[mult_pos])
-        mult_pos += 1
-        return v
-
-    # Initial events: each open-loop client waits for its first scheduled
-    # time; every closed-loop session fires at t=0.
-    if open_mode:
-        for c, ix in enumerate(client_lists):
-            if len(ix):
-                heappush(heap, (scheduled[ix[0]], next(seq), _EV_ISSUE, c, 0))
-    else:
-        for s in range(sessions):
-            heappush(heap, (0.0, next(seq), _EV_ISSUE, s, 0))
+    # An issue event carries the request in open loop and the session in
+    # closed loop.
+    for t, a in first:
+        heappush(heap, (t, next(seq), _EV_ISSUE, a, 0))
 
     t_last = 0.0
     stopped = False  # an event past the hard stop was popped
@@ -302,17 +324,10 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
 
         if kind == _EV_ISSUE:
             if open_mode:
-                j = int(client_lists[a][client_pos[a]])
-                client_pos[a] += 1
+                j = a
                 issue[j] = t
             else:
-                j = len(issue)
-                client_of.append(a)
-                scheduled.append(t)
-                issue.append(t)
-                start.append(math.nan)
-                done.append(math.nan)
-                cpu.append(profile.cpu_work * next_mult())
+                j = closed_issue(a, t)
             if w_req[0] < 0:
                 start_service(0, j, t)
             elif n_workers == 2 and w_req[1] < 0:
@@ -389,19 +404,22 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
         if w_phase[w] != _COMPUTE:
             close_segment(w, t_last)
 
-    client = np.frombuffer(client_of, dtype=np.int64)
-    scheduled_a = np.frombuffer(scheduled)
+    # Freed before the trace is built: it would otherwise set the run's peak
+    # memory.
+    del next_of
+    # The trace gets its own copy of the schedule's times.
+    scheduled_a = (schedule.times.copy() if open_mode
+                   else np.frombuffer(scheduled))
     issue_a = np.frombuffer(issue)
     done_a = np.frombuffer(done)
-    meta = _meta(profile, scenario, limits, platform, seed, schedule, "event")
-    meta["events"] = events
-    meta["stale_events"] = stale
-
-    n_cores = n_workers  # one logical core per worker thread
-    return Trace(client=client, scheduled=scheduled_a, issue=issue_a,
+    meta = {"engine": "event", "profile": profile, "limits": limits,
+            "platform": platform, "events": events, "stale_events": stale}
+    return Trace(client=np.frombuffer(client_of, dtype=np.int64),
+                 scheduled=scheduled_a, issue=issue_a,
                  service_start=np.frombuffer(start), completion=done_a,
                  timely=issue_a <= scheduled_a + TIMELY_EPS,
-                 latency=done_a - scheduled_a + rtt2, n_cores=n_cores,
+                 latency=done_a - scheduled_a + rtt2,
+                 n_cores=n_workers,  # one logical core per worker thread
                  duration=duration,
                  mem_segments=np.frombuffer(mem_log).reshape(-1, 3),
                  disk_segments=np.frombuffer(disk_log).reshape(-1, 3),
@@ -465,53 +483,17 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     mem_time = mem_bytes / mem_rate if mem_bytes > 0.0 else 0.0
     disk_time = disk_bytes / disk_rate if disk_bytes > 0.0 else 0.0
 
-    # _run's request store; in open loop the per-request inputs are read
-    # through memoryviews of numpy arrays. The issue heap holds (time, push
-    # order, request) in open loop and (time, push order, session) in
-    # closed loop; the initial issues are pushed first, in client order.
-    rng = np.random.default_rng(seed)
-    if open_mode:
-        n = len(schedule)
-        scheduled = memoryview(schedule.times)
-        cpu = memoryview(profile.cpu_work
-                         * profile.service_dist.sample(rng, n))
-        client_of = np.empty(n, dtype=np.int64)
-        next_of = np.full(n, -1, dtype=np.int64)  # client's next request
-        heap = []
-        for c, ix in enumerate(assignment.client_indices):
-            client_of[ix] = c
-            if len(ix):
-                next_of[ix[:-1]] = ix[1:]
-                heap.append((scheduled[ix[0]], len(heap), int(ix[0])))
-        heapq.heapify(heap)
-        next_v = memoryview(next_of)
-    else:
-        n = 0
-        client_of, scheduled, cpu = array("q"), array("d"), array("d")
-        think = scenario.mode.think_time
-        mult_buf = profile.service_dist.sample(rng, 1024)
-        mult_pos = 0
-        heap = [(0.0, s, s) for s in range(scenario.mode.sessions)]
+    # The issue heap holds (time, push order, request) in open loop and
+    # (time, push order, session) in closed loop; the initial issues are
+    # pushed first, in client order.
+    (client_of, scheduled, cpu, next_of, issue, start, done, first,
+     closed_issue) = _request_store(profile, scenario, seed, schedule,
+                                    assignment)
+    heap = [(t, i, a) for i, (t, a) in enumerate(first)]
+    heapq.heapify(heap)
     seq = len(heap)
-    issue = array("d", [math.nan]) * n
-    start = array("d", [math.nan]) * n
-    done = array("d", [math.nan]) * n
-
-    def closed_issue(session: int, t: float) -> int:
-        """Append the request a session issues at t; its multiplier is the
-        next draw of the 1024-blocks _run draws."""
-        nonlocal mult_buf, mult_pos
-        if mult_pos >= len(mult_buf):
-            mult_buf = profile.service_dist.sample(rng, 1024)
-            mult_pos = 0
-        client_of.append(session)
-        scheduled.append(t)
-        issue.append(t)
-        start.append(math.nan)
-        done.append(math.nan)
-        cpu.append(profile.cpu_work * float(mult_buf[mult_pos]))
-        mult_pos += 1
-        return len(issue) - 1
+    if not open_mode:
+        think = scenario.mode.think_time
 
     # Started requests in the order _run closes their CPU-busy phases:
     # completions, then requests in flight at the hard stop in worker
@@ -541,7 +523,7 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                 heappop(heap)
                 continue
             done[j] = free_at
-            key = next_v[j]
+            key = next_of[j]
             if key < 0:  # the client's last request
                 heappop(heap)
                 continue
@@ -611,7 +593,7 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                 # _run pushes the next issue before the phase end of the
                 # request the worker takes from the queue.
                 if open_mode:
-                    key = next_v[j]
+                    key = next_of[j]
                     if key >= 0:
                         ready = t + rtt2
                         t_next = scheduled[key]
@@ -652,8 +634,7 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
 
     # The per-request temporaries below are dropped as soon as they are
     # used: they would otherwise set the run's peak memory.
-    if open_mode:
-        del next_of, next_v
+    del next_of
     issue_a = np.frombuffer(issue)
     start_a = np.frombuffer(start)
     done_a = np.frombuffer(done)
@@ -696,8 +677,8 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                  disk_segments=disk_segments,
                  net_tx_bytes=base.net_tx_bytes,
                  net_rx_bytes=base.net_rx_bytes, cpu_busy=cpu_busy,
-                 meta=_meta(profile, scenario, limits, platform, seed,
-                            schedule, "constant_rate"))
+                 meta={"engine": "constant_rate", "profile": profile,
+                       "limits": limits, "platform": platform})
 
 
 def _sample_grid(duration: float) -> tuple[float, float, int]:
@@ -705,14 +686,6 @@ def _sample_grid(duration: float) -> tuple[float, float, int]:
     hard_stop = 2.0 * duration + 10.0
     sample_dt = max(0.001, hard_stop / 200000.0)
     return hard_stop, sample_dt, int(hard_stop / sample_dt) + 2
-
-
-def _typed(code: str, values: np.ndarray) -> array:
-    """A typed array holding a copy of a contiguous numpy array of the
-    matching item type."""
-    out = array(code)
-    out.frombytes(memoryview(values).cast("B"))
-    return out
 
 
 def _rows(flat: array) -> np.ndarray:
@@ -762,24 +735,6 @@ def _deposit(series: np.ndarray, dt: float, t0: np.ndarray, t1: np.ndarray,
     values[firsts] = np.where(n_bins == 1, amount,
                               ((b0 + 1) * dt - t0) * per_s)
     np.add.at(series, bins, values)
-
-
-def _meta(profile: WorkloadProfile, scenario: ScenarioConfig,
-          limits: ResourceLimits, platform: PlatformConfig, seed: int,
-          schedule: ArrivalSchedule | None, engine: str) -> dict:
-    open_mode = schedule is not None
-    return {
-        "mode": "open_loop" if open_mode else "closed_loop",
-        "engine": engine,
-        "profile": profile,
-        "scenario": scenario,
-        "limits": limits,
-        "platform": platform,
-        "seed": seed,
-        "target_qps": schedule.target_qps if open_mode else None,
-        "sessions": None if open_mode else scenario.mode.sessions,
-        "arrival_model": schedule.model.label() if open_mode else None,
-    }
 
 
 def export_trace_csv(trace: Trace, path: str | Path) -> None:

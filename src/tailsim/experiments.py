@@ -17,10 +17,10 @@ import numpy as np
 
 from .loadgen import ArrivalModel, assign_clients, build_schedule
 from .engine import Trace, simulate_closed_loop, simulate_open_loop
-from .metrics import MetricsSummary, summarize
+from .metrics import MetricsSummary, default_warmup, summarize
 from .model import (ClosedLoop, FileFormatError, OpenLoop,
                     PlatformConfig, ResourceLimits, ScenarioConfig, Topology,
-                    WorkloadProfile, load_profile, parse_kv_text,
+                    WorkloadProfile, load_profile, miss_ratio, parse_kv_text,
                     parse_number, shipped_profile_path, validate_profile)
 
 TIMELY_GATE = 0.975  # minimum timely-requests ratio for a valid load point
@@ -176,7 +176,6 @@ def qps_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
     else:
         results = [_sweep_point_job(j) for j in jobs]
     points = sorted(results, key=lambda p: p.qps)
-    from .metrics import default_warmup
     warmup = (config.warmup if config.warmup is not None
               else default_warmup(scenario.duration))
     return SweepResult(workload=profile.name, scenario=scenario,
@@ -315,9 +314,13 @@ def saturation_qps(sweep: SweepResult, qos: QosTarget) -> SaturationResult:
     return SaturationResult(qps, True, binding)
 
 
-def qos_saturation(sweep: SweepResult, qos: QosTarget) -> SaturationResult:
-    """Saturation under a QoS target: saturation_qps when the target is
+def qos_saturation(sweep: SweepResult,
+                   qos: QosTarget | None) -> SaturationResult:
+    """Saturation of a sweep: closed_loop_saturation for a closed-loop
+    sweep, whatever the target; otherwise saturation_qps when the target is
     resolved, zero and unqualified (binding "none") when it is not."""
+    if isinstance(sweep.scenario.mode, ClosedLoop):
+        return closed_loop_saturation(sweep)
     if not qos.resolved:
         return SaturationResult(0.0, False, "none")
     return saturation_qps(sweep, qos)
@@ -415,14 +418,13 @@ def constraint_study(profile: WorkloadProfile, scenario: ScenarioConfig,
         if isinstance(scenario.mode, ClosedLoop):
             qos = QosTarget(None, None, None, profile.qos_multiplier,
                             unreachable=True)
-            sat = closed_loop_saturation(sw)
         else:
             qos = derive_lqos(sw, profile.qos_multiplier,
                               manual_override=lqos_override)
-            sat = qos_saturation(sw, qos)
         value = getattr(limits, axis)
         out.append(ConstraintStudyEntry(
-            math.inf if value is None else float(value), sw, qos, sat))
+            math.inf if value is None else float(value), sw, qos,
+            qos_saturation(sw, qos)))
     return out
 
 
@@ -447,13 +449,14 @@ class CalibrationError(ExperimentError):
 
 CALIBRATION_TARGETS = frozenset((
     "lqos", "saturation_qps", "mem_bw_at_saturation", "smt_ratio_20"))
+CALIBRATION_ITERATIONS = 4  # bisection steps on smt_efficiency
+CALIBRATION_TOLERANCE = 0.20  # largest relative residual accepted
 
 
 def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
                       scenario: ScenarioConfig,
                       qps_range: tuple[float, float], n_points: int,
-                      config: RunConfig, max_iterations: int = 4,
-                      tolerance: float = 0.20,
+                      config: RunConfig,
                       lqos_override: float | None = None
                       ) -> tuple[WorkloadProfile, CalibrationReport]:
     """Fit profile knobs to measured targets, in dominance order.
@@ -461,9 +464,9 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
     cpu_work is set first so the isolated service time matches
     lqos / qos_multiplier; mem_accesses second so memory traffic at the
     saturation load matches mem_bw_at_saturation; smt_efficiency last to
-    hit a TWO_ST over TWO_SMT supported-load ratio. Residuals above the
-    tolerance after the iteration budget raise CalibrationError naming the
-    worst target.
+    hit a TWO_ST over TWO_SMT supported-load ratio. Residuals above
+    CALIBRATION_TOLERANCE after CALIBRATION_ITERATIONS bisection steps
+    raise CalibrationError naming the worst target.
     """
     if not targets:
         raise CalibrationError("targets: must not be empty")
@@ -477,17 +480,23 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
 
     lqos_t = targets.get("lqos")
     sat_t = targets.get("saturation_qps")
-    if lqos_t is not None:
-        service_target = lqos_t / p.qos_multiplier
-        other = (p.isolated_service_time(limits, config.platform)
-                 - p.cpu_work)
+
+    def pin_cpu(prof: WorkloadProfile, error: str) -> WorkloadProfile:
+        """prof with cpu_work set so that its isolated service time is
+        lqos / qos_multiplier; raises error, formatted with that time as
+        target, when the other phases alone take as long."""
+        service_target = lqos_t / prof.qos_multiplier
+        other = (prof.isolated_service_time(limits, config.platform)
+                 - prof.cpu_work)
         cpu = service_target - other
         if cpu <= 0:
-            raise CalibrationError(
-                "lqos: memory and disk phases alone exceed the implied "
-                f"service time {service_target:.6g}s (binding constraint: "
-                "non-compute demand)")
-        p = replace(p, cpu_work=cpu)
+            raise CalibrationError(error.format(target=service_target))
+        return replace(prof, cpu_work=cpu)
+
+    if lqos_t is not None:
+        p = pin_cpu(p, "lqos: memory and disk phases alone exceed the "
+                    "implied service time {target:.6g}s (binding "
+                    "constraint: non-compute demand)")
 
     bw_t = targets.get("mem_bw_at_saturation")
     if bw_t is not None:
@@ -495,8 +504,7 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
         if anchor is None:
             raise CalibrationError(
                 "mem_bw_at_saturation: requires a saturation_qps target")
-        from .model import miss_ratio as _miss
-        m = _miss(p, limits.llc_ways, config.platform.llc_total_ways)
+        m = miss_ratio(p, limits.llc_ways, config.platform.llc_total_ways)
         if m <= 0:
             raise CalibrationError(
                 "mem_bw_at_saturation: profile has a zero miss ratio at "
@@ -505,22 +513,15 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
         p = replace(p, mem_accesses=accesses)
         if lqos_t is not None:
             # Memory time changed; re-pin cpu_work to the service target.
-            service_target = lqos_t / p.qos_multiplier
-            other = (p.isolated_service_time(limits, config.platform)
-                     - p.cpu_work)
-            cpu = service_target - other
-            if cpu <= 0:
-                raise CalibrationError(
-                    "lqos: memory traffic needed for mem_bw_at_saturation "
-                    "exceeds the implied service time (binding constraint: "
-                    "mem_bw_at_saturation)")
-            p = replace(p, cpu_work=cpu)
+            p = pin_cpu(p, "lqos: memory traffic needed for "
+                        "mem_bw_at_saturation exceeds the implied service "
+                        "time (binding constraint: mem_bw_at_saturation)")
 
     ratio_t = targets.get("smt_ratio_20")
     iterations = 0
     if ratio_t is not None:
         lo, hi = 0.3, 1.0
-        for _ in range(max_iterations):
+        for _ in range(CALIBRATION_ITERATIONS):
             iterations += 1
             mid = 0.5 * (lo + hi)
             cand = replace(p, smt_efficiency=mid)
@@ -569,11 +570,11 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
 
     report = CalibrationReport(residuals=residuals, achieved=achieved,
                                iterations=iterations, notes=tuple(notes))
-    if report.worst_residual > tolerance:
+    if report.worst_residual > CALIBRATION_TOLERANCE:
         worst = max(residuals, key=lambda k: abs(residuals[k]))
         raise CalibrationError(
             f"calibration missed {worst}: residual "
-            f"{residuals[worst]:+.1%} exceeds {tolerance:.0%}")
+            f"{residuals[worst]:+.1%} exceeds {CALIBRATION_TOLERANCE:.0%}")
     return p, report
 
 

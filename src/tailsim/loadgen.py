@@ -42,11 +42,6 @@ class ArrivalModel:
             if self.support_n < 2:
                 raise ModelError("arrival model: zipf support_n must be >= 2")
 
-    def label(self) -> str:
-        if self.kind == "zipf":
-            return f"zipf({self.alpha},{self.support_n})"
-        return self.kind
-
 
 @dataclass(frozen=True)
 class ArrivalSchedule:

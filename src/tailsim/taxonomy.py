@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .experiments import (QosTarget, SweepResult, closed_loop_saturation,
-                          qos_saturation, sweep_metric_at)
+from .experiments import (QosTarget, SweepResult, qos_saturation,
+                          sweep_metric_at)
 from .model import ClosedLoop
 
 
@@ -86,12 +86,8 @@ def extract_features(sweep: SweepResult, qos: QosTarget) -> FeatureVector:
     vector is flagged.
     """
     closed = isinstance(sweep.scenario.mode, ClosedLoop)
-    if closed:
-        sat = closed_loop_saturation(sweep)
-        anchor = sweep.points[-1].qps
-    else:
-        sat = qos_saturation(sweep, qos)
-        anchor = sat.qps
+    sat = qos_saturation(sweep, qos)
+    anchor = sweep.points[-1].qps if closed else sat.qps
 
     flagged = False
     if not closed and (not sat.qualified or anchor <= 0):

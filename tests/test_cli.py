@@ -406,6 +406,21 @@ class TestCharacterize:
         assert ">sessions<" in latency_panel
         assert "transfer+response" in latency_panel
 
+    def test_closed_loop_saturation_is_peak_throughput(self, tmp_path):
+        # A closed-loop sweep has no latency QoS: every topology reports
+        # its peak completion rate, the one the classifier reads.
+        out = tmp_path / "media"
+        rc = main(["--out", str(out), "--points", "3", "characterize",
+                   str(shipped_spec_path("media-streaming"))])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        features = json.loads((out / "features.json").read_text())
+        sat = summary["saturation"]
+        assert {s["binding"] for s in sat.values()} == {"throughput"}
+        assert sat["ONE_ST"]["qps"] == features["features"]["saturation_qps"]
+        assert summary["ratios"]["two_st_over_one_st_saturation"] == (
+            sat["TWO_ST"]["qps"] / sat["ONE_ST"]["qps"])
+
 
 class TestPartition:
     def test_cat_and_mba_bundle(self, spec_dir, tmp_path):

@@ -726,6 +726,92 @@ class TestConstantRatePath:
             spec.config.platform))
 
 
+class TestClientDiscipline:
+    """Issue times derived from the schedule, the round-robin assignment
+    and the completions alone, on both engine paths and every topology.
+    Both paths read one request store, so their agreement with each other
+    cannot catch a fault in it; this oracle can."""
+
+    RTT = 0.001
+    DURATION = 2.0
+    HARD_STOP = 2.0 * DURATION + 10.0  # runs truncate here
+
+    def run(self, path, topology, closed, censoring):
+        # The constant-rate path needs one rate per phase; the event path
+        # is given a disk phase and, on TWO_SMT, a compute slowdown.
+        prof = WorkloadProfile(
+            name="d", cpu_work=(4.0 if closed else 0.02) if censoring
+            else 0.002, mem_accesses=1e5 if censoring else 1e4,
+            miss_min=0.5, miss_max=0.5, mem_stream_rate=400.0,
+            disk_bytes=0.0 if path == "constant_rate" else 2e4,
+            smt_efficiency=1.0 if path == "constant_rate" else 0.7,
+            net_tx_bytes=1500.0, service_dist=ServiceDist("lognormal", 1.0))
+        if closed:
+            scen = ScenarioConfig(topology, 12, ClosedLoop(12, 0.001),
+                                  self.DURATION, rtt=self.RTT)
+            sched = asg = None
+        else:
+            qps = 600.0 if censoring else 200.0
+            scen = ScenarioConfig(topology, 4, OpenLoop(qps),
+                                  self.DURATION, rtt=self.RTT)
+            sched = build_schedule(ArrivalModel("poisson"), qps,
+                                   self.DURATION, 5)
+            asg = assign_clients(sched, 4)
+        if path == "event":
+            tr = engine._run(prof, scen, FREE, PLATFORM, 5, schedule=sched,
+                             assignment=asg)
+        elif closed:
+            tr = simulate_closed_loop(prof, scen, FREE, PLATFORM, 5)
+        else:
+            tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, asg, 5)
+        assert tr.meta["engine"] == path
+        assert (tr.censored_count > 0) == censoring
+        return tr, scen, sched
+
+    @pytest.mark.parametrize("censoring", [False, True])
+    @pytest.mark.parametrize("topology", list(Topology))
+    @pytest.mark.parametrize("path", ["constant_rate", "event"])
+    def test_open_loop_issues(self, path, topology, censoring):
+        tr, scen, sched = self.run(path, topology, False, censoring)
+        n_clients = scen.n_clients
+        index = np.arange(len(sched))
+        np.testing.assert_array_equal(tr.client, index % n_clients)
+        np.testing.assert_array_equal(tr.scheduled, sched.times)
+        first = index < n_clients
+        np.testing.assert_array_equal(tr.issue[first], sched.times[first])
+        # A later request waits for its client: the previous completion
+        # plus a round trip (NaN when it never completed), and is never
+        # issued past the hard stop.
+        later = index[~first]
+        ready = tr.completion[later - n_clients] + 2 * scen.rtt
+        expected = np.maximum(sched.times[later], ready)
+        expected[expected > self.HARD_STOP] = np.nan
+        np.testing.assert_array_equal(tr.issue[later], expected)
+        assert (tr.issue[later] > sched.times[later]).any()  # late clients
+
+    @pytest.mark.parametrize("censoring", [False, True])
+    @pytest.mark.parametrize("topology", list(Topology))
+    @pytest.mark.parametrize("path", ["constant_rate", "event"])
+    def test_closed_loop_issues(self, path, topology, censoring):
+        tr, scen, _ = self.run(path, topology, True, censoring)
+        think = scen.mode.think_time
+        np.testing.assert_array_equal(tr.scheduled, tr.issue)
+        assert (np.diff(tr.issue) >= 0.0).all()  # stored in issue order
+        assert set(tr.client.tolist()) == set(range(scen.mode.sessions))
+        chained = 0
+        for session in range(scen.mode.sessions):
+            rows = np.flatnonzero(tr.client == session)
+            assert tr.issue[rows[0]] == 0.0
+            # the next issue follows each completion by a round trip and
+            # the think time, while that is before the duration
+            following = tr.completion[rows] + 2 * scen.rtt + think
+            np.testing.assert_array_equal(tr.issue[rows[1:]], following[:-1])
+            assert (following[:-1] < scen.duration).all()
+            assert not following[-1] < scen.duration
+            chained += len(rows) - 1
+        assert chained > 0
+
+
 def scalar_deposit(series, dt, t0, t1, amount):
     """The event engine's former per-piece deposit, kept as the reference
     for engine._deposit."""
