@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tempfile
 from dataclasses import replace
@@ -933,3 +934,115 @@ class TestEventCounts:
         issued = int((~np.isnan(tr.issue)).sum())
         done = int((~np.isnan(tr.completion)).sum())
         assert tr.meta["events"] == issued + done + tr.meta["stale_events"]
+
+
+def golden_runs():
+    """Small runs of engine._run that take every rate rule: two workers
+    splitting the disk, memory contending under a limit of 1.5 x the lone
+    stream rate, SMT compute at sigma < 1 beside memory phases, a closed
+    loop on SMT siblings, runs censored at the hard stop on both two-worker
+    topologies, and one worker with all three phases."""
+    mem_disk = WorkloadProfile(
+        name="md", cpu_work=0.0004, mem_accesses=4e4, miss_min=0.5,
+        miss_max=0.5, mem_stream_rate=3000.0, disk_bytes=3e4,
+        smt_efficiency=0.8, net_tx_bytes=1500.0, net_rx_bytes=300.0,
+        service_dist=ServiceDist("exponential"))
+    disk = replace(mem_disk, name="d", mem_accesses=0.0)
+    mem = replace(mem_disk, name="m", disk_bytes=0.0, mem_accesses=1e5)
+    smt = replace(mem_disk, name="c", cpu_work=0.001, disk_bytes=0.0)
+    contended = ResourceLimits(11, mem_bw_limit=4500.0)
+    # a limit below the lone stream rate, where the lone rate min(stream,
+    # limit) and stream x (limit / stream) differ in their last bit
+    capped = ResourceLimits(11, mem_bw_limit=772.0)
+    slow = replace(mem_disk, name="s", cpu_work=0.01,
+                   service_dist=ServiceDist("lognormal", 1.0))
+
+    def open_run(prof, topology, qps, limits=FREE, n_clients=8):
+        scen = ScenarioConfig(topology, n_clients, OpenLoop(qps), 2.0)
+        sched = build_schedule(ArrivalModel("poisson"), qps, 2.0, 7)
+        return prof, scen, limits, sched, assign_clients(sched, n_clients)
+
+    closed = ScenarioConfig(Topology.TWO_SMT, 6, ClosedLoop(6, 0.002), 2.0)
+    return {
+        "two_st_disk": open_run(disk, Topology.TWO_ST, 9000.0),
+        "two_st_mem_contended": open_run(mem, Topology.TWO_ST, 1500.0,
+                                         contended),
+        "two_smt_mem": open_run(smt, Topology.TWO_SMT, 900.0),
+        "two_smt_closed": (mem_disk, closed, FREE, None, None),
+        "two_st_censored": open_run(slow, Topology.TWO_ST, 2000.0,
+                                    n_clients=16),
+        "two_smt_censored": open_run(slow, Topology.TWO_SMT, 2000.0,
+                                     n_clients=16),
+        "one_st": open_run(mem_disk, Topology.ONE_ST, 300.0, capped),
+    }
+
+
+def fingerprint(trace, tmp):
+    """sha256 prefixes of the trace CSV, the series CSV, the memory and disk
+    segments and the per-core busy intervals, and the event counts."""
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    export_trace_csv(trace, tmp / "trace.csv")
+    export_series_csv(trace, tmp / "series.csv")
+    return {"trace": sha((tmp / "trace.csv").read_bytes()),
+            "series": sha((tmp / "series.csv").read_bytes()),
+            "mem": sha(trace.mem_segments.tobytes()),
+            "disk": sha(trace.disk_segments.tobytes()),
+            "cpu": sha(b"|".join(c.tobytes() for c in trace.cpu_busy)),
+            "events": trace.meta["events"],
+            "stale_events": trace.meta["stale_events"]}
+
+
+
+class TestGolden:
+    """engine._run's output, bit for bit, as recorded before its event loop
+    was rewritten for speed: any change to the float operations, the push
+    order or the stale events changes a digest or a count."""
+
+    GOLDEN = {
+        "two_st_disk": {
+            "trace": "101383d78d101577", "series": "39f915b52f55f7fd",
+            "mem": "e3b0c44298fc1c14", "disk": "fdaa9b5f3b797431",
+            "cpu": "bc44bd14fa205f1d", "events": 58042,
+            "stale_events": 4288},
+        "two_st_mem_contended": {
+            "trace": "f123d8e9bcd95cbc", "series": "0443c4fde9676118",
+            "mem": "a6d712dec2f9f20d", "disk": "e3b0c44298fc1c14",
+            "cpu": "b2ba32ae6e075d29", "events": 13283,
+            "stale_events": 4346},
+        "two_smt_mem": {
+            "trace": "134c3c9bb5daf274", "series": "3c4233eb3559fa7c",
+            "mem": "a9419f7f097826e7", "disk": "e3b0c44298fc1c14",
+            "cpu": "ea198e7bd5dd90ce", "events": 6046,
+            "stale_events": 646},
+        "two_smt_closed": {
+            "trace": "66ecc48b1bc8d3e5", "series": "1724e9e470cfd731",
+            "mem": "c2beb5557bf761f9", "disk": "e9ef63c3c5ac336f",
+            "cpu": "68f2cf9de7c34482", "events": 17718,
+            "stale_events": 3478},
+        "two_st_censored": {
+            "trace": "92a8aeb4c749eca2", "series": "cd61d22f45916a5e",
+            "mem": "23e8eb07a5321046", "disk": "e64172d3c86c0e26",
+            "cpu": "9fb3c369cf2222be", "events": 10662,
+            "stale_events": 26},
+        "two_smt_censored": {
+            "trace": "a1ab4843c0e083f4", "series": "37df5f6cd938e662",
+            "mem": "e5c92cdfe3ecd601", "disk": "db2fc9145905f18c",
+            "cpu": "98f0465f90382d7a", "events": 12791,
+            "stale_events": 4163},
+        "one_st": {
+            "trace": "c350dd47100a7c6d", "series": "34391311fcadda3f",
+            "mem": "8bb7ef0b4eb23ac3", "disk": "b4280e89889d0351",
+            "cpu": "b1bad3fe33c62c67", "events": 2388,
+            "stale_events": 0},
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_event_engine_bits(self, name, tmp_path):
+        prof, scen, limits, sched, asg = golden_runs()[name]
+        tr = engine._run(prof, scen, limits, PLATFORM, 11, schedule=sched,
+                         assignment=asg)
+        assert tr.meta["engine"] == "event"
+        assert (tr.censored_count > 0) == name.endswith("_censored")
+        assert fingerprint(tr, tmp_path) == self.GOLDEN[name]
