@@ -216,7 +216,9 @@ def _write_sweep_csv(path: Path, sweep: SweepResult) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _qos_dict(qos) -> dict:
+def _qos_dict(qos) -> dict | None:
+    if qos is None:  # a closed-loop sweep has no latency QoS
+        return None
     return {
         "lqos_s": qos.lqos,
         "basis_qps": qos.basis_qps,
@@ -252,10 +254,9 @@ def cmd_sweep(spec: ExperimentSpec, out_dir: Path) -> int:
     sweep = qps_sweep(spec.profile, spec.scenario, spec.limits,
                       spec.qps_range, spec.n_points, spec.config)
     closed = isinstance(spec.scenario.mode, ClosedLoop)
-    qos = None if closed else derive_lqos(
-        sweep, spec.profile.qos_multiplier,
-        manual_override=spec.lqos_override,
-        override_reason=spec.override_reason)
+    qos = derive_lqos(sweep, spec.profile.qos_multiplier,
+                      manual_override=spec.lqos_override,
+                      override_reason=spec.override_reason)
     sat = qos_saturation(sweep, qos)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -266,7 +267,7 @@ def cmd_sweep(spec: ExperimentSpec, out_dir: Path) -> int:
         "mode": "closed_loop" if closed else "open_loop",
         "qps_range": list(spec.qps_range),
         "points": _point_rows(sweep),
-        "qos": _qos_dict(qos) if qos else None,
+        "qos": _qos_dict(qos),
         # No saturation is reported under an unresolved QoS target.
         "saturation": (_sat_dict(sat) if qos is None or qos.resolved
                        else None),
@@ -326,7 +327,7 @@ def cmd_characterize(spec: ExperimentSpec, out_dir: Path) -> int:
             series.append((topo.value, xs, ys))
         hline = None
         hlabel = ""
-        if key == "p95" and qos.resolved:
+        if key == "p95" and qos is not None and qos.resolved:
             hline = qos.lqos * 1000.0
             hlabel = "LQoS"
         fname = f"plot_{key}.svg"

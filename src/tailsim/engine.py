@@ -11,26 +11,28 @@ their requests in order and are busy until a round trip after the
 completion of the previous one, which is what makes a request late
 (non-timely) when its client cannot keep up.
 
-Two paths produce the same trace. The event engine (``_run``) recomputes
-the rates on every event; it is the reference, and the only path for runs
-whose rates vary: two workers splitting the disk, contending for memory
-bandwidth, or slowing each other's compute on SMT siblings. Every other
-run, whatever its topology and loop mode, drains each phase at one rate
-(``_constant_rate``): one worker always; two workers when there is no disk
-phase, two lone memory streams fit under the memory limit and, on SMT
-siblings, the SMT efficiency is 1. Then a request's phase ends are fixed
-the moment it starts, and ``_run_constant_rate`` steps request by request:
-with one worker a request starts at the later of its issue and the
-previous completion (Lindley, "The theory of queues with a single server",
-1952); with two it takes the worker that frees first, in FIFO order
-(Kiefer and Wolfowitz, "On the theory of queues with many servers", 1955),
-and the phase ends of the two workers are taken in the event engine's
-(time, push order) order, which decides equal times. The simulate_*
-functions choose the path and record it in ``Trace.meta["engine"]``
-(``"constant_rate"`` or ``"event"``). Both paths fill one request store,
-which ``_request_store`` builds: in open loop the schedule times, compute
-seconds, clients and each client's next request; in closed loop a request
-appended as its session issues it.
+Two paths produce the same trace. The event engine (``_run``) builds a
+16-entry table at run start that gives both workers' drain rates for each
+pair of phases (compute, memory, disk or idle), and looks the rates up
+there whenever a worker's phase changes; it is the reference, and the only
+path for runs whose rates vary: two workers splitting the disk, contending
+for memory bandwidth, or slowing each other's compute on SMT siblings.
+Every other run, whatever its topology and loop mode, drains each phase at
+one rate (``_constant_rate``): one worker always; two workers when there
+is no disk phase, two lone memory streams fit under the memory limit and,
+on SMT siblings, the SMT efficiency is 1. Then a request's phase ends are
+fixed the moment it starts, and ``_run_constant_rate`` steps request by
+request: with one worker a request starts at the later of its issue and
+the previous completion (Lindley, "The theory of queues with a single
+server", 1952); with two it takes the worker that frees first, in FIFO
+order (Kiefer and Wolfowitz, "On the theory of queues with many servers",
+1955), and the phase ends of the two workers are taken in the event
+engine's (time, push order) order, which decides equal times. The
+simulate_* functions choose the path and record it in
+``Trace.meta["engine"]`` (``"constant_rate"`` or ``"event"``). Both paths
+fill one request store, which ``_request_store`` builds: in open loop the
+schedule times, compute seconds, clients and each client's next request;
+in closed loop a request appended as its session issues it.
 
 Both paths record memory and disk traffic as constant-rate segments: a
 stretch of one worker's memory or disk phase at one rate, as a
@@ -50,7 +52,6 @@ the remaining work, so dropping it would change the completion times' bits.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from array import array
 from collections import deque
@@ -67,7 +68,7 @@ from .model import (MB, ClosedLoop, ModelError, OpenLoop, PlatformConfig,
 TIMELY_EPS = 1e-6  # seconds of slack when judging issue punctuality
 _BLOCK = 4096  # segments per export deposit step; bounds the temporaries
 
-_COMPUTE, _MEMORY, _DISK = 0, 1, 2
+_COMPUTE, _MEMORY, _DISK, _IDLE = 0, 1, 2, 3
 _EV_ISSUE, _EV_PHASE = 0, 1
 
 
@@ -208,8 +209,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
          assignment: ClientAssignment | None = None) -> Trace:
     open_mode = schedule is not None
     n_workers = scenario.topology.n_workers
-    smt = scenario.topology is Topology.TWO_SMT
-    sigma = profile.smt_efficiency
+    two = n_workers == 2
     rtt2 = 2.0 * scenario.rtt
     duration = scenario.duration
     hard_stop = _sample_grid(duration)[0]
@@ -217,10 +217,36 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     base = mean_demands(profile, limits, platform)
     mem_bytes = base.mem_bytes
     disk_bytes = base.disk_bytes
+    smt = scenario.topology is Topology.TWO_SMT
+    sigma = profile.smt_efficiency
     stream_mb = profile.mem_stream_rate
     mem_limit_mb = limits.effective_mem_bw(platform)
     disk_limit_b = limits.effective_disk_bw(platform) * MB
-    solo_mem_rate_b = min(stream_mb, mem_limit_mb) * MB
+    # The drain rates of each pair of phases, at phase0 * 4 + phase1 (a
+    # missing second worker stays _IDLE): (worker, phase, rate) for each
+    # busy worker. One worker drains memory at the lesser of the stream
+    # rate and the limit.
+    rates = []
+    for pair in [(p0, p1) for p0 in range(4) for p1 in range(4)]:
+        mem_demand = ((stream_mb if pair[0] == _MEMORY else 0.0)
+                      + (stream_mb if pair[1] == _MEMORY else 0.0))
+        mem_factor = (1.0 if mem_demand <= mem_limit_mb
+                      else mem_limit_mb / mem_demand)
+        row = []
+        for w in range(n_workers):
+            ph = pair[w]
+            if ph == _COMPUTE:
+                rate = (sigma if smt and pair[1 - w] in (_COMPUTE, _MEMORY)
+                        else 1.0)
+            elif ph == _MEMORY:
+                rate = (stream_mb * mem_factor * MB if two
+                        else min(stream_mb, mem_limit_mb) * MB)
+            elif ph == _DISK:
+                rate = disk_limit_b / pair.count(_DISK)
+            else:
+                continue
+            row.append((w, ph, rate))
+        rates.append(tuple(row))
 
     (client_of, scheduled, cpu, next_of, issue, start, done, first,
      closed_issue) = _request_store(profile, scenario, seed, schedule,
@@ -228,16 +254,15 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     if not open_mode:
         think = scenario.mode.think_time
     heap: list[tuple[float, int, int, int, int]] = []
-    seq = itertools.count()  # push order breaks ties between equal times
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    w_req = [-1] * n_workers  # request index, -1 when idle
-    w_phase = [0] * n_workers
-    w_remaining = [0.0] * n_workers
-    w_rate = [1.0] * n_workers
-    w_ver = [0] * n_workers
-    w_since = [0.0] * n_workers  # when the current rate was set
-    w_dirty = [False] * n_workers  # entered a new phase since last schedule
+    # Per worker; a missing second worker stays _IDLE.
+    w_req = [-1, -1]  # request index while busy
+    w_phase = [_IDLE, _IDLE]
+    w_remaining = [0.0, 0.0]
+    w_rate = [1.0, 1.0]
+    w_ver = [0, 0]
+    w_since = [0.0, 0.0]  # when the current rate was set
     fifo: deque[int] = deque()
     # Busy intervals per worker, flat [start, end, start, end, ...].
     cpu_busy = [array("d") for _ in range(n_workers)]
@@ -246,163 +271,134 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     mem_log = array("d")
     disk_log = array("d")
 
-    def close_segment(w: int, t: float) -> None:
-        """Log the worker's memory or disk stretch at its current rate,
-        from when that rate was set until t, if it has positive length."""
-        if t > w_since[w]:
-            log = mem_log if w_phase[w] == _MEMORY else disk_log
-            log.extend((w_since[w], t, w_rate[w]))
-
-    def start_service(w: int, j: int, t: float) -> None:
-        w_req[w] = j
-        start[j] = t
-        w_dirty[w] = True
-        if cpu[j] > 0.0:
-            w_phase[w] = _COMPUTE
-            w_remaining[w] = cpu[j]
-        elif mem_bytes > 0.0:
-            w_phase[w] = _MEMORY
-            w_remaining[w] = mem_bytes
-        else:
-            w_phase[w] = _DISK
-            w_remaining[w] = disk_bytes
-
-    def advance(w: int, t: float) -> None:
-        """Move the worker's request past its just-finished phase."""
-        ph = w_phase[w]
-        w_dirty[w] = True
-        if ph != _COMPUTE:
-            close_segment(w, t)
-        elif mem_bytes > 0.0:
-            w_phase[w] = _MEMORY
-            w_remaining[w] = mem_bytes
-            return
-        j = w_req[w]
-        if ph != _DISK:
-            # Leaving the CPU-busy phases (compute and/or memory).
-            if t > start[j]:
-                cpu_busy[w].extend((start[j], t))
-            if disk_bytes > 0.0:
-                w_phase[w] = _DISK
-                w_remaining[w] = disk_bytes
-                return
-        done[j] = t
-        w_req[w] = -1
-        if fifo:
-            start_service(w, fifo.popleft(), t)
-        free_at = t + rtt2
-        if open_mode:
-            nxt = next_of[j]
-            if nxt >= 0:
-                heappush(heap, (max(scheduled[nxt], free_at), next(seq),
-                                _EV_ISSUE, nxt, 0))
-        else:
-            t_next = free_at + think
-            if t_next < duration:
-                heappush(heap, (t_next, next(seq), _EV_ISSUE, client_of[j],
-                                0))
-
     # An issue event carries the request in open loop and the session in
-    # closed loop.
+    # closed loop. seq is the push order, which breaks ties between equal
+    # times.
+    seq = 0
     for t, a in first:
-        heappush(heap, (t, next(seq), _EV_ISSUE, a, 0))
+        heappush(heap, (t, seq, _EV_ISSUE, a, 0))
+        seq += 1
 
     t_last = 0.0
     stopped = False  # an event past the hard stop was popped
     stale = 0
     while heap:
-        t, _, kind, a, b = heappop(heap)
+        t, _, kind, w, b = heappop(heap)
         if t > hard_stop:
             stopped = True
             break
         if t > t_last:
             dt = t - t_last
-            for w in range(n_workers):
-                if w_req[w] >= 0:
-                    w_remaining[w] -= w_rate[w] * dt
+            if w_phase[0] != _IDLE:
+                w_remaining[0] -= w_rate[0] * dt
+            if w_phase[1] != _IDLE:
+                w_remaining[1] -= w_rate[1] * dt
             t_last = t
 
+        # j becomes the request worker w starts at t, if any.
         if kind == _EV_ISSUE:
             if open_mode:
-                j = a
+                j = w
                 issue[j] = t
             else:
-                j = closed_issue(a, t)
-            if w_req[0] < 0:
-                start_service(0, j, t)
-            elif n_workers == 2 and w_req[1] < 0:
-                start_service(1, j, t)
+                j = closed_issue(w, t)
+            if w_phase[0] == _IDLE:
+                w = 0
+            elif two and w_phase[1] == _IDLE:
+                w = 1
             else:
                 fifo.append(j)
                 continue  # both workers stay busy: no rate can change
-        else:  # _EV_PHASE
-            w = a
-            if b != w_ver[w] or w_req[w] < 0:
+        else:  # _EV_PHASE of worker w
+            if b != w_ver[w]:
                 stale += 1
                 continue  # superseded by a later rate change
-            w_remaining[w] = 0.0
-            advance(w, t)
+            # Move the worker's request past its just-finished phase.
+            ph = w_phase[w]
+            j = -1
+            if ph == _COMPUTE and mem_bytes > 0.0:
+                w_phase[w] = _MEMORY
+                w_remaining[w] = mem_bytes
+            else:
+                if ph != _COMPUTE and t > w_since[w]:
+                    (mem_log if ph == _MEMORY else disk_log).extend(
+                        (w_since[w], t, w_rate[w]))
+                k = w_req[w]
+                if ph != _DISK and t > start[k]:
+                    # Leaving the CPU-busy phases (compute and/or memory).
+                    cpu_busy[w].extend((start[k], t))
+                if ph != _DISK and disk_bytes > 0.0:
+                    w_phase[w] = _DISK
+                    w_remaining[w] = disk_bytes
+                else:
+                    done[k] = t
+                    free_at = t + rtt2
+                    if open_mode:
+                        nxt = next_of[k]
+                        if nxt >= 0:
+                            t_next = scheduled[nxt]
+                            heappush(heap, (t_next if t_next > free_at
+                                            else free_at, seq, _EV_ISSUE,
+                                            nxt, 0))
+                            seq += 1
+                    else:
+                        t_next = free_at + think
+                        if t_next < duration:
+                            heappush(heap, (t_next, seq, _EV_ISSUE,
+                                            client_of[k], 0))
+                            seq += 1
+                    if fifo:
+                        j = fifo.popleft()
+                    else:
+                        w_phase[w] = _IDLE
+        if j >= 0:
+            w_req[w] = j
+            start[j] = t
+            x = cpu[j]
+            if x > 0.0:
+                w_phase[w] = _COMPUTE
+                w_remaining[w] = x
+            elif mem_bytes > 0.0:
+                w_phase[w] = _MEMORY
+                w_remaining[w] = mem_bytes
+            else:
+                w_phase[w] = _DISK
+                w_remaining[w] = disk_bytes
 
-        # Recompute drain rates; reschedule a worker's completion only when
-        # its rate changed or it just entered a new phase (version guards
+        # Look the drain rates up; reschedule worker w, which just entered
+        # a new phase, and a sibling whose rate changed (version guards
         # invalidate the superseded event). A rate change mid-phase closes
         # the memory or disk segment drained at the old rate.
-        if n_workers == 1:
-            if w_req[0] >= 0 and w_dirty[0]:
-                ph = w_phase[0]
-                rate = (1.0 if ph == _COMPUTE else
-                        solo_mem_rate_b if ph == _MEMORY else disk_limit_b)
-                w_rate[0] = rate
-                w_since[0] = t
-                w_dirty[0] = False
-                w_ver[0] += 1
-                heappush(heap, (t + w_remaining[0] / rate, next(seq),
-                                _EV_PHASE, 0, w_ver[0]))
-        else:
-            busy0 = w_req[0] >= 0
-            busy1 = w_req[1] >= 0
-            mem_demand = ((stream_mb if busy0 and w_phase[0] == _MEMORY else 0.0)
-                          + (stream_mb if busy1 and w_phase[1] == _MEMORY else 0.0))
-            mem_factor = (1.0 if mem_demand <= mem_limit_mb
-                          else mem_limit_mb / mem_demand)
-            n_disk = ((1 if busy0 and w_phase[0] == _DISK else 0)
-                      + (1 if busy1 and w_phase[1] == _DISK else 0))
-            for w in range(2):
-                if w_req[w] < 0:
+        for v, ph, rate in rates[w_phase[0] * 4 + w_phase[1]]:
+            if v != w:
+                if rate == w_rate[v]:
                     continue
-                ph = w_phase[w]
-                if ph == _COMPUTE:
-                    other = 1 - w
-                    sib_cpu = (w_req[other] >= 0
-                               and w_phase[other] != _DISK)
-                    rate = sigma if (smt and sib_cpu) else 1.0
-                elif ph == _MEMORY:
-                    rate = stream_mb * mem_factor * MB
-                else:
-                    rate = disk_limit_b / n_disk
-                if w_dirty[w] or rate != w_rate[w]:
-                    if not w_dirty[w] and ph != _COMPUTE:
-                        close_segment(w, t)
-                    w_rate[w] = rate
-                    w_since[w] = t
-                    w_dirty[w] = False
-                    w_ver[w] += 1
-                    heappush(heap, (t + w_remaining[w] / rate, next(seq),
-                                    _EV_PHASE, w, w_ver[w]))
+                if ph != _COMPUTE and t > w_since[v]:
+                    (mem_log if ph == _MEMORY else disk_log).extend(
+                        (w_since[v], t, w_rate[v]))
+            w_rate[v] = rate
+            w_since[v] = t
+            ver = w_ver[v] + 1
+            w_ver[v] = ver
+            heappush(heap, (t + w_remaining[v] / rate, seq, _EV_PHASE, v,
+                            ver))
+            seq += 1
 
     # Every pushed event was popped except those left in the heap and the
     # one past the hard stop.
-    events = next(seq) - len(heap) - stopped
+    events = seq - len(heap) - stopped
     # Requests still in flight at truncation: their busy intervals and
     # segments end at the last event time.
     for w in range(n_workers):
         j = w_req[w]
-        if j < 0:
+        ph = w_phase[w]
+        if ph == _IDLE:
             continue
-        if w_phase[w] != _DISK and t_last > start[j]:
+        if ph != _DISK and t_last > start[j]:
             cpu_busy[w].extend((start[j], t_last))
-        if w_phase[w] != _COMPUTE:
-            close_segment(w, t_last)
+        if ph != _COMPUTE and t_last > w_since[w]:
+            (mem_log if ph == _MEMORY else disk_log).extend(
+                (w_since[w], t_last, w_rate[w]))
 
     # Freed before the trace is built: it would otherwise set the run's peak
     # memory.
@@ -714,16 +710,17 @@ def _deposit(series: np.ndarray, dt: float, t0: np.ndarray, t1: np.ndarray,
     """Spread rate x (t1 - t0) bytes of each segment [t0, t1] over the bins
     it covers: the part up to its first bin's upper edge, dt x rate in each
     inner bin and the rest in its last bin, or all of it when it lies in
-    one bin (times past the last bin count in the last bin). The result is
-    the same, bit for bit, as adding the segments one after the other:
+    one bin. Bytes in bins past the end of series are dropped. The result
+    is the same, bit for bit, as adding the segments one after the other:
     segments may cover the same bins, inner ones too when two workers drain
     over one step, so every bin receives its additions in segment order."""
     amount = rate * (t1 - t0)
-    keep = amount > 0.0
-    t0, t1, amount = t0[keep], t1[keep], amount[keep]
-    last = len(series) - 1
-    b0 = np.minimum((t0 / dt).astype(np.int64), last)
-    b1 = np.minimum((t1 / dt).astype(np.int64), last)
+    end = len(series)
+    b0 = (t0 / dt).astype(np.int64)
+    keep = (amount > 0.0) & (b0 < end)
+    t0, t1, amount, b0 = t0[keep], t1[keep], amount[keep], b0[keep]
+    # A segment running past the end gets one entry at end, dropped below.
+    b1 = np.minimum((t1 / dt).astype(np.int64), end)
     per_s = amount / (t1 - t0)
     n_bins = b1 - b0 + 1
     ends = np.cumsum(n_bins)  # one past each segment's last entry
@@ -734,7 +731,8 @@ def _deposit(series: np.ndarray, dt: float, t0: np.ndarray, t1: np.ndarray,
     values[ends - 1] = (t1 - b1 * dt) * per_s
     values[firsts] = np.where(n_bins == 1, amount,
                               ((b0 + 1) * dt - t0) * per_s)
-    np.add.at(series, bins, values)
+    inside = bins < end
+    np.add.at(series, bins[inside], values[inside])
 
 
 def export_trace_csv(trace: Trace, path: str | Path) -> None:
@@ -756,12 +754,15 @@ def export_trace_csv(trace: Trace, path: str | Path) -> None:
 
 def export_series_csv(trace: Trace, path: str | Path) -> None:
     """Sampled resource movement up to the run's horizon: the bytes of
-    each bin of the run's sampling grid (``_sample_grid``), in MB/s. A
-    segment's bytes spread over the bins it covers, a request's network
-    bytes fall in the bin of its issue (rx) or completion (tx), and bytes
-    past the last bin count in the last bin."""
-    _, dt, nbins = _sample_grid(trace.duration)
-    mem, disk, tx, rx = series = [np.zeros(nbins) for _ in range(4)]
+    each bin of the run's sampling grid (``_sample_grid``) that starts at
+    or before the duration, in MB/s. A segment's bytes spread over the
+    bins it covers, and a request's network bytes fall in the bin of its
+    issue (rx) or completion (tx); bytes in later bins are left out."""
+    _, dt, _ = _sample_grid(trace.duration)
+    rows = int(trace.duration / dt) + 2  # at least one too many
+    while (rows - 1) * dt > trace.duration:
+        rows -= 1
+    mem, disk, tx, rx = series = [np.zeros(rows) for _ in range(4)]
     for out, segments in ((mem, trace.mem_segments),
                           (disk, trace.disk_segments)):
         for i in range(0, len(segments), _BLOCK):
@@ -771,14 +772,11 @@ def export_series_csv(trace: Trace, path: str | Path) -> None:
                                (rx, trace.issue, trace.net_rx_bytes)):
         if amount > 0.0:
             bins = (times[~np.isnan(times)] / dt).astype(np.int64)
-            np.add.at(out, np.minimum(bins, nbins - 1, out=bins), amount)
+            np.add.at(out, bins[bins < rows], amount)
     lines = ["t,mem_mbps,disk_mbps,net_tx_mbps,net_rx_mbps"]
     scale = 1.0 / (dt * MB)
-    for b in range(nbins):
-        t0 = b * dt
-        if t0 > trace.duration:
-            break
-        lines.append(",".join([_num(t0)]
+    for b in range(rows):
+        lines.append(",".join([_num(b * dt)]
                               + [_num(x[b] * scale) for x in series]))
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -231,15 +231,18 @@ def qps_at_utilization(sweep: SweepResult, target: float) -> float | None:
 
 def derive_lqos(sweep: SweepResult, qos_multiplier: float = 5.0,
                 manual_override: float | None = None,
-                override_reason: str | None = None) -> QosTarget:
+                override_reason: str | None = None) -> QosTarget | None:
     """QoS target from the sweep: qos_multiplier x the mean service time
-    interpolated at the 20%-utilization point.
+    interpolated at the 20%-utilization point; None for a closed-loop sweep,
+    which has no latency QoS.
 
     Points past the first saturated one are ignored; QoS-violating points
     still count, since utilization keeps rising beyond the latency knee.
     When utilization never reaches 20% before saturation the target is
     UNREACHABLE and a manual override is required.
     """
+    if isinstance(sweep.scenario.mode, ClosedLoop):
+        return None
     usable = _unsaturated(sweep)
     crossing = None
     prev_q, prev_u, prev_s = 0.0, 0.0, (
@@ -340,7 +343,7 @@ def closed_loop_saturation(sweep: SweepResult) -> SaturationResult:
 @dataclass(frozen=True)
 class ScenarioComparison:
     sweeps: dict[Topology, SweepResult]
-    qos: dict[Topology, QosTarget]
+    qos: dict[Topology, QosTarget | None]
     saturation: dict[Topology, SaturationResult]
     qps_at_20: dict[Topology, float | None]
     qps_at_50: dict[Topology, float | None]
@@ -355,7 +358,7 @@ def compare_scenarios(profile: WorkloadProfile, limits: ResourceLimits,
     """Characterize all three topologies with shared arrival schedules and
     report saturation plus the loads reaching 20% and 50% utilization."""
     sweeps: dict[Topology, SweepResult] = {}
-    qos: dict[Topology, QosTarget] = {}
+    qos: dict[Topology, QosTarget | None] = {}
     sat: dict[Topology, SaturationResult] = {}
     at20: dict[Topology, float | None] = {}
     at50: dict[Topology, float | None] = {}
@@ -393,7 +396,7 @@ def compare_scenarios(profile: WorkloadProfile, limits: ResourceLimits,
 class ConstraintStudyEntry:
     constraint: float  # the level's value on the study axis; inf for None
     sweep: SweepResult
-    qos: QosTarget
+    qos: QosTarget | None
     saturation: SaturationResult
 
 
@@ -415,12 +418,8 @@ def constraint_study(profile: WorkloadProfile, scenario: ScenarioConfig,
     out = []
     for limits in levels:
         sw = qps_sweep(profile, scenario, limits, qps_range, n_points, config)
-        if isinstance(scenario.mode, ClosedLoop):
-            qos = QosTarget(None, None, None, profile.qos_multiplier,
-                            unreachable=True)
-        else:
-            qos = derive_lqos(sw, profile.qos_multiplier,
-                              manual_override=lqos_override)
+        qos = derive_lqos(sw, profile.qos_multiplier,
+                          manual_override=lqos_override)
         value = getattr(limits, axis)
         out.append(ConstraintStudyEntry(
             math.inf if value is None else float(value), sw, qos,
@@ -547,10 +546,11 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
     qos = derive_lqos(sweep, p.qos_multiplier, manual_override=lqos_override)
     achieved: dict[str, float] = {}
     residuals: dict[str, float] = {}
-    if lqos_t is not None:
-        got = qos.lqos if qos.resolved else math.nan
+    if lqos_t is not None:  # a closed-loop sweep never resolves one
+        resolved = qos is not None and qos.resolved
+        got = qos.lqos if resolved else math.nan
         achieved["lqos"] = got
-        residuals["lqos"] = (got - lqos_t) / lqos_t if qos.resolved else math.inf
+        residuals["lqos"] = (got - lqos_t) / lqos_t if resolved else math.inf
     if sat_t is not None:
         sat = qos_saturation(sweep, qos)
         achieved["saturation_qps"] = sat.qps

@@ -77,7 +77,8 @@ class Classification:
         }
 
 
-def extract_features(sweep: SweepResult, qos: QosTarget) -> FeatureVector:
+def extract_features(sweep: SweepResult,
+                     qos: QosTarget | None) -> FeatureVector:
     """Read the feature vector off the unconstrained single-thread sweep.
 
     Latency and bandwidth features are interpolated at the saturation load;

@@ -422,6 +422,27 @@ class TestCharacterize:
             sat["TWO_ST"]["qps"] / sat["ONE_ST"]["qps"])
 
 
+    def test_closed_loop_reports_no_qos(self, tmp_path):
+        # A closed-loop sweep has no latency QoS: no command derives an
+        # LQoS from its session sweep, and no panel draws one.
+        spec = str(shipped_spec_path("media-streaming-partition"))
+        for command in ("sweep", "characterize", "partition"):
+            rc = main(["--out", str(tmp_path / command), "--points", "2",
+                       command, spec])
+            assert rc == 0, command
+        summary = json.loads((tmp_path / "sweep/summary.json").read_text())
+        assert summary["qos"] is None
+        summary = json.loads(
+            (tmp_path / "characterize/summary.json").read_text())
+        assert summary["qos"] == {"ONE_ST": None, "TWO_ST": None,
+                                  "TWO_SMT": None}
+        assert "LQoS" not in (
+            tmp_path / "characterize/plot_p95.svg").read_text()
+        summary = json.loads(
+            (tmp_path / "partition/summary.json").read_text())
+        assert [e["qos"] for e in summary["entries"]] == [None, None]
+
+
 class TestPartition:
     def test_cat_and_mba_bundle(self, spec_dir, tmp_path):
         spec = FAST_SPEC + "ways_list: 11,5,2\nbw_limits: unlimited,300\n"

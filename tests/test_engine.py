@@ -815,20 +815,22 @@ class TestClientDiscipline:
 
 def scalar_deposit(series, dt, t0, t1, amount):
     """The event engine's former per-piece deposit, kept as the reference
-    for engine._deposit."""
+    for engine._deposit; bytes in bins past the end of series are
+    dropped."""
     nbins = len(series)
-    if amount <= 0.0:
+    b0 = int(t0 / dt)
+    b1 = int(t1 / dt)
+    if amount <= 0.0 or b0 >= nbins:
         return
-    b0 = min(int(t0 / dt), nbins - 1)
-    b1 = min(int(t1 / dt), nbins - 1)
     if b0 >= b1:
         series[b0] += amount
         return
     rate = amount / (t1 - t0)
     series[b0] += ((b0 + 1) * dt - t0) * rate
     if b1 > b0 + 1:
-        series[b0 + 1:b1] += dt * rate
-    series[b1] += (t1 - b1 * dt) * rate
+        series[b0 + 1:min(b1, nbins)] += dt * rate
+    if b1 < nbins:
+        series[b1] += (t1 - b1 * dt) * rate
 
 
 @st.composite

@@ -77,3 +77,85 @@ def test_relative_change():
     assert tool.relative_change("", "1.0") is None
     assert tool.relative_change("qos", "range") is None
     assert tool.relative_change(True, 1.0) is None
+
+
+STUB_RUN = """\
+import json, sys
+from pathlib import Path
+with open({log!r}, "a") as f:
+    f.write({side!r} + " " + " ".join(sys.argv[1:]) + "\\n")
+print("env " + json.dumps({{"commit": {side!r}}}))
+print("workload ...")
+print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {metrics}}}))
+"""
+
+
+def stub_checkout(root, side, log, metrics):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN.format(
+        log=str(log), side=side, metrics=json.dumps(metrics)))
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": "wall_s", "better": "lower"},
+                       {"name": "sim_req_per_s", "better": "higher"}]}))
+
+
+def test_bench_pairs_alternates_and_summarizes(tmp_path, capsys):
+    tool = load_tool("bench_pairs")
+    log = tmp_path / "order.log"
+    stub_checkout(tmp_path / "p", "parent", log, {
+        "wall_s": {"value": 2.0, "unit": "s"},
+        "sim_req_per_s": {"value": 100.0, "unit": "req/s"},
+        "extra": {"value": 1.0, "unit": "count"}})
+    stub_checkout(tmp_path / "c", "change", log, {
+        "wall_s": {"value": 1.5, "unit": "s"},
+        "sim_req_per_s": {"value": 90.0, "unit": "req/s"},
+        "extra": {"value": 1.0, "unit": "count"}})
+    out = tmp_path / "BENCH.json"
+    argv = [str(tmp_path / "p"), str(tmp_path / "c"), "--workload", "w",
+            "--pairs", "3", "--seed", "7", "--seconds", "5", "--out",
+            str(out)]
+    assert tool.main(argv) == 0
+    flags = "--workload w --seconds 5.0 --trace 0 --seed 7"
+    assert log.read_text().splitlines() == [
+        f"{side} {flags}" for side in ("parent", "change", "change",
+                                       "parent", "parent", "change")]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pair 0: parent wall_s 2, change wall_s 1.5"
+    assert lines[3:] == [
+        "extra [count]: parent 1 [1, 1], change 1 [1, 1], change wins ?/3, "
+        "|median gap| > parent IQR: no",
+        "sim_req_per_s [req/s]: parent 100 [100, 100], change 90 [90, 90], "
+        "change wins 0/3, |median gap| > parent IQR: yes",
+        "wall_s [s]: parent 2 [2, 2], change 1.5 [1.5, 1.5], change wins "
+        "3/3, |median gap| > parent IQR: yes",
+        "runs failed or incorrect: 0 of 6",
+    ]
+    saved = json.loads(out.read_text())["sets"]
+    assert len(saved) == 1
+    assert saved[0]["workload"] == "w" and saved[0]["seed"] == 7
+    assert [p["first"] for p in saved[0]["pairs"]] == [
+        "parent", "change", "parent"]
+    assert saved[0]["pairs"][1]["change"]["env"] == {"commit": "change"}
+    assert saved[0]["pairs"][1]["parent"]["result"]["metrics"][
+        "wall_s"]["value"] == 2.0
+
+    # a second set is added beside the first; the same set again replaces it
+    assert tool.main(argv[:-4] + ["--seconds", "9", "--out", str(out)]) == 0
+    assert tool.main(argv) == 0
+    saved = json.loads(out.read_text())["sets"]
+    assert [s["seconds"] for s in saved] == [9.0, 5.0]
+
+
+def test_bench_pairs_counts_failed_runs(tmp_path, capsys):
+    tool = load_tool("bench_pairs")
+    stub_checkout(tmp_path / "p", "parent", tmp_path / "log", {})
+    (tmp_path / "c" / "perfbench").mkdir(parents=True)
+    (tmp_path / "c" / "perfbench" / "run.py").write_text(
+        "import sys\nsys.exit('broken')\n")
+    assert tool.main([str(tmp_path / "p"), str(tmp_path / "c"),
+                      "--workload", "w", "--pairs", "1", "--out",
+                      str(tmp_path / "o.json")]) == 1
+    out = capsys.readouterr().out
+    assert "change exit 1: broken" in out
+    assert "runs failed or incorrect: 1 of 2" in out

@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Run the benchmark in two checkouts, in alternating pairs.
+
+    python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N
+                                [--seed S] [--seconds S] [--trace 0|1]
+                                --out FILE
+
+PARENT and CHANGE are source checkouts. Each pair runs
+``perfbench/run.py`` once in each, from the checkout's root; the even
+pairs run PARENT first and the odd pairs CHANGE first, so a drift of the
+host's speed falls on both sides alike. Each run's ``env`` line and its
+last line, the JSON result, are kept. The pairs are added to FILE as one
+set (a set of the same workload, seed, seconds and trace replaces an
+earlier one), so one file can hold a PR's sets for every workload.
+
+For each metric the summary prints each side's median and quartiles, the
+pairs the change wins (lower or higher is better as ``BENCHMARK.json`` in
+CHANGE says; "?" for a metric it does not list) and whether the medians
+differ by more than the parent's interquartile range. Exits 1 when a run
+failed or reported incorrect outputs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, args: argparse.Namespace) -> dict:
+    """One benchmark run in checkout: its env line and JSON result, or the
+    error that kept it from giving one."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+           "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    if args.seed is not None:
+        cmd += ["--seed", str(args.seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    env = next((json.loads(l[4:]) for l in lines if l.startswith("env ")),
+               None)
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if proc.returncode != 0 or not isinstance(result, dict):
+        tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        return {"env": env, "result": None,
+                "error": f"exit {proc.returncode}: {tail}"}
+    return {"env": env, "result": result}
+
+
+def brief(run: dict) -> str:
+    if run["result"] is None:
+        return run["error"]
+    wall = run["result"]["metrics"].get("wall_s")
+    return f"wall_s {wall['value']:.4g}" if wall else "done"
+
+
+def directions(checkout: Path) -> dict[str, str]:
+    """"lower" or "higher" per metric, from the checkout's BENCHMARK.json."""
+    path = checkout / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    bench = json.loads(path.read_text())
+    return {m["name"]: m["better"]
+            for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> list[str]:
+    """One line per metric that every run of both sides reported."""
+    results = [{side: p[side]["result"] for side in SIDES} for p in pairs]
+    if not results or any(r[s] is None for r in results for s in SIDES):
+        return []
+    names = set.intersection(*(set(r[s]["metrics"]) for r in results
+                               for s in SIDES))
+    lines = []
+    for name in sorted(names):
+        value = {s: [r[s]["metrics"][name]["value"] for r in results]
+                 for s in SIDES}
+        (a1, a2, a3), (b1, b2, b3) = (quartiles(value[s]) for s in SIDES)
+        way = better.get(name)
+        if way is None:
+            wins = "?"
+        else:
+            wins = sum((b < a) if way == "lower" else (b > a)
+                       for a, b in zip(value["parent"], value["change"]))
+        gap = "yes" if abs(b2 - a2) > a3 - a1 else "no"
+        unit = results[0]["change"]["metrics"][name].get("unit", "")
+        lines.append(
+            f"{name} [{unit}]: parent {a2:.6g} [{a1:.6g}, {a3:.6g}], change "
+            f"{b2:.6g} [{b1:.6g}, {b3:.6g}], change wins {wins}/"
+            f"{len(results)}, |median gap| > parent IQR: {gap}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs: must be >= 1")
+    for checkout in (args.parent, args.change):
+        if not (checkout / "perfbench" / "run.py").is_file():
+            parser.error(f"{checkout}: no perfbench/run.py")
+
+    checkouts = {"parent": args.parent, "change": args.change}
+    pairs = []
+    for i in range(args.pairs):
+        first = SIDES[i % 2]
+        pair = {"first": first}
+        for side in (first, SIDES[1 - i % 2]):
+            pair[side] = run_once(checkouts[side], args)
+        pairs.append(pair)
+        print(f"pair {i}: " + ", ".join(f"{s} {brief(pair[s])}"
+                                        for s in SIDES), flush=True)
+
+    key = {"workload": args.workload, "seed": args.seed,
+           "seconds": args.seconds, "trace": args.trace}
+    sets = (json.loads(args.out.read_text())["sets"]
+            if args.out.is_file() else [])
+    sets = [s for s in sets if {k: s[k] for k in key} != key]
+    sets.append({**key, "pairs": pairs})
+    args.out.write_text(json.dumps({"sets": sets}, indent=1) + "\n")
+
+    for line in summarize(pairs, directions(args.change)):
+        print(line)
+    bad = sum(1 for p in pairs for s in SIDES
+              if p[s]["result"] is None or not p[s]["result"]["correct"]
+              or p[s]["result"]["failed"])
+    print(f"runs failed or incorrect: {bad} of {2 * len(pairs)}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
