@@ -378,10 +378,9 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                         (w_since[v], t, w_rate[v]))
             w_rate[v] = rate
             w_since[v] = t
-            ver = w_ver[v] + 1
-            w_ver[v] = ver
+            w_ver[v] += 1
             heappush(heap, (t + w_remaining[v] / rate, seq, _EV_PHASE, v,
-                            ver))
+                            w_ver[v]))
             seq += 1
 
     # Every pushed event was popped except those left in the heap and the
@@ -389,9 +388,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     events = seq - len(heap) - stopped
     # Requests still in flight at truncation: their busy intervals and
     # segments end at the last event time.
-    for w in range(n_workers):
-        j = w_req[w]
-        ph = w_phase[w]
+    for w, (j, ph) in enumerate(zip(w_req, w_phase[:n_workers])):
         if ph == _IDLE:
             continue
         if ph != _DISK and t_last > start[j]:

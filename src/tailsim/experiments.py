@@ -472,6 +472,9 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
     unknown = set(targets) - CALIBRATION_TARGETS
     if unknown:
         raise CalibrationError(f"targets: unknown keys {sorted(unknown)}")
+    if "lqos" in targets and isinstance(scenario.mode, ClosedLoop):
+        raise CalibrationError("lqos: a closed-loop sweep has no latency "
+                               "QoS target")
 
     p = profile
     notes: list[str] = []
@@ -546,11 +549,10 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
     qos = derive_lqos(sweep, p.qos_multiplier, manual_override=lqos_override)
     achieved: dict[str, float] = {}
     residuals: dict[str, float] = {}
-    if lqos_t is not None:  # a closed-loop sweep never resolves one
-        resolved = qos is not None and qos.resolved
-        got = qos.lqos if resolved else math.nan
+    if lqos_t is not None:
+        got = qos.lqos if qos.resolved else math.nan
         achieved["lqos"] = got
-        residuals["lqos"] = (got - lqos_t) / lqos_t if resolved else math.inf
+        residuals["lqos"] = (got - lqos_t) / lqos_t if qos.resolved else math.inf
     if sat_t is not None:
         sat = qos_saturation(sweep, qos)
         achieved["saturation_qps"] = sat.qps

@@ -943,7 +943,8 @@ def golden_runs():
     splitting the disk, memory contending under a limit of 1.5 x the lone
     stream rate, SMT compute at sigma < 1 beside memory phases, a closed
     loop on SMT siblings, runs censored at the hard stop on both two-worker
-    topologies, and one worker with all three phases."""
+    topologies, and one worker with all three phases under a memory limit
+    below the lone stream rate."""
     mem_disk = WorkloadProfile(
         name="md", cpu_work=0.0004, mem_accesses=4e4, miss_min=0.5,
         miss_max=0.5, mem_stream_rate=3000.0, disk_bytes=3e4,
@@ -994,7 +995,6 @@ def fingerprint(trace, tmp):
             "cpu": sha(b"|".join(c.tobytes() for c in trace.cpu_busy)),
             "events": trace.meta["events"],
             "stale_events": trace.meta["stale_events"]}
-
 
 
 class TestGolden:

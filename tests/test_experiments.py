@@ -133,6 +133,14 @@ class TestDeriveLqos:
                               manual_override=spec.lqos_override)
         assert qos_ovr.lqos == 0.025
 
+    def test_closed_loop_sweep_has_no_target(self):
+        sw = qps_sweep(WorkloadProfile(name="c", cpu_work=0.02),
+                       ScenarioConfig(Topology.ONE_ST, 8, ClosedLoop(1, 0.1),
+                                      5.0), FREE, (1.0, 8.0), 3,
+                       cfg(warmup=1.0))
+        assert derive_lqos(sw, 5.0) is None
+        assert derive_lqos(sw, 5.0, manual_override=0.025) is None
+
 
 class TestSaturation:
     def test_mm1_closed_form_inversion(self):
@@ -279,6 +287,15 @@ class TestCalibrate:
             calibrate_profile(prof, {"lqos": 0.005},
                               scen(duration=5.0), (50.0, 200.0), 2,
                               cfg(warmup=1.0))
+
+
+    def test_lqos_target_rejected_in_closed_loop(self):
+        with pytest.raises(CalibrationError, match="closed-loop"):
+            calibrate_profile(WorkloadProfile(name="c", cpu_work=0.02),
+                              {"lqos": 0.1},
+                              ScenarioConfig(Topology.ONE_ST, 8,
+                                             ClosedLoop(1, 0.1), 5.0),
+                              (1.0, 8.0), 2, cfg(warmup=1.0))
 
 
 class TestSpecFiles:
