@@ -374,7 +374,8 @@ def cmd_partition(spec: ExperimentSpec, out_dir: Path) -> int:
         levels = [replace(spec.limits, **{axis: v}) for v in values]
         return constraint_study(spec.profile, spec.scenario, levels,
                                 spec.qps_range, spec.n_points, spec.config,
-                                axis=axis, lqos_override=spec.lqos_override)
+                                axis=axis, lqos_override=spec.lqos_override,
+                                override_reason=spec.override_reason)
 
     entries = [(f"cat_w{int(e.constraint)}", e)
                for e in study("llc_ways", spec.ways_list)]

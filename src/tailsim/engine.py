@@ -11,28 +11,25 @@ their requests in order and are busy until a round trip after the
 completion of the previous one, which is what makes a request late
 (non-timely) when its client cannot keep up.
 
-Two paths produce the same trace. The event engine (``_run``) builds a
-16-entry table at run start that gives both workers' drain rates for each
-pair of phases (compute, memory, disk or idle), and looks the rates up
-there whenever a worker's phase changes; it is the reference, and the only
-path for runs whose rates vary: two workers splitting the disk, contending
-for memory bandwidth, or slowing each other's compute on SMT siblings.
-Every other run, whatever its topology and loop mode, drains each phase at
-one rate (``_constant_rate``): one worker always; two workers when there
-is no disk phase, two lone memory streams fit under the memory limit and,
-on SMT siblings, the SMT efficiency is 1. Then a request's phase ends are
-fixed the moment it starts, and ``_run_constant_rate`` steps request by
-request: with one worker a request starts at the later of its issue and
-the previous completion (Lindley, "The theory of queues with a single
+Every drain rate comes from one table, ``model.drain_rates``: both
+workers' rates for each pair of phases they can be in (compute, memory,
+disk or idle). The event engine (``_run``) looks the rates up there when
+a worker's phase changes; it is the reference, and it runs every
+closed-loop run and every open-loop run whose rates vary. An open-loop run
+in which each phase drains at its lone rate (beside an idle sibling) in
+every pair its workers can reach (``_constant_rate``: one worker always)
+takes ``_run_constant_rate``. There a request's phase ends are fixed when
+it starts: with one worker it starts at the later of its issue and the
+previous completion (Lindley, "The theory of queues with a single
 server", 1952); with two it takes the worker that frees first, in FIFO
 order (Kiefer and Wolfowitz, "On the theory of queues with many servers",
-1955), and the phase ends of the two workers are taken in the event
-engine's (time, push order) order, which decides equal times. The
-simulate_* functions choose the path and record it in
-``Trace.meta["engine"]`` (``"constant_rate"`` or ``"event"``). Both paths
-fill one request store, which ``_request_store`` builds: in open loop the
-schedule times, compute seconds, clients and each client's next request;
-in closed loop a request appended as its session issues it.
+1955), and the two workers' phase ends are taken in the event engine's
+(time, push order) order, which decides equal times. The simulate_*
+functions choose the path and record it in ``Trace.meta["engine"]``
+(``"constant_rate"`` or ``"event"``). ``_request_store`` builds the
+request store both paths fill: in open loop the schedule times, compute
+seconds, clients and each client's next request; in closed loop a request
+appended as its session issues it.
 
 Both paths record memory and disk traffic as constant-rate segments: a
 stretch of one worker's memory or disk phase at one rate, as a
@@ -61,14 +58,14 @@ from pathlib import Path
 import numpy as np
 
 from .loadgen import ArrivalSchedule, ClientAssignment
-from .model import (MB, ClosedLoop, ModelError, OpenLoop, PlatformConfig,
-                    ResourceLimits, ScenarioConfig, Topology, WorkloadProfile,
-                    mean_demands, validate_profile)
+from .model import (COMPUTE, DISK, IDLE, MB, MEMORY, ClosedLoop, ModelError,
+                    OpenLoop, PlatformConfig, ResourceLimits, ScenarioConfig,
+                    WorkloadProfile, drain_rates, llc_occupancy, mean_demands,
+                    validate_profile)
 
 TIMELY_EPS = 1e-6  # seconds of slack when judging issue punctuality
 _BLOCK = 4096  # segments per export deposit step; bounds the temporaries
 
-_COMPUTE, _MEMORY, _DISK, _IDLE = 0, 1, 2, 3
 _EV_ISSUE, _EV_PHASE = 0, 1
 
 
@@ -81,7 +78,8 @@ class Trace:
     order the intervals closed. Memory and disk traffic are (k, 3) arrays
     of constant-rate [t0, t1, bytes/s] segments with t1 > t0, in the order
     the segments closed; network traffic is net_rx_bytes per issue and
-    net_tx_bytes per completion."""
+    net_tx_bytes per completion. llc_occupancy is the MB of LLC the
+    workload holds (``model.llc_occupancy``), NaN when unknown."""
 
     client: np.ndarray
     scheduled: np.ndarray
@@ -97,6 +95,7 @@ class Trace:
     net_tx_bytes: float
     net_rx_bytes: float
     cpu_busy: list[np.ndarray]
+    llc_occupancy: float = math.nan
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -141,15 +140,13 @@ def simulate_closed_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
         raise ModelError("scenario.mode: closed_loop required")
     validate_profile(profile, platform)
     limits.validate_against(platform)
-    run = (_run_constant_rate
-           if _constant_rate(profile, scenario, limits, platform) else _run)
-    return run(profile, scenario, limits, platform, seed)
+    return _run(profile, scenario, limits, platform, seed)
 
 
 def _request_store(profile: WorkloadProfile, scenario: ScenarioConfig,
                    seed: int, schedule: ArrivalSchedule | None,
                    assignment: ClientAssignment | None) -> tuple:
-    """The request store both paths fill, indexed by request: (client,
+    """The request store a run fills, indexed by request: (client,
     scheduled, cpu, next, issue, start, done, first, closed_issue).
 
     In open loop the schedule times, the compute seconds and the client's
@@ -217,36 +214,8 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     base = mean_demands(profile, limits, platform)
     mem_bytes = base.mem_bytes
     disk_bytes = base.disk_bytes
-    smt = scenario.topology is Topology.TWO_SMT
-    sigma = profile.smt_efficiency
-    stream_mb = profile.mem_stream_rate
-    mem_limit_mb = limits.effective_mem_bw(platform)
-    disk_limit_b = limits.effective_disk_bw(platform) * MB
-    # The drain rates of each pair of phases, at phase0 * 4 + phase1 (a
-    # missing second worker stays _IDLE): (worker, phase, rate) for each
-    # busy worker. One worker drains memory at the lesser of the stream
-    # rate and the limit.
-    rates = []
-    for pair in [(p0, p1) for p0 in range(4) for p1 in range(4)]:
-        mem_demand = ((stream_mb if pair[0] == _MEMORY else 0.0)
-                      + (stream_mb if pair[1] == _MEMORY else 0.0))
-        mem_factor = (1.0 if mem_demand <= mem_limit_mb
-                      else mem_limit_mb / mem_demand)
-        row = []
-        for w in range(n_workers):
-            ph = pair[w]
-            if ph == _COMPUTE:
-                rate = (sigma if smt and pair[1 - w] in (_COMPUTE, _MEMORY)
-                        else 1.0)
-            elif ph == _MEMORY:
-                rate = (stream_mb * mem_factor * MB if two
-                        else min(stream_mb, mem_limit_mb) * MB)
-            elif ph == _DISK:
-                rate = disk_limit_b / pair.count(_DISK)
-            else:
-                continue
-            row.append((w, ph, rate))
-        rates.append(tuple(row))
+    # (worker, phase, rate) of each busy worker at phase0 * 4 + phase1.
+    rates = drain_rates(profile, scenario.topology, limits, platform)
 
     (client_of, scheduled, cpu, next_of, issue, start, done, first,
      closed_issue) = _request_store(profile, scenario, seed, schedule,
@@ -256,9 +225,9 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     heap: list[tuple[float, int, int, int, int]] = []
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    # Per worker; a missing second worker stays _IDLE.
+    # Per worker; a missing second worker stays IDLE.
     w_req = [-1, -1]  # request index while busy
-    w_phase = [_IDLE, _IDLE]
+    w_phase = [IDLE, IDLE]
     w_remaining = [0.0, 0.0]
     w_rate = [1.0, 1.0]
     w_ver = [0, 0]
@@ -289,9 +258,9 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             break
         if t > t_last:
             dt = t - t_last
-            if w_phase[0] != _IDLE:
+            if w_phase[0] != IDLE:
                 w_remaining[0] -= w_rate[0] * dt
-            if w_phase[1] != _IDLE:
+            if w_phase[1] != IDLE:
                 w_remaining[1] -= w_rate[1] * dt
             t_last = t
 
@@ -302,9 +271,9 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                 issue[j] = t
             else:
                 j = closed_issue(w, t)
-            if w_phase[0] == _IDLE:
+            if w_phase[0] == IDLE:
                 w = 0
-            elif two and w_phase[1] == _IDLE:
+            elif two and w_phase[1] == IDLE:
                 w = 1
             else:
                 fifo.append(j)
@@ -316,19 +285,19 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             # Move the worker's request past its just-finished phase.
             ph = w_phase[w]
             j = -1
-            if ph == _COMPUTE and mem_bytes > 0.0:
-                w_phase[w] = _MEMORY
+            if ph == COMPUTE and mem_bytes > 0.0:
+                w_phase[w] = MEMORY
                 w_remaining[w] = mem_bytes
             else:
-                if ph != _COMPUTE and t > w_since[w]:
-                    (mem_log if ph == _MEMORY else disk_log).extend(
+                if ph != COMPUTE and t > w_since[w]:
+                    (mem_log if ph == MEMORY else disk_log).extend(
                         (w_since[w], t, w_rate[w]))
                 k = w_req[w]
-                if ph != _DISK and t > start[k]:
+                if ph != DISK and t > start[k]:
                     # Leaving the CPU-busy phases (compute and/or memory).
                     cpu_busy[w].extend((start[k], t))
-                if ph != _DISK and disk_bytes > 0.0:
-                    w_phase[w] = _DISK
+                if ph != DISK and disk_bytes > 0.0:
+                    w_phase[w] = DISK
                     w_remaining[w] = disk_bytes
                 else:
                     done[k] = t
@@ -350,19 +319,19 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                     if fifo:
                         j = fifo.popleft()
                     else:
-                        w_phase[w] = _IDLE
+                        w_phase[w] = IDLE
         if j >= 0:
             w_req[w] = j
             start[j] = t
             x = cpu[j]
             if x > 0.0:
-                w_phase[w] = _COMPUTE
+                w_phase[w] = COMPUTE
                 w_remaining[w] = x
             elif mem_bytes > 0.0:
-                w_phase[w] = _MEMORY
+                w_phase[w] = MEMORY
                 w_remaining[w] = mem_bytes
             else:
-                w_phase[w] = _DISK
+                w_phase[w] = DISK
                 w_remaining[w] = disk_bytes
 
         # Look the drain rates up; reschedule worker w, which just entered
@@ -373,8 +342,8 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             if v != w:
                 if rate == w_rate[v]:
                     continue
-                if ph != _COMPUTE and t > w_since[v]:
-                    (mem_log if ph == _MEMORY else disk_log).extend(
+                if ph != COMPUTE and t > w_since[v]:
+                    (mem_log if ph == MEMORY else disk_log).extend(
                         (w_since[v], t, w_rate[v]))
             w_rate[v] = rate
             w_since[v] = t
@@ -389,12 +358,12 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     # Requests still in flight at truncation: their busy intervals and
     # segments end at the last event time.
     for w, (j, ph) in enumerate(zip(w_req, w_phase[:n_workers])):
-        if ph == _IDLE:
+        if ph == IDLE:
             continue
-        if ph != _DISK and t_last > start[j]:
+        if ph != DISK and t_last > start[j]:
             cpu_busy[w].extend((start[j], t_last))
-        if ph != _COMPUTE and t_last > w_since[w]:
-            (mem_log if ph == _MEMORY else disk_log).extend(
+        if ph != COMPUTE and t_last > w_since[w]:
+            (mem_log if ph == MEMORY else disk_log).extend(
                 (w_since[w], t_last, w_rate[w]))
 
     # Freed before the trace is built: it would otherwise set the run's peak
@@ -405,8 +374,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                    else np.frombuffer(scheduled))
     issue_a = np.frombuffer(issue)
     done_a = np.frombuffer(done)
-    meta = {"engine": "event", "profile": profile, "limits": limits,
-            "platform": platform, "events": events, "stale_events": stale}
+    meta = {"engine": "event", "events": events, "stale_events": stale}
     return Trace(client=np.frombuffer(client_of, dtype=np.int64),
                  scheduled=scheduled_a, issue=issue_a,
                  service_start=np.frombuffer(start), completion=done_a,
@@ -418,75 +386,72 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                  disk_segments=np.frombuffer(disk_log).reshape(-1, 3),
                  net_tx_bytes=base.net_tx_bytes,
                  net_rx_bytes=base.net_rx_bytes,
-                 cpu_busy=[_rows(iv) for iv in cpu_busy], meta=meta)
+                 cpu_busy=[_rows(iv) for iv in cpu_busy],
+                 llc_occupancy=llc_occupancy(profile, limits, platform),
+                 meta=meta)
 
 
 def _constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                    limits: ResourceLimits, platform: PlatformConfig) -> bool:
-    """Whether every phase of the run drains at one rate from its start to
-    its end: always with one worker; with two, when there is no disk phase
-    (two workers split the disk), memory never contends (two lone streams
-    fit under the limit) and, on SMT siblings, compute keeps its rate
-    beside a busy sibling."""
-    if scenario.topology.n_workers == 1:
-        return True
+    """Whether every phase of an open-loop run drains at one rate from its
+    start to its end: whether each phase its requests enter drains at its
+    lone rate (``drain_rates`` beside IDLE) in every pair of phases the
+    workers can reach. Always so with one worker."""
     base = mean_demands(profile, limits, platform)
-    if base.disk_bytes > 0.0:
-        return False
-    if (base.mem_bytes > 0.0 and 2.0 * profile.mem_stream_rate
-            > limits.effective_mem_bw(platform)):
-        return False
-    return (scenario.topology is Topology.TWO_ST
-            or profile.smt_efficiency == 1.0)
+    reach = [ph for ph, demand in ((COMPUTE, profile.cpu_work),
+                                   (MEMORY, base.mem_bytes),
+                                   (DISK, base.disk_bytes)) if demand > 0.0]
+    reach.append(IDLE)
+    rates = drain_rates(profile, scenario.topology, limits, platform)
+    return all(rate == rates[ph * 4 + IDLE][0][2]
+               for p0 in reach
+               for p1 in (reach if scenario.topology.n_workers == 2
+                          else [IDLE])
+               for _, ph, rate in rates[p0 * 4 + p1])
 
 
 def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                        limits: ResourceLimits, platform: PlatformConfig,
-                       seed: int, schedule: ArrivalSchedule | None = None,
-                       assignment: ClientAssignment | None = None) -> Trace:
-    """A run whose phases drain at constant rates (``_constant_rate``),
-    taken request by request; the trace is ``_run``'s, bit for bit.
+                       seed: int, schedule: ArrivalSchedule,
+                       assignment: ClientAssignment) -> Trace:
+    """An open-loop run whose phases drain at constant rates
+    (``_constant_rate``), taken request by request; the trace is ``_run``'s,
+    bit for bit.
 
     A request's phase ends are fixed when it starts: compute ends at
     start + cpu, memory mem_bytes / rate later and disk disk_bytes / rate
-    after that, summed in ``_run``'s order. An issue takes worker 0 if it
-    is idle, else worker 1, else waits in FIFO order for the worker that
-    frees first (Kiefer and Wolfowitz, "On the theory of queues with many
-    servers", 1955). Equal times are taken in ``_run``'s (time, push order)
-    order. A completion pushes its client's next issue: open loop at
-    max(scheduled, done + 2 rtt), closed loop at done + 2 rtt + think while
-    that is before the duration, with the service multipliers drawn in
-    issue order. At the hard stop nothing later is issued, started or
-    completed, and the busy intervals and bytes of requests in flight end
-    at the last event at or before it. Each phase is one segment, in the
-    order ``_run`` closes it.
+    after that, at the lone rates of ``drain_rates``, summed in ``_run``'s
+    order. With one worker a request starts at the later of its issue and
+    the previous completion (Lindley). With two, an issue takes worker 0
+    if it is idle, else worker 1, else waits in FIFO order for the worker
+    that frees first (Kiefer and Wolfowitz, "On the theory of queues with
+    many servers", 1955). Equal times are taken in ``_run``'s (time, push
+    order) order. A completion pushes its client's next issue at
+    max(scheduled, done + 2 rtt). At the hard stop nothing later is
+    issued, started or completed, and the busy intervals and bytes of
+    requests in flight end at the last event at or before it. Each phase
+    is one segment, in the order ``_run`` closes it.
     """
-    open_mode = schedule is not None
     n_workers = scenario.topology.n_workers
     rtt2 = 2.0 * scenario.rtt
-    duration = scenario.duration
-    hard_stop = _sample_grid(duration)[0]
+    hard_stop = _sample_grid(scenario.duration)[0]
 
     base = mean_demands(profile, limits, platform)
     mem_bytes = base.mem_bytes
     disk_bytes = base.disk_bytes
-    mem_rate = min(profile.mem_stream_rate,
-                   limits.effective_mem_bw(platform)) * MB
-    disk_rate = limits.effective_disk_bw(platform) * MB
+    rates = drain_rates(profile, scenario.topology, limits, platform)
+    mem_rate = rates[MEMORY * 4 + IDLE][0][2]
+    disk_rate = rates[DISK * 4 + IDLE][0][2]
     mem_time = mem_bytes / mem_rate if mem_bytes > 0.0 else 0.0
     disk_time = disk_bytes / disk_rate if disk_bytes > 0.0 else 0.0
 
-    # The issue heap holds (time, push order, request) in open loop and
-    # (time, push order, session) in closed loop; the initial issues are
-    # pushed first, in client order.
+    # The issue heap holds (time, push order, request); the initial issues
+    # are pushed first, in client order.
     (client_of, scheduled, cpu, next_of, issue, start, done, first,
-     closed_issue) = _request_store(profile, scenario, seed, schedule,
-                                    assignment)
+     _) = _request_store(profile, scenario, seed, schedule, assignment)
     heap = [(t, i, a) for i, (t, a) in enumerate(first)]
     heapq.heapify(heap)
     seq = len(heap)
-    if not open_mode:
-        think = scenario.mode.think_time
 
     # Started requests in the order _run closes their CPU-busy phases:
     # completions, then requests in flight at the hard stop in worker
@@ -494,7 +459,7 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     closed = array("q")
     closed_on = array("b")
     heappop, heappush = heapq.heappop, heapq.heappush
-    if open_mode and n_workers == 1:
+    if n_workers == 1:
         # One worker completes requests in the order they start, so each
         # completion is taken when its request starts (Lindley) and pushes
         # the client's next issue then, in the same order as _run would.
@@ -535,13 +500,11 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
         # Two workers complete out of start order, and equal times pop in
         # push order, which follows when each phase began; so every phase
         # end that a completion's push order depends on is an event, taken
-        # against the issues in (time, push order). A missing second worker
-        # is never idle and has no events, so closed-loop runs with one
-        # worker take this loop too.
+        # against the issues in (time, push order).
         inf = math.inf
         end = [inf, inf]  # next phase end per worker, inf when idle
         end_seq = [0, 0]  # its push order
-        busy = [-1, -1 if n_workers == 2 else inf]  # request in service
+        busy = [-1, -1]  # request in service
         to_mem = [False, False]  # the phase ending is compute, memory next
         split = mem_bytes > 0.0
         fifo: deque[int] = deque()
@@ -557,11 +520,8 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                     break
                 t_last = t
                 heappop(heap)
-                if open_mode:
-                    j = top[2]
-                    issue[j] = t
-                else:
-                    j = closed_issue(top[2], t)
+                j = top[2]
+                issue[j] = t
                 if busy[0] < 0:
                     w = 0
                 elif busy[1] < 0:
@@ -585,19 +545,13 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                 closed_on.append(w)
                 # _run pushes the next issue before the phase end of the
                 # request the worker takes from the queue.
-                if open_mode:
-                    key = next_of[j]
-                    if key >= 0:
-                        ready = t + rtt2
-                        t_next = scheduled[key]
-                        heappush(heap, (t_next if t_next > ready else ready,
-                                        seq, key))
-                        seq += 1
-                else:
-                    t_next = t + rtt2 + think
-                    if t_next < duration:
-                        heappush(heap, (t_next, seq, client_of[j]))
-                        seq += 1
+                key = next_of[j]
+                if key >= 0:
+                    ready = t + rtt2
+                    t_next = scheduled[key]
+                    heappush(heap, (t_next if t_next > ready else ready, seq,
+                                    key))
+                    seq += 1
                 if not fifo:
                     busy[w] = -1
                     end[w] = inf
@@ -614,9 +568,9 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                 end[w] = t + x + mem_time + disk_time
             end_seq[w] = seq
             seq += 1
-        in_flight = [j for j in busy[:n_workers] if j >= 0]
+        in_flight = [j for j in busy if j >= 0]
         closed.extend(in_flight)
-        closed_on.extend(w for w in range(n_workers) if busy[w] >= 0)
+        closed_on.extend(w for w, j in enumerate(busy) if j >= 0)
     for j in in_flight:
         # _run took the phase ends of a request in flight up to the stop
         # as events.
@@ -659,19 +613,18 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     del s, in_cpu, cpu_end, closed_on
 
     # The trace gets its own copy of the schedule's times.
-    scheduled_a = (schedule.times.copy() if open_mode
-                   else np.frombuffer(scheduled))
+    scheduled_a = schedule.times.copy()
     return Trace(client=np.frombuffer(client_of, dtype=np.int64),
                  scheduled=scheduled_a, issue=issue_a,
                  service_start=start_a, completion=done_a,
                  timely=issue_a <= scheduled_a + TIMELY_EPS,
                  latency=done_a - scheduled_a + rtt2, n_cores=n_workers,
-                 duration=duration, mem_segments=mem_segments,
+                 duration=scenario.duration, mem_segments=mem_segments,
                  disk_segments=disk_segments,
                  net_tx_bytes=base.net_tx_bytes,
                  net_rx_bytes=base.net_rx_bytes, cpu_busy=cpu_busy,
-                 meta={"engine": "constant_rate", "profile": profile,
-                       "limits": limits, "platform": platform})
+                 llc_occupancy=llc_occupancy(profile, limits, platform),
+                 meta={"engine": "constant_rate"})
 
 
 def _sample_grid(duration: float) -> tuple[float, float, int]:

@@ -404,7 +404,8 @@ def constraint_study(profile: WorkloadProfile, scenario: ScenarioConfig,
                      levels: list[ResourceLimits],
                      qps_range: tuple[float, float], n_points: int,
                      config: RunConfig, axis: str = "llc_ways",
-                     lqos_override: float | None = None
+                     lqos_override: float | None = None,
+                     override_reason: str | None = None
                      ) -> list[ConstraintStudyEntry]:
     """One sweep per constraint level: LLC ways for a CAT study, memory
     bandwidth (axis "mem_bw_limit", None for unlimited) for an MBA study.
@@ -418,8 +419,8 @@ def constraint_study(profile: WorkloadProfile, scenario: ScenarioConfig,
     out = []
     for limits in levels:
         sw = qps_sweep(profile, scenario, limits, qps_range, n_points, config)
-        qos = derive_lqos(sw, profile.qos_multiplier,
-                          manual_override=lqos_override)
+        qos = derive_lqos(sw, profile.qos_multiplier, lqos_override,
+                          override_reason)
         value = getattr(limits, axis)
         out.append(ConstraintStudyEntry(
             math.inf if value is None else float(value), sw, qos,

@@ -141,14 +141,6 @@ def summarize(trace: Trace, warmup: float | None = None) -> MetricsSummary:
     net_rx_bw = (trace.net_rx_bytes * _count_in(trace.issue, warmup, horizon)
                  / window / MB)
 
-    llc_occ = math.nan
-    profile = trace.meta.get("profile")
-    limits = trace.meta.get("limits")
-    platform = trace.meta.get("platform")
-    if profile is not None and limits is not None and platform is not None:
-        llc_occ = min(profile.footprint,
-                      limits.llc_ways * platform.llc_way_capacity)
-
     t_ratio = float(trace.timely[in_win].mean())
 
     issue = trace.issue
@@ -161,8 +153,9 @@ def summarize(trace: Trace, warmup: float | None = None) -> MetricsSummary:
         p50=p50, p95=p95, p99=p99, mean_latency=mean_latency,
         mean_service_time=mean_service, cpu_utilization=cpu_utilization,
         mem_bw=mem_bw, disk_bw=disk_bw, net_tx_bw=net_tx_bw,
-        net_rx_bw=net_rx_bw, llc_occupancy=llc_occ, timely_ratio=t_ratio,
-        completed=completed, censored=censored, saturated=saturated,
+        net_rx_bw=net_rx_bw, llc_occupancy=trace.llc_occupancy,
+        timely_ratio=t_ratio, completed=completed, censored=censored,
+        saturated=saturated,
     )
 
 

@@ -17,6 +17,10 @@ import numpy as np
 
 MB = 1e6  # bytes per MB (decimal, matching bandwidth reporting)
 
+# The phase a worker is in: a request's compute, memory or disk phase, or
+# none (an idle or missing worker).
+COMPUTE, MEMORY, DISK, IDLE = 0, 1, 2, 3
+
 
 class ModelError(ValueError):
     """Raised when a domain object violates its invariants."""
@@ -128,12 +132,12 @@ class WorkloadProfile:
                               platform: PlatformConfig) -> float:
         """Mean three-phase service time of a lone request under limits."""
         d = mean_demands(self, limits, platform)
+        rates = drain_rates(self, Topology.ONE_ST, limits, platform)
         t = d.cpu_seconds
         if d.mem_bytes > 0:
-            rate = min(self.mem_stream_rate, limits.effective_mem_bw(platform))
-            t += d.mem_bytes / (rate * MB)
+            t += d.mem_bytes / rates[MEMORY * 4 + IDLE][0][2]
         if d.disk_bytes > 0:
-            t += d.disk_bytes / (limits.effective_disk_bw(platform) * MB)
+            t += d.disk_bytes / rates[DISK * 4 + IDLE][0][2]
         return t
 
 
@@ -322,6 +326,53 @@ def mean_demands(profile: WorkloadProfile, limits: ResourceLimits,
         net_tx_bytes=profile.net_tx_bytes,
         net_rx_bytes=profile.net_rx_bytes,
     )
+
+
+def drain_rates(profile: WorkloadProfile, topology: Topology,
+                limits: ResourceLimits, platform: PlatformConfig) -> list:
+    """For each pair of phases the workers can be in, at phase0 * 4 +
+    phase1 (a missing second worker stays IDLE), a (worker, phase, rate)
+    tuple per busy worker; a phase's row beside IDLE holds its lone rate.
+    Compute drains at 1.0 s/s, or at smt_efficiency on TWO_SMT while the
+    sibling computes or drains memory. Memory and disk drain in bytes/s:
+    two memory phases share the limit in proportion to their stream rates,
+    one worker drains at the lesser of its stream rate and the limit, and
+    disk phases split the disk limit evenly."""
+    two = topology.n_workers == 2
+    smt = topology is Topology.TWO_SMT
+    sigma = profile.smt_efficiency
+    stream_mb = profile.mem_stream_rate
+    mem_limit_mb = limits.effective_mem_bw(platform)
+    disk_limit_b = limits.effective_disk_bw(platform) * MB
+    rates = []
+    for pair in [(p0, p1) for p0 in range(4) for p1 in range(4)]:
+        mem_demand = ((stream_mb if pair[0] == MEMORY else 0.0)
+                      + (stream_mb if pair[1] == MEMORY else 0.0))
+        mem_factor = (1.0 if mem_demand <= mem_limit_mb
+                      else mem_limit_mb / mem_demand)
+        row = []
+        for w in range(topology.n_workers):
+            ph = pair[w]
+            if ph == COMPUTE:
+                rate = (sigma if smt and pair[1 - w] in (COMPUTE, MEMORY)
+                        else 1.0)
+            elif ph == MEMORY:
+                rate = (stream_mb * mem_factor * MB if two
+                        else min(stream_mb, mem_limit_mb) * MB)
+            elif ph == DISK:
+                rate = disk_limit_b / pair.count(DISK)
+            else:
+                continue
+            row.append((w, ph, rate))
+        rates.append(tuple(row))
+    return rates
+
+
+def llc_occupancy(profile: WorkloadProfile, limits: ResourceLimits,
+                  platform: PlatformConfig) -> float:
+    """MB of LLC the workload occupies: its footprint, capped by the
+    capacity of its assigned ways."""
+    return min(profile.footprint, limits.llc_ways * platform.llc_way_capacity)
 
 
 # ---------------------------------------------------------------------------

@@ -465,6 +465,18 @@ class TestPartition:
         assert caps["cat_w2"] == pytest.approx(3.0)
         assert caps["mba_300"] is None
 
+    def test_override_reason_reaches_summary(self, spec_dir, tmp_path):
+        spec = (FAST_SPEC + "ways_list: 5,2\nlqos_override: 0.02\n"
+                "override_reason: knee\n")
+        (spec_dir / "part.spec").write_text(spec)
+        out = tmp_path / "part"
+        assert main(["--out", str(out), "--points", "3", "partition",
+                     str(spec_dir / "part.spec")]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for entry in summary["entries"]:
+            assert entry["qos"]["manual_override_s"] == 0.02
+            assert entry["qos"]["override_reason"] == "knee"
+
     def test_partition_without_lists_exit_2(self, spec_dir, tmp_path):
         rc = main(["--out", str(tmp_path / "p2"), "partition",
                    str(spec_dir / "synth.spec")])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tailsim.model import (MB, FileFormatError, ModelError, PlatformConfig,
-                           ResourceLimits, ServiceDist, WorkloadProfile,
-                           load_profile, mean_demands, miss_ratio,
-                           profile_from_mapping, save_profile,
+from tailsim.model import (COMPUTE, DISK, IDLE, MB, MEMORY, FileFormatError,
+                           ModelError, PlatformConfig, ResourceLimits,
+                           ServiceDist, Topology, WorkloadProfile,
+                           drain_rates, load_profile, mean_demands,
+                           miss_ratio, profile_from_mapping, save_profile,
                            validate_profile)
 
 PLATFORM = PlatformConfig()
@@ -226,6 +227,40 @@ class TestProfileFiles:
         mem_t = 16e6 / (8000 * MB)
         disk_t = 55000 / (550 * MB)
         assert t == pytest.approx(0.001 + mem_t + disk_t)
+
+    def test_isolated_service_time_under_limits(self):
+        # 16 MB at the 4000 MB/s memory limit, below the 8000 MB/s stream
+        # rate, and 55 kB at the 110 MB/s disk limit
+        p = make_profile(cpu_work=0.001, mem_accesses=1e6, miss_min=0.25,
+                         miss_max=0.25, mem_stream_rate=8000.0,
+                         disk_bytes=55000.0)
+        lim = ResourceLimits(mem_bw_limit=4000.0, disk_bw_limit=110.0)
+        t = p.isolated_service_time(lim, PLATFORM)
+        assert t == pytest.approx(0.001 + 0.004 + 0.0005, rel=1e-12)
+
+    def test_drain_rates_by_phase_pair(self):
+        p = make_profile(mem_stream_rate=6000.0, smt_efficiency=0.8)
+        lim = ResourceLimits(mem_bw_limit=9000.0, disk_bw_limit=100.0)
+        smt = drain_rates(p, Topology.TWO_SMT, lim, PLATFORM)
+        assert smt[COMPUTE * 4 + IDLE] == ((0, COMPUTE, 1.0),)
+        assert smt[COMPUTE * 4 + MEMORY] == ((0, COMPUTE, 0.8),
+                                             (1, MEMORY, 6000.0 * MB))
+        assert smt[COMPUTE * 4 + DISK] == ((0, COMPUTE, 1.0),
+                                           (1, DISK, 100.0 * MB))
+        # two streams share the limit in proportion, disks split evenly
+        assert smt[MEMORY * 4 + MEMORY] == ((0, MEMORY, 4500.0 * MB),
+                                            (1, MEMORY, 4500.0 * MB))
+        assert smt[DISK * 4 + DISK] == ((0, DISK, 50.0 * MB),
+                                        (1, DISK, 50.0 * MB))
+        assert smt[IDLE * 4 + IDLE] == ()
+        st2 = drain_rates(p, Topology.TWO_ST, lim, PLATFORM)
+        assert st2[COMPUTE * 4 + COMPUTE] == ((0, COMPUTE, 1.0),
+                                              (1, COMPUTE, 1.0))
+        # one worker: the lone rows only, memory capped by the limit
+        one = drain_rates(p, Topology.ONE_ST,
+                          ResourceLimits(mem_bw_limit=5000.0), PLATFORM)
+        assert one[MEMORY * 4 + IDLE] == ((0, MEMORY, 5000.0 * MB),)
+        assert one[DISK * 4 + IDLE] == ((0, DISK, 550.0 * MB),)
 
     def test_mean_demands_uses_unit_multiplier(self):
         p = make_profile(cpu_work=0.002,

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import math
+import shutil
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -65,6 +66,46 @@ def test_compare_outputs_reports_changed_cells(tmp_path):
         "largest change: sweep-x/sweep.csv p95: rel 0.25",
     ]
     assert tool.main([str(a), str(c)]) == 1
+
+
+SHORT_SPEC = """\
+name: short
+profile: img-dnn.profile
+topology: ONE_ST
+mode: open_loop
+qps_min: 100.0
+qps_max: 1500.0
+points: 3
+duration: 2.0
+n_clients: 4
+arrival: poisson
+seed: 5
+ways_list: 5,2
+"""
+
+
+def test_shipped_outputs_runs_every_command(tmp_path, capsys):
+    # a checkout whose only shipped spec is a short partition spec
+    checkout = tmp_path / "checkout"
+    shutil.copytree(TOOLS.parent / "src" / "tailsim",
+                    checkout / "src" / "tailsim",
+                    ignore=shutil.ignore_patterns("*.spec", "__pycache__"))
+    (checkout / "src" / "tailsim" / "specs" / "short.spec").write_text(
+        SHORT_SPEC)
+    tool = load_tool("shipped_outputs")
+    for out in ("a", "b"):
+        assert tool.main([str(checkout), str(tmp_path / out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:4]] == [
+        "sweep short", "characterize short", "classify short",
+        "partition short"]
+    assert lines[4] == f"4 of 4 commands ran -> {tmp_path / 'a'}"
+    for command in ("sweep", "characterize", "classify", "partition"):
+        assert (tmp_path / "a" / f"{command}-short" /
+                "manifest.json").is_file()
+    compare = load_tool("compare_outputs")
+    assert compare.compare(tmp_path / "a", tmp_path / "b", io.StringIO()) == 0
+    assert tool.main([str(tmp_path / "empty"), str(tmp_path / "c")]) == 2
 
 
 def test_relative_change():
