@@ -236,9 +236,12 @@ def _sat_dict(sat) -> dict:
 
 
 def _sweep_status(sweep: SweepResult) -> dict:
-    """Load points of a sweep and how many ran on each engine path."""
+    """Load points of a sweep, how many ran on each engine path and the
+    events the event engine took over its points."""
     return {"points": len(sweep.points),
-            "engine": dict(Counter(p.engine for p in sweep.points))}
+            "engine": dict(Counter(p.engine for p in sweep.points)),
+            "events": sum(p.events for p in sweep.points
+                          if p.events is not None)}
 
 
 def _point_rows(sweep: SweepResult) -> list[dict]:

@@ -41,9 +41,11 @@ engine closes them, so the two paths' segment arrays are the same, bit for
 bit. Network traffic is a fixed amount per issue (received) and per
 completion (sent). ``metrics.summarize`` integrates the segments exactly
 over its window; only ``export_series_csv`` bins them onto a sampling grid.
-The event heap keeps superseded (stale) phase events: one still pops and
-ends the drain step at its time, which splits the float subtractions of
-the remaining work, so dropping it would change the completion times' bits.
+The event engine's heap holds issues only. Each worker's next phase end
+sits in a slot with its push order, and a rate change overwrites it, so
+each step takes the earliest in (time, push order) of the heap's top and
+the two slots, and the remaining work is drained only at issues and
+phase ends.
 """
 
 from __future__ import annotations
@@ -66,8 +68,6 @@ from .model import (COMPUTE, DISK, IDLE, MB, MEMORY, ClosedLoop, ModelError,
 TIMELY_EPS = 1e-6  # seconds of slack when judging issue punctuality
 _BLOCK = 4096  # segments per export deposit step; bounds the temporaries
 
-_EV_ISSUE, _EV_PHASE = 0, 1
-
 
 @dataclass
 class Trace:
@@ -79,7 +79,10 @@ class Trace:
     of constant-rate [t0, t1, bytes/s] segments with t1 > t0, in the order
     the segments closed; network traffic is net_rx_bytes per issue and
     net_tx_bytes per completion. llc_occupancy is the MB of LLC the
-    workload holds (``model.llc_occupancy``), NaN when unknown."""
+    workload holds (``model.llc_occupancy``), NaN when unknown. meta
+    names the engine path that ran (``"engine"``: ``"event"`` or
+    ``"constant_rate"``); the event engine adds ``"events"``, the issues
+    and phase ends it took up to the hard stop."""
 
     client: np.ndarray
     scheduled: np.ndarray
@@ -222,16 +225,23 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                                     assignment)
     if not open_mode:
         think = scenario.mode.think_time
-    heap: list[tuple[float, int, int, int, int]] = []
+    # The issue heap holds (time, push order, request in open loop or
+    # session in closed loop); the push order breaks ties between equal
+    # times. The initial issues are pushed first, in order.
+    heap = [(t, i, a) for i, (t, a) in enumerate(first)]
+    heapq.heapify(heap)
+    seq = len(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
 
     # Per worker; a missing second worker stays IDLE.
+    inf = math.inf
     w_req = [-1, -1]  # request index while busy
     w_phase = [IDLE, IDLE]
     w_remaining = [0.0, 0.0]
     w_rate = [1.0, 1.0]
-    w_ver = [0, 0]
     w_since = [0.0, 0.0]  # when the current rate was set
+    end = [inf, inf]  # next phase end, inf when idle
+    end_seq = [0, 0]  # its push order
     fifo: deque[int] = deque()
     # Busy intervals per worker, flat [start, end, start, end, ...].
     cpu_busy = [array("d") for _ in range(n_workers)]
@@ -240,22 +250,22 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     mem_log = array("d")
     disk_log = array("d")
 
-    # An issue event carries the request in open loop and the session in
-    # closed loop. seq is the push order, which breaks ties between equal
-    # times.
-    seq = 0
-    for t, a in first:
-        heappush(heap, (t, seq, _EV_ISSUE, a, 0))
-        seq += 1
-
     t_last = 0.0
-    stopped = False  # an event past the hard stop was popped
-    stale = 0
-    while heap:
-        t, _, kind, w, b = heappop(heap)
-        if t > hard_stop:
-            stopped = True
+    events = 0
+    while True:
+        # The next event is the earlier, in (time, push order), of the
+        # issue heap's top and the workers' phase ends; w becomes -1 for an
+        # issue.
+        w = 1 if (end[1] < end[0] or end[1] == end[0]
+                  and end_seq[1] < end_seq[0]) else 0
+        t = end[w]
+        if heap and ((top := heap[0])[0] < t
+                     or top[0] == t and top[1] < end_seq[w]):
+            t = top[0]
+            w = -1
+        if t > hard_stop:  # also when nothing is left: t is inf
             break
+        events += 1
         if t > t_last:
             dt = t - t_last
             if w_phase[0] != IDLE:
@@ -265,12 +275,13 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             t_last = t
 
         # j becomes the request worker w starts at t, if any.
-        if kind == _EV_ISSUE:
+        if w < 0:  # an issue
+            a = heappop(heap)[2]
             if open_mode:
-                j = w
+                j = a
                 issue[j] = t
             else:
-                j = closed_issue(w, t)
+                j = closed_issue(a, t)
             if w_phase[0] == IDLE:
                 w = 0
             elif two and w_phase[1] == IDLE:
@@ -278,10 +289,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             else:
                 fifo.append(j)
                 continue  # both workers stay busy: no rate can change
-        else:  # _EV_PHASE of worker w
-            if b != w_ver[w]:
-                stale += 1
-                continue  # superseded by a later rate change
+        else:  # the end of worker w's phase
             # Move the worker's request past its just-finished phase.
             ph = w_phase[w]
             j = -1
@@ -307,19 +315,18 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                         if nxt >= 0:
                             t_next = scheduled[nxt]
                             heappush(heap, (t_next if t_next > free_at
-                                            else free_at, seq, _EV_ISSUE,
-                                            nxt, 0))
+                                            else free_at, seq, nxt))
                             seq += 1
                     else:
                         t_next = free_at + think
                         if t_next < duration:
-                            heappush(heap, (t_next, seq, _EV_ISSUE,
-                                            client_of[k], 0))
+                            heappush(heap, (t_next, seq, client_of[k]))
                             seq += 1
                     if fifo:
                         j = fifo.popleft()
                     else:
                         w_phase[w] = IDLE
+                        end[w] = inf
         if j >= 0:
             w_req[w] = j
             start[j] = t
@@ -335,9 +342,9 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                 w_remaining[w] = disk_bytes
 
         # Look the drain rates up; reschedule worker w, which just entered
-        # a new phase, and a sibling whose rate changed (version guards
-        # invalidate the superseded event). A rate change mid-phase closes
-        # the memory or disk segment drained at the old rate.
+        # a new phase, and a sibling whose rate changed, by overwriting its
+        # phase end. A rate change mid-phase closes the memory or disk
+        # segment drained at the old rate.
         for v, ph, rate in rates[w_phase[0] * 4 + w_phase[1]]:
             if v != w:
                 if rate == w_rate[v]:
@@ -347,14 +354,10 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                         (w_since[v], t, w_rate[v]))
             w_rate[v] = rate
             w_since[v] = t
-            w_ver[v] += 1
-            heappush(heap, (t + w_remaining[v] / rate, seq, _EV_PHASE, v,
-                            w_ver[v]))
+            end[v] = t + w_remaining[v] / rate
+            end_seq[v] = seq
             seq += 1
 
-    # Every pushed event was popped except those left in the heap and the
-    # one past the hard stop.
-    events = seq - len(heap) - stopped
     # Requests still in flight at truncation: their busy intervals and
     # segments end at the last event time.
     for w, (j, ph) in enumerate(zip(w_req, w_phase[:n_workers])):
@@ -374,7 +377,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                    else np.frombuffer(scheduled))
     issue_a = np.frombuffer(issue)
     done_a = np.frombuffer(done)
-    meta = {"engine": "event", "events": events, "stale_events": stale}
+    meta = {"engine": "event", "events": events}
     return Trace(client=np.frombuffer(client_of, dtype=np.int64),
                  scheduled=scheduled_a, issue=issue_a,
                  service_start=np.frombuffer(start), completion=done_a,

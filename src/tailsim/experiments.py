@@ -36,6 +36,7 @@ class SweepPoint:
     summary: MetricsSummary
     seed: int
     engine: str  # engine path that ran the point: constant_rate or event
+    events: int | None  # the event engine's event count; None off it
 
     @property
     def gate_ok(self) -> bool:
@@ -187,11 +188,12 @@ def qps_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
 def _sweep_point_job(job) -> SweepPoint:
     profile, scen, limits, config, seed, q = job
     trace, summary = run_point(profile, scen, limits, config, seed)
-    engine = trace.meta["engine"]
+    engine, events = trace.meta["engine"], trace.meta.get("events")
     # The point outlives the sweep; freeing the trace before making it
     # measured a lower process peak memory.
     del trace
-    return SweepPoint(qps=q, summary=summary, seed=seed, engine=engine)
+    return SweepPoint(qps=q, summary=summary, seed=seed, engine=engine,
+                      events=events)
 
 
 def interpolate(xs, ys, x: float) -> float | None:

@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from tailsim.cli import main
-from tailsim.experiments import shipped_spec_path
+from tailsim.experiments import (geometric_points, load_experiment_spec,
+                                 point_seed, run_point, shipped_spec_path)
 from tailsim.metrics import SWEEP_CSV_COLUMNS
+from tailsim.model import OpenLoop
 
 FAST_PROFILE = """\
 name: synth
@@ -75,6 +78,27 @@ class TestSweepCommand:
                      str(spec_dir / "synth.spec")]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["versions"]["numpy"] == np.__version__
+
+    def test_manifest_counts_events(self, spec_dir, tmp_path):
+        # SMT compute at 0.8 beside a memory phase varies the rates, so
+        # every point runs on the event engine, which counts its events
+        spec = spec_dir / "smt.spec"
+        spec.write_text(FAST_SPEC.replace("ONE_ST", "TWO_SMT"))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--points", "3", "sweep",
+                     str(spec)]) == 0
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        loaded = load_experiment_spec(spec)
+        expected = 0
+        for i, qps in enumerate(geometric_points(*loaded.qps_range, 3)):
+            trace, _ = run_point(loaded.profile,
+                                 replace(loaded.scenario, mode=OpenLoop(qps)),
+                                 loaded.limits, loaded.config,
+                                 point_seed(loaded.config.seed, i))
+            assert trace.meta["engine"] == "event"
+            expected += trace.meta["events"]
+        assert status["sweep"]["engine"] == {"event": 3}
+        assert status["sweep"]["events"] == expected > 0
 
     def test_unknown_profile_exit_2(self, tmp_path):
         bad = tmp_path / "bad.spec"
@@ -386,10 +410,15 @@ class TestCharacterize:
                    str(shipped_spec_path("img-dnn"))])
         assert rc == 0
         status = json.loads((out / "manifest.json").read_text())["status"]
+        events = status["TWO_SMT"]["events"]
+        assert events > 0
         assert status == {
-            "ONE_ST": {"points": 3, "engine": {"constant_rate": 3}},
-            "TWO_ST": {"points": 3, "engine": {"constant_rate": 3}},
-            "TWO_SMT": {"points": 3, "engine": {"event": 3}},
+            "ONE_ST": {"points": 3, "engine": {"constant_rate": 3},
+                       "events": 0},
+            "TWO_ST": {"points": 3, "engine": {"constant_rate": 3},
+                       "events": 0},
+            "TWO_SMT": {"points": 3, "engine": {"event": 3},
+                        "events": events},
         }
         for name in ("summary.json", "features.json"):
             assert "engine" not in (out / name).read_text()

@@ -97,6 +97,34 @@ class TestMm1Oracle:
         assert not s.saturated
 
 
+class TestSmtOracle:
+    """Two workers serving exponential compute-only requests form a
+    birth-death queue: one request present departs at mu, two or more at
+    2 x sigma x mu, where sigma is smt_efficiency on TWO_SMT and 1 on
+    TWO_ST. So p_n = p_0 (lam/mu) (lam/2 sigma mu)^(n-1) for n >= 1
+    (Kleinrock, Queueing Systems Vol. 1, section 3), and the mean sojourn
+    is L / lam by Little's law. The run goes through the event engine and
+    is held to the formula, not to its own past bits."""
+
+    @pytest.mark.parametrize("topology,sigma", [
+        (Topology.TWO_SMT, 0.6), (Topology.TWO_SMT, 0.75),
+        (Topology.TWO_SMT, 0.9), (Topology.TWO_ST, 0.6)])
+    def test_mean_sojourn(self, topology, sigma):
+        lam = mu = 1000.0
+        prof = WorkloadProfile(name="exp", cpu_work=1.0 / mu,
+                               smt_efficiency=sigma,
+                               service_dist=ServiceDist("exponential"))
+        scen = ScenarioConfig(topology, 8000, OpenLoop(lam), 150.0, rtt=0.0)
+        s = summarize(run_event(prof, scen), warmup=10.0)
+        pair = 2.0 * (sigma if topology is Topology.TWO_SMT else 1.0) * mu
+        rho = lam / pair
+        p0 = 1.0 / (1.0 + (lam / mu) / (1.0 - rho))
+        mean_in_system = p0 * (lam / mu) / (1.0 - rho) ** 2
+        assert s.completed >= 130_000
+        assert s.mean_latency == pytest.approx(mean_in_system / lam,
+                                               rel=0.03)
+
+
 class TestDegeneracy:
     def make(self, sigma):
         return WorkloadProfile(name="mix", cpu_work=0.0008,
@@ -300,25 +328,52 @@ class TestClosedLoop:
         assert rates[-1] == pytest.approx(50.0, rel=0.05)
         assert rates[0] == pytest.approx(1e6 / 0.12 / 1e6, rel=0.05)
 
-    @pytest.mark.parametrize("sessions,rtt", [(4, 0.0), (8, 0.0001)])
-    def test_exact_mva(self, sessions, rtt):
-        # one FCFS exponential server plus a delay of think + 2 rtt is a
-        # product-form network, so exact mean value analysis (Reiser and
-        # Lavenberg 1980) gives its mean response time and throughput
+    @staticmethod
+    def exact_mva(rate, sessions, delay):
+        """Mean response time and throughput of a FCFS exponential station
+        that completes requests at rate(j) with j present, plus a delay
+        station: exact mean value analysis with a load-dependent station
+        (Reiser and Lavenberg 1980), over p[j], the chance that j requests
+        are at the station."""
+        p = [1.0]
+        for n in range(1, sessions + 1):
+            response = sum(j / rate(j) * p[j - 1] for j in range(1, n + 1))
+            throughput = n / (response + delay)
+            p = [0.0] + [throughput / rate(j) * p[j - 1]
+                         for j in range(1, n + 1)]
+            p[0] = 1.0 - sum(p[1:])
+        return response, throughput
+
+    def check_mva(self, topology, sigma, sessions, rtt, rate):
+        # the station plus a delay of think + 2 rtt is a product-form
+        # network, so exact MVA gives its mean response time and
+        # throughput
         service, think = 0.005, 0.015
         prof = WorkloadProfile(name="c", cpu_work=service,
+                               smt_efficiency=sigma,
                                service_dist=ServiceDist("exponential"))
-        scen = ScenarioConfig(Topology.ONE_ST, sessions,
+        scen = ScenarioConfig(topology, sessions,
                               ClosedLoop(sessions, think), 300.0, rtt=rtt)
         s = summarize(simulate_closed_loop(prof, scen, FREE, PLATFORM, 1),
                       warmup=30.0)
-        queue = 0.0
-        for n in range(1, sessions + 1):
-            response = service * (1.0 + queue)
-            throughput = n / (response + think + 2 * rtt)
-            queue = throughput * response
+        response, throughput = self.exact_mva(
+            lambda j: rate(j) / service, sessions, think + 2 * rtt)
         assert s.mean_latency - 2 * rtt == pytest.approx(response, rel=0.03)
         assert s.completed / 270.0 == pytest.approx(throughput, rel=0.03)
+
+    @pytest.mark.parametrize("sessions,rtt", [(4, 0.0), (8, 0.0001)])
+    def test_exact_mva(self, sessions, rtt):
+        self.check_mva(Topology.ONE_ST, 1.0, sessions, rtt, lambda j: 1.0)
+
+    @pytest.mark.parametrize("topology,sigma", [
+        (Topology.TWO_ST, 0.6), (Topology.TWO_SMT, 0.6),
+        (Topology.TWO_SMT, 0.9)])
+    def test_exact_mva_two_workers(self, topology, sigma):
+        # two workers complete at min(j, 2) x mu on TWO_ST, whatever
+        # sigma; on TWO_SMT at mu alone and 2 x sigma x mu side by side
+        pair = 2.0 * (sigma if topology is Topology.TWO_SMT else 1.0)
+        self.check_mva(topology, sigma, 8, 0.0001,
+                       lambda j: 1.0 if j == 1 else pair)
 
 
 class TestDiskAccounting:
@@ -901,19 +956,19 @@ class TestEventCounts:
         scen = ScenarioConfig(Topology.TWO_ST, 8, OpenLoop(900.0), 5.0)
         tr = run_event(prof, scen)
         assert tr.censored_count == 0
-        assert tr.meta["stale_events"] == 0
         # one issue and one phase end per request
         assert tr.meta["events"] == 2 * len(tr)
 
-    def test_loaded_smt_run_skips_stale_events(self):
+    def test_loaded_smt_rate_changes_are_no_events(self):
+        # the SMT siblings' compute rates change whenever the other starts
+        # or ends a request; the new phase end overwrites the old one, so
+        # the run still counts one issue and one phase end per request
         prof = WorkloadProfile(name="c", cpu_work=0.001, smt_efficiency=0.7,
                                service_dist=ServiceDist("exponential"))
         scen = ScenarioConfig(Topology.TWO_SMT, 8, OpenLoop(1100.0), 5.0)
         tr = run_event(prof, scen)
         assert tr.censored_count == 0
-        stale = tr.meta["stale_events"]
-        assert stale > 0
-        assert tr.meta["events"] == 2 * len(tr) + stale
+        assert tr.meta["events"] == 2 * len(tr)
 
     def test_events_stop_at_the_hard_stop(self):
         prof = WorkloadProfile(name="slow", cpu_work=0.05)
@@ -922,7 +977,7 @@ class TestEventCounts:
         assert tr.censored_count > 0
         issued = int((~np.isnan(tr.issue)).sum())
         done = int((~np.isnan(tr.completion)).sum())
-        assert tr.meta["events"] == issued + done + tr.meta["stale_events"]
+        assert tr.meta["events"] == issued + done
 
 
 def golden_runs():
@@ -969,7 +1024,7 @@ def golden_runs():
 
 def fingerprint(trace, tmp):
     """sha256 prefixes of the trace CSV, the series CSV, the memory and disk
-    segments and the per-core busy intervals, and the event counts."""
+    segments and the per-core busy intervals, and the event count."""
     def sha(data):
         return hashlib.sha256(data).hexdigest()[:16]
 
@@ -980,51 +1035,43 @@ def fingerprint(trace, tmp):
             "mem": sha(trace.mem_segments.tobytes()),
             "disk": sha(trace.disk_segments.tobytes()),
             "cpu": sha(b"|".join(c.tobytes() for c in trace.cpu_busy)),
-            "events": trace.meta["events"],
-            "stale_events": trace.meta["stale_events"]}
+            "events": trace.meta["events"]}
 
 
 class TestGolden:
-    """engine._run's output, bit for bit, as recorded before its event loop
-    was rewritten for speed: any change to the float operations, the push
-    order or the stale events changes a digest or a count."""
+    """engine._run's output, bit for bit: any change to the float
+    operations, the times at which the remaining work is drained or the
+    push order changes a digest or the event count."""
 
     GOLDEN = {
         "two_st_disk": {
             "trace": "101383d78d101577", "series": "39f915b52f55f7fd",
             "mem": "e3b0c44298fc1c14", "disk": "fdaa9b5f3b797431",
-            "cpu": "bc44bd14fa205f1d", "events": 58042,
-            "stale_events": 4288},
+            "cpu": "bc44bd14fa205f1d", "events": 53754},
         "two_st_mem_contended": {
-            "trace": "f123d8e9bcd95cbc", "series": "0443c4fde9676118",
-            "mem": "a6d712dec2f9f20d", "disk": "e3b0c44298fc1c14",
-            "cpu": "b2ba32ae6e075d29", "events": 13283,
-            "stale_events": 4346},
+            "trace": "5dd10a10d898c020", "series": "d282b8e62777a831",
+            "mem": "fbe1d9823fd4487c", "disk": "e3b0c44298fc1c14",
+            "cpu": "103c37b78dcd29de", "events": 8937},
         "two_smt_mem": {
             "trace": "134c3c9bb5daf274", "series": "3c4233eb3559fa7c",
             "mem": "a9419f7f097826e7", "disk": "e3b0c44298fc1c14",
-            "cpu": "ea198e7bd5dd90ce", "events": 6046,
-            "stale_events": 646},
+            "cpu": "ea198e7bd5dd90ce", "events": 5400},
         "two_smt_closed": {
-            "trace": "66ecc48b1bc8d3e5", "series": "1724e9e470cfd731",
-            "mem": "c2beb5557bf761f9", "disk": "e9ef63c3c5ac336f",
-            "cpu": "68f2cf9de7c34482", "events": 17718,
-            "stale_events": 3478},
+            "trace": "b10705a2b3ca9265", "series": "68a7b0a82f9ce8be",
+            "mem": "da0504a670829233", "disk": "66a6f6deb45da7a1",
+            "cpu": "e56b33de0aefdc12", "events": 14240},
         "two_st_censored": {
             "trace": "92a8aeb4c749eca2", "series": "cd61d22f45916a5e",
             "mem": "23e8eb07a5321046", "disk": "e64172d3c86c0e26",
-            "cpu": "9fb3c369cf2222be", "events": 10662,
-            "stale_events": 26},
+            "cpu": "9fb3c369cf2222be", "events": 10636},
         "two_smt_censored": {
-            "trace": "a1ab4843c0e083f4", "series": "37df5f6cd938e662",
-            "mem": "e5c92cdfe3ecd601", "disk": "db2fc9145905f18c",
-            "cpu": "98f0465f90382d7a", "events": 12791,
-            "stale_events": 4163},
+            "trace": "79992298275c9546", "series": "29348122cc8a572d",
+            "mem": "59e656f2608a27e1", "disk": "75b8269bbae42800",
+            "cpu": "150f960e6bcde3aa", "events": 8628},
         "one_st": {
             "trace": "c350dd47100a7c6d", "series": "34391311fcadda3f",
             "mem": "8bb7ef0b4eb23ac3", "disk": "b4280e89889d0351",
-            "cpu": "b1bad3fe33c62c67", "events": 2388,
-            "stale_events": 0},
+            "cpu": "b1bad3fe33c62c67", "events": 2388},
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN))

@@ -68,6 +68,29 @@ def test_compare_outputs_reports_changed_cells(tmp_path):
     assert tool.main([str(a), str(c)]) == 1
 
 
+def test_compare_outputs_tolerates_numbers_within_rel(tmp_path):
+    tool = load_tool("compare_outputs")
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    write_root(a, 0.004, "qos", 1.0)
+    write_root(b, 0.004000000001, "qos", 1.0)  # p95 moves by rel 2.5e-10
+    write_root(c, 0.004, "throughput", 1.0)  # only a string differs
+
+    out = io.StringIO()
+    assert tool.compare(a, b, out, tol=1e-9) == 0
+    assert out.getvalue().splitlines()[-3:] == [
+        "2 of 3 files byte-identical (manifest.json skipped), 1 differ",
+        "1 differ only in numbers within rel 1e-09",
+        "largest change: sweep-x/sweep.csv p95: rel 2.5e-10",
+    ]
+    assert tool.main([str(a), str(b), "--rel", "1e-9"]) == 0
+    # outside the tolerance, and with none, the file still fails
+    assert tool.compare(a, b, io.StringIO(), tol=1e-11) == 1
+    assert tool.main([str(a), str(b), "--rel", "1e-11"]) == 1
+    assert tool.main([str(a), str(b)]) == 1
+    # a string must match exactly whatever the tolerance
+    assert tool.compare(a, c, io.StringIO(), tol=1.0) == 1
+
+
 SHORT_SPEC = """\
 name: short
 profile: img-dnn.profile

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two tailsim output roots file by file.
 
-Run from the repository root:  python tools/compare_outputs.py A B
+Run from the repository root:  python tools/compare_outputs.py A B [--rel TOL]
 
 Both trees are walked and every file but ``manifest.json`` (it records the
 wall-clock time and the output directory) is compared. A CSV or JSON file
@@ -12,10 +12,17 @@ Any other differing file, and a file found in only one root, is printed on
 one line. A closing summary counts the byte-identical files and gives, for
 each field (CSV column or JSON key path) that changed, its largest relative
 change. Exits 0 when every compared file is byte-identical, 1 otherwise.
+
+With ``--rel TOL`` a CSV or JSON file that differs only in numeric cells,
+each by a relative change of at most TOL, passes too, and the summary
+counts such files. Every other cell must still match exactly: strings
+(among them the classification's category, rule and trace, and each
+saturation's ``binding``), booleans, empty cells and missing keys.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -86,12 +93,16 @@ def relative_change(a, b) -> float | None:
     return abs(y - x) / abs(x)
 
 
-def compare(a_root: Path, b_root: Path, out=sys.stdout) -> int:
+def compare(a_root: Path, b_root: Path, out=sys.stdout,
+            tol: float | None = None) -> int:
     """Print the differences between two output roots; the number of
-    files that are not byte-identical or not in both."""
+    files that are not byte-identical or not in both, less those that
+    differ only in numeric cells within relative change tol when tol is
+    given."""
     a_files, b_files = _files(a_root), _files(b_root)
     differing = 0
     identical = 0
+    tolerated = 0
     largest: dict[tuple[str, str], float] = {}
     for rel in sorted(a_files ^ b_files):
         side = "A" if rel in a_files else "B"
@@ -107,28 +118,40 @@ def compare(a_root: Path, b_root: Path, out=sys.stdout) -> int:
             print(f"{rel}: differs", file=out)
             continue
         ca, cb = _cells(a), _cells(b)
+        within = tol is not None
         for cell in sorted(ca.keys() | cb.keys()):
             x, y = ca.get(cell, "<missing>"), cb.get(cell, "<missing>")
             if x == y:
                 continue
             change = relative_change(x, y)
+            within = within and change is not None and change <= tol
             note = "" if change is None else f" (rel {change:.3g})"
             print(f"{rel}: {cell}: {x!r} -> {y!r}{note}", file=out)
             if change is not None:
                 key = (str(rel), _field(cell))
                 largest[key] = max(largest.get(key, 0.0), change)
+        tolerated += within
     print(f"{identical} of {len(a_files | b_files)} files byte-identical "
           f"({SKIPPED} skipped), {differing} differ", file=out)
+    if tol is not None:
+        print(f"{tolerated} differ only in numbers within rel {tol:g}",
+              file=out)
     for (rel, field), change in sorted(largest.items()):
         print(f"largest change: {rel} {field}: rel {change:.3g}", file=out)
-    return differing
+    return differing - tolerated
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: compare_outputs.py A B", file=sys.stderr)
-        return 2
-    return 1 if compare(Path(argv[0]), Path(argv[1])) else 0
+    parser = argparse.ArgumentParser(
+        prog="compare_outputs.py",
+        description="Compare two tailsim output roots file by file.")
+    parser.add_argument("a", type=Path)
+    parser.add_argument("b", type=Path)
+    parser.add_argument("--rel", type=float, metavar="TOL",
+                        help="also pass files whose numeric cells differ "
+                             "by at most this relative change")
+    args = parser.parse_args(argv)
+    return 1 if compare(args.a, args.b, tol=args.rel) else 0
 
 
 if __name__ == "__main__":
