@@ -373,18 +373,19 @@ def cmd_partition(spec: ExperimentSpec, out_dir: Path) -> int:
         raise FileFormatError(
             f"{spec.name}: partition study needs ways_list and/or bw_limits")
 
-    def study(axis: str, values) -> list:
-        levels = [replace(spec.limits, **{axis: v}) for v in values]
-        return constraint_study(spec.profile, spec.scenario, levels,
-                                spec.qps_range, spec.n_points, spec.config,
-                                axis=axis, lqos_override=spec.lqos_override,
-                                override_reason=spec.override_reason)
-
-    entries = [(f"cat_w{int(e.constraint)}", e)
-               for e in study("llc_ways", spec.ways_list)]
-    entries += [("mba_unlimited" if math.isinf(e.constraint)
-                 else f"mba_{int(e.constraint)}", e)
-                for e in study("mem_bw_limit", spec.bw_limits)]
+    # CAT levels, then MBA levels, in one study, so one job list.
+    axes = (["llc_ways"] * len(spec.ways_list)
+            + ["mem_bw_limit"] * len(spec.bw_limits))
+    levels = [replace(spec.limits, **{axis: v}) for axis, v in
+              zip(axes, spec.ways_list + spec.bw_limits)]
+    study = constraint_study(spec.profile, spec.scenario, levels,
+                             spec.qps_range, spec.n_points, spec.config,
+                             axis=axes, lqos_override=spec.lqos_override,
+                             override_reason=spec.override_reason)
+    entries = [(f"cat_w{int(e.constraint)}" if axis == "llc_ways"
+                else "mba_unlimited" if math.isinf(e.constraint)
+                else f"mba_{int(e.constraint)}", e)
+               for axis, e in zip(axes, study)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []

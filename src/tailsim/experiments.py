@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -150,39 +151,70 @@ def run_point(profile: WorkloadProfile, scenario: ScenarioConfig,
 def qps_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
               limits: ResourceLimits, qps_range: tuple[float, float],
               n_points: int, config: RunConfig) -> SweepResult:
-    """Sweep geometrically spaced load points across qps_range.
+    """Sweep geometrically spaced load points across qps_range: the
+    one-sweep call of qps_sweeps.
 
     Points failing the 97.5% timely gate are kept and flagged, never
     dropped. The same (config.seed, point index) pair always reproduces the
     same point, so sweeps sharing a seed share arrival schedules.
     """
+    return qps_sweeps(profile, [(scenario, limits)], qps_range, n_points,
+                      config)[0]
+
+
+def qps_sweeps(profile: WorkloadProfile,
+               runs: list[tuple[ScenarioConfig, ResourceLimits]],
+               qps_range: tuple[float, float], n_points: int,
+               config: RunConfig) -> list[SweepResult]:
+    """One sweep per (scenario, limits) pair, all run as one job list.
+
+    Every (sweep, point) job is built first; each point is a pure function
+    of its job, so the order they run in changes no output. With
+    config.parallelism > 1 all jobs go to one process pool of at most as
+    many workers as jobs, largest offered load (QPS, or sessions in closed
+    loop) first, so the longest points start early and no sweep waits on
+    its own slowest point while a worker idles; ties keep job order. With
+    parallelism 1 the jobs run in order in this process. Each sweep's
+    points come back sorted by load. An empty runs list returns [].
+    """
     validate_profile(profile, config.platform)
-    limits.validate_against(config.platform)
-    closed = isinstance(scenario.mode, ClosedLoop)
-    values = (session_points(*qps_range, n_points) if closed
-              else geometric_points(*qps_range, n_points))
-    jobs = []
-    for i, q in enumerate(values):
-        seed = point_seed(config.seed, i)
-        if closed:
-            mode = ClosedLoop(int(q), scenario.mode.think_time)
-        else:
-            mode = OpenLoop(q)
-        scen = replace(scenario, mode=mode)
-        jobs.append((profile, scen, limits, config, seed, q))
+    jobs, sizes = [], []
+    for scenario, limits in runs:
+        limits.validate_against(config.platform)
+        closed = isinstance(scenario.mode, ClosedLoop)
+        values = (session_points(*qps_range, n_points) if closed
+                  else geometric_points(*qps_range, n_points))
+        sizes.append(len(values))
+        for i, q in enumerate(values):
+            seed = point_seed(config.seed, i)
+            if closed:
+                mode = ClosedLoop(int(q), scenario.mode.think_time)
+            else:
+                mode = OpenLoop(q)
+            scen = replace(scenario, mode=mode)
+            jobs.append((profile, scen, limits, config, seed, q))
     if config.parallelism > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(_sweep_point_job, jobs))
+        order = sorted(range(len(jobs)), key=lambda j: -jobs[j][-1])
+        results = [None] * len(jobs)
+        with ProcessPoolExecutor(
+                max_workers=min(config.parallelism, len(jobs))) as pool:
+            done = pool.map(_sweep_point_job, [jobs[j] for j in order])
+            for j, point in zip(order, done):
+                results[j] = point
     else:
         results = [_sweep_point_job(j) for j in jobs]
-    points = sorted(results, key=lambda p: p.qps)
-    warmup = (config.warmup if config.warmup is not None
-              else default_warmup(scenario.duration))
-    return SweepResult(workload=profile.name, scenario=scenario,
-                       limits=limits, points=tuple(points),
-                       qps_range=(float(qps_range[0]), float(qps_range[1])),
-                       warmup=warmup)
+    out, done = [], iter(results)
+    for (scenario, limits), size in zip(runs, sizes):
+        points = sorted(islice(done, size), key=lambda p: p.qps)
+        warmup = (config.warmup if config.warmup is not None
+                  else default_warmup(scenario.duration))
+        out.append(SweepResult(
+            workload=profile.name, scenario=scenario, limits=limits,
+            points=tuple(points),
+            qps_range=(float(qps_range[0]), float(qps_range[1])),
+            warmup=warmup))
+    return out
 
 
 def _sweep_point_job(job) -> SweepPoint:
@@ -364,9 +396,10 @@ def compare_scenarios(profile: WorkloadProfile, limits: ResourceLimits,
     sat: dict[Topology, SaturationResult] = {}
     at20: dict[Topology, float | None] = {}
     at50: dict[Topology, float | None] = {}
-    for topo in (Topology.ONE_ST, Topology.TWO_ST, Topology.TWO_SMT):
-        scen = replace(base_scenario, topology=topo)
-        sw = qps_sweep(profile, scen, limits, qps_range, n_points, config)
+    topologies = (Topology.ONE_ST, Topology.TWO_ST, Topology.TWO_SMT)
+    runs = [(replace(base_scenario, topology=t), limits) for t in topologies]
+    for topo, sw in zip(topologies, qps_sweeps(profile, runs, qps_range,
+                                               n_points, config)):
         sweeps[topo] = sw
         q = derive_lqos(sw, profile.qos_multiplier,
                         manual_override=lqos_override)
@@ -405,12 +438,15 @@ class ConstraintStudyEntry:
 def constraint_study(profile: WorkloadProfile, scenario: ScenarioConfig,
                      levels: list[ResourceLimits],
                      qps_range: tuple[float, float], n_points: int,
-                     config: RunConfig, axis: str = "llc_ways",
+                     config: RunConfig, axis: str | list[str] = "llc_ways",
                      lqos_override: float | None = None,
                      override_reason: str | None = None
                      ) -> list[ConstraintStudyEntry]:
     """One sweep per constraint level: LLC ways for a CAT study, memory
     bandwidth (axis "mem_bw_limit", None for unlimited) for an MBA study.
+    axis is one name for every level or a list of one name per level, so
+    a CAT and an MBA study can run as one; all levels' sweeps go through
+    one qps_sweeps call.
 
     Each level derives its own QoS target (the service time at 20%
     utilization shifts as the miss ratio grows or the bandwidth binds), so
@@ -418,12 +454,16 @@ def constraint_study(profile: WorkloadProfile, scenario: ScenarioConfig,
     All levels share the same load points, so utilization at matching
     loads compares directly.
     """
+    axes = [axis] * len(levels) if isinstance(axis, str) else axis
+    if len(axes) != len(levels):
+        raise ExperimentError("axis: need one name per level")
+    sweeps = qps_sweeps(profile, [(scenario, limits) for limits in levels],
+                        qps_range, n_points, config)
     out = []
-    for limits in levels:
-        sw = qps_sweep(profile, scenario, limits, qps_range, n_points, config)
+    for limits, name, sw in zip(levels, axes, sweeps):
         qos = derive_lqos(sw, profile.qos_multiplier, lqos_override,
                           override_reason)
-        value = getattr(limits, axis)
+        value = getattr(limits, name)
         out.append(ConstraintStudyEntry(
             math.inf if value is None else float(value), sw, qos,
             qos_saturation(sw, qos)))

@@ -560,3 +560,44 @@ class TestCalibrateCommand:
         rc = main(["--out", str(tmp_path / "c2"), "calibrate",
                    str(spec_dir / "synth.spec")])
         assert rc == 2
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """max_workers of every process pool made while the test runs; the
+    pools are real and run their jobs in worker processes."""
+    import concurrent.futures
+    made = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Counted(real):
+        def __init__(self, max_workers=None, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return made
+
+
+class TestOnePoolPerCommand:
+    SPEC = FAST_SPEC.replace("duration: 8.0", "duration: 3.0") + (
+        "ways_list: 11,2\nbw_limits: unlimited,300\n")
+
+    @pytest.mark.parametrize("command", ["sweep", "classify",
+                                         "characterize", "partition"])
+    def test_one_pool_and_same_outputs(self, command, spec_dir, tmp_path,
+                                       pools):
+        (spec_dir / "part.spec").write_text(self.SPEC)
+        outs = {}
+        for par in ("1", "2"):
+            outs[par] = tmp_path / f"p{par}"
+            assert main(["--out", str(outs[par]), "--points", "3",
+                         "--parallelism", par, command,
+                         str(spec_dir / "part.spec")]) == 0
+        # one sweep, 3 topologies or 4 levels of 3 points: one pool of 2
+        assert pools == [2]
+        names = sorted(p.name for p in outs["1"].iterdir())
+        assert names == sorted(p.name for p in outs["2"].iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert read(outs["1"] / name) == read(outs["2"] / name), name

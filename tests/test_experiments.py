@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -9,7 +11,7 @@ from tailsim.experiments import (CalibrationError, ExperimentError,
                                  constraint_study, derive_lqos,
                                  geometric_points, interpolate,
                                  load_experiment_spec, point_seed,
-                                 qps_at_utilization, qps_sweep,
+                                 qps_at_utilization, qps_sweep, qps_sweeps,
                                  saturation_qps, session_points,
                                  shipped_spec_path)
 from tailsim.model import (ClosedLoop, FileFormatError, OpenLoop,
@@ -40,6 +42,42 @@ def cat_levels(ways_list):
 
 def mba_levels(bw_limits, ways=11):
     return [ResourceLimits(llc_ways=ways, mem_bw_limit=b) for b in bw_limits]
+
+
+def assert_same_points(a, b):
+    """Every field of every point (qps, seed, summary, engine, events) of
+    two sweeps, bit for bit; repr makes NaN equal to NaN."""
+    assert len(a.points) == len(b.points)
+    assert [repr(astuple(p)) for p in a.points] == [
+        repr(astuple(p)) for p in b.points]
+
+
+@pytest.fixture()
+def inline_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor: records each pool's max_workers
+    and the loads of the jobs in the order they were given, and runs the
+    jobs in this process."""
+
+    class InlinePool:
+        made: list[int] = []
+        loads: list[list[float]] = []
+
+        def __init__(self, max_workers):
+            InlinePool.made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            InlinePool.loads.append([job[-1] for job in jobs])
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    return InlinePool
 
 
 class TestInterpolate:
@@ -96,9 +134,93 @@ class TestSweep:
                         4, cfg(warmup=1.0))
         sw2 = qps_sweep(DET_1MS, scen(duration=5.0), FREE, (100.0, 500.0),
                         4, cfg(warmup=1.0, parallelism=2))
-        for a, b in zip(sw1.points, sw2.points):
-            assert a.qps == b.qps
-            assert a.summary == b.summary
+        assert_same_points(sw1, sw2)
+
+
+class TestOnePool:
+    """qps_sweeps runs every sweep's points as one job list: one pool for
+    all of them when parallelism > 1, with outputs equal to a serial run."""
+
+    MEM = WorkloadProfile(name="m", cpu_work=0.0006, mem_accesses=200000,
+                          miss_min=0.1, miss_max=0.4, miss_shape=1.5,
+                          mem_stream_rate=6000.0, footprint=6.0,
+                          smt_efficiency=0.7)
+    CLOSED = ScenarioConfig(Topology.TWO_SMT, 6, ClosedLoop(1, 0.02), 4.0)
+
+    def test_compare_scenarios_parallel_matches_serial(self):
+        args = (self.MEM, FREE, (100.0, 1500.0), 4, scen(duration=4.0))
+        serial = compare_scenarios(*args, cfg(warmup=0.5))
+        pooled = compare_scenarios(*args, cfg(warmup=0.5, parallelism=2))
+        assert list(serial.sweeps) == list(pooled.sweeps)
+        for topo in serial.sweeps:
+            assert_same_points(serial.sweeps[topo], pooled.sweeps[topo])
+        assert serial.saturation == pooled.saturation
+        assert serial.ratios == pooled.ratios
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_constraint_study_parallel_matches_serial(self, closed):
+        levels = cat_levels([11, 2]) + mba_levels([None, 800.0])
+        axes = ["llc_ways"] * 2 + ["mem_bw_limit"] * 2
+        sc, qps = ((self.CLOSED, (1.0, 6.0)) if closed
+                   else (scen(duration=4.0), (100.0, 1500.0)))
+        serial, pooled = (
+            constraint_study(self.MEM, sc, levels, qps, 4,
+                             cfg(warmup=0.5, parallelism=par), axis=axes)
+            for par in (1, 2))
+        assert [e.constraint for e in pooled] == [11.0, 2.0, math.inf, 800.0]
+        for a, b in zip(serial, pooled, strict=True):
+            assert_same_points(a.sweep, b.sweep)
+            assert (a.constraint, a.qos, a.saturation) == (
+                b.constraint, b.qos, b.saturation)
+
+    def test_one_pool_capped_at_the_job_count(self, inline_pool):
+        config = cfg(warmup=0.5, parallelism=64)
+        sw = qps_sweep(DET_1MS, scen(duration=2.0), FREE, (100.0, 400.0), 3,
+                       config)
+        assert inline_pool.made == [3]
+        entries = constraint_study(self.MEM, scen(duration=2.0),
+                                   cat_levels([11, 5, 2]), (100.0, 400.0), 3,
+                                   config)
+        assert inline_pool.made == [3, 9]
+        assert_same_points(sw, qps_sweep(DET_1MS, scen(duration=2.0), FREE,
+                                         (100.0, 400.0), 3, cfg(warmup=0.5)))
+        assert len(entries) == 3
+        constraint_study(self.MEM, scen(duration=2.0), cat_levels([11, 5]),
+                         (100.0, 400.0), 3, cfg(warmup=0.5, parallelism=2))
+        assert inline_pool.made == [3, 9, 2]
+
+    def test_largest_load_first_ties_in_job_order(self, inline_pool):
+        runs = [(scen(duration=2.0, topo=t), FREE)
+                for t in (Topology.ONE_ST, Topology.TWO_ST)]
+        sweeps = qps_sweeps(DET_1MS, runs, (100.0, 400.0), 3,
+                            cfg(warmup=0.5, parallelism=2))
+        q = geometric_points(100.0, 400.0, 3)
+        assert inline_pool.loads == [[q[2], q[2], q[1], q[1], q[0], q[0]]]
+        # each result went back to its own sweep, in load order
+        assert [sw.scenario.topology for sw in sweeps] == [
+            Topology.ONE_ST, Topology.TWO_ST]
+        for sw, serial in zip(sweeps, qps_sweeps(DET_1MS, runs,
+                                                (100.0, 400.0), 3,
+                                                cfg(warmup=0.5))):
+            assert [p.qps for p in sw.points] == q
+            assert_same_points(sw, serial)
+        # a closed-loop sweep orders its jobs by session count
+        qps_sweeps(DET_1MS, [(self.CLOSED, FREE)], (1.0, 6.0), 4,
+                   cfg(warmup=0.5, parallelism=2))
+        assert inline_pool.loads[1] == sorted(session_points(1.0, 6.0, 4),
+                                              reverse=True)
+
+    def test_no_runs_start_no_pool(self, inline_pool):
+        config = cfg(parallelism=2)
+        assert qps_sweeps(DET_1MS, [], (100.0, 400.0), 3, config) == []
+        assert constraint_study(DET_1MS, scen(), [], (100.0, 400.0), 3,
+                                config) == []
+        assert inline_pool.made == []
+
+    def test_one_name_per_level(self):
+        with pytest.raises(ExperimentError, match="one name per level"):
+            constraint_study(DET_1MS, scen(), cat_levels([11, 2]),
+                             (100.0, 400.0), 3, cfg(), axis=["llc_ways"])
 
 
 class TestDeriveLqos:

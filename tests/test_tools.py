@@ -1,11 +1,13 @@
 """The maintenance scripts under tools/ import the library's API; importing
 them here keeps an API removal from breaking them unnoticed."""
 
+import hashlib
 import importlib.util
 import io
 import json
 import math
 import shutil
+import subprocess
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -107,14 +109,19 @@ ways_list: 5,2
 """
 
 
-def test_shipped_outputs_runs_every_command(tmp_path, capsys):
-    # a checkout whose only shipped spec is a short partition spec
-    checkout = tmp_path / "checkout"
+def short_checkout(root):
+    """A checkout whose only shipped spec is a short partition spec."""
+    checkout = root / "checkout"
     shutil.copytree(TOOLS.parent / "src" / "tailsim",
                     checkout / "src" / "tailsim",
                     ignore=shutil.ignore_patterns("*.spec", "__pycache__"))
     (checkout / "src" / "tailsim" / "specs" / "short.spec").write_text(
         SHORT_SPEC)
+    return checkout
+
+
+def test_shipped_outputs_runs_every_command(tmp_path, capsys):
+    checkout = short_checkout(tmp_path)
     tool = load_tool("shipped_outputs")
     for out in ("a", "b"):
         assert tool.main([str(checkout), str(tmp_path / out)]) == 0
@@ -129,6 +136,28 @@ def test_shipped_outputs_runs_every_command(tmp_path, capsys):
     compare = load_tool("compare_outputs")
     assert compare.compare(tmp_path / "a", tmp_path / "b", io.StringIO()) == 0
     assert tool.main([str(tmp_path / "empty"), str(tmp_path / "c")]) == 2
+
+
+def test_shipped_outputs_passes_parallelism(tmp_path, monkeypatch):
+    checkout = short_checkout(tmp_path)
+    tool = load_tool("shipped_outputs")
+    argvs = []
+    real_run = tool.subprocess.run
+
+    def run(argv, **kwargs):
+        argvs.append(argv[3:5])
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    assert tool.main([str(checkout), str(tmp_path / "serial")]) == 0
+    assert tool.main([str(checkout), str(tmp_path / "pooled"),
+                      "--parallelism", "2"]) == 0
+    assert argvs == ([["--parallelism", "1"]] * 4
+                     + [["--parallelism", "2"]] * 4)
+    # the pool changes no output file
+    compare = load_tool("compare_outputs")
+    assert compare.compare(tmp_path / "serial", tmp_path / "pooled",
+                           io.StringIO()) == 0
 
 
 def test_relative_change():
@@ -198,6 +227,9 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path, capsys):
     saved = json.loads(out.read_text())["sets"]
     assert len(saved) == 1
     assert saved[0]["workload"] == "w" and saved[0]["seed"] == 7
+    assert saved[0]["sources"] == {
+        side: tool.source_id(tmp_path / d)
+        for side, d in (("parent", "p"), ("change", "c"))}
     assert [p["first"] for p in saved[0]["pairs"]] == [
         "parent", "change", "parent"]
     assert saved[0]["pairs"][1]["change"]["env"] == {"commit": "change"}
@@ -223,3 +255,33 @@ def test_bench_pairs_counts_failed_runs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "change exit 1: broken" in out
     assert "runs failed or incorrect: 1 of 2" in out
+
+
+def test_source_id_names_the_code_a_checkout_holds(tmp_path):
+    tool = load_tool("bench_pairs")
+    a = tmp_path / "a"
+    (a / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (a / "src" / "pkg" / "m.py").write_text("x = 1\n")
+    (a / "src" / "pkg" / "b.txt").write_text("b\n")
+    (a / "README.md").write_text("not source\n")
+    lines = "".join(
+        f"{hashlib.sha256(text.encode()).hexdigest()}  {name}\n"
+        for name, text in (("src/pkg/b.txt", "b\n"),
+                           ("src/pkg/m.py", "x = 1\n")))
+    expected = "src-sha256 " + hashlib.sha256(lines.encode()).hexdigest()
+    assert tool.source_id(a) == expected
+    # bytecode caches and files outside src/ leave it alone
+    (a / "src" / "pkg" / "__pycache__" / "m.pyc").write_bytes(b"\0")
+    (a / "README.md").write_text("edited\n")
+    assert tool.source_id(a) == expected
+    (a / "src" / "pkg" / "m.py").write_text("x = 2\n")
+    assert tool.source_id(a) != expected
+
+    # a git checkout is named by its commit
+    git = ["git", "-C", str(a), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "c"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert tool.source_id(a) == f"commit {head}"

@@ -12,6 +12,10 @@ host's speed falls on both sides alike. Each run's ``env`` line and its
 last line, the JSON result, are kept. The pairs are added to FILE as one
 set (a set of the same workload, seed, seconds and trace replaces an
 earlier one), so one file can hold a PR's sets for every workload.
+Each set records, under ``sources``, which code each side ran: the
+checkout's commit (``git rev-parse HEAD``) when it has a ``.git``,
+otherwise a sha256 over its ``src/`` files (see ``source_id``), since a
+``git archive`` copy has no commit to name.
 
 For each metric the summary prints each side's median and quartiles, the
 pairs the change wins (lower or higher is better as ``BENCHMARK.json`` in
@@ -23,6 +27,7 @@ failed or reported incorrect outputs, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -30,6 +35,28 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+
+def source_id(checkout: Path) -> str:
+    """"commit <sha>" for a git checkout, else "src-sha256 <hex>": the
+    sha256 of ``sha256sum``'s lines for the files under ``src/`` outside
+    ``__pycache__``, sorted by path; in the checkout's root that is
+
+        find src -type f -not -path '*/__pycache__/*' | LC_ALL=C sort \\
+            | xargs sha256sum | sha256sum
+    """
+    if (checkout / ".git").exists():
+        proc = subprocess.run(["git", "-C", str(checkout), "rev-parse",
+                               "HEAD"], capture_output=True, text=True)
+        if proc.returncode == 0:
+            return "commit " + proc.stdout.strip()
+    files = sorted(p.relative_to(checkout).as_posix()
+                   for p in (checkout / "src").rglob("*")
+                   if p.is_file() and "__pycache__" not in p.parts)
+    lines = "".join(
+        f"{hashlib.sha256((checkout / f).read_bytes()).hexdigest()}  {f}\n"
+        for f in files)
+    return "src-sha256 " + hashlib.sha256(lines.encode()).hexdigest()
 
 
 def run_once(checkout: Path, args: argparse.Namespace) -> dict:
@@ -123,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{checkout}: no perfbench/run.py")
 
     checkouts = {"parent": args.parent, "change": args.change}
+    sources = {side: source_id(checkouts[side]) for side in SIDES}
     pairs = []
     for i in range(args.pairs):
         first = SIDES[i % 2]
@@ -138,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     sets = (json.loads(args.out.read_text())["sets"]
             if args.out.is_file() else [])
     sets = [s for s in sets if {k: s[k] for k in key} != key]
-    sets.append({**key, "pairs": pairs})
+    sets.append({**key, "sources": sources, "pairs": pairs})
     args.out.write_text(json.dumps({"sets": sets}, indent=1) + "\n")
 
     for line in summarize(pairs, directions(args.change)):

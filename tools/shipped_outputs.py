@@ -1,26 +1,28 @@
 #!/usr/bin/env python3
 """Write the outputs of every shipped spec of a checkout into one root.
 
-    python tools/shipped_outputs.py CHECKOUT OUT
+    python tools/shipped_outputs.py CHECKOUT OUT [--parallelism N]
 
 CHECKOUT is a source checkout. For each spec under its
 ``src/tailsim/specs/`` this runs ``sweep``, ``characterize`` and
 ``classify``, and ``partition`` too for a spec that names ``ways_list``
-or ``bw_limits``, with the checkout's own ``src`` on the import path.
-Each command writes to ``OUT/<command>-<spec>``. One command runs at a
-time, each in its own process. Exit 3 (an unreachable QoS target) still
-writes the outputs and counts as run. Exits 1 when a command failed, 0
-otherwise.
+or ``bw_limits``, with the checkout's own ``src`` on the import path and
+``--parallelism N`` (default 1) passed to every command. Each command
+writes to ``OUT/<command>-<spec>``. One command runs at a time, each in
+its own process. Exit 3 (an unreachable QoS target) still writes the
+outputs and counts as run. Exits 1 when a command failed, 0 otherwise.
 
-Two checkouts' outputs then compare with ``tools/compare_outputs.py``:
+Two checkouts' outputs then compare with ``tools/compare_outputs.py``;
+running the change through its process pool checks that path too:
 
     python tools/shipped_outputs.py PARENT out-parent
-    python tools/shipped_outputs.py CHANGE out-change
+    python tools/shipped_outputs.py CHANGE out-change --parallelism 2
     python tools/compare_outputs.py out-parent out-change
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -47,10 +49,12 @@ def jobs(checkout: Path) -> list[tuple[str, Path]]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: shipped_outputs.py CHECKOUT OUT", file=sys.stderr)
-        return 2
-    checkout, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", type=Path)
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--parallelism", type=int, default=1)
+    args = parser.parse_args(argv)
+    checkout, out = args.checkout.resolve(), args.out.resolve()
     todo = jobs(checkout)
     if not todo:
         print(f"{checkout}: no shipped specs", file=sys.stderr)
@@ -60,9 +64,10 @@ def main(argv: list[str]) -> int:
     failed = 0
     for command, spec in todo:
         t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "tailsim", command,
-                               str(spec)], env=env, capture_output=True,
-                              text=True)
+        proc = subprocess.run([sys.executable, "-m", "tailsim",
+                               "--parallelism", str(args.parallelism),
+                               command, str(spec)], env=env,
+                              capture_output=True, text=True)
         note = f"exit {proc.returncode}, {time.perf_counter() - t0:.1f} s"
         if proc.returncode not in RAN:
             failed += 1
