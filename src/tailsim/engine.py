@@ -45,13 +45,17 @@ The event engine's heap holds issues only. Each worker's next phase end
 sits in a slot with its push order, and a rate change overwrites it, so
 each step takes the earliest in (time, push order) of the heap's top and
 the two slots, and the remaining work is drained only at issues and
-phase ends.
+phase ends. Each worker's state (phase, remaining work, rate, phase end)
+is a set of local variables, and its rates come from its own column of
+the table, 0.0 while idle; the loop steps worker 0, then worker 1. Busy
+intervals and segments are logged as rows of packed native doubles.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -217,8 +221,14 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     base = mean_demands(profile, limits, platform)
     mem_bytes = base.mem_bytes
     disk_bytes = base.disk_bytes
-    # (worker, phase, rate) of each busy worker at phase0 * 4 + phase1.
-    rates = drain_rates(profile, scenario.topology, limits, platform)
+    # Each worker's drain rate at phase0 * 4 + phase1, 0.0 while it is idle
+    # or missing: one column per worker of drain_rates' table.
+    rate_of = [[0.0] * 16, [0.0] * 16]
+    for i, row in enumerate(drain_rates(profile, scenario.topology, limits,
+                                        platform)):
+        for v, _, rate in row:
+            rate_of[v][i] = rate
+    rates0, rates1 = rate_of
 
     (client_of, scheduled, cpu, next_of, issue, start, done, first,
      closed_issue) = _request_store(profile, scenario, seed, schedule,
@@ -232,23 +242,31 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     heapq.heapify(heap)
     seq = len(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
-
-    # Per worker; a missing second worker stays IDLE.
-    inf = math.inf
-    w_req = [-1, -1]  # request index while busy
-    w_phase = [IDLE, IDLE]
-    w_remaining = [0.0, 0.0]
-    w_rate = [1.0, 1.0]
-    w_since = [0.0, 0.0]  # when the current rate was set
-    end = [inf, inf]  # next phase end, inf when idle
-    end_seq = [0, 0]  # its push order
     fifo: deque[int] = deque()
-    # Busy intervals per worker, flat [start, end, start, end, ...].
+    fifo_append, fifo_popleft = fifo.append, fifo.popleft
+
+    # Per-worker state in locals, worker 0's ending in 0 and worker 1's in
+    # 1; a missing second worker stays IDLE. req: the request while busy;
+    # p: the phase; rem: its remaining work; r: its drain rate (0.0 while
+    # idle, so the drain below leaves an idle worker's bits alone); since:
+    # when that rate was set; end and eseq: the next phase end (inf when
+    # idle) and its push order.
+    inf = math.inf
+    req0 = req1 = -1
+    p0 = p1 = IDLE
+    rem0 = rem1 = r0 = r1 = since0 = since1 = 0.0
+    end0 = end1 = inf
+    eseq0 = eseq1 = 0
+    # Busy intervals per worker, flat [start, end, start, end, ...], and
+    # memory and disk segments, flat [t0, t1, rate, ...] in the order they
+    # closed. Each row is appended as packed native doubles, the same
+    # bytes the arrays hold.
     cpu_busy = [array("d") for _ in range(n_workers)]
-    # Memory and disk segments, flat [t0, t1, rate, ...] in the order they
-    # closed.
+    busy_add = [log.frombytes for log in cpu_busy]
     mem_log = array("d")
     disk_log = array("d")
+    mem_add, disk_add = mem_log.frombytes, disk_log.frombytes
+    pack2, pack3 = struct.Struct("2d").pack, struct.Struct("3d").pack
 
     t_last = 0.0
     events = 0
@@ -256,11 +274,11 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
         # The next event is the earlier, in (time, push order), of the
         # issue heap's top and the workers' phase ends; w becomes -1 for an
         # issue.
-        w = 1 if (end[1] < end[0] or end[1] == end[0]
-                  and end_seq[1] < end_seq[0]) else 0
-        t = end[w]
-        if heap and ((top := heap[0])[0] < t
-                     or top[0] == t and top[1] < end_seq[w]):
+        if end1 < end0 or end1 == end0 and eseq1 < eseq0:
+            w, t, s = 1, end1, eseq1
+        else:
+            w, t, s = 0, end0, eseq0
+        if heap and ((top := heap[0])[0] < t or top[0] == t and top[1] < s):
             t = top[0]
             w = -1
         if t > hard_stop:  # also when nothing is left: t is inf
@@ -268,13 +286,12 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
         events += 1
         if t > t_last:
             dt = t - t_last
-            if w_phase[0] != IDLE:
-                w_remaining[0] -= w_rate[0] * dt
-            if w_phase[1] != IDLE:
-                w_remaining[1] -= w_rate[1] * dt
+            rem0 -= r0 * dt
+            rem1 -= r1 * dt
             t_last = t
 
-        # j becomes the request worker w starts at t, if any.
+        # Worker w's new phase ph, its remaining work rem and its request
+        # k; j becomes the request worker w starts at t, if any.
         if w < 0:  # an issue
             a = heappop(heap)[2]
             if open_mode:
@@ -282,31 +299,35 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                 issue[j] = t
             else:
                 j = closed_issue(a, t)
-            if w_phase[0] == IDLE:
+            if p0 == IDLE:
                 w = 0
-            elif two and w_phase[1] == IDLE:
+            elif two and p1 == IDLE:
                 w = 1
             else:
-                fifo.append(j)
+                fifo_append(j)
                 continue  # both workers stay busy: no rate can change
         else:  # the end of worker w's phase
             # Move the worker's request past its just-finished phase.
-            ph = w_phase[w]
+            if w == 0:
+                ph, k = p0, req0
+                since, rate = since0, r0
+            else:
+                ph, k = p1, req1
+                since, rate = since1, r1
             j = -1
             if ph == COMPUTE and mem_bytes > 0.0:
-                w_phase[w] = MEMORY
-                w_remaining[w] = mem_bytes
+                ph = MEMORY
+                rem = mem_bytes
             else:
-                if ph != COMPUTE and t > w_since[w]:
-                    (mem_log if ph == MEMORY else disk_log).extend(
-                        (w_since[w], t, w_rate[w]))
-                k = w_req[w]
-                if ph != DISK and t > start[k]:
+                if ph != COMPUTE and t > since:
+                    (mem_add if ph == MEMORY else disk_add)(
+                        pack3(since, t, rate))
+                if ph != DISK and t > (began := start[k]):
                     # Leaving the CPU-busy phases (compute and/or memory).
-                    cpu_busy[w].extend((start[k], t))
+                    busy_add[w](pack2(began, t))
                 if ph != DISK and disk_bytes > 0.0:
-                    w_phase[w] = DISK
-                    w_remaining[w] = disk_bytes
+                    ph = DISK
+                    rem = disk_bytes
                 else:
                     done[k] = t
                     free_at = t + rtt2
@@ -323,51 +344,80 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                             heappush(heap, (t_next, seq, client_of[k]))
                             seq += 1
                     if fifo:
-                        j = fifo.popleft()
+                        j = fifo_popleft()
                     else:
-                        w_phase[w] = IDLE
-                        end[w] = inf
+                        ph = IDLE
+                        rem = 0.0
         if j >= 0:
-            w_req[w] = j
+            k = j
             start[j] = t
             x = cpu[j]
             if x > 0.0:
-                w_phase[w] = COMPUTE
-                w_remaining[w] = x
+                ph = COMPUTE
+                rem = x
             elif mem_bytes > 0.0:
-                w_phase[w] = MEMORY
-                w_remaining[w] = mem_bytes
+                ph = MEMORY
+                rem = mem_bytes
             else:
-                w_phase[w] = DISK
-                w_remaining[w] = disk_bytes
+                ph = DISK
+                rem = disk_bytes
 
-        # Look the drain rates up; reschedule worker w, which just entered
-        # a new phase, and a sibling whose rate changed, by overwriting its
-        # phase end. A rate change mid-phase closes the memory or disk
-        # segment drained at the old rate.
-        for v, ph, rate in rates[w_phase[0] * 4 + w_phase[1]]:
-            if v != w:
-                if rate == w_rate[v]:
-                    continue
-                if ph != COMPUTE and t > w_since[v]:
-                    (mem_log if ph == MEMORY else disk_log).extend(
-                        (w_since[v], t, w_rate[v]))
-            w_rate[v] = rate
-            w_since[v] = t
-            end[v] = t + w_remaining[v] / rate
-            end_seq[v] = seq
-            seq += 1
+        # Look the drain rates up, worker 0 first: reschedule worker w,
+        # which just entered a new phase, and a sibling whose rate changed,
+        # by overwriting its phase end. A rate change mid-phase closes the
+        # memory or disk segment drained at the old rate.
+        if w == 0:
+            p0, rem0, req0 = ph, rem, k
+            r0 = rates0[ph * 4 + p1]
+            if ph == IDLE:
+                end0 = inf
+            else:
+                since0 = t
+                end0 = t + rem / r0
+                eseq0 = seq
+                seq += 1
+            rate = rates1[ph * 4 + p1]
+            if rate != r1:  # worker 1 is busy
+                if p1 != COMPUTE and t > since1:
+                    (mem_add if p1 == MEMORY else disk_add)(
+                        pack3(since1, t, r1))
+                r1 = rate
+                since1 = t
+                end1 = t + rem1 / rate
+                eseq1 = seq
+                seq += 1
+        else:
+            p1, rem1, req1 = ph, rem, k
+            rate = rates0[p0 * 4 + ph]
+            if rate != r0:  # worker 0 is busy
+                if p0 != COMPUTE and t > since0:
+                    (mem_add if p0 == MEMORY else disk_add)(
+                        pack3(since0, t, r0))
+                r0 = rate
+                since0 = t
+                end0 = t + rem0 / rate
+                eseq0 = seq
+                seq += 1
+            r1 = rates1[p0 * 4 + ph]
+            if ph == IDLE:
+                end1 = inf
+            else:
+                since1 = t
+                end1 = t + rem / r1
+                eseq1 = seq
+                seq += 1
 
     # Requests still in flight at truncation: their busy intervals and
     # segments end at the last event time.
-    for w, (j, ph) in enumerate(zip(w_req, w_phase[:n_workers])):
+    workers = ((req0, p0, since0, r0), (req1, p1, since1, r1))
+    for w, (j, ph, since, rate) in enumerate(workers[:n_workers]):
         if ph == IDLE:
             continue
         if ph != DISK and t_last > start[j]:
             cpu_busy[w].extend((start[j], t_last))
-        if ph != COMPUTE and t_last > w_since[w]:
+        if ph != COMPUTE and t_last > since:
             (mem_log if ph == MEMORY else disk_log).extend(
-                (w_since[w], t_last, w_rate[w]))
+                (since, t_last, rate))
 
     # Freed before the trace is built: it would otherwise set the run's peak
     # memory.

@@ -985,8 +985,10 @@ def golden_runs():
     splitting the disk, memory contending under a limit of 1.5 x the lone
     stream rate, SMT compute at sigma < 1 beside memory phases, a closed
     loop on SMT siblings, runs censored at the hard stop on both two-worker
-    topologies, and one worker with all three phases under a memory limit
-    below the lone stream rate."""
+    topologies, one worker with all three phases under a memory limit
+    below the lone stream rate, a closed loop on one worker (the missing
+    second worker stays idle), and two workers whose requests all start in
+    their memory phase, with rates changing mid-phase under a limit."""
     mem_disk = WorkloadProfile(
         name="md", cpu_work=0.0004, mem_accesses=4e4, miss_min=0.5,
         miss_max=0.5, mem_stream_rate=3000.0, disk_bytes=3e4,
@@ -1008,6 +1010,9 @@ def golden_runs():
         return prof, scen, limits, sched, assign_clients(sched, n_clients)
 
     closed = ScenarioConfig(Topology.TWO_SMT, 6, ClosedLoop(6, 0.002), 2.0)
+    one_closed = ScenarioConfig(Topology.ONE_ST, 6, ClosedLoop(6, 0.002),
+                                2.0)
+    no_compute = replace(mem_disk, name="n", cpu_work=0.0)
     return {
         "two_st_disk": open_run(disk, Topology.TWO_ST, 9000.0),
         "two_st_mem_contended": open_run(mem, Topology.TWO_ST, 1500.0,
@@ -1019,6 +1024,9 @@ def golden_runs():
         "two_smt_censored": open_run(slow, Topology.TWO_SMT, 2000.0,
                                      n_clients=16),
         "one_st": open_run(mem_disk, Topology.ONE_ST, 300.0, capped),
+        "one_st_closed": (mem_disk, one_closed, FREE, None, None),
+        "two_st_no_compute": open_run(no_compute, Topology.TWO_ST, 4000.0,
+                                      contended),
     }
 
 
@@ -1072,6 +1080,14 @@ class TestGolden:
             "trace": "c350dd47100a7c6d", "series": "34391311fcadda3f",
             "mem": "8bb7ef0b4eb23ac3", "disk": "b4280e89889d0351",
             "cpu": "b1bad3fe33c62c67", "events": 2388},
+        "one_st_closed": {
+            "trace": "dd11330da74a0e2e", "series": "f16cf655ef73d128",
+            "mem": "88a797ca69eba542", "disk": "106fe4bdad4822d7",
+            "cpu": "bcc7192d82b7d49d", "events": 9164},
+        "two_st_no_compute": {
+            "trace": "162e44dc571550ca", "series": "5b08aa8c2cfdb995",
+            "mem": "7a0758bc70e75631", "disk": "232b1d41d62dfa61",
+            "cpu": "af2893f31a8150ec", "events": 23877},
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN))

@@ -10,6 +10,8 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -175,6 +177,8 @@ def test_relative_change():
 STUB_RUN = """\
 import json, sys
 from pathlib import Path
+
+import pytest
 with open({log!r}, "a") as f:
     f.write({side!r} + " " + " ".join(sys.argv[1:]) + "\\n")
 print("env " + json.dumps({{"commit": {side!r}}}))
@@ -285,3 +289,29 @@ def test_source_id_names_the_code_a_checkout_holds(tmp_path):
     head = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
                           capture_output=True, text=True).stdout.strip()
     assert tool.source_id(a) == f"commit {head}"
+
+
+def test_engine_time_reports_each_topology(tmp_path, capfd):
+    checkout = short_checkout(tmp_path)
+    tool = load_tool("engine_time")
+    argv = [str(checkout), "--spec", "short", "--rounds", "1"]
+    runs = []
+    for _ in range(2):
+        assert tool.main(argv) == 0
+        runs.append([line.split(", ") for line in
+                     capfd.readouterr().out.splitlines()])
+    lines = runs[0]
+    assert [line[0].split(":")[0] for line in lines] == [
+        "ONE_ST constant_rate", "TWO_ST constant_rate", "TWO_SMT event"]
+    # every topology runs the same schedules; only the event engine counts
+    # events
+    assert len({line[1] for line in lines}) == 1
+    assert [line[3] for line in lines[:2]] == ["0 events"] * 2
+    assert int(lines[2][3].split()[0]) > 0
+    # the digests repeat run to run and tell the topologies apart
+    digests = [[line[-1] for line in run] for run in runs]
+    assert digests[0] == digests[1]
+    assert len(set(digests[0])) == 3
+    assert all(d.startswith("sha256 ") and len(d) == 71 for d in digests[0])
+    with pytest.raises(SystemExit):
+        tool.main([str(tmp_path / "nowhere"), "--spec", "short"])
