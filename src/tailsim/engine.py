@@ -19,12 +19,15 @@ closed-loop run and every open-loop run whose rates vary. An open-loop run
 in which each phase drains at its lone rate (beside an idle sibling) in
 every pair its workers can reach (``_constant_rate``: one worker always)
 takes ``_run_constant_rate``. There a request's phase ends are fixed when
-it starts: with one worker it starts at the later of its issue and the
-previous completion (Lindley, "The theory of queues with a single
-server", 1952); with two it takes the worker that frees first, in FIFO
-order (Kiefer and Wolfowitz, "On the theory of queues with many servers",
-1955), and the two workers' phase ends are taken in the event engine's
-(time, push order) order, which decides equal times. The simulate_*
+it starts, so one loop takes one step per request, in issue order, on
+either topology: a request takes worker 0 if it has freed by the issue,
+else worker 1 if it has, else the worker that frees first (Kiefer and
+Wolfowitz, "On the theory of queues with many servers", 1955). With one
+worker, worker 1 never frees, and this is Lindley's recursion ("The
+theory of queues with a single server", 1952). The client's next issue is
+pushed when the request starts. The event engine takes equal times in
+push order; one worker keeps that order, and a two-worker run in which
+two event times are equal is handed to ``_run``. The simulate_*
 functions choose the path and record it in ``Trace.meta["engine"]``
 (``"constant_rate"`` or ``"event"``). ``_request_store`` builds the
 request store both paths fill: in open loop the schedule times, compute
@@ -37,10 +40,11 @@ stretch of one worker's memory or disk phase at one rate, as a
 event engine closes a segment when the phase ends, when the worker's rate
 changes, or at the hard stop; at constant rates every phase is one
 segment, and the constant-rate path builds the rows in the order the event
-engine closes them, so the two paths' segment arrays are the same, bit for
-bit. Network traffic is a fixed amount per issue (received) and per
-completion (sent). ``metrics.summarize`` integrates the segments exactly
-over its window; only ``export_series_csv`` bins them onto a sampling grid.
+engine closes them (by completion time, then the requests in flight), so
+the two paths' segment arrays are the same, bit for bit. Network traffic
+is a fixed amount per issue (received) and per completion (sent).
+``metrics.summarize`` integrates the segments exactly over its window;
+only ``export_series_csv`` bins them onto a sampling grid.
 The event engine's heap holds issues only. Each worker's next phase end
 sits in a slot with its push order, and a rate change overwrites it, so
 each step takes the earliest in (time, push order) of the heap's top and
@@ -131,10 +135,13 @@ def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
         raise ModelError("assignment does not cover the schedule")
     validate_profile(profile, platform)
     limits.validate_against(platform)
-    run = (_run_constant_rate
-           if _constant_rate(profile, scenario, limits, platform) else _run)
-    return run(profile, scenario, limits, platform, seed, schedule=schedule,
-               assignment=assignment)
+    if _constant_rate(profile, scenario, limits, platform):
+        trace = _run_constant_rate(profile, scenario, limits, platform, seed,
+                                   schedule, assignment)
+        if trace is not None:
+            return trace
+    return _run(profile, scenario, limits, platform, seed, schedule=schedule,
+                assignment=assignment)
 
 
 def simulate_closed_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -466,24 +473,31 @@ def _constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
 def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                        limits: ResourceLimits, platform: PlatformConfig,
                        seed: int, schedule: ArrivalSchedule,
-                       assignment: ClientAssignment) -> Trace:
+                       assignment: ClientAssignment) -> Trace | None:
     """An open-loop run whose phases drain at constant rates
-    (``_constant_rate``), taken request by request; the trace is ``_run``'s,
-    bit for bit.
+    (``_constant_rate``), one step per request in issue order: ``_run``'s
+    trace, bit for bit, or None when it has two workers and two of its
+    event times are equal.
 
     A request's phase ends are fixed when it starts: compute ends at
     start + cpu, memory mem_bytes / rate later and disk disk_bytes / rate
     after that, at the lone rates of ``drain_rates``, summed in ``_run``'s
-    order. With one worker a request starts at the later of its issue and
-    the previous completion (Lindley). With two, an issue takes worker 0
-    if it is idle, else worker 1, else waits in FIFO order for the worker
-    that frees first (Kiefer and Wolfowitz, "On the theory of queues with
-    many servers", 1955). Equal times are taken in ``_run``'s (time, push
-    order) order. A completion pushes its client's next issue at
-    max(scheduled, done + 2 rtt). At the hard stop nothing later is
-    issued, started or completed, and the busy intervals and bytes of
-    requests in flight end at the last event at or before it. Each phase
-    is one segment, in the order ``_run`` closes it.
+    order. A request takes worker 0 if it has freed by the issue, else
+    worker 1 if it has, else the worker that frees first: FIFO dispatch
+    (Kiefer and Wolfowitz, "On the theory of queues with many servers",
+    1955). With one worker, worker 1 never frees, and a request starts at
+    the later of its issue and the previous completion (Lindley, 1952).
+    The completion is known at the start, so the client's next issue is
+    pushed then, at max(scheduled, done + 2 rtt). With one worker the
+    pushes keep ``_run``'s order, so equal times resolve as there. With
+    two they do not, and ``_run`` decides equal times by push order: if
+    any two of the issues, the compute ends that a memory phase follows
+    and the completions at or before the hard stop are equal, the run is
+    left to ``_run``. At the hard stop nothing later is issued, started or
+    completed, and the busy intervals and bytes of requests in flight end
+    at the last event at or before it. Each phase is one segment, in the
+    order ``_run`` closes it: by completion time, then the requests in
+    flight in worker order.
     """
     n_workers = scenario.topology.n_workers
     rtt2 = 2.0 * scenario.rtt
@@ -505,132 +519,51 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     heap = [(t, i, a) for i, (t, a) in enumerate(first)]
     heapq.heapify(heap)
     seq = len(heap)
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
 
-    # Started requests in the order _run closes their CPU-busy phases:
-    # completions, then requests in flight at the hard stop in worker
-    # order; with two workers, the worker of each.
-    closed = array("q")
-    closed_on = array("b")
-    heappop, heappush = heapq.heappop, heapq.heappush
-    if n_workers == 1:
-        # One worker completes requests in the order they start, so each
-        # completion is taken when its request starts (Lindley) and pushes
-        # the client's next issue then, in the same order as _run would.
-        heapreplace = heapq.heapreplace
-        free_at = -math.inf  # completion of the last started request
-        while heap:
-            t, _, j = heap[0]
-            if t > hard_stop:
-                break
-            issue[j] = t
-            s = t if t > free_at else free_at
-            if s > hard_stop:  # queued behind a request that never completes
-                heappop(heap)
-                continue
-            start[j] = s
-            closed.append(j)
-            free_at = s + cpu[j] + mem_time + disk_time
-            if free_at > hard_stop:  # in flight at the hard stop
-                heappop(heap)
-                continue
-            done[j] = free_at
-            key = next_of[j]
-            if key < 0:  # the client's last request
-                heappop(heap)
-                continue
-            t_next = scheduled[key]
-            ready = free_at + rtt2
-            if ready > t_next:
-                t_next = ready
-            heapreplace(heap, (t_next, seq, key))
-            seq += 1
-        # The request in flight at the stop, if any, started last; the
-        # last event before the stop was the last issue or its start.
-        in_flight = [j for j in closed[-1:] if math.isnan(done[j])]
-        t_last = (max(float(np.nanmax(np.frombuffer(issue))),
-                      start[in_flight[0]]) if in_flight else hard_stop)
-    else:
-        # Two workers complete out of start order, and equal times pop in
-        # push order, which follows when each phase began; so every phase
-        # end that a completion's push order depends on is an event, taken
-        # against the issues in (time, push order).
-        inf = math.inf
-        end = [inf, inf]  # next phase end per worker, inf when idle
-        end_seq = [0, 0]  # its push order
-        busy = [-1, -1]  # request in service
-        to_mem = [False, False]  # the phase ending is compute, memory next
-        split = mem_bytes > 0.0
-        fifo: deque[int] = deque()
-        t_last = 0.0
-        while True:
-            w = 1 if (end[1] < end[0] or end[1] == end[0]
-                      and end_seq[1] < end_seq[0]) else 0
-            t = end[w]
-            if heap and ((top := heap[0])[0] < t
-                         or top[0] == t and top[1] < end_seq[w]):
-                t = top[0]
-                if t > hard_stop:
-                    break
-                t_last = t
-                heappop(heap)
-                j = top[2]
-                issue[j] = t
-                if busy[0] < 0:
-                    w = 0
-                elif busy[1] < 0:
-                    w = 1
-                else:
-                    fifo.append(j)
-                    continue
-            else:
-                if t > hard_stop:
-                    break
-                t_last = t
-                if to_mem[w]:
-                    to_mem[w] = False
-                    end[w] = t + mem_time + disk_time
-                    end_seq[w] = seq
-                    seq += 1
-                    continue
-                j = busy[w]
-                done[j] = t
-                closed.append(j)
-                closed_on.append(w)
-                # _run pushes the next issue before the phase end of the
-                # request the worker takes from the queue.
-                key = next_of[j]
-                if key >= 0:
-                    ready = t + rtt2
-                    t_next = scheduled[key]
-                    heappush(heap, (t_next if t_next > ready else ready, seq,
-                                    key))
-                    seq += 1
-                if not fifo:
-                    busy[w] = -1
-                    end[w] = inf
-                    continue
-                j = fifo.popleft()
-            # Worker w starts request j at t.
-            busy[w] = j
-            start[j] = t
-            x = cpu[j]
-            if split and x > 0.0:
-                end[w] = t + x
-                to_mem[w] = True
-            else:
-                end[w] = t + x + mem_time + disk_time
-            end_seq[w] = seq
-            seq += 1
-        in_flight = [j for j in busy if j >= 0]
-        closed.extend(in_flight)
-        closed_on.extend(w for w, j in enumerate(busy) if j >= 0)
-    for j in in_flight:
-        # _run took the phase ends of a request in flight up to the stop
-        # as events.
-        a = start[j] + cpu[j]
-        for x in (a, a + mem_time):
-            if t_last < x <= hard_stop:
-                t_last = x
+    # When each worker frees: the completion of its last request; on holds
+    # 1 for each request worker 1 serves, and in_flight each worker's
+    # request still in service at the hard stop, if any.
+    free0 = -math.inf
+    free1 = -math.inf if n_workers == 2 else math.inf
+    on = bytearray(len(issue))
+    in_flight = [-1, -1]
+    while heap:
+        t, _, j = heap[0]
+        if t > hard_stop:
+            break
+        issue[j] = t
+        if free1 < free0 > t:  # worker 0 busy past t, worker 1 frees first
+            w = 1
+            s = t if t > free1 else free1
+        else:
+            w = 0
+            s = t if t > free0 else free0
+        if s > hard_stop:  # queued behind requests that never complete
+            heappop(heap)
+            continue
+        start[j] = s
+        end = s + cpu[j] + mem_time + disk_time
+        if w:
+            free1 = end
+            on[j] = 1
+        else:
+            free0 = end
+        if end > hard_stop:  # in flight at the hard stop
+            in_flight[w] = j
+            heappop(heap)
+            continue
+        done[j] = end
+        key = next_of[j]
+        if key < 0:  # the client's last request
+            heappop(heap)
+            continue
+        t_next = scheduled[key]
+        ready = end + rtt2
+        if ready > t_next:
+            t_next = ready
+        heapreplace(heap, (t_next, seq, key))
+        seq += 1
 
     # The per-request temporaries below are dropped as soon as they are
     # used: they would otherwise set the run's peak memory.
@@ -638,15 +571,55 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     issue_a = np.frombuffer(issue)
     start_a = np.frombuffer(start)
     done_a = np.frombuffer(done)
+    cpu_a = np.frombuffer(cpu)
+    in_flight = [j for j in in_flight if j >= 0]
+    if n_workers == 2:
+        # _run's events up to the hard stop, the issues, the compute ends
+        # that a memory phase follows and the completions, sorted in one
+        # array freed before the trace's arrays are built; NaN (never
+        # happened) equals nothing. Equal times are left to _run.
+        n = len(issue_a)
+        times = np.empty((3 if mem_bytes > 0.0 else 2) * n)
+        times[:n] = issue_a
+        times[n:2 * n] = done_a
+        if mem_bytes > 0.0:
+            ends = times[2 * n:]
+            np.add(start_a, cpu_a, out=ends)
+            ends[(cpu_a <= 0.0) | (ends > hard_stop)] = math.nan
+            del ends
+        times.sort()
+        tied = bool((times[1:] == times[:-1]).any())
+        del times
+        if tied:
+            return None
+
+    # _run's closing order of the started requests: the completions by
+    # time, then the requests in flight, worker 0 first.
+    n_done = int(np.count_nonzero(done_a <= hard_stop))
+    order = np.argsort(done_a, kind="stable")[:n_done + len(in_flight)]
+    order[n_done:] = in_flight
+    t_last = hard_stop
+    if in_flight:
+        # The last event at or before the stop: an issue, a completion or
+        # a phase end of a request in flight.
+        t_last = float(np.nanmax(issue_a))
+        if n_done:
+            t_last = max(t_last, float(done_a[order[n_done - 1]]))
+        for j in in_flight:
+            a = start[j] + cpu[j]
+            for x in (a, a + mem_time):
+                if t_last < x <= hard_stop:
+                    t_last = x
+
     # Phase bounds of the started requests in closing order, clipped at
     # the last event; a phase a request in flight has not entered shrinks
     # to nothing. The temporaries are built in place where the sums allow.
-    order = np.frombuffer(closed, dtype=np.int64)
     s = start_a[order]
-    cpu_end = np.frombuffer(cpu)[order]
+    cpu_end = cpu_a[order]
+    on_1 = np.frombuffer(on, dtype=np.bool_)[order]
     has_cpu = (cpu_end > 0.0) | (mem_bytes > 0.0)
     cpu_end += s  # start + cpu, as _run sums it
-    del order, closed
+    del order, on
     # One segment per phase: every phase drains at one rate.
     mem_segments = _phase_rows(cpu_end, mem_time, mem_rate, t_last)
     cpu_end += mem_time
@@ -656,14 +629,9 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     del has_cpu
     # The busy intervals outlive the run; made last, after the segments,
     # they measured a lower process peak memory than made first.
-    if n_workers == 1:
-        cpu_busy = [np.column_stack((s[in_cpu], cpu_end[in_cpu]))]
-    else:
-        on_1 = np.frombuffer(closed_on, dtype=np.int8) == 1
-        cpu_busy = [np.column_stack((s[rows], cpu_end[rows]))
-                    for rows in (in_cpu & ~on_1, in_cpu & on_1)]
-        del on_1
-    del s, in_cpu, cpu_end, closed_on
+    cpu_busy = [np.column_stack((s[rows], cpu_end[rows]))
+                for rows in (in_cpu & ~on_1, in_cpu & on_1)[:n_workers]]
+    del s, in_cpu, cpu_end, on_1
 
     # The trace gets its own copy of the schedule's times.
     scheduled_a = schedule.times.copy()

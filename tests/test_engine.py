@@ -17,7 +17,8 @@ from tailsim.loadgen import (ArrivalModel, ArrivalSchedule, ClientAssignment,
 from tailsim.metrics import summarize
 from tailsim.model import (MB, ClosedLoop, ModelError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
-                           ServiceDist, Topology, WorkloadProfile)
+                           ServiceDist, Topology, WorkloadProfile,
+                           mean_demands)
 
 PLATFORM = PlatformConfig()
 FREE = ResourceLimits.unconstrained(PLATFORM)
@@ -655,14 +656,32 @@ def assert_same_trace(fast, ref):
         assert a.read_bytes() == b.read_bytes()
 
 
+def tied_events(run, ref, platform=PLATFORM):
+    """The number of repeats among the reference trace's event times up
+    to the hard stop: the issues, the compute ends that a memory phase
+    follows and the completions."""
+    prof, scen, limits, sched, asg, seed = run
+    cpu = np.asarray(engine._request_store(prof, scen, seed, sched, asg)[2])
+    times = [ref.issue, ref.completion]
+    if mean_demands(prof, limits, platform).mem_bytes > 0.0:
+        times.append((ref.service_start + cpu)[cpu > 0.0])
+    times = np.sort(np.concatenate(times))
+    times = times[times <= engine._sample_grid(scen.duration)[0]]
+    return int((times[1:] == times[:-1]).sum())
+
+
 def run_both(run, platform=PLATFORM):
     """The open-loop run through simulate_open_loop and through
-    engine._run."""
+    engine._run. The constant-rate path takes it, unless two workers meet
+    equal event times, which it leaves to the event engine."""
     prof, scen, limits, sched, asg, seed = run
     fast = simulate_open_loop(prof, scen, limits, platform, sched, asg, seed)
     ref = engine._run(prof, scen, limits, platform, seed, schedule=sched,
                       assignment=asg)
-    assert fast.meta["engine"] == "constant_rate"
+    one = scen.topology.n_workers == 1
+    assert fast.meta["engine"] == (
+        "constant_rate" if one or not tied_events(run, ref, platform)
+        else "event")
     assert ref.meta["engine"] == "event"
     return fast, ref
 
@@ -693,6 +712,7 @@ class TestConstantRatePath:
         sched = build_schedule(ArrivalModel("poisson"), 600.0, 2.0, seed)
         run = prof, scen, FREE, sched, assign_clients(sched, 16), seed
         fast, ref = run_both(run)
+        assert fast.meta["engine"] == "constant_rate"
         assert ref.censored_count > 0
         assert_same_trace(fast, ref)
 
@@ -741,7 +761,47 @@ class TestConstantRatePath:
         limits = ResourceLimits(11, mem_bw_limit=6000.0)  # 2 x stream
         fast, ref = run_both((prof, scen, limits, sched,
                               assign_clients(sched, 4), 3))
+        assert fast.meta["engine"] == "constant_rate"
         assert len(ref.mem_segments) > 0
+        assert_same_trace(fast, ref)
+
+    @staticmethod
+    def landing_run(topology, shift=0.0):
+        """Deterministic one-tick compute and one-tick memory phases, one
+        client per request: the third request is issued on the first one's
+        completion, unless shifted by `shift` ticks. On two workers the
+        sixth request waits for worker 0, and the seventh takes worker 1
+        while worker 0 is still busy."""
+        prof = WorkloadProfile(name="land", cpu_work=TICK,
+                               mem_accesses=30517.578125, miss_min=0.5,
+                               miss_max=0.5, mem_stream_rate=1000.0,
+                               net_tx_bytes=1500.0)
+        ticks = np.array([0.0, 0.25, 2.0 + shift, 5.25, 5.5, 5.75, 9.0])
+        sched = ArrivalSchedule(ticks * TICK, 1.0,
+                                ArrivalModel("deterministic"), 0, 0.25)
+        asg = ClientAssignment(tuple(np.array([i]) for i in range(7)), 7)
+        scen = ScenarioConfig(topology, 7, OpenLoop(1.0), 0.25)
+        return prof, scen, FREE, sched, asg, 0
+
+    def test_issue_on_a_completion_takes_the_event_engine(self):
+        run = self.landing_run(Topology.TWO_ST)
+        fast, ref = run_both(run)
+        assert tied_events(run, ref) == 1
+        assert fast.meta["engine"] == "event"
+        assert_same_trace(fast, ref)
+
+    def test_shifted_issue_takes_the_constant_rate_path(self):
+        run = self.landing_run(Topology.TWO_ST, 0.5)
+        fast, ref = run_both(run)
+        assert tied_events(run, ref) == 0
+        assert fast.meta["engine"] == "constant_rate"
+        assert_same_trace(fast, ref)
+
+    def test_one_worker_keeps_equal_times(self):
+        run = self.landing_run(Topology.ONE_ST)
+        fast, ref = run_both(run)
+        assert tied_events(run, ref) > 0
+        assert fast.meta["engine"] == "constant_rate"
         assert_same_trace(fast, ref)
 
     @pytest.mark.parametrize("name", ["img-dnn", "masstree", "silo",
@@ -761,9 +821,10 @@ class TestConstantRatePath:
                                  spec.config.platform, sched, asg, 3)
         assert smt.meta["engine"] == "event"
         scen = replace(scen, topology=Topology.TWO_ST)
-        assert_same_trace(*run_both(
-            (spec.profile, scen, spec.limits, sched, asg, 3),
-            spec.config.platform))
+        fast, ref = run_both((spec.profile, scen, spec.limits, sched, asg, 3),
+                             spec.config.platform)
+        assert fast.meta["engine"] == "constant_rate"
+        assert_same_trace(fast, ref)
 
 
 class TestClientDiscipline:

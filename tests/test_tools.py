@@ -315,3 +315,22 @@ def test_engine_time_reports_each_topology(tmp_path, capfd):
     assert all(d.startswith("sha256 ") and len(d) == 71 for d in digests[0])
     with pytest.raises(SystemExit):
         tool.main([str(tmp_path / "nowhere"), "--spec", "short"])
+
+    # Deterministic quarter-millisecond work (2**-12 s) on arrivals 2**-10,
+    # 2**-11 and 2**-12 s apart: at the last point each completion falls
+    # on the next issue, so two workers leave that point to the event
+    # engine, and the path names each path's point count.
+    tailsim = checkout / "src" / "tailsim"
+    (tailsim / "profiles" / "ties.profile").write_text(
+        "name: ties\ncpu_work: 0.000244140625\nmem_accesses: 0.0\n"
+        "smt_efficiency: 0.75\n")
+    (tailsim / "specs" / "ties.spec").write_text(
+        "name: ties\nprofile: ties.profile\ntopology: ONE_ST\n"
+        "mode: open_loop\nqps_min: 1024.0\nqps_max: 4096.0\npoints: 3\n"
+        "duration: 2.0\nn_clients: 4\narrival: deterministic\nseed: 5\n"
+        "rtt: 0.0\n")
+    assert tool.main([str(checkout), "--spec", "ties", "--rounds", "1"]) == 0
+    lines = capfd.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "ONE_ST constant_rate", "TWO_ST constant_rate 2+event 1",
+        "TWO_SMT event"]

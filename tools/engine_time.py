@@ -8,11 +8,13 @@ CHECKOUT is a source checkout. In a subprocess with the checkout's
 that checkout) is swept on each topology: every load point's schedule and
 client assignment are built as ``experiments.run_point`` builds them, and
 only ``engine.simulate_open_loop`` is timed. Each round runs every
-topology's points; per topology this prints the engine path, the median
-over the rounds of the engine seconds, requests/s and events/s at that
-median, and a sha256 over every trace array of every point (the request
-columns, both segment arrays and each core's busy intervals). Equal
-digests from two checkouts show that their engines gave the same bits.
+topology's points; per topology this prints the engine path (each path
+with its point count, as in "constant_rate 11+event 1", when the points
+ran on more than one), the median over the rounds of the engine seconds,
+requests/s and events/s at that median, and a sha256 over every trace
+array of every point (the request columns, both segment arrays and each
+core's busy intervals). Equal digests from two checkouts show that their
+engines gave the same bits.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ def report(name: str, rounds: int) -> None:
     import hashlib
     import statistics
     import time
+    from collections import Counter
     from dataclasses import replace
 
     from tailsim.engine import simulate_open_loop
@@ -54,7 +57,7 @@ def report(name: str, rounds: int) -> None:
     first = {}
     for _ in range(rounds):
         for topology in topologies:
-            spent, requests, events, paths = 0.0, 0, 0, set()
+            spent, requests, events, paths = 0.0, 0, 0, Counter()
             digest = hashlib.sha256()
             for q, schedule, assignment, seed in jobs:
                 scenario = replace(spec.scenario, topology=topology,
@@ -66,7 +69,7 @@ def report(name: str, rounds: int) -> None:
                 spent += time.perf_counter() - t0
                 requests += len(trace)
                 events += trace.meta.get("events", 0)
-                paths.add(trace.meta["engine"])
+                paths[trace.meta["engine"]] += 1
                 for column in (trace.client, trace.scheduled, trace.issue,
                                trace.service_start, trace.completion,
                                trace.timely, trace.latency,
@@ -74,8 +77,10 @@ def report(name: str, rounds: int) -> None:
                                *trace.cpu_busy):
                     digest.update(column.tobytes())
             seconds[topology].append(spent)
-            first.setdefault(topology, ("+".join(sorted(paths)), requests,
-                                        events, digest.hexdigest()))
+            path = ("+".join(f"{p} {paths[p]}" for p in sorted(paths))
+                    if len(paths) > 1 else next(iter(paths)))
+            first.setdefault(topology, (path, requests, events,
+                                        digest.hexdigest()))
     for topology in topologies:
         path, requests, events, digest = first[topology]
         s = statistics.median(seconds[topology])
