@@ -237,7 +237,8 @@ def _sat_dict(sat) -> dict:
 
 def _sweep_status(sweep: SweepResult) -> dict:
     """Load points of a sweep, how many ran on each engine path and the
-    events the event engine took over its points."""
+    events the event engine took over its points: the issues and the
+    phase ends that can change a rate or end a request."""
     return {"points": len(sweep.points),
             "engine": dict(Counter(p.engine for p in sweep.points)),
             "events": sum(p.events for p in sweep.points

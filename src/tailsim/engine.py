@@ -48,11 +48,16 @@ only ``export_series_csv`` bins them onto a sampling grid.
 The event engine's heap holds issues only. Each worker's next phase end
 sits in a slot with its push order, and a rate change overwrites it, so
 each step takes the earliest in (time, push order) of the heap's top and
-the two slots, and the remaining work is drained only at issues and
-phase ends. Each worker's state (phase, remaining work, rate, phase end)
-is a set of local variables, and its rates come from its own column of
-the table, 0.0 while idle; the loop steps worker 0, then worker 1. Busy
-intervals and segments are logged as rows of packed native doubles.
+the two slots. Its events are the issues and the phase ends that can
+change a rate or end a request: when, by the table, memory drains at its
+lone rate beside every phase the sibling can reach and the sibling's rate
+is the same whether a worker computes or drains memory, a compute end
+changes nothing, and a compute phase's slot end is its memory end. A
+worker's remaining work is drained only when its rate changes. Each
+worker's state (phase, remaining work, rate, phase end) is a set of local
+variables, and its rates come from its own column of the table, 0.0 while
+idle; the loop steps worker 0, then worker 1. Busy intervals and segments
+are logged as rows of packed native doubles.
 """
 
 from __future__ import annotations
@@ -90,7 +95,8 @@ class Trace:
     workload holds (``model.llc_occupancy``), NaN when unknown. meta
     names the engine path that ran (``"engine"``: ``"event"`` or
     ``"constant_rate"``); the event engine adds ``"events"``, the issues
-    and phase ends it took up to the hard stop."""
+    and the phase ends that can change a rate or end a request, up to the
+    hard stop."""
 
     client: np.ndarray
     scheduled: np.ndarray
@@ -236,6 +242,19 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
         for v, _, rate in row:
             rate_of[v][i] = rate
     rates0, rates1 = rate_of
+    # A compute end is no event when it changes no rate: when each worker's
+    # memory phase drains at its lone rate beside every phase its sibling
+    # can reach, and the sibling's rate is the same whether the worker
+    # computes or drains memory. A compute phase's slot end is then its
+    # memory end, cend + mem_time, with cend its compute end.
+    mem_rate = rates0[MEMORY * 4 + IDLE]
+    hide = mem_bytes > 0.0 and (not two or all(
+        rates0[MEMORY * 4 + sib] == rates1[sib * 4 + MEMORY] == mem_rate
+        and rates1[COMPUTE * 4 + sib] == rates1[MEMORY * 4 + sib]
+        and rates0[sib * 4 + COMPUTE] == rates0[sib * 4 + MEMORY]
+        for sib in _reach(profile, base)))
+    hidden = COMPUTE if hide else -1
+    mem_time = mem_bytes / mem_rate if hide else 0.0
 
     (client_of, scheduled, cpu, next_of, issue, start, done, first,
      closed_issue) = _request_store(profile, scenario, seed, schedule,
@@ -254,15 +273,14 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
 
     # Per-worker state in locals, worker 0's ending in 0 and worker 1's in
     # 1; a missing second worker stays IDLE. req: the request while busy;
-    # p: the phase; rem: its remaining work; r: its drain rate (0.0 while
-    # idle, so the drain below leaves an idle worker's bits alone); since:
-    # when that rate was set; end and eseq: the next phase end (inf when
-    # idle) and its push order.
+    # p: the phase; rem: its remaining work at since, when the rate r was
+    # set (0.0 while idle); end and eseq: the next phase end (inf when
+    # idle) and its push order; cend: a hidden compute end, else inf.
     inf = math.inf
     req0 = req1 = -1
     p0 = p1 = IDLE
     rem0 = rem1 = r0 = r1 = since0 = since1 = 0.0
-    end0 = end1 = inf
+    end0 = end1 = cend0 = cend1 = inf
     eseq0 = eseq1 = 0
     # Busy intervals per worker, flat [start, end, start, end, ...], and
     # memory and disk segments, flat [t0, t1, rate, ...] in the order they
@@ -291,11 +309,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
         if t > hard_stop:  # also when nothing is left: t is inf
             break
         events += 1
-        if t > t_last:
-            dt = t - t_last
-            rem0 -= r0 * dt
-            rem1 -= r1 * dt
-            t_last = t
+        t_last = t
 
         # Worker w's new phase ph, its remaining work rem and its request
         # k; j becomes the request worker w starts at t, if any.
@@ -317,11 +331,13 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             # Move the worker's request past its just-finished phase.
             if w == 0:
                 ph, k = p0, req0
-                since, rate = since0, r0
+                since, rate, c = since0, r0, cend0
             else:
                 ph, k = p1, req1
-                since, rate = since1, r1
+                since, rate, c = since1, r1, cend1
             j = -1
+            if ph == hidden:  # past its hidden compute end: memory ends
+                ph, since, rate = MEMORY, c, mem_rate
             if ph == COMPUTE and mem_bytes > 0.0:
                 ph = MEMORY
                 rem = mem_bytes
@@ -370,56 +386,73 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                 rem = disk_bytes
 
         # Look the drain rates up, worker 0 first: reschedule worker w,
-        # which just entered a new phase, and a sibling whose rate changed,
-        # by overwriting its phase end. A rate change mid-phase closes the
-        # memory or disk segment drained at the old rate.
+        # which just entered a new phase, and a sibling whose rate changed
+        # before any hidden compute end, by overwriting its phase end. A
+        # rate change drains the remaining work at the old rate and, in
+        # mid-phase, closes the memory or disk segment drained at it.
         if w == 0:
             p0, rem0, req0 = ph, rem, k
             r0 = rates0[ph * 4 + p1]
+            cend0 = inf
             if ph == IDLE:
                 end0 = inf
             else:
                 since0 = t
                 end0 = t + rem / r0
+                if ph == hidden:
+                    cend0, end0 = end0, end0 + mem_time
                 eseq0 = seq
                 seq += 1
             rate = rates1[ph * 4 + p1]
-            if rate != r1:  # worker 1 is busy
+            if rate != r1 and t < cend1:  # worker 1 is busy
                 if p1 != COMPUTE and t > since1:
                     (mem_add if p1 == MEMORY else disk_add)(
                         pack3(since1, t, r1))
+                rem1 -= r1 * (t - since1)
                 r1 = rate
                 since1 = t
                 end1 = t + rem1 / rate
+                if cend1 < inf:
+                    cend1, end1 = end1, end1 + mem_time
                 eseq1 = seq
                 seq += 1
         else:
             p1, rem1, req1 = ph, rem, k
             rate = rates0[p0 * 4 + ph]
-            if rate != r0:  # worker 0 is busy
+            if rate != r0 and t < cend0:  # worker 0 is busy
                 if p0 != COMPUTE and t > since0:
                     (mem_add if p0 == MEMORY else disk_add)(
                         pack3(since0, t, r0))
+                rem0 -= r0 * (t - since0)
                 r0 = rate
                 since0 = t
                 end0 = t + rem0 / rate
+                if cend0 < inf:
+                    cend0, end0 = end0, end0 + mem_time
                 eseq0 = seq
                 seq += 1
             r1 = rates1[p0 * 4 + ph]
+            cend1 = inf
             if ph == IDLE:
                 end1 = inf
             else:
                 since1 = t
                 end1 = t + rem / r1
+                if ph == hidden:
+                    cend1, end1 = end1, end1 + mem_time
                 eseq1 = seq
                 seq += 1
 
     # Requests still in flight at truncation: their busy intervals and
-    # segments end at the last event time.
-    workers = ((req0, p0, since0, r0), (req1, p1, since1, r1))
-    for w, (j, ph, since, rate) in enumerate(workers[:n_workers]):
+    # segments end at the last event time, a hidden compute end included.
+    workers = ((req0, p0, since0, r0, cend0),
+               (req1, p1, since1, r1, cend1))[:n_workers]
+    t_last = max([t_last] + [c for *_, c in workers if c <= hard_stop])
+    for w, (j, ph, since, rate, c) in enumerate(workers):
         if ph == IDLE:
             continue
+        if c <= hard_stop:  # past its hidden compute end
+            ph, since, rate = MEMORY, c, mem_rate
         if ph != DISK and t_last > start[j]:
             cpu_busy[w].extend((start[j], t_last))
         if ph != COMPUTE and t_last > since:
@@ -457,17 +490,21 @@ def _constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     start to its end: whether each phase its requests enter drains at its
     lone rate (``drain_rates`` beside IDLE) in every pair of phases the
     workers can reach. Always so with one worker."""
-    base = mean_demands(profile, limits, platform)
-    reach = [ph for ph, demand in ((COMPUTE, profile.cpu_work),
-                                   (MEMORY, base.mem_bytes),
-                                   (DISK, base.disk_bytes)) if demand > 0.0]
-    reach.append(IDLE)
+    reach = _reach(profile, mean_demands(profile, limits, platform))
     rates = drain_rates(profile, scenario.topology, limits, platform)
     return all(rate == rates[ph * 4 + IDLE][0][2]
                for p0 in reach
                for p1 in (reach if scenario.topology.n_workers == 2
                           else [IDLE])
                for _, ph, rate in rates[p0 * 4 + p1])
+
+
+def _reach(profile: WorkloadProfile, base) -> list[int]:
+    """IDLE and each phase a run's requests enter: positive mean demand."""
+    return [ph for ph, demand in ((COMPUTE, profile.cpu_work),
+                                  (MEMORY, base.mem_bytes),
+                                  (DISK, base.disk_bytes), (IDLE, 1.0))
+            if demand > 0.0]
 
 
 def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -491,13 +528,12 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     pushed then, at max(scheduled, done + 2 rtt). With one worker the
     pushes keep ``_run``'s order, so equal times resolve as there. With
     two they do not, and ``_run`` decides equal times by push order: if
-    any two of the issues, the compute ends that a memory phase follows
-    and the completions at or before the hard stop are equal, the run is
-    left to ``_run``. At the hard stop nothing later is issued, started or
-    completed, and the busy intervals and bytes of requests in flight end
-    at the last event at or before it. Each phase is one segment, in the
-    order ``_run`` closes it: by completion time, then the requests in
-    flight in worker order.
+    any two of the issues and the completions at or before the hard stop
+    are equal, the run is left to ``_run``. At the hard stop nothing later
+    is issued, started or completed, and the busy intervals and bytes of
+    requests in flight end at the last event at or before it. Each phase
+    is one segment, in the order ``_run`` closes it: by completion time,
+    then the requests in flight in worker order.
     """
     n_workers = scenario.topology.n_workers
     rtt2 = 2.0 * scenario.rtt
@@ -574,19 +610,10 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     cpu_a = np.frombuffer(cpu)
     in_flight = [j for j in in_flight if j >= 0]
     if n_workers == 2:
-        # _run's events up to the hard stop, the issues, the compute ends
-        # that a memory phase follows and the completions, sorted in one
-        # array freed before the trace's arrays are built; NaN (never
-        # happened) equals nothing. Equal times are left to _run.
-        n = len(issue_a)
-        times = np.empty((3 if mem_bytes > 0.0 else 2) * n)
-        times[:n] = issue_a
-        times[n:2 * n] = done_a
-        if mem_bytes > 0.0:
-            ends = times[2 * n:]
-            np.add(start_a, cpu_a, out=ends)
-            ends[(cpu_a <= 0.0) | (ends > hard_stop)] = math.nan
-            del ends
+        # _run's events up to the hard stop, the issues and the completions,
+        # sorted in one array freed before the trace's arrays are built; NaN
+        # (never happened) equals nothing. Equal times are left to _run.
+        times = np.concatenate((issue_a, done_a))
         times.sort()
         tied = bool((times[1:] == times[:-1]).any())
         del times

@@ -37,7 +37,7 @@ class SweepPoint:
     summary: MetricsSummary
     seed: int
     engine: str  # engine path that ran the point: constant_rate or event
-    events: int | None  # the event engine's event count; None off it
+    events: int | None  # the event engine's events (Trace.meta); None off it
 
     @property
     def gate_ok(self) -> bool:

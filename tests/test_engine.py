@@ -17,8 +17,7 @@ from tailsim.loadgen import (ArrivalModel, ArrivalSchedule, ClientAssignment,
 from tailsim.metrics import summarize
 from tailsim.model import (MB, ClosedLoop, ModelError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
-                           ServiceDist, Topology, WorkloadProfile,
-                           mean_demands)
+                           ServiceDist, Topology, WorkloadProfile)
 
 PLATFORM = PlatformConfig()
 FREE = ResourceLimits.unconstrained(PLATFORM)
@@ -656,16 +655,11 @@ def assert_same_trace(fast, ref):
         assert a.read_bytes() == b.read_bytes()
 
 
-def tied_events(run, ref, platform=PLATFORM):
+def tied_events(run, ref):
     """The number of repeats among the reference trace's event times up
-    to the hard stop: the issues, the compute ends that a memory phase
-    follows and the completions."""
-    prof, scen, limits, sched, asg, seed = run
-    cpu = np.asarray(engine._request_store(prof, scen, seed, sched, asg)[2])
-    times = [ref.issue, ref.completion]
-    if mean_demands(prof, limits, platform).mem_bytes > 0.0:
-        times.append((ref.service_start + cpu)[cpu > 0.0])
-    times = np.sort(np.concatenate(times))
+    to the hard stop: the issues and the completions."""
+    scen = run[1]
+    times = np.sort(np.concatenate((ref.issue, ref.completion)))
     times = times[times <= engine._sample_grid(scen.duration)[0]]
     return int((times[1:] == times[:-1]).sum())
 
@@ -680,7 +674,7 @@ def run_both(run, platform=PLATFORM):
                       assignment=asg)
     one = scen.topology.n_workers == 1
     assert fast.meta["engine"] == (
-        "constant_rate" if one or not tied_events(run, ref, platform)
+        "constant_rate" if one or not tied_events(run, ref)
         else "event")
     assert ref.meta["engine"] == "event"
     return fast, ref
@@ -1040,6 +1034,84 @@ class TestEventCounts:
         done = int((~np.isnan(tr.completion)).sum())
         assert tr.meta["events"] == issued + done
 
+    # compute at sigma beside a busy sibling, then 0.427 ms of memory
+    SMT_MEM = WorkloadProfile(name="cm", cpu_work=0.001, mem_accesses=4e4,
+                              miss_min=0.5, miss_max=0.5,
+                              mem_stream_rate=3000.0, smt_efficiency=0.7,
+                              service_dist=ServiceDist("exponential"))
+
+    def test_uncontended_compute_ends_are_no_events(self):
+        # a compute end changes no rate: the sibling computes at sigma
+        # whether this worker computes or drains memory, and memory drains
+        # at its lone rate, so the compute phase's slot end is its memory
+        # end: one issue and one completion per request
+        scen = ScenarioConfig(Topology.TWO_SMT, 8, OpenLoop(600.0), 5.0)
+        tr = run_event(self.SMT_MEM, scen)
+        assert tr.censored_count == 0
+        assert tr.meta["events"] == 2 * len(tr)
+        assert len(tr.mem_segments) == len(tr)
+
+    def test_contended_memory_keeps_compute_end_events(self):
+        # under a limit of 1.5 x the stream rate two memory phases drain
+        # slower than one, so a compute end can change the sibling's rate:
+        # one issue, one compute end and one completion per request
+        scen = ScenarioConfig(Topology.TWO_SMT, 8, OpenLoop(600.0), 5.0)
+        limits = ResourceLimits(11, mem_bw_limit=4500.0)
+        tr = run_event(self.SMT_MEM, scen, limits)
+        assert tr.censored_count == 0
+        assert tr.meta["events"] == 3 * len(tr)
+        # the rates did change mid-phase: some phases took two segments
+        assert len(tr.mem_segments) > len(tr)
+
+    def test_disk_phase_follows_a_hidden_compute_end(self):
+        # two workers split the disk, so a memory end (the disk phase
+        # starts) and a completion are events, but not the compute end:
+        # three events per request
+        prof = replace(self.SMT_MEM, disk_bytes=2e4)
+        scen = ScenarioConfig(Topology.TWO_ST, 8, OpenLoop(600.0), 5.0)
+        tr = run_event(prof, scen)
+        assert tr.censored_count == 0
+        assert tr.meta["events"] == 3 * len(tr)
+
+    def test_censored_memory_segments_start_at_hidden_compute_ends(self):
+        # Far past saturation on SMT siblings: the queue never empties once
+        # the last requests started, so each computes at sigma throughout
+        # and its compute ends at start + cpu / sigma, a time that is no
+        # event. Both requests in flight at the hard stop have passed it;
+        # the later of the two is the last event time, where the busy
+        # intervals end, and the other's memory segment runs from its
+        # compute end to that time.
+        prof = replace(self.SMT_MEM, name="slow", cpu_work=0.004,
+                       mem_accesses=1.5e5, mem_stream_rate=500.0,
+                       smt_efficiency=0.5)
+        scen = ScenarioConfig(Topology.TWO_SMT, 16, OpenLoop(1000.0), 2.0)
+        sched = build_schedule(ArrivalModel("poisson"), 1000.0, 2.0, 7)
+        asg = assign_clients(sched, 16)
+        tr = engine._run(prof, scen, FREE, PLATFORM, 0, schedule=sched,
+                         assignment=asg)
+        cpu = np.asarray(engine._request_store(prof, scen, 0, sched, asg)[2])
+        hard_stop = engine._sample_grid(scen.duration)[0]
+        started = ~np.isnan(tr.service_start)
+        in_flight = np.flatnonzero(started & np.isnan(tr.completion))
+        queued = ~started & ~np.isnan(tr.issue)
+        assert len(in_flight) == 2
+        assert tr.issue[queued].min() < tr.service_start[in_flight].min()
+        # in worker order: each core's last busy interval is its request's
+        in_flight = [in_flight[tr.service_start[in_flight] == b[-1, 0]][0]
+                     for b in tr.cpu_busy]
+        cend = tr.service_start[in_flight] + cpu[in_flight] / 0.5
+        real = max(np.nanmax(tr.issue), np.nanmax(tr.completion))
+        t_last = cend.max()
+        assert real < cend.min() and t_last <= hard_stop
+        for core, j in zip(tr.cpu_busy, in_flight):
+            assert core[-1].tolist() == [tr.service_start[j], t_last]
+        # one segment per memory phase: one per completion, and one for
+        # the request in flight whose compute ended first
+        mem_rate = prof.mem_stream_rate * MB
+        assert tr.mem_segments[-1].tolist() == [cend.min(), t_last, mem_rate]
+        done = int((~np.isnan(tr.completion)).sum())
+        assert len(tr.mem_segments) == done + 1
+
 
 def golden_runs():
     """Small runs of engine._run that take every rate rule: two workers
@@ -1122,33 +1194,33 @@ class TestGolden:
             "mem": "fbe1d9823fd4487c", "disk": "e3b0c44298fc1c14",
             "cpu": "103c37b78dcd29de", "events": 8937},
         "two_smt_mem": {
-            "trace": "134c3c9bb5daf274", "series": "3c4233eb3559fa7c",
-            "mem": "a9419f7f097826e7", "disk": "e3b0c44298fc1c14",
-            "cpu": "ea198e7bd5dd90ce", "events": 5400},
+            "trace": "32a77e22b0e472ca", "series": "3c4233eb3559fa7c",
+            "mem": "c3048c5fa3595975", "disk": "e3b0c44298fc1c14",
+            "cpu": "f8b53f8daa889eae", "events": 3600},
         "two_smt_closed": {
             "trace": "b10705a2b3ca9265", "series": "68a7b0a82f9ce8be",
             "mem": "da0504a670829233", "disk": "66a6f6deb45da7a1",
-            "cpu": "e56b33de0aefdc12", "events": 14240},
+            "cpu": "e56b33de0aefdc12", "events": 10680},
         "two_st_censored": {
             "trace": "92a8aeb4c749eca2", "series": "cd61d22f45916a5e",
             "mem": "23e8eb07a5321046", "disk": "e64172d3c86c0e26",
-            "cpu": "9fb3c369cf2222be", "events": 10636},
+            "cpu": "9fb3c369cf2222be", "events": 7981},
         "two_smt_censored": {
-            "trace": "79992298275c9546", "series": "29348122cc8a572d",
-            "mem": "59e656f2608a27e1", "disk": "75b8269bbae42800",
-            "cpu": "150f960e6bcde3aa", "events": 8628},
+            "trace": "e1aded70b8837b99", "series": "5272f39a072a3327",
+            "mem": "d91492e365459ef4", "disk": "3cc708c1d17f7e3f",
+            "cpu": "17eebf03f399d5eb", "events": 6475},
         "one_st": {
             "trace": "c350dd47100a7c6d", "series": "34391311fcadda3f",
             "mem": "8bb7ef0b4eb23ac3", "disk": "b4280e89889d0351",
-            "cpu": "b1bad3fe33c62c67", "events": 2388},
+            "cpu": "b1bad3fe33c62c67", "events": 1791},
         "one_st_closed": {
             "trace": "dd11330da74a0e2e", "series": "f16cf655ef73d128",
             "mem": "88a797ca69eba542", "disk": "106fe4bdad4822d7",
-            "cpu": "bcc7192d82b7d49d", "events": 9164},
+            "cpu": "bcc7192d82b7d49d", "events": 6873},
         "two_st_no_compute": {
-            "trace": "162e44dc571550ca", "series": "5b08aa8c2cfdb995",
-            "mem": "7a0758bc70e75631", "disk": "232b1d41d62dfa61",
-            "cpu": "af2893f31a8150ec", "events": 23877},
+            "trace": "0aec14185a14ccb3", "series": "5b08aa8c2cfdb995",
+            "mem": "0849b7d30f472307", "disk": "42905b0f70e9445a",
+            "cpu": "2754e9db9986f874", "events": 23877},
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN))

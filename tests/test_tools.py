@@ -291,6 +291,40 @@ def test_source_id_names_the_code_a_checkout_holds(tmp_path):
     assert tool.source_id(a) == f"commit {head}"
 
 
+def test_engine_time_against_itself(tmp_path, capfd):
+    # The checkout against itself, loaded as a second package: both sides
+    # run the same paths and give the same events and bits, and each
+    # round gives one ratio.
+    checkout = short_checkout(tmp_path)
+    tool = load_tool("engine_time")
+    assert tool.main([str(checkout), "--spec", "short", "--rounds", "2",
+                      "--against", str(checkout)]) == 0
+    lines = [line.split(", ")
+             for line in capfd.readouterr().out.splitlines()]
+    assert [line[0].split(":")[0] for line in lines] == [
+        "ONE_ST constant_rate", "TWO_ST constant_rate", "TWO_SMT event"]
+    for line in lines:
+        assert line[0].split(": ")[1].startswith("parent ")
+        assert line[1].startswith("change ")
+        assert len(line[2].split()[3:]) == 2
+        word, parent, arrow, change = line[3].split()
+        assert (word, arrow) == ("events", "->") and parent == change
+        assert line[4] == "digests equal"
+    assert int(lines[2][3].split()[1]) > 0
+    # a parent whose spec draws other schedules gives other bits
+    parent = tmp_path / "parent"
+    shutil.copytree(checkout, parent)
+    spec = parent / "src" / "tailsim" / "specs" / "short.spec"
+    spec.write_text(SHORT_SPEC.replace("seed: 5", "seed: 6"))
+    assert tool.main([str(checkout), "--spec", "short", "--rounds", "1",
+                      "--against", str(parent)]) == 0
+    assert [line.split(", ")[-1] for line in
+            capfd.readouterr().out.splitlines()] == ["digests differ"] * 3
+    with pytest.raises(SystemExit):
+        tool.main([str(checkout), "--spec", "short",
+                   "--against", str(tmp_path / "nowhere")])
+
+
 def test_engine_time_reports_each_topology(tmp_path, capfd):
     checkout = short_checkout(tmp_path)
     tool = load_tool("engine_time")

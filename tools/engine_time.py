@@ -2,6 +2,7 @@
 """Time the engine in-process on a shipped spec's sweep points.
 
     python tools/engine_time.py CHECKOUT --spec NAME [--rounds N]
+                                [--against PARENT]
 
 CHECKOUT is a source checkout. In a subprocess with the checkout's
 ``src`` on the import path, the open-loop spec NAME (a shipped spec of
@@ -15,6 +16,14 @@ requests/s and events/s at that median, and a sha256 over every trace
 array of every point (the request columns, both segment arrays and each
 core's busy intervals). Equal digests from two checkouts show that their
 engines gave the same bits.
+
+With ``--against PARENT``, the subprocess also imports the checkout
+PARENT's ``tailsim`` as a second package, and each side builds its own
+spec, schedules and assignments. The two engines are timed point by
+point in one process, alternating which runs first, so a drift of the
+host's speed falls on both alike. Per topology this prints the path,
+both medians, the change's time over the parent's in each round, both
+event counts and whether the two sides' digests are equal.
 """
 
 from __future__ import annotations
@@ -25,69 +34,154 @@ import subprocess
 import sys
 from pathlib import Path
 
+TOPOLOGIES = ("ONE_ST", "TWO_ST", "TWO_SMT")
 
-def report(name: str, rounds: int) -> None:
-    """Print one line per topology; runs with the checkout's tailsim."""
-    import hashlib
-    import statistics
+
+def load_package(src: Path, name: str):
+    """Import the ``tailsim`` package under src as the package `name`."""
+    import importlib.util
+
+    init = src / "tailsim" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def sweep(name: str, package: str = "tailsim"):
+    """(points, run) for the spec NAME with the package's engine:
+    run(topology name, point) times simulate_open_loop on the point and
+    returns (seconds, trace)."""
+    import importlib
     import time
-    from collections import Counter
     from dataclasses import replace
 
-    from tailsim.engine import simulate_open_loop
-    from tailsim.experiments import (geometric_points, load_experiment_spec,
-                                     point_seed, shipped_spec_path)
-    from tailsim.loadgen import assign_clients, build_schedule
-    from tailsim.model import OpenLoop, Topology
-
-    spec = load_experiment_spec(shipped_spec_path(name))
-    if not isinstance(spec.scenario.mode, OpenLoop):
+    engine, experiments, loadgen, model = (
+        importlib.import_module(f"{package}.{m}")
+        for m in ("engine", "experiments", "loadgen", "model"))
+    spec = experiments.load_experiment_spec(
+        experiments.shipped_spec_path(name))
+    if not isinstance(spec.scenario.mode, model.OpenLoop):
         sys.exit(f"{name}: not an open-loop spec")
     config = spec.config
     jobs = []
-    for i, q in enumerate(geometric_points(*spec.qps_range, spec.n_points)):
-        seed = point_seed(config.seed, i)
-        schedule = build_schedule(config.arrival, q, spec.scenario.duration,
-                                  point_seed(seed, 1))
+    for i, q in enumerate(experiments.geometric_points(*spec.qps_range,
+                                                       spec.n_points)):
+        seed = experiments.point_seed(config.seed, i)
+        schedule = loadgen.build_schedule(config.arrival, q,
+                                          spec.scenario.duration,
+                                          experiments.point_seed(seed, 1))
         jobs.append((q, schedule,
-                     assign_clients(schedule, spec.scenario.n_clients),
-                     point_seed(seed, 2)))
-    topologies = (Topology.ONE_ST, Topology.TWO_ST, Topology.TWO_SMT)
-    seconds = {t: [] for t in topologies}
-    first = {}
-    for _ in range(rounds):
-        for topology in topologies:
-            spent, requests, events, paths = 0.0, 0, 0, Counter()
-            digest = hashlib.sha256()
-            for q, schedule, assignment, seed in jobs:
-                scenario = replace(spec.scenario, topology=topology,
-                                   mode=OpenLoop(q))
-                t0 = time.perf_counter()
-                trace = simulate_open_loop(spec.profile, scenario,
-                                           spec.limits, config.platform,
-                                           schedule, assignment, seed)
-                spent += time.perf_counter() - t0
-                requests += len(trace)
-                events += trace.meta.get("events", 0)
-                paths[trace.meta["engine"]] += 1
-                for column in (trace.client, trace.scheduled, trace.issue,
-                               trace.service_start, trace.completion,
-                               trace.timely, trace.latency,
-                               trace.mem_segments, trace.disk_segments,
-                               *trace.cpu_busy):
-                    digest.update(column.tobytes())
+                     loadgen.assign_clients(schedule,
+                                            spec.scenario.n_clients),
+                     experiments.point_seed(seed, 2)))
+
+    def run(topology: str, point: int):
+        q, schedule, assignment, seed = jobs[point]
+        scenario = replace(spec.scenario, topology=model.Topology[topology],
+                           mode=model.OpenLoop(q))
+        t0 = time.perf_counter()
+        trace = engine.simulate_open_loop(spec.profile, scenario,
+                                          spec.limits, config.platform,
+                                          schedule, assignment, seed)
+        return time.perf_counter() - t0, trace
+
+    return len(jobs), run
+
+
+class Tally:
+    """Requests, events, engine paths and a sha256 over the traces of one
+    topology's points."""
+
+    def __init__(self) -> None:
+        import hashlib
+        from collections import Counter
+
+        self.requests = self.events = 0
+        self.paths = Counter()
+        self.digest = hashlib.sha256()
+
+    def add(self, trace) -> None:
+        self.requests += len(trace)
+        self.events += trace.meta.get("events", 0)
+        self.paths[trace.meta["engine"]] += 1
+        for column in (trace.client, trace.scheduled, trace.issue,
+                       trace.service_start, trace.completion, trace.timely,
+                       trace.latency, trace.mem_segments,
+                       trace.disk_segments, *trace.cpu_busy):
+            self.digest.update(column.tobytes())
+
+    def path(self) -> str:
+        paths = self.paths
+        return ("+".join(f"{p} {paths[p]}" for p in sorted(paths))
+                if len(paths) > 1 else next(iter(paths)))
+
+
+def report(name: str, rounds: int) -> None:
+    """Print one line per topology; runs with the checkout's tailsim."""
+    import statistics
+
+    points, run = sweep(name)
+    seconds = {t: [] for t in TOPOLOGIES}
+    tally = {t: Tally() for t in TOPOLOGIES}
+    for r in range(rounds):
+        for topology in TOPOLOGIES:
+            spent = 0.0
+            for i in range(points):
+                s, trace = run(topology, i)
+                spent += s
+                if r == 0:
+                    tally[topology].add(trace)
+                del trace
             seconds[topology].append(spent)
-            path = ("+".join(f"{p} {paths[p]}" for p in sorted(paths))
-                    if len(paths) > 1 else next(iter(paths)))
-            first.setdefault(topology, (path, requests, events,
-                                        digest.hexdigest()))
-    for topology in topologies:
-        path, requests, events, digest = first[topology]
+    for topology in TOPOLOGIES:
+        t = tally[topology]
         s = statistics.median(seconds[topology])
-        rate = f"{events / s:.0f} events/s" if events else "no events"
-        print(f"{topology.name} {path}: {s:.4f} s, {requests} requests, "
-              f"{requests / s:.0f} req/s, {events} events, {rate}, "
-              f"sha256 {digest}", flush=True)
+        rate = f"{t.events / s:.0f} events/s" if t.events else "no events"
+        print(f"{topology} {t.path()}: {s:.4f} s, {t.requests} requests, "
+              f"{t.requests / s:.0f} req/s, {t.events} events, {rate}, "
+              f"sha256 {t.digest.hexdigest()}", flush=True)
+
+
+def report_against(name: str, rounds: int, parent_src: str) -> None:
+    """Print one line per topology comparing the parent's engine (the
+    package under parent_src) with the checkout's, point by point."""
+    import statistics
+
+    load_package(Path(parent_src), "parent_tailsim")
+    sides = (sweep(name, "parent_tailsim"), sweep(name))  # parent, change
+    if sides[0][0] != sides[1][0]:
+        sys.exit(f"{name}: the two checkouts sweep different points")
+    points = sides[1][0]
+    seconds = {t: ([], []) for t in TOPOLOGIES}
+    tally = {t: (Tally(), Tally()) for t in TOPOLOGIES}
+    for r in range(rounds):
+        for topology in TOPOLOGIES:
+            spent = [0.0, 0.0]
+            for i in range(points):
+                for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                    s, trace = sides[side][1](topology, i)
+                    spent[side] += s
+                    if r == 0:
+                        tally[topology][side].add(trace)
+                    del trace
+            for side in (0, 1):
+                seconds[topology][side].append(spent[side])
+    for topology in TOPOLOGIES:
+        parent, change = tally[topology]
+        sp, sc = seconds[topology]
+        path = parent.path()
+        if change.path() != path:
+            path += f" -> {change.path()}"
+        ratios = " ".join(f"{c / p:.3f}" for p, c in zip(sp, sc))
+        same = parent.digest.digest() == change.digest.digest()
+        print(f"{topology} {path}: parent {statistics.median(sp):.4f} s, "
+              f"change {statistics.median(sc):.4f} s, "
+              f"change/parent per round {ratios}, "
+              f"events {parent.events} -> {change.events}, "
+              f"digests {'equal' if same else 'differ'}", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,15 +189,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("checkout", type=Path)
     parser.add_argument("--spec", required=True)
     parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--against", type=Path, metavar="PARENT")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds: must be >= 1")
     src = args.checkout.resolve() / "src"
     if not (src / "tailsim").is_dir():
         parser.error(f"{args.checkout}: no src/tailsim")
+    call = f"report({args.spec!r}, {args.rounds})"
+    if args.against is not None:
+        parent_src = args.against.resolve() / "src"
+        if not (parent_src / "tailsim").is_dir():
+            parser.error(f"--against {args.against}: no src/tailsim")
+        call = (f"report_against({args.spec!r}, {args.rounds}, "
+                f"{str(parent_src)!r})")
     code = (f"import sys; sys.path.insert(1, {str(Path(__file__).parent)!r})"
-            f"; import engine_time; engine_time.report({args.spec!r}, "
-            f"{args.rounds})")
+            f"; import engine_time; engine_time.{call}")
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-c", code], env=env,
                           cwd=args.checkout).returncode
