@@ -128,17 +128,23 @@ class WorkloadProfile:
     service_dist: ServiceDist = ServiceDist("deterministic")
     qos_multiplier: float = 5.0
 
+    def phase_times(self, limits: "ResourceLimits",
+                    platform: PlatformConfig) -> tuple[float, float, float]:
+        """Mean compute, memory and disk phase times of a lone request
+        under limits."""
+        d = mean_demands(self, limits, platform)
+        rates = drain_rates(self, Topology.ONE_ST, limits, platform)
+        mem = (d.mem_bytes / rates[MEMORY * 4 + IDLE][0][2]
+               if d.mem_bytes > 0 else 0.0)
+        disk = (d.disk_bytes / rates[DISK * 4 + IDLE][0][2]
+                if d.disk_bytes > 0 else 0.0)
+        return d.cpu_seconds, mem, disk
+
     def isolated_service_time(self, limits: "ResourceLimits",
                               platform: PlatformConfig) -> float:
         """Mean three-phase service time of a lone request under limits."""
-        d = mean_demands(self, limits, platform)
-        rates = drain_rates(self, Topology.ONE_ST, limits, platform)
-        t = d.cpu_seconds
-        if d.mem_bytes > 0:
-            t += d.mem_bytes / rates[MEMORY * 4 + IDLE][0][2]
-        if d.disk_bytes > 0:
-            t += d.disk_bytes / rates[DISK * 4 + IDLE][0][2]
-        return t
+        cpu, mem, disk = self.phase_times(limits, platform)
+        return cpu + mem + disk
 
 
 @dataclass(frozen=True)

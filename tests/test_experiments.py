@@ -1,6 +1,6 @@
 import concurrent.futures
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -16,7 +16,8 @@ from tailsim.experiments import (CalibrationError, ExperimentError,
                                  shipped_spec_path)
 from tailsim.model import (ClosedLoop, FileFormatError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
-                           ServiceDist, Topology, WorkloadProfile)
+                           ServiceDist, Topology, WorkloadProfile,
+                           shipped_profile)
 
 PLATFORM = PlatformConfig()
 FREE = ResourceLimits.unconstrained(PLATFORM)
@@ -392,6 +393,18 @@ class TestCalibrate:
             spec.n_points, spec.config)
         iso = calibrated.isolated_service_time(FREE, PLATFORM)
         assert iso == pytest.approx(0.0001, rel=0.01)
+
+    def test_smt_ratio_reproduces_shipped_silo(self):
+        # The SMT step is the bisection that fitted the shipped profile:
+        # from silo's 1.23 target it lands on the shipped smt_efficiency.
+        spec = load_experiment_spec(shipped_spec_path("silo"))
+        calibrated, report = calibrate_profile(
+            spec.profile, {"smt_ratio_20": 1.23},
+            replace(spec.scenario, duration=5.0), spec.qps_range, 6,
+            replace(spec.config, warmup=1.0))
+        assert report.worst_residual <= 0.20
+        assert (calibrated.smt_efficiency
+                == shipped_profile("silo").smt_efficiency)
 
     def test_empty_and_unknown_targets_rejected(self):
         spec = load_experiment_spec(shipped_spec_path("silo"))

@@ -31,6 +31,36 @@ def test_tune_profiles_imports_and_measures():
     assert sat == 0.0 or qos.resolved
 
 
+def test_tune_profiles_pins_shipped_cpu_work():
+    from tailsim.model import shipped_profile
+    tune = load_tool("tune_profiles")
+    pinned = [n for n, w in tune.WORKLOADS.items() if "cpu_work" not in w]
+    assert len(pinned) == 7
+    for name in pinned:
+        prof = tune.build_profile(name, tune.WORKLOADS[name], 0.0)
+        assert prof.cpu_work == shipped_profile(name).cpu_work, name
+
+
+def test_tune_profiles_rewrites_shipped_files(tmp_path, monkeypatch):
+    # xapian pins cpu_work and bisects cv, sphinx has a fixed cv and
+    # support, shore searches its disk bandwidth.
+    from tailsim.experiments import shipped_spec_path
+    from tailsim.model import shipped_profile_path
+    tune = load_tool("tune_profiles")
+    monkeypatch.setattr(tune, "PROFILE_DIR", tmp_path)
+    monkeypatch.setattr(tune, "SPEC_DIR", tmp_path)
+    names = ["xapian", "sphinx", "shore"]
+    tune.main(names)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted([f"{n}.profile" for n in names]
+                             + [f"{n}.spec" for n in names])
+    for name in names:
+        assert ((tmp_path / f"{name}.profile").read_bytes()
+                == shipped_profile_path(name).read_bytes()), name
+        assert ((tmp_path / f"{name}.spec").read_bytes()
+                == shipped_spec_path(name).read_bytes()), name
+
+
 def write_root(root, p95, binding, wall):
     (root / "sweep-x").mkdir(parents=True)
     (root / "sweep-x" / "sweep.csv").write_text(

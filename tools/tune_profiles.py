@@ -12,6 +12,7 @@ Run from the repository root:  python tools/tune_profiles.py [workload ...]
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import replace
@@ -21,11 +22,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from tailsim.loadgen import ArrivalModel
-from tailsim.experiments import (RunConfig, derive_lqos, qos_saturation,
-                                 qps_sweep, compare_scenarios)
+from tailsim.experiments import (RunConfig, calibrate_profile, derive_lqos,
+                                 pin_cpu_work, qos_saturation, qps_sweep)
 from tailsim.model import (MB, OpenLoop, PlatformConfig,
                            ResourceLimits, ScenarioConfig, ServiceDist,
-                           Topology, WorkloadProfile, save_profile)
+                           Topology, WorkloadProfile, miss_ratio,
+                           save_profile)
 
 PLATFORM = PlatformConfig()
 LIMITS = ResourceLimits.unconstrained(PLATFORM)
@@ -34,9 +36,9 @@ SUPPORT_LADDER = [3, 5, 8, 12, 20, 30, 50, 80, 120, 200, 300, 500, 1000]
 PROFILE_DIR = ROOT / "src" / "tailsim" / "profiles"
 SPEC_DIR = ROOT / "src" / "tailsim" / "specs"
 
-# Structural parameters per workload. s_total is the isolated mean service
-# time implied by the QoS target (lqos / 5); cpu_work is derived from it by
-# subtracting the memory and disk phase times.
+# Structural parameters per workload. Unless a workload fixes cpu_work,
+# pin_cpu_work derives it from lqos: the isolated mean service time
+# lqos / 5 less the memory and disk phase times.
 WORKLOADS = {
     "img-dnn": dict(
         lqos=3.6e-3, sat=640.0, qps_range=(100.0, 2000.0), clients=12,
@@ -109,23 +111,19 @@ MEDIA = dict(
 
 
 def build_profile(name: str, w: dict, cv: float) -> WorkloadProfile:
-    mem_t = w["mem_bytes_full"] / (w["mem_stream_rate"] * MB)
-    disk_t = w["disk_bytes"] / (PLATFORM.disk_bw_capacity * MB)
-    if "cpu_work" in w:
-        cpu = w["cpu_work"]
-    else:
-        cpu = w["lqos"] / 5.0 - mem_t - disk_t
-        assert cpu > 0, f"{name}: non-compute phases exceed service target"
     accesses = w["mem_bytes_full"] / (w["miss_min"] * PLATFORM.cache_line)
     dist = (ServiceDist("deterministic") if cv < 0.02
             else ServiceDist("lognormal", cv))
-    return WorkloadProfile(
-        name=name, cpu_work=cpu, mem_accesses=accesses,
+    prof = WorkloadProfile(
+        name=name, cpu_work=w.get("cpu_work", 0.0), mem_accesses=accesses,
         miss_min=w["miss_min"], miss_max=w["miss_max"],
         miss_shape=w["miss_shape"], mem_stream_rate=w["mem_stream_rate"],
         footprint=w["footprint"], disk_bytes=w["disk_bytes"],
         net_tx_bytes=w["net_tx"], net_rx_bytes=w["net_rx"],
         smt_efficiency=w["sigma"], service_dist=dist)
+    if "cpu_work" in w:
+        return prof
+    return replace(prof, cpu_work=pin_cpu_work(prof, w["lqos"], PLATFORM))
 
 
 def scenario_for(w: dict) -> ScenarioConfig:
@@ -151,15 +149,16 @@ def measure_sat(profile, w, support, limits=LIMITS, duration_scale=1.0):
     return qos_saturation(sweep, qos).qps, qos, sweep
 
 
-def pick_support(profile_det, w, target) -> int:
-    """Largest (burstiest) zipf support whose deterministic-service
-    saturation still sits above the target, leaving room for cv."""
+def pick_support(profile, w, target, limits, margin) -> int:
+    """Largest (burstiest) zipf support whose half-length saturation under
+    limits still reaches margin * target; a margin above 1 leaves room for
+    the service variability searched next."""
     chosen = SUPPORT_LADDER[0]
     for support in SUPPORT_LADDER:
-        sat, _, _ = measure_sat(profile_det, w, support, duration_scale=0.5)
-        print(f"    support {support:5d}: det sat {sat:9.3f} "
-              f"(target {target})")
-        if sat >= 1.04 * target:
+        sat, _, _ = measure_sat(profile, w, support, limits=limits,
+                                duration_scale=0.5)
+        print(f"    support {support:5d}: sat {sat:9.3f} (target {target})")
+        if sat >= margin * target:
             chosen = support
         else:
             break
@@ -197,7 +196,7 @@ def tune_generic(name: str) -> WorkloadProfile:
     else:
         print(f"[{name}] choosing arrival burstiness")
         det = build_profile(name, w, 0.0)
-        support = pick_support(det, w, target)
+        support = pick_support(det, w, target, LIMITS, 1.04)
     print(f"  support = {support}")
     if w.get("cv_fixed") is not None:
         cv = w["cv_fixed"]
@@ -219,21 +218,11 @@ def tune_shore() -> WorkloadProfile:
     target = w["sat"]
     cv = w["cv_fixed"]
     lo, hi = 2.0, 60.0  # MB/s effective disk bandwidth
-    support = 50
-    # Pick support with a mid-range disk limit first.
-    w["disk_limit"] = 8.0
     prof = build_profile(name, w, cv)
-    limits = replace(LIMITS, disk_bw_limit=8.0)
+    # Pick support with a mid-range disk limit first.
     print(f"[{name}] choosing arrival burstiness (disk limit 8 MB/s)")
-    chosen = SUPPORT_LADDER[0]
-    for s in SUPPORT_LADDER:
-        sat, _, _ = measure_sat(prof, w, s, limits=limits, duration_scale=0.5)
-        print(f"    support {s:5d}: sat {sat:9.3f}")
-        if sat >= 0.9 * target:
-            chosen = s
-        else:
-            break
-    support = chosen
+    support = pick_support(prof, w, target,
+                           replace(LIMITS, disk_bw_limit=8.0), 0.9)
     print(f"  support = {support}")
     best = None
     for _ in range(10):
@@ -270,12 +259,11 @@ def tune_img_dnn_cat(profile: WorkloadProfile) -> WorkloadProfile:
         return sat
 
     prof = profile
+    s2 = sat_at(prof, 2)
     for round_ in range(3):
-        s2 = sat_at(prof, 2)
         # Adjust miss_max: more traffic at 2 ways lowers saturation.
         scale = s2 / 300.0
         if abs(scale - 1.0) > 0.04:
-            new_mem2 = None
             mm = prof.miss_max
             # service time at 2 ways scales ~ inversely with saturation
             lim2 = replace(LIMITS, llc_ways=2)
@@ -283,7 +271,6 @@ def tune_img_dnn_cat(profile: WorkloadProfile) -> WorkloadProfile:
             want_s = s_tot * scale
             delta = want_s - s_tot
             extra_bytes = delta * prof.mem_stream_rate * MB
-            from tailsim.model import miss_ratio
             m2 = miss_ratio(prof, 2, PLATFORM.llc_total_ways)
             m2_new = m2 + extra_bytes / (prof.mem_accesses *
                                          PLATFORM.cache_line)
@@ -301,13 +288,11 @@ def tune_img_dnn_cat(profile: WorkloadProfile) -> WorkloadProfile:
             s_tot5 = prof.isolated_service_time(lim5, PLATFORM)
             want_s5 = s_tot5 * scale5
             extra5 = (want_s5 - s_tot5) * prof.mem_stream_rate * MB
-            from tailsim.model import miss_ratio
             m5 = miss_ratio(prof, 5, PLATFORM.llc_total_ways)
             m5_new = m5 + extra5 / (prof.mem_accesses * PLATFORM.cache_line)
             m5_new = min(max(m5_new, prof.miss_min + 1e-4),
                          prof.miss_max - 1e-4)
             # Solve shape k from the 5-way target, keeping miss_max.
-            import math
             span5 = (m5_new - prof.miss_min) / (prof.miss_max - prof.miss_min)
             frac = ((PLATFORM.llc_total_ways - 5) /
                     (PLATFORM.llc_total_ways - 1))
@@ -317,42 +302,22 @@ def tune_img_dnn_cat(profile: WorkloadProfile) -> WorkloadProfile:
                 print(f"  [cat round {round_}] sat(5w)={s5:.1f} -> shape "
                       f"{prof.miss_shape:.3f} -> {k_new:.3f}")
                 prof = replace(prof, miss_shape=k_new)
-        s11 = sat_at(prof, 11)
-        s8 = sat_at(prof, 8)
+        s11, s8, s5, s2 = (sat_at(prof, ways) for ways in (11, 8, 5, 2))
         print(f"  [cat round {round_}] sat 11/8/5/2 = {s11:.0f}/{s8:.0f}/"
-              f"{sat_at(prof, 5):.0f}/{sat_at(prof, 2):.0f}")
-        if (abs(sat_at(prof, 2) - 300) / 300 < 0.06
-                and abs(sat_at(prof, 5) - 400) / 400 < 0.06):
+              f"{s5:.0f}/{s2:.0f}")
+        if abs(s2 - 300) / 300 < 0.06 and abs(s5 - 400) / 400 < 0.06:
             break
     return prof
 
 
 def tune_silo_sigma(profile: WorkloadProfile) -> WorkloadProfile:
     w = WORKLOADS["silo"]
-    support = w["support"]
-    scen = scenario_for(w)
-    cfg = config_for(w, support)
-    lo, hi = 0.35, 0.95
-    best = (profile.smt_efficiency, None)
-    for _ in range(7):
-        mid = 0.5 * (lo + hi)
-        cand = replace(profile, smt_efficiency=mid)
-        comp = compare_scenarios(cand, LIMITS, w["qps_range"], 10, scen, cfg)
-        r = comp.ratios["two_st_over_two_smt_at_20"]
-        print(f"    sigma {mid:.4f}: 2ST/2SMT@20% = "
-              f"{r if r is None else round(r, 4)}")
-        if r is None:
-            break
-        if best[1] is None or abs(r - 1.23) < abs(best[1] - 1.23):
-            best = (mid, r)
-        if r > 1.23:
-            lo = mid
-        else:
-            hi = mid
-        if abs(r - 1.23) < 0.02:
-            break
-    print(f"  sigma = {best[0]:.4f} (ratio {best[1]})")
-    return replace(profile, smt_efficiency=best[0])
+    prof, report = calibrate_profile(
+        profile, {"smt_ratio_20": w["smt_ratio"]}, scenario_for(w),
+        w["qps_range"], 10, config_for(w, w["support"]))
+    print(f"  sigma = {prof.smt_efficiency:.4f} "
+          f"(ratio {report.achieved['smt_ratio_20']})")
+    return prof
 
 
 def build_media() -> WorkloadProfile:
