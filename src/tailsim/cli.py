@@ -25,7 +25,8 @@ from .experiments import (ExperimentSpec, ExperimentError, SweepResult,
                           CalibrationError, calibrate_profile,
                           compare_scenarios, constraint_study, derive_lqos,
                           load_experiment_spec, qos_saturation, qps_sweep)
-from .metrics import SWEEP_CSV_COLUMNS, default_warmup, summary_csv_row
+from .metrics import (SWEEP_CSV_COLUMNS, MetricsError, default_warmup,
+                      summary_csv_row)
 from .model import (ClosedLoop, FileFormatError, ModelError, PlatformConfig,
                     Topology, load_platform, platform_to_text,
                     profile_to_text, save_profile)
@@ -78,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "replay":
             return _cmd_replay(args)
         return _dispatch(args, args.spec)
-    except (FileFormatError, ModelError, ExperimentError,
+    except (FileFormatError, ModelError, ExperimentError, MetricsError,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -19,20 +19,24 @@ closed-loop run and every open-loop run whose rates vary. An open-loop run
 in which each phase drains at its lone rate (beside an idle sibling) in
 every pair its workers can reach (``_constant_rate``: one worker always)
 takes ``_run_constant_rate``. There a request's phase ends are fixed when
-it starts, so one loop takes one step per request, in issue order, on
-either topology: a request takes worker 0 if it has freed by the issue,
-else worker 1 if it has, else the worker that frees first (Kiefer and
-Wolfowitz, "On the theory of queues with many servers", 1955). With one
-worker, worker 1 never frees, and this is Lindley's recursion ("The
-theory of queues with a single server", 1952). The client's next issue is
-pushed when the request starts. The event engine takes equal times in
-push order; one worker keeps that order, and a two-worker run in which
-two event times are equal is handed to ``_run``. The simulate_*
-functions choose the path and record it in ``Trace.meta["engine"]``
-(``"constant_rate"`` or ``"event"``). ``_request_store`` builds the
-request store both paths fill: in open loop the schedule times, compute
-seconds, clients and each client's next request; in closed loop a request
-appended as its session issues it.
+it starts, so it takes one step per request, in issue order. With one
+worker and ``assign_clients``' round-robin layout, issue order is index
+order: a client's next issue follows its previous completion, and one
+worker completes in issue order. So one worker walks the schedule by
+index, each request starting at the later of its issue and the previous
+completion (Lindley, "The theory of queues with a single server", 1952).
+Two workers take the issues from a heap, a client's next pushed when a
+request starts, and a request takes worker 0 if it has freed by the
+issue, else worker 1 if it has, else the worker that frees first (Kiefer
+and Wolfowitz, "On the theory of queues with many servers", 1955). The
+event engine takes equal times in its push order, which that heap does
+not keep, so a two-worker run in which two event times are equal is
+handed to ``_run``, as is a one-worker run laid out otherwise. The
+simulate_* functions choose the path and record it in
+``Trace.meta["engine"]`` (``"constant_rate"`` or ``"event"``).
+``_request_store`` builds the request store both paths fill: in open loop
+the schedule times, compute seconds, clients and each client's next
+request; in closed loop a request appended as its session issues it.
 
 Both paths record memory and disk traffic as constant-rate segments: a
 stretch of one worker's memory or disk phase at one rate, as a
@@ -513,8 +517,9 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                        assignment: ClientAssignment) -> Trace | None:
     """An open-loop run whose phases drain at constant rates
     (``_constant_rate``), one step per request in issue order: ``_run``'s
-    trace, bit for bit, or None when it has two workers and two of its
-    event times are equal.
+    trace, bit for bit, or None when the order is left to ``_run``: with
+    one worker when ``_index_order`` does not hold, with two when two of
+    the run's event times are equal.
 
     A request's phase ends are fixed when it starts: compute ends at
     start + cpu, memory mem_bytes / rate later and disk disk_bytes / rate
@@ -522,20 +527,34 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     order. A request takes worker 0 if it has freed by the issue, else
     worker 1 if it has, else the worker that frees first: FIFO dispatch
     (Kiefer and Wolfowitz, "On the theory of queues with many servers",
-    1955). With one worker, worker 1 never frees, and a request starts at
-    the later of its issue and the previous completion (Lindley, 1952).
-    The completion is known at the start, so the client's next issue is
-    pushed then, at max(scheduled, done + 2 rtt). With one worker the
-    pushes keep ``_run``'s order, so equal times resolve as there. With
-    two they do not, and ``_run`` decides equal times by push order: if
-    any two of the issues and the completions at or before the hard stop
-    are equal, the run is left to ``_run``. At the hard stop nothing later
-    is issued, started or completed, and the busy intervals and bytes of
-    requests in flight end at the last event at or before it. Each phase
-    is one segment, in the order ``_run`` closes it: by completion time,
-    then the requests in flight in worker order.
+    1955). The completion is known at the start, and the client's next
+    issue with it, at max(scheduled, done + 2 rtt).
+
+    One worker completes its requests in the order they start, so done
+    never decreases in issue order. Under the round-robin layout request
+    j's client issued j - n_clients before it, so issue[j] =
+    max(scheduled[j], done[j - n_clients] + 2 rtt) never decreases in j,
+    by induction, and ``_run`` pushes equal issue times in index order:
+    its heap takes the requests in index order. The loop walks them so,
+    with no heap, each starting at the later of its issue and the previous
+    completion (Lindley, "The theory of queues with a single server",
+    1952). A request whose client's previous one never completed is never
+    issued, and no later one is either. With two workers issue order is
+    not index order: the issues go through a heap of (time, push order,
+    request), the client's next pushed when a request starts. ``_run``
+    decides equal times by its own push order, which differs, so if any
+    two of the issues and the completions at or before the hard stop are
+    equal, the run is left to ``_run``.
+
+    At the hard stop nothing later is issued, started or completed, and
+    the busy intervals and bytes of requests in flight end at the last
+    event at or before it. Each phase is one segment, in the order
+    ``_run`` closes it: by completion time, then the requests in flight in
+    worker order.
     """
     n_workers = scenario.topology.n_workers
+    if n_workers == 1 and not _index_order(schedule, assignment):
+        return None
     rtt2 = 2.0 * scenario.rtt
     hard_stop = _sample_grid(scenario.duration)[0]
 
@@ -548,58 +567,81 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     mem_time = mem_bytes / mem_rate if mem_bytes > 0.0 else 0.0
     disk_time = disk_bytes / disk_rate if disk_bytes > 0.0 else 0.0
 
-    # The issue heap holds (time, push order, request); the initial issues
-    # are pushed first, in client order.
     (client_of, scheduled, cpu, next_of, issue, start, done, first,
      _) = _request_store(profile, scenario, seed, schedule, assignment)
-    heap = [(t, i, a) for i, (t, a) in enumerate(first)]
-    heapq.heapify(heap)
-    seq = len(heap)
-    heappop, heapreplace = heapq.heappop, heapq.heapreplace
-
     # When each worker frees: the completion of its last request; on holds
     # 1 for each request worker 1 serves, and in_flight each worker's
     # request still in service at the hard stop, if any.
-    free0 = -math.inf
-    free1 = -math.inf if n_workers == 2 else math.inf
+    free0 = free1 = -math.inf
     on = bytearray(len(issue))
     in_flight = [-1, -1]
-    while heap:
-        t, _, j = heap[0]
-        if t > hard_stop:
-            break
-        issue[j] = t
-        if free1 < free0 > t:  # worker 0 busy past t, worker 1 frees first
-            w = 1
-            s = t if t > free1 else free1
-        else:
-            w = 0
+    if n_workers == 1:
+        # Request j - n_clients is request j's client's previous one, and
+        # the requests issue in index order.
+        n_clients = assignment.n_clients
+        for j in range(len(issue)):
+            t = scheduled[j]
+            if j >= n_clients:
+                ready = done[j - n_clients] + rtt2
+                if ready > t:
+                    t = ready
+                elif ready != ready:  # NaN: the previous one never completed
+                    break
+            if t > hard_stop:
+                break
+            issue[j] = t
             s = t if t > free0 else free0
-        if s > hard_stop:  # queued behind requests that never complete
-            heappop(heap)
-            continue
-        start[j] = s
-        end = s + cpu[j] + mem_time + disk_time
-        if w:
-            free1 = end
-            on[j] = 1
-        else:
-            free0 = end
-        if end > hard_stop:  # in flight at the hard stop
-            in_flight[w] = j
-            heappop(heap)
-            continue
-        done[j] = end
-        key = next_of[j]
-        if key < 0:  # the client's last request
-            heappop(heap)
-            continue
-        t_next = scheduled[key]
-        ready = end + rtt2
-        if ready > t_next:
-            t_next = ready
-        heapreplace(heap, (t_next, seq, key))
-        seq += 1
+            if s > hard_stop:  # queued behind the request in flight
+                continue
+            start[j] = s
+            free0 = end = s + cpu[j] + mem_time + disk_time
+            if end > hard_stop:  # in flight at the hard stop
+                in_flight[0] = j
+                continue
+            done[j] = end
+    else:
+        # The issue heap holds (time, push order, request); the initial
+        # issues are pushed first, in client order.
+        heap = [(t, i, a) for i, (t, a) in enumerate(first)]
+        heapq.heapify(heap)
+        seq = len(heap)
+        heappop, heapreplace = heapq.heappop, heapq.heapreplace
+        while heap:
+            t, _, j = heap[0]
+            if t > hard_stop:
+                break
+            issue[j] = t
+            if free1 < free0 > t:  # worker 0 busy past t, 1 frees first
+                w = 1
+                s = t if t > free1 else free1
+            else:
+                w = 0
+                s = t if t > free0 else free0
+            if s > hard_stop:  # queued behind requests that never complete
+                heappop(heap)
+                continue
+            start[j] = s
+            end = s + cpu[j] + mem_time + disk_time
+            if w:
+                free1 = end
+                on[j] = 1
+            else:
+                free0 = end
+            if end > hard_stop:  # in flight at the hard stop
+                in_flight[w] = j
+                heappop(heap)
+                continue
+            done[j] = end
+            key = next_of[j]
+            if key < 0:  # the client's last request
+                heappop(heap)
+                continue
+            t_next = scheduled[key]
+            ready = end + rtt2
+            if ready > t_next:
+                t_next = ready
+            heapreplace(heap, (t_next, seq, key))
+            seq += 1
 
     # The per-request temporaries below are dropped as soon as they are
     # used: they would otherwise set the run's peak memory.
@@ -673,6 +715,18 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                  net_rx_bytes=base.net_rx_bytes, cpu_busy=cpu_busy,
                  llc_occupancy=llc_occupancy(profile, limits, platform),
                  meta={"engine": "constant_rate"})
+
+
+def _index_order(schedule: ArrivalSchedule,
+                 assignment: ClientAssignment) -> bool:
+    """Whether the schedule's times never decrease and the clients hold
+    ``assign_clients``' round-robin layout, client c of n holding requests
+    c, c + n, c + 2n, ...: then one worker issues in index order."""
+    times, n_clients = schedule.times, assignment.n_clients
+    n = len(times)
+    return (not (times[1:] < times[:-1]).any()
+            and all(np.array_equal(ix, np.arange(c, n, n_clients))
+                    for c, ix in enumerate(assignment.client_indices)))
 
 
 def _sample_grid(duration: float) -> tuple[float, float, int]:

@@ -599,11 +599,13 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
         if best_r is not None:
             p = best
 
-    # Verification sweep and residual report.
-    sweep = qps_sweep(p, scenario, limits, qps_range, n_points, config)
-    qos = derive_lqos(sweep, p.qos_multiplier, manual_override=lqos_override)
+    # Verification sweep, when a residual reads it, and residual report.
     achieved: dict[str, float] = {}
     residuals: dict[str, float] = {}
+    if lqos_t is not None or sat_t is not None or bw_t is not None:
+        sweep = qps_sweep(p, scenario, limits, qps_range, n_points, config)
+        qos = derive_lqos(sweep, p.qos_multiplier,
+                          manual_override=lqos_override)
     if lqos_t is not None:
         got = qos.lqos if qos.resolved else math.nan
         achieved["lqos"] = got
@@ -618,9 +620,13 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
         achieved["mem_bw_at_saturation"] = bw
         residuals["mem_bw_at_saturation"] = (bw - bw_t) / bw_t
     if ratio_t is not None:
-        comp = compare_scenarios(p, limits, qps_range, n_points, scenario,
-                                 config, lqos_override=lqos_override)
-        r = comp.ratios["two_st_over_two_smt_at_20"]
+        # The kept candidate's ratio was measured with this seed and config.
+        r = best_r
+        if r is None:
+            comp = compare_scenarios(p, limits, qps_range, n_points,
+                                     scenario, config,
+                                     lqos_override=lqos_override)
+            r = comp.ratios["two_st_over_two_smt_at_20"]
         achieved["smt_ratio_20"] = r if r is not None else math.nan
         residuals["smt_ratio_20"] = ((r - ratio_t) / ratio_t
                                      if r is not None else math.inf)
@@ -800,6 +806,9 @@ def load_experiment_spec(path: str | Path,
     n_points = _spec_int(fields, "points", source, "12")
     lqos_override = (_spec_float(fields, "lqos_override", source)
                      if "lqos_override" in fields else None)
+    if lqos_override is not None and lqos_override <= 0.0:
+        raise FileFormatError(
+            f"{source}: key 'lqos_override': must be positive")
 
     ways_list: tuple[int, ...] = ()
     if "ways_list" in fields:

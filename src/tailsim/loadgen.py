@@ -63,7 +63,12 @@ class ArrivalSchedule:
 
 @dataclass(frozen=True)
 class ClientAssignment:
-    """Round-robin partition of schedule indices over n_clients clients."""
+    """Round-robin partition of schedule indices over n_clients clients.
+
+    The engine's one-worker constant-rate path relies on this layout,
+    client c holding requests c, c + n_clients, ...: it then walks the
+    schedule in index order. A run laid out otherwise takes the event
+    engine."""
 
     client_indices: tuple[np.ndarray, ...]
     n_clients: int

@@ -295,7 +295,9 @@ duration: 5.0
         ("warmup", "500", "'warmup': must lie in [0, duration)"),
         ("warmup", "8.0", "'warmup': must lie in [0, duration)"),
         ("warmup", "nan", "'warmup': must lie in [0, duration)"),
-        ("warmup", "-1", "'warmup': must lie in [0, duration)")])
+        ("warmup", "-1", "'warmup': must lie in [0, duration)"),
+        ("lqos_override", "-1", "'lqos_override': must be positive"),
+        ("lqos_override", "0", "'lqos_override': must be positive")])
     def test_out_of_range_exit_2(self, spec_dir, tmp_path, capsys, key,
                                  value, message):
         lines = [l for l in FAST_SPEC.splitlines()
@@ -307,6 +309,18 @@ duration: 5.0
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_window_without_requests_exit_2(self, tmp_path, capsys):
+        # So short a run schedules no request in its summary window.
+        lines = [l for l in shipped_spec_path("img-dnn").read_text()
+                 .splitlines() if not l.startswith("duration:")]
+        spec = tmp_path / "tiny.spec"
+        spec.write_text("\n".join(lines + ["duration: 1e-6"]) + "\n")
+        rc = main(["--out", str(tmp_path / "o"), "--points", "3", "sweep",
+                   str(spec)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: summarize: no requests scheduled in the window\n")
 
     @pytest.mark.parametrize("option,value", [
         ("--seed", "-1"), ("--warmup", "1000"), ("--warmup", "8"),

@@ -556,10 +556,12 @@ def phase_mixes(draw):
 
 
 @st.composite
-def open_loop_runs(draw, topologies=(Topology.ONE_ST,)):
+def open_loop_runs(draw, topologies=(Topology.ONE_ST,), round_robin=False):
     """A random open-loop run on one of the topologies: phase mix, limits,
-    arrival model, clients and round trip. The load reaches far past
-    saturation, so some runs censor at the hard stop."""
+    arrival model, clients and round trip. The clients are laid out by
+    assign_clients when round_robin is set, else by it or at random. The
+    load reaches far past saturation, so some runs censor at the hard
+    stop."""
     prof, limits = draw(phase_mixes())
     arrival = draw(st.sampled_from([ArrivalModel("deterministic"),
                                     ArrivalModel("poisson"),
@@ -571,7 +573,7 @@ def open_loop_runs(draw, topologies=(Topology.ONE_ST,)):
     scen = ScenarioConfig(draw(st.sampled_from(topologies)), n_clients,
                           OpenLoop(qps), duration, rtt=rtt)
     sched = build_schedule(arrival, qps, duration, draw(st.integers(0, 99)))
-    if draw(st.booleans()):
+    if round_robin or draw(st.booleans()):
         asg = assign_clients(sched, n_clients)
     else:  # clients of random size, in schedule order
         owner = np.random.default_rng(draw(st.integers(0, 99))).integers(
@@ -602,11 +604,12 @@ TICK = 2.0 ** -10  # seconds; sums of ticks are exact in binary
 
 
 @st.composite
-def tied_runs(draw):
+def tied_runs(draw, topologies=tuple(Topology), round_robin=False):
     """Open-loop runs on exact binary fractions, where issues, phase ends
     and completions fall on equal times: deterministic 1-3 tick compute, an
     optional one-tick memory phase, a round trip of none or one tick, and
-    several requests per two-tick slot."""
+    several requests per two-tick slot. The clients are laid out by
+    assign_clients when round_robin is set, else at random."""
     prof = WorkloadProfile(
         name="tie", cpu_work=draw(st.sampled_from([TICK, 2 * TICK,
                                                    3 * TICK])),
@@ -614,7 +617,7 @@ def tied_runs(draw):
         mem_accesses=draw(st.sampled_from([0.0, 30517.578125])),
         miss_min=0.5, miss_max=0.5, mem_stream_rate=1000.0,
         net_tx_bytes=1500.0, net_rx_bytes=300.0)
-    topology = draw(st.sampled_from(list(Topology)))
+    topology = draw(st.sampled_from(topologies))
     rtt = draw(st.sampled_from([0.0, TICK / 2]))
     per_slot = draw(st.lists(st.integers(0, 4), min_size=1, max_size=120))
     times = np.repeat(np.arange(len(per_slot)) * 2 * TICK, per_slot)
@@ -623,10 +626,13 @@ def tied_runs(draw):
     sched = ArrivalSchedule(times, 1.0, ArrivalModel("deterministic"), 0,
                             0.25)
     n_clients = draw(st.integers(1, 8))
-    owner = np.random.default_rng(draw(st.integers(0, 99))).integers(
-        0, n_clients, len(times))
-    asg = ClientAssignment(tuple(np.flatnonzero(owner == c)
-                                 for c in range(n_clients)), n_clients)
+    if round_robin:
+        asg = assign_clients(sched, n_clients)
+    else:
+        owner = np.random.default_rng(draw(st.integers(0, 99))).integers(
+            0, n_clients, len(times))
+        asg = ClientAssignment(tuple(np.flatnonzero(owner == c)
+                                     for c in range(n_clients)), n_clients)
     scen = ScenarioConfig(topology, n_clients, OpenLoop(1.0), 0.25, rtt=rtt)
     return prof, scen, FREE, sched, asg, 0
 
@@ -664,17 +670,30 @@ def tied_events(run, ref):
     return int((times[1:] == times[:-1]).sum())
 
 
+def index_order(run):
+    """Whether the run's clients hold assign_clients' layout over a
+    schedule whose times never decrease: engine._index_order, restated."""
+    sched, asg = run[3], run[4]
+    return (bool((np.diff(sched.times) >= 0.0).all())
+            and all(np.array_equal(a, b) for a, b in zip(
+                asg.client_indices,
+                assign_clients(sched, asg.n_clients).client_indices)))
+
+
 def run_both(run, platform=PLATFORM):
     """The open-loop run through simulate_open_loop and through
-    engine._run. The constant-rate path takes it, unless two workers meet
-    equal event times, which it leaves to the event engine."""
+    engine._run. The constant-rate path takes it with one worker and the
+    round-robin layout (over a sorted schedule), or with two workers and
+    no equal event times; it leaves every other run to the event
+    engine."""
     prof, scen, limits, sched, asg, seed = run
     fast = simulate_open_loop(prof, scen, limits, platform, sched, asg, seed)
     ref = engine._run(prof, scen, limits, platform, seed, schedule=sched,
                       assignment=asg)
     one = scen.topology.n_workers == 1
     assert fast.meta["engine"] == (
-        "constant_rate" if one or not tied_events(run, ref)
+        "constant_rate" if (index_order(run) if one
+                            else not tied_events(run, ref))
         else "event")
     assert ref.meta["engine"] == "event"
     return fast, ref
@@ -688,6 +707,46 @@ class TestConstantRatePath:
     @given(open_loop_runs(tuple(Topology)).map(constant_rate) | tied_runs())
     def test_matches_event_engine(self, run):
         assert_same_trace(*run_both(run))
+
+    @settings(max_examples=80, deadline=None)
+    @given(open_loop_runs(round_robin=True)
+           | tied_runs((Topology.ONE_ST,), round_robin=True))
+    def test_one_worker_walks_the_schedule(self, run):
+        # Equal times included, one worker takes the requests in index
+        # order under the round-robin layout.
+        fast, ref = run_both(run)
+        assert fast.meta["engine"] == "constant_rate"
+        assert_same_trace(fast, ref)
+
+    def test_interleaved_one_worker_takes_the_event_engine(self):
+        # Client 0 holds requests 0 and 1, client 1 request 2: request 1
+        # waits for request 0's completion, so the later-scheduled request
+        # 2 issues first, out of index order.
+        prof = WorkloadProfile(name="inter", cpu_work=3 * TICK,
+                               net_tx_bytes=1500.0)
+        sched = ArrivalSchedule(np.array([0.0, 1.0, 2.0]) * TICK, 1.0,
+                                ArrivalModel("deterministic"), 0, 0.25)
+        asg = ClientAssignment((np.array([0, 1]), np.array([2])), 2)
+        scen = ScenarioConfig(Topology.ONE_ST, 2, OpenLoop(1.0), 0.25,
+                              rtt=TICK / 2)
+        fast, ref = run_both((prof, scen, FREE, sched, asg, 0))
+        assert fast.meta["engine"] == "event"
+        assert ref.issue[2] < ref.issue[1]
+        assert_same_trace(fast, ref)
+
+    def test_unsorted_schedule_takes_the_event_engine(self):
+        # Round-robin clients, but request 1 is scheduled before request 0
+        # and so issues first.
+        prof = WorkloadProfile(name="back", cpu_work=3 * TICK,
+                               net_tx_bytes=1500.0)
+        sched = ArrivalSchedule(np.array([2.0, 1.0, 4.0]) * TICK, 1.0,
+                                ArrivalModel("deterministic"), 0, 0.25)
+        scen = ScenarioConfig(Topology.ONE_ST, 2, OpenLoop(1.0), 0.25)
+        fast, ref = run_both((prof, scen, FREE, sched,
+                              assign_clients(sched, 2), 0))
+        assert fast.meta["engine"] == "event"
+        assert ref.service_start[1] < ref.service_start[0]
+        assert_same_trace(fast, ref)
 
     # Open loop only: closed-loop runs take the event engine. The one-value
     # parameter keeps the test ids of the open-loop cases.

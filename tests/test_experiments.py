@@ -406,6 +406,39 @@ class TestCalibrate:
         assert (calibrated.smt_efficiency
                 == shipped_profile("silo").smt_efficiency)
 
+    def test_smt_fit_simulates_nothing_after_the_bisection(self,
+                                                           monkeypatch):
+        # The kept candidate's ratio is reused, and no residual reads a
+        # verification sweep: the report is the one a fresh comparison of
+        # the fitted profile gives.
+        import tailsim.experiments as experiments
+
+        spec = load_experiment_spec(shipped_spec_path("silo"))
+        args = (replace(spec.scenario, duration=5.0), spec.qps_range, 6,
+                replace(spec.config, warmup=1.0))
+        calls = {"compare_scenarios": 0, "qps_sweep": 0}
+
+        def counted(name):
+            real = getattr(experiments, name)
+
+            def wrapper(*a, **kw):
+                calls[name] += 1
+                return real(*a, **kw)
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        counted("compare_scenarios")
+        counted("qps_sweep")
+        calibrated, report = calibrate_profile(
+            spec.profile, {"smt_ratio_20": 1.23}, *args)
+        assert calls == {"compare_scenarios": report.iterations,
+                         "qps_sweep": 0}
+        scenario, qps_range, n_points, config = args
+        ratio = compare_scenarios(calibrated, FREE, qps_range, n_points,
+                                  scenario, config).ratios[
+                                      "two_st_over_two_smt_at_20"]
+        assert report.achieved == {"smt_ratio_20": ratio}
+        assert report.residuals == {"smt_ratio_20": (ratio - 1.23) / 1.23}
+
     def test_empty_and_unknown_targets_rejected(self):
         spec = load_experiment_spec(shipped_spec_path("silo"))
         with pytest.raises(CalibrationError):
