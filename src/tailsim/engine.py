@@ -19,24 +19,16 @@ closed-loop run and every open-loop run whose rates vary. An open-loop run
 in which each phase drains at its lone rate (beside an idle sibling) in
 every pair its workers can reach (``_constant_rate``: one worker always)
 takes ``_run_constant_rate``. There a request's phase ends are fixed when
-it starts, so it takes one step per request, in issue order. With one
-worker and ``assign_clients``' round-robin layout, issue order is index
-order: a client's next issue follows its previous completion, and one
-worker completes in issue order. So one worker walks the schedule by
-index, each request starting at the later of its issue and the previous
-completion (Lindley, "The theory of queues with a single server", 1952).
-Two workers take the issues from a heap, a client's next pushed when a
-request starts, and a request takes worker 0 if it has freed by the
-issue, else worker 1 if it has, else the worker that frees first (Kiefer
-and Wolfowitz, "On the theory of queues with many servers", 1955). The
-event engine takes equal times in its push order, which that heap does
-not keep, so a two-worker run in which two event times are equal is
-handed to ``_run``, as is a one-worker run laid out otherwise. The
-simulate_* functions choose the path and record it in
+it starts, so it takes one step per request, in issue order: one worker
+walks the schedule by index (Lindley's recursion), two take the issues
+from a heap (Kiefer and Wolfowitz's), and a two-worker run in which two
+event times are equal is handed to ``_run``, which orders them by its
+own push order. In open loop request j is issued by client j mod
+n_clients. The simulate_* functions choose the path and record it in
 ``Trace.meta["engine"]`` (``"constant_rate"`` or ``"event"``).
 ``_request_store`` builds the request store both paths fill: in open loop
-the schedule times, compute seconds, clients and each client's next
-request; in closed loop a request appended as its session issues it.
+the schedule times, compute seconds and clients; in closed loop a request
+appended as its session issues it.
 
 Both paths record memory and disk traffic as constant-rate segments: a
 stretch of one worker's memory or disk phase at one rate, as a
@@ -76,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .loadgen import ArrivalSchedule, ClientAssignment
+from .loadgen import ArrivalSchedule
 from .model import (COMPUTE, DISK, IDLE, MB, MEMORY, ClosedLoop, ModelError,
                     OpenLoop, PlatformConfig, ResourceLimits, ScenarioConfig,
                     WorkloadProfile, drain_rates, llc_occupancy, mean_demands,
@@ -129,9 +121,9 @@ class Trace:
 
 def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
                        limits: ResourceLimits, platform: PlatformConfig,
-                       schedule: ArrivalSchedule,
-                       assignment: ClientAssignment, seed: int) -> Trace:
-    """Run an open-loop simulation of the full schedule.
+                       schedule: ArrivalSchedule, seed: int) -> Trace:
+    """Run an open-loop simulation of the full schedule, request j issued
+    by client j mod scenario.n_clients.
 
     Every scheduled request appears in the trace exactly once; requests
     still unfinished when the run truncates (twice the scenario duration)
@@ -139,19 +131,17 @@ def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
     """
     if not isinstance(scenario.mode, OpenLoop):
         raise ModelError("scenario.mode: open_loop required")
-    if assignment.n_clients != scenario.n_clients:
-        raise ModelError("assignment does not match scenario.n_clients")
-    if sum(len(ix) for ix in assignment.client_indices) != len(schedule):
-        raise ModelError("assignment does not cover the schedule")
+    times = schedule.times
+    if (times[1:] < times[:-1]).any():
+        raise ModelError("schedule: times must not decrease")
     validate_profile(profile, platform)
     limits.validate_against(platform)
     if _constant_rate(profile, scenario, limits, platform):
         trace = _run_constant_rate(profile, scenario, limits, platform, seed,
-                                   schedule, assignment)
+                                   schedule)
         if trace is not None:
             return trace
-    return _run(profile, scenario, limits, platform, seed, schedule=schedule,
-                assignment=assignment)
+    return _run(profile, scenario, limits, platform, seed, schedule=schedule)
 
 
 def simulate_closed_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -168,21 +158,20 @@ def simulate_closed_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
 
 
 def _request_store(profile: WorkloadProfile, scenario: ScenarioConfig,
-                   seed: int, schedule: ArrivalSchedule | None,
-                   assignment: ClientAssignment | None) -> tuple:
+                   seed: int, schedule: ArrivalSchedule | None) -> tuple:
     """The request store a run fills, indexed by request: (client,
-    scheduled, cpu, next, issue, start, done, first, closed_issue).
+    scheduled, cpu, issue, start, done, first, closed_issue).
 
-    In open loop the schedule times, the compute seconds and the client's
-    next request (-1 after its last) are memoryviews and the client an
-    int64 array; issue, start and done are NaN; first holds each client's
-    first (time, request) in client order, and closed_issue is None. In
-    closed loop every column starts empty and next is None; first holds
-    (0, session) for each session, and closed_issue(session, t) appends the
-    request a session issues at t and returns its index. Compute seconds
-    are cpu_work times service multipliers drawn from the seed's generator:
-    all at once in open loop, in blocks of 1024 in issue order in closed
-    loop.
+    In open loop the schedule times and the compute seconds are
+    memoryviews and the client an int64 array, request j's client being
+    j mod n_clients; issue, start and done are NaN; first holds each
+    client's first (time, request), requests 0 to n_clients - 1, and
+    closed_issue is None. In closed loop every column starts empty; first
+    holds (0, session) for each session, and closed_issue(session, t)
+    appends the request a session issues at t and returns its index.
+    Compute seconds are cpu_work times service multipliers drawn from the
+    seed's generator: all at once in open loop, in blocks of 1024 in issue
+    order in closed loop.
     """
     rng = np.random.default_rng(seed)
     if schedule is None:
@@ -206,28 +195,21 @@ def _request_store(profile: WorkloadProfile, scenario: ScenarioConfig,
             return len(issue) - 1
 
         first = [(0.0, s) for s in range(scenario.mode.sessions)]
-        return (client, scheduled, cpu, None, issue, start, done, first,
+        return (client, scheduled, cpu, issue, start, done, first,
                 closed_issue)
     n = len(schedule)
     scheduled = memoryview(schedule.times)
     cpu = memoryview(profile.cpu_work * profile.service_dist.sample(rng, n))
-    client = np.empty(n, dtype=np.int64)
-    next_of = np.full(n, -1, dtype=np.int64)
-    first = []
-    for c, ix in enumerate(assignment.client_indices):
-        client[ix] = c
-        if len(ix):
-            next_of[ix[:-1]] = ix[1:]
-            first.append((scheduled[ix[0]], int(ix[0])))
+    client = np.arange(n, dtype=np.int64)
+    client %= scenario.n_clients
+    first = [(scheduled[j], j) for j in range(min(n, scenario.n_clients))]
     issue, start, done = (array("d", [math.nan]) * n for _ in range(3))
-    return (client, scheduled, cpu, memoryview(next_of), issue, start, done,
-            first, None)
+    return client, scheduled, cpu, issue, start, done, first, None
 
 
 def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
          limits: ResourceLimits, platform: PlatformConfig, seed: int,
-         schedule: ArrivalSchedule | None = None,
-         assignment: ClientAssignment | None = None) -> Trace:
+         schedule: ArrivalSchedule | None = None) -> Trace:
     open_mode = schedule is not None
     n_workers = scenario.topology.n_workers
     two = n_workers == 2
@@ -260,10 +242,11 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     hidden = COMPUTE if hide else -1
     mem_time = mem_bytes / mem_rate if hide else 0.0
 
-    (client_of, scheduled, cpu, next_of, issue, start, done, first,
-     closed_issue) = _request_store(profile, scenario, seed, schedule,
-                                    assignment)
-    if not open_mode:
+    (client_of, scheduled, cpu, issue, start, done, first,
+     closed_issue) = _request_store(profile, scenario, seed, schedule)
+    if open_mode:
+        n, n_clients = len(issue), scenario.n_clients
+    else:
         think = scenario.mode.think_time
     # The issue heap holds (time, push order, request in open loop or
     # session in closed loop); the push order breaks ties between equal
@@ -359,8 +342,8 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                     done[k] = t
                     free_at = t + rtt2
                     if open_mode:
-                        nxt = next_of[k]
-                        if nxt >= 0:
+                        nxt = k + n_clients  # the client's next request
+                        if nxt < n:
                             t_next = scheduled[nxt]
                             heappush(heap, (t_next if t_next > free_at
                                             else free_at, seq, nxt))
@@ -463,9 +446,6 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             (mem_log if ph == MEMORY else disk_log).extend(
                 (since, t_last, rate))
 
-    # Freed before the trace is built: it would otherwise set the run's peak
-    # memory.
-    del next_of
     # The trace gets its own copy of the schedule's times.
     scheduled_a = (schedule.times.copy() if open_mode
                    else np.frombuffer(scheduled))
@@ -513,13 +493,11 @@ def _reach(profile: WorkloadProfile, base) -> list[int]:
 
 def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                        limits: ResourceLimits, platform: PlatformConfig,
-                       seed: int, schedule: ArrivalSchedule,
-                       assignment: ClientAssignment) -> Trace | None:
+                       seed: int, schedule: ArrivalSchedule) -> Trace | None:
     """An open-loop run whose phases drain at constant rates
     (``_constant_rate``), one step per request in issue order: ``_run``'s
     trace, bit for bit, or None when the order is left to ``_run``: with
-    one worker when ``_index_order`` does not hold, with two when two of
-    the run's event times are equal.
+    two workers when two of the run's event times are equal.
 
     A request's phase ends are fixed when it starts: compute ends at
     start + cpu, memory mem_bytes / rate later and disk disk_bytes / rate
@@ -531,8 +509,8 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     issue with it, at max(scheduled, done + 2 rtt).
 
     One worker completes its requests in the order they start, so done
-    never decreases in issue order. Under the round-robin layout request
-    j's client issued j - n_clients before it, so issue[j] =
+    never decreases in issue order. Request j's client issued
+    j - n_clients before it, and scheduled never decreases, so issue[j] =
     max(scheduled[j], done[j - n_clients] + 2 rtt) never decreases in j,
     by induction, and ``_run`` pushes equal issue times in index order:
     its heap takes the requests in index order. The loop walks them so,
@@ -553,8 +531,7 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     worker order.
     """
     n_workers = scenario.topology.n_workers
-    if n_workers == 1 and not _index_order(schedule, assignment):
-        return None
+    n_clients = scenario.n_clients
     rtt2 = 2.0 * scenario.rtt
     hard_stop = _sample_grid(scenario.duration)[0]
 
@@ -567,19 +544,19 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     mem_time = mem_bytes / mem_rate if mem_bytes > 0.0 else 0.0
     disk_time = disk_bytes / disk_rate if disk_bytes > 0.0 else 0.0
 
-    (client_of, scheduled, cpu, next_of, issue, start, done, first,
-     _) = _request_store(profile, scenario, seed, schedule, assignment)
+    (client_of, scheduled, cpu, issue, start, done, first,
+     _) = _request_store(profile, scenario, seed, schedule)
+    n = len(issue)
     # When each worker frees: the completion of its last request; on holds
     # 1 for each request worker 1 serves, and in_flight each worker's
     # request still in service at the hard stop, if any.
     free0 = free1 = -math.inf
-    on = bytearray(len(issue))
+    on = bytearray(n)
     in_flight = [-1, -1]
     if n_workers == 1:
         # Request j - n_clients is request j's client's previous one, and
         # the requests issue in index order.
-        n_clients = assignment.n_clients
-        for j in range(len(issue)):
+        for j in range(n):
             t = scheduled[j]
             if j >= n_clients:
                 ready = done[j - n_clients] + rtt2
@@ -632,8 +609,8 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                 heappop(heap)
                 continue
             done[j] = end
-            key = next_of[j]
-            if key < 0:  # the client's last request
+            key = j + n_clients  # the client's next request
+            if key >= n:  # the client's last request
                 heappop(heap)
                 continue
             t_next = scheduled[key]
@@ -645,7 +622,6 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
 
     # The per-request temporaries below are dropped as soon as they are
     # used: they would otherwise set the run's peak memory.
-    del next_of
     issue_a = np.frombuffer(issue)
     start_a = np.frombuffer(start)
     done_a = np.frombuffer(done)
@@ -715,18 +691,6 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                  net_rx_bytes=base.net_rx_bytes, cpu_busy=cpu_busy,
                  llc_occupancy=llc_occupancy(profile, limits, platform),
                  meta={"engine": "constant_rate"})
-
-
-def _index_order(schedule: ArrivalSchedule,
-                 assignment: ClientAssignment) -> bool:
-    """Whether the schedule's times never decrease and the clients hold
-    ``assign_clients``' round-robin layout, client c of n holding requests
-    c, c + n, c + 2n, ...: then one worker issues in index order."""
-    times, n_clients = schedule.times, assignment.n_clients
-    n = len(times)
-    return (not (times[1:] < times[:-1]).any()
-            and all(np.array_equal(ix, np.arange(c, n, n_clients))
-                    for c, ix in enumerate(assignment.client_indices)))
 
 
 def _sample_grid(duration: float) -> tuple[float, float, int]:

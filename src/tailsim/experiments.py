@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .loadgen import ArrivalModel, assign_clients, build_schedule
+from .loadgen import ArrivalModel, build_schedule
 from .engine import Trace, simulate_closed_loop, simulate_open_loop
 from .metrics import MetricsSummary, default_warmup, summarize
 from .model import (ClosedLoop, FileFormatError, OpenLoop,
@@ -139,9 +139,8 @@ def run_point(profile: WorkloadProfile, scenario: ScenarioConfig,
     if isinstance(scenario.mode, OpenLoop):
         schedule = build_schedule(config.arrival, scenario.mode.qps,
                                   scenario.duration, sched_seed)
-        assignment = assign_clients(schedule, scenario.n_clients)
         trace = simulate_open_loop(profile, scenario, limits, config.platform,
-                                   schedule, assignment, sim_seed)
+                                   schedule, sim_seed)
     else:
         trace = simulate_closed_loop(profile, scenario, limits,
                                      config.platform, sim_seed)
@@ -686,6 +685,10 @@ _SPEC_KEYS = frozenset((
     "zipf_support", "seed", "warmup", "points", "lqos_override",
     "override_reason", "ways_list", "bw_limits",
 ))
+# The keys only one mode reads; the other mode rejects them.
+_MODE_KEYS = {"open_loop": ("qps_min", "qps_max", "n_clients", "arrival",
+                            "zipf_alpha", "zipf_support"),
+              "closed_loop": ("sessions_min", "sessions_max", "think_time")}
 
 
 def _spec_get(fields: dict[str, str], key: str, source: str,
@@ -753,6 +756,13 @@ def load_experiment_spec(path: str | Path,
         raise FileFormatError(f"{source}: unknown topology {topo_raw!r}")
 
     mode_raw = _spec_get(fields, "mode", source, "open_loop")
+    if mode_raw not in _MODE_KEYS:
+        raise FileFormatError(f"{source}: unknown mode {mode_raw!r}")
+    unread = [k for other, keys in _MODE_KEYS.items() if other != mode_raw
+              for k in keys if k in fields]
+    if unread:
+        raise FileFormatError(
+            f"{source}: key {unread[0]!r}: not read in {mode_raw} mode")
     duration = _spec_float(fields, "duration", source)
     rtt = _spec_float(fields, "rtt", source, "0.0001")
     if mode_raw == "open_loop":
@@ -760,14 +770,12 @@ def load_experiment_spec(path: str | Path,
         qps_hi = _spec_float(fields, "qps_max", source)
         n_clients = _spec_int(fields, "n_clients", source, "1")
         mode: OpenLoop | ClosedLoop = OpenLoop(qps_lo)
-    elif mode_raw == "closed_loop":
+    else:
         qps_lo = float(_spec_int(fields, "sessions_min", source, "1"))
         qps_hi = float(_spec_int(fields, "sessions_max", source))
         think = _spec_float(fields, "think_time", source, "0")
         n_clients = int(qps_hi)
         mode = ClosedLoop(int(qps_lo), think)
-    else:
-        raise FileFormatError(f"{source}: unknown mode {mode_raw!r}")
     scenario = ScenarioConfig(topology=topology, n_clients=n_clients,
                               mode=mode, duration=duration, rtt=rtt)
 

@@ -1,9 +1,9 @@
-"""Open-loop arrival schedule generation and client assignment.
+"""Open-loop arrival schedule generation.
 
-One seeded generator produces the global request schedule for a target QPS;
-the schedule is then partitioned round-robin over a finite client pool so the
-simulator can judge, per request, whether its client was free at the
-scheduled instant (the timeliness test).
+One seeded generator produces the global request schedule for a target QPS.
+The engine lays it over a finite client pool, request j issued by client
+j mod n_clients, so it can judge, per request, whether its client was free
+at the scheduled instant (the timeliness test).
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class ArrivalModel:
 class ArrivalSchedule:
     """Scheduled request issue times for one run."""
 
-    times: np.ndarray  # seconds, non-decreasing, all < duration
+    # Seconds, all < duration; simulate_open_loop enforces non-decreasing.
+    times: np.ndarray
     target_qps: float
     model: ArrivalModel
     seed: int
@@ -59,19 +60,6 @@ class ArrivalSchedule:
     @property
     def realized_qps(self) -> float:
         return len(self.times) / self.duration
-
-
-@dataclass(frozen=True)
-class ClientAssignment:
-    """Round-robin partition of schedule indices over n_clients clients.
-
-    The engine's one-worker constant-rate path relies on this layout,
-    client c holding requests c, c + n_clients, ...: it then walks the
-    schedule in index order. A run laid out otherwise takes the event
-    engine."""
-
-    client_indices: tuple[np.ndarray, ...]
-    n_clients: int
 
 
 def build_schedule(model: ArrivalModel, qps: float, duration: float,
@@ -122,13 +110,3 @@ def _accumulate_gaps(draw, duration: float) -> np.ndarray:
     times = np.concatenate(chunks)
     return times[times < duration].copy()
 
-
-def assign_clients(schedule: ArrivalSchedule,
-                   n_clients: int) -> ClientAssignment:
-    """Partition requests round-robin: client i gets i, i+n, i+2n, ..."""
-    if n_clients < 1:
-        raise ModelError("n_clients: must be >= 1")
-    n = len(schedule.times)
-    idx = np.arange(n)
-    parts = tuple(idx[c::n_clients] for c in range(n_clients))
-    return ClientAssignment(client_indices=parts, n_clients=n_clients)

@@ -21,7 +21,7 @@ from tailsim.experiments import (RunConfig, compare_scenarios,
                                  interpolate, load_experiment_spec,
                                  qps_sweep, saturation_qps,
                                  shipped_spec_path)
-from tailsim.loadgen import ArrivalModel, assign_clients, build_schedule
+from tailsim.loadgen import ArrivalModel, build_schedule
 from tailsim.metrics import summarize
 from tailsim.model import (OpenLoop, PlatformConfig, ResourceLimits,
                            ScenarioConfig, ServiceDist, Topology,
@@ -85,8 +85,7 @@ def test_criterion_1_mm1_oracle():
     scen = ScenarioConfig(Topology.ONE_ST, 5000, OpenLoop(lam), 450.0,
                           rtt=0.0)
     sched = build_schedule(ArrivalModel("poisson"), lam, 450.0, seed=21)
-    trace = simulate_open_loop(prof, scen, FREE, PLATFORM, sched,
-                               assign_clients(sched, 5000), seed=22)
+    trace = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, seed=22)
     s = summarize(trace, warmup=10.0)
     elapsed = time.time() - t0
 
@@ -117,8 +116,7 @@ def test_criterion_2_mm2_oracle():
     scen = ScenarioConfig(Topology.TWO_ST, 8000, OpenLoop(lam), 150.0,
                           rtt=0.0)
     sched = build_schedule(ArrivalModel("poisson"), lam, 150.0, seed=31)
-    trace = simulate_open_loop(prof, scen, FREE, PLATFORM, sched,
-                               assign_clients(sched, 8000), seed=32)
+    trace = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, seed=32)
     s = summarize(trace, warmup=10.0)
     assert s.completed >= 200_000
     assert s.mean_latency == pytest.approx(mean_exp, rel=0.05)
@@ -134,11 +132,10 @@ def test_criterion_3_degeneracy_suite(tmp_path):
                            disk_bytes=20000.0, smt_efficiency=1.0,
                            service_dist=ServiceDist("lognormal", 1.2))
     sched = build_schedule(ArrivalModel("zipf", 1.0, 1000), 900.0, 15.0, 5)
-    asg = assign_clients(sched, 12)
 
     def run(topology, limits):
         scen = ScenarioConfig(topology, 12, OpenLoop(900.0), 15.0)
-        return simulate_open_loop(prof, scen, limits, PLATFORM, sched, asg,
+        return simulate_open_loop(prof, scen, limits, PLATFORM, sched,
                                   seed=3)
 
     def bytes_of(trace, tag):
@@ -158,7 +155,7 @@ def test_criterion_3_degeneracy_suite(tmp_path):
     def run_flat(ways):
         scen = ScenarioConfig(Topology.ONE_ST, 12, OpenLoop(900.0), 15.0)
         return simulate_open_loop(flat, scen, ResourceLimits(llc_ways=ways),
-                                  PLATFORM, sched, asg, seed=3)
+                                  PLATFORM, sched, seed=3)
 
     base = bytes_of(run_flat(11), "w11")
     for ways in (8, 5, 2, 1):
@@ -293,8 +290,7 @@ def test_criterion_8_timeliness_property():
                           rtt=0.0)
     sched = build_schedule(ArrivalModel("deterministic"), 1000.0, 1.0, 0)
     assert len(sched) == 1000
-    trace = simulate_open_loop(prof, scen, FREE, PLATFORM, sched,
-                               assign_clients(sched, 1), 3)
+    trace = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, 3)
     ratio = float(trace.timely.mean())
     assert ratio == 1.0 / 1000.0
 
@@ -304,7 +300,7 @@ def test_criterion_8_timeliness_property():
     trace_ok = simulate_open_loop(
         WorkloadProfile(name="fast", cpu_work=0.0005,
                         service_dist=ServiceDist("exponential")),
-        scen_ok, FREE, PLATFORM, sched_ok, assign_clients(sched_ok, 64), 10)
+        scen_ok, FREE, PLATFORM, sched_ok, 10)
     assert trace_ok.timely.all()
 
     # the 97.5% gate flags exactly the points the hand oracle predicts:

@@ -310,6 +310,26 @@ duration: 5.0
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode,key,value", [
+        ("open_loop", "think_time", "3.0"), ("open_loop", "sessions_min", "1"),
+        ("open_loop", "sessions_max", "8"), ("closed_loop", "qps_min", "10"),
+        ("closed_loop", "qps_max", "100"), ("closed_loop", "n_clients", "7"),
+        ("closed_loop", "arrival", "poisson"),
+        ("closed_loop", "zipf_alpha", "1.2"),
+        ("closed_loop", "zipf_support", "100")])
+    def test_key_the_mode_does_not_read_exit_2(self, spec_dir, tmp_path,
+                                               capsys, mode, key, value):
+        base = self.CLOSED_SPEC if mode == "closed_loop" else FAST_SPEC
+        lines = [l for l in base.splitlines() if not l.startswith(key + ":")]
+        (spec_dir / "bad.spec").write_text(
+            "\n".join(lines + [f"{key}: {value}"]) + "\n")
+        rc = main(["--out", str(tmp_path / "o"), "sweep",
+                   str(spec_dir / "bad.spec")])
+        assert rc == 2
+        assert f"key '{key}': not read in {mode} mode" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_window_without_requests_exit_2(self, tmp_path, capsys):
         # So short a run schedules no request in its summary window.
         lines = [l for l in shipped_spec_path("img-dnn").read_text()

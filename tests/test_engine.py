@@ -12,8 +12,7 @@ from tailsim import engine
 from tailsim.engine import (export_series_csv, export_trace_csv,
                             simulate_closed_loop, simulate_open_loop)
 from tailsim.experiments import load_experiment_spec, shipped_spec_path
-from tailsim.loadgen import (ArrivalModel, ArrivalSchedule, ClientAssignment,
-                             assign_clients, build_schedule)
+from tailsim.loadgen import ArrivalModel, ArrivalSchedule, build_schedule
 from tailsim.metrics import summarize
 from tailsim.model import (MB, ClosedLoop, ModelError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
@@ -28,9 +27,8 @@ def run_open(profile, scenario, limits=FREE, arrival=None, seed=11,
     arrival = arrival or ArrivalModel("poisson")
     sched = build_schedule(arrival, scenario.mode.qps, scenario.duration,
                            sched_seed)
-    asg = assign_clients(sched, scenario.n_clients)
     return simulate_open_loop(profile, scenario, limits, PLATFORM, sched,
-                              asg, seed)
+                              seed)
 
 
 def moved_bytes(segments):
@@ -58,8 +56,7 @@ def run_event(profile, scenario, limits=FREE, seed=11, sched_seed=7):
     sched = build_schedule(ArrivalModel("poisson"), scenario.mode.qps,
                            scenario.duration, sched_seed)
     return engine._run(profile, scenario, limits, PLATFORM, seed,
-                       schedule=sched,
-                       assignment=assign_clients(sched, scenario.n_clients))
+                       schedule=sched)
 
 
 class TestSingleRequest:
@@ -67,8 +64,7 @@ class TestSingleRequest:
         prof = WorkloadProfile(name="det", cpu_work=0.001)
         scen = ScenarioConfig(Topology.ONE_ST, 1, OpenLoop(1.0), 1.0)
         sched = build_schedule(ArrivalModel("deterministic"), 1.0, 1.0, 0)
-        tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched,
-                                assign_clients(sched, 1), 0)
+        tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, 0)
         assert len(tr) == 1
         assert tr.latency[0] == pytest.approx(0.001 + 2 * scen.rtt)
         assert tr.timely[0]
@@ -138,12 +134,9 @@ class TestDegeneracy:
         prof = self.make(sigma)
         sched = build_schedule(ArrivalModel("zipf", 1.0, 1000), 900.0, 15.0,
                                5)
-        asg = assign_clients(sched, 12)
         mk = lambda topo: ScenarioConfig(topo, 12, OpenLoop(900.0), 15.0)
-        a = simulate_open_loop(prof, mk(topoA), limitsA, PLATFORM, sched,
-                               asg, 3)
-        b = simulate_open_loop(prof, mk(topoB), limitsB, PLATFORM, sched,
-                               asg, 3)
+        a = simulate_open_loop(prof, mk(topoA), limitsA, PLATFORM, sched, 3)
+        b = simulate_open_loop(prof, mk(topoB), limitsB, PLATFORM, sched, 3)
         return a, b
 
     def assert_identical(self, a, b):
@@ -172,14 +165,13 @@ class TestDegeneracy:
                                miss_max=0.2, mem_stream_rate=5000.0,
                                footprint=5.0)
         sched = build_schedule(ArrivalModel("zipf", 1.0, 500), 700.0, 15.0, 5)
-        asg = assign_clients(sched, 12)
         scen = ScenarioConfig(Topology.ONE_ST, 12, OpenLoop(700.0), 15.0)
         base = simulate_open_loop(prof, scen, ResourceLimits(llc_ways=11),
-                                  PLATFORM, sched, asg, 3)
+                                  PLATFORM, sched, 3)
         for ways in (8, 5, 2, 1):
             other = simulate_open_loop(prof, scen,
                                        ResourceLimits(llc_ways=ways),
-                                       PLATFORM, sched, asg, 3)
+                                       PLATFORM, sched, 3)
             self.assert_identical(base, other)
 
     def test_non_binding_bandwidth_limit_is_identity(self):
@@ -279,8 +271,7 @@ class TestSmtContention:
         sched = ArrivalSchedule(times=np.array([0.0, 0.0]), target_qps=2.0,
                                 model=ArrivalModel("deterministic"), seed=0,
                                 duration=1.0)
-        tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched,
-                                assign_clients(sched, 2), 1)
+        tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, 1)
         np.testing.assert_allclose(tr.completion, 0.007 / 0.7, rtol=1e-9)
 
     def test_sequential_compute_runs_at_full_rate(self):
@@ -288,8 +279,7 @@ class TestSmtContention:
         scen = ScenarioConfig(Topology.TWO_SMT, 1, OpenLoop(10.0), 1.0,
                               rtt=0.0)
         sched = build_schedule(ArrivalModel("deterministic"), 10.0, 1.0, 0)
-        tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched,
-                                assign_clients(sched, 1), 1)
+        tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, 1)
         # single client serializes requests; no overlap, no slowdown
         service = tr.completion - tr.service_start
         np.testing.assert_allclose(service, 0.001, rtol=1e-9)
@@ -391,8 +381,7 @@ class TestDiskAccounting:
         scen = ScenarioConfig(Topology.TWO_ST, 2, OpenLoop(2.0), 1.0,
                               rtt=0.0)
         sched = build_schedule(ArrivalModel("deterministic"), 2.0, 1.0, 0)
-        tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched,
-                                assign_clients(sched, 2), 1)
+        tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, 1)
         # both in disk phase from 0.5: second request sees half bandwidth
         # solo would take 10ms; overlapping portion stretches both
         assert tr.completion[1] > tr.completion[0]
@@ -404,8 +393,7 @@ def run_pair(profile, topology, times, limits=FREE):
     sched = ArrivalSchedule(np.asarray(times, dtype=float), 1.0,
                             ArrivalModel("deterministic"), 0, 1.0)
     scen = ScenarioConfig(topology, 2, OpenLoop(1.0), 1.0, rtt=0.0)
-    tr = simulate_open_loop(profile, scen, limits, PLATFORM, sched,
-                            assign_clients(sched, 2), 0)
+    tr = simulate_open_loop(profile, scen, limits, PLATFORM, sched, 0)
     return tr.completion
 
 
@@ -522,8 +510,7 @@ class TestTraceExport:
         closed = ScenarioConfig(Topology.ONE_ST, 1, ClosedLoop(1), 1.0)
         sched = build_schedule(ArrivalModel("deterministic"), 1.0, 1.0, 0)
         with pytest.raises(ModelError):
-            simulate_open_loop(prof, closed, FREE, PLATFORM, sched,
-                               assign_clients(sched, 1), 0)
+            simulate_open_loop(prof, closed, FREE, PLATFORM, sched, 0)
         opened = ScenarioConfig(Topology.ONE_ST, 1, OpenLoop(1.0), 1.0)
         with pytest.raises(ModelError):
             simulate_closed_loop(prof, opened, FREE, PLATFORM, 0)
@@ -556,12 +543,10 @@ def phase_mixes(draw):
 
 
 @st.composite
-def open_loop_runs(draw, topologies=(Topology.ONE_ST,), round_robin=False):
+def open_loop_runs(draw, topologies=(Topology.ONE_ST,)):
     """A random open-loop run on one of the topologies: phase mix, limits,
-    arrival model, clients and round trip. The clients are laid out by
-    assign_clients when round_robin is set, else by it or at random. The
-    load reaches far past saturation, so some runs censor at the hard
-    stop."""
+    arrival model, clients and round trip. The load reaches far past
+    saturation, so some runs censor at the hard stop."""
     prof, limits = draw(phase_mixes())
     arrival = draw(st.sampled_from([ArrivalModel("deterministic"),
                                     ArrivalModel("poisson"),
@@ -573,14 +558,7 @@ def open_loop_runs(draw, topologies=(Topology.ONE_ST,), round_robin=False):
     scen = ScenarioConfig(draw(st.sampled_from(topologies)), n_clients,
                           OpenLoop(qps), duration, rtt=rtt)
     sched = build_schedule(arrival, qps, duration, draw(st.integers(0, 99)))
-    if round_robin or draw(st.booleans()):
-        asg = assign_clients(sched, n_clients)
-    else:  # clients of random size, in schedule order
-        owner = np.random.default_rng(draw(st.integers(0, 99))).integers(
-            0, n_clients, len(sched))
-        asg = ClientAssignment(tuple(np.flatnonzero(owner == c)
-                                     for c in range(n_clients)), n_clients)
-    return prof, scen, limits, sched, asg, draw(st.integers(0, 99))
+    return prof, scen, limits, sched, draw(st.integers(0, 99))
 
 
 def constant_rate(run):
@@ -588,7 +566,7 @@ def constant_rate(run):
     topology: with two workers no disk phase and a memory limit of at least
     twice the lone stream rate (exactly twice when it was lower), and on
     TWO_SMT no compute slowdown."""
-    prof, scen, limits, sched, asg, seed = run
+    prof, scen, limits, sched, seed = run
     if scen.topology is not Topology.ONE_ST:
         prof = replace(prof, disk_bytes=0.0)
         if prof.cpu_work == prof.mem_accesses == 0.0:  # disk-only before
@@ -597,19 +575,18 @@ def constant_rate(run):
             prof = replace(prof, smt_efficiency=1.0)
         if limits.effective_mem_bw(PLATFORM) < 2 * prof.mem_stream_rate:
             limits = replace(limits, mem_bw_limit=2 * prof.mem_stream_rate)
-    return prof, scen, limits, sched, asg, seed
+    return prof, scen, limits, sched, seed
 
 
 TICK = 2.0 ** -10  # seconds; sums of ticks are exact in binary
 
 
 @st.composite
-def tied_runs(draw, topologies=tuple(Topology), round_robin=False):
+def tied_runs(draw, topologies=tuple(Topology)):
     """Open-loop runs on exact binary fractions, where issues, phase ends
     and completions fall on equal times: deterministic 1-3 tick compute, an
     optional one-tick memory phase, a round trip of none or one tick, and
-    several requests per two-tick slot. The clients are laid out by
-    assign_clients when round_robin is set, else at random."""
+    several requests per two-tick slot."""
     prof = WorkloadProfile(
         name="tie", cpu_work=draw(st.sampled_from([TICK, 2 * TICK,
                                                    3 * TICK])),
@@ -626,15 +603,8 @@ def tied_runs(draw, topologies=tuple(Topology), round_robin=False):
     sched = ArrivalSchedule(times, 1.0, ArrivalModel("deterministic"), 0,
                             0.25)
     n_clients = draw(st.integers(1, 8))
-    if round_robin:
-        asg = assign_clients(sched, n_clients)
-    else:
-        owner = np.random.default_rng(draw(st.integers(0, 99))).integers(
-            0, n_clients, len(times))
-        asg = ClientAssignment(tuple(np.flatnonzero(owner == c)
-                                     for c in range(n_clients)), n_clients)
     scen = ScenarioConfig(topology, n_clients, OpenLoop(1.0), 0.25, rtt=rtt)
-    return prof, scen, FREE, sched, asg, 0
+    return prof, scen, FREE, sched, 0
 
 
 def assert_same_trace(fast, ref):
@@ -670,30 +640,17 @@ def tied_events(run, ref):
     return int((times[1:] == times[:-1]).sum())
 
 
-def index_order(run):
-    """Whether the run's clients hold assign_clients' layout over a
-    schedule whose times never decrease: engine._index_order, restated."""
-    sched, asg = run[3], run[4]
-    return (bool((np.diff(sched.times) >= 0.0).all())
-            and all(np.array_equal(a, b) for a, b in zip(
-                asg.client_indices,
-                assign_clients(sched, asg.n_clients).client_indices)))
-
-
 def run_both(run, platform=PLATFORM):
     """The open-loop run through simulate_open_loop and through
-    engine._run. The constant-rate path takes it with one worker and the
-    round-robin layout (over a sorted schedule), or with two workers and
-    no equal event times; it leaves every other run to the event
-    engine."""
-    prof, scen, limits, sched, asg, seed = run
-    fast = simulate_open_loop(prof, scen, limits, platform, sched, asg, seed)
-    ref = engine._run(prof, scen, limits, platform, seed, schedule=sched,
-                      assignment=asg)
-    one = scen.topology.n_workers == 1
+    engine._run. The constant-rate path takes it with one worker, or with
+    two workers and no equal event times; it leaves every other run to the
+    event engine."""
+    prof, scen, limits, sched, seed = run
+    fast = simulate_open_loop(prof, scen, limits, platform, sched, seed)
+    ref = engine._run(prof, scen, limits, platform, seed, schedule=sched)
     assert fast.meta["engine"] == (
-        "constant_rate" if (index_order(run) if one
-                            else not tied_events(run, ref))
+        "constant_rate" if (scen.topology.n_workers == 1
+                            or not tied_events(run, ref))
         else "event")
     assert ref.meta["engine"] == "event"
     return fast, ref
@@ -709,44 +666,25 @@ class TestConstantRatePath:
         assert_same_trace(*run_both(run))
 
     @settings(max_examples=80, deadline=None)
-    @given(open_loop_runs(round_robin=True)
-           | tied_runs((Topology.ONE_ST,), round_robin=True))
+    @given(open_loop_runs() | tied_runs((Topology.ONE_ST,)))
     def test_one_worker_walks_the_schedule(self, run):
         # Equal times included, one worker takes the requests in index
-        # order under the round-robin layout.
+        # order.
         fast, ref = run_both(run)
         assert fast.meta["engine"] == "constant_rate"
         assert_same_trace(fast, ref)
 
-    def test_interleaved_one_worker_takes_the_event_engine(self):
-        # Client 0 holds requests 0 and 1, client 1 request 2: request 1
-        # waits for request 0's completion, so the later-scheduled request
-        # 2 issues first, out of index order.
-        prof = WorkloadProfile(name="inter", cpu_work=3 * TICK,
-                               net_tx_bytes=1500.0)
-        sched = ArrivalSchedule(np.array([0.0, 1.0, 2.0]) * TICK, 1.0,
-                                ArrivalModel("deterministic"), 0, 0.25)
-        asg = ClientAssignment((np.array([0, 1]), np.array([2])), 2)
-        scen = ScenarioConfig(Topology.ONE_ST, 2, OpenLoop(1.0), 0.25,
-                              rtt=TICK / 2)
-        fast, ref = run_both((prof, scen, FREE, sched, asg, 0))
-        assert fast.meta["engine"] == "event"
-        assert ref.issue[2] < ref.issue[1]
-        assert_same_trace(fast, ref)
-
-    def test_unsorted_schedule_takes_the_event_engine(self):
-        # Round-robin clients, but request 1 is scheduled before request 0
-        # and so issues first.
+    def test_unsorted_schedule_is_rejected(self):
+        # Request 1 is scheduled before request 0.
         prof = WorkloadProfile(name="back", cpu_work=3 * TICK,
                                net_tx_bytes=1500.0)
         sched = ArrivalSchedule(np.array([2.0, 1.0, 4.0]) * TICK, 1.0,
                                 ArrivalModel("deterministic"), 0, 0.25)
-        scen = ScenarioConfig(Topology.ONE_ST, 2, OpenLoop(1.0), 0.25)
-        fast, ref = run_both((prof, scen, FREE, sched,
-                              assign_clients(sched, 2), 0))
-        assert fast.meta["engine"] == "event"
-        assert ref.service_start[1] < ref.service_start[0]
-        assert_same_trace(fast, ref)
+        for topology in Topology:
+            scen = ScenarioConfig(topology, 2, OpenLoop(1.0), 0.25)
+            with pytest.raises(ModelError,
+                               match="^schedule: times must not decrease$"):
+                simulate_open_loop(prof, scen, FREE, PLATFORM, sched, 0)
 
     # Open loop only: closed-loop runs take the event engine. The one-value
     # parameter keeps the test ids of the open-loop cases.
@@ -763,7 +701,7 @@ class TestConstantRatePath:
             net_tx_bytes=1500.0, service_dist=ServiceDist("lognormal", 1.0))
         scen = ScenarioConfig(topology, 16, OpenLoop(600.0), 2.0)
         sched = build_schedule(ArrivalModel("poisson"), 600.0, 2.0, seed)
-        run = prof, scen, FREE, sched, assign_clients(sched, 16), seed
+        run = prof, scen, FREE, sched, seed
         fast, ref = run_both(run)
         assert fast.meta["engine"] == "constant_rate"
         assert ref.censored_count > 0
@@ -812,8 +750,7 @@ class TestConstantRatePath:
         scen = ScenarioConfig(Topology.TWO_SMT, 4, OpenLoop(1500.0), 2.0)
         sched = build_schedule(ArrivalModel("poisson"), 1500.0, 2.0, 3)
         limits = ResourceLimits(11, mem_bw_limit=6000.0)  # 2 x stream
-        fast, ref = run_both((prof, scen, limits, sched,
-                              assign_clients(sched, 4), 3))
+        fast, ref = run_both((prof, scen, limits, sched, 3))
         assert fast.meta["engine"] == "constant_rate"
         assert len(ref.mem_segments) > 0
         assert_same_trace(fast, ref)
@@ -832,9 +769,8 @@ class TestConstantRatePath:
         ticks = np.array([0.0, 0.25, 2.0 + shift, 5.25, 5.5, 5.75, 9.0])
         sched = ArrivalSchedule(ticks * TICK, 1.0,
                                 ArrivalModel("deterministic"), 0, 0.25)
-        asg = ClientAssignment(tuple(np.array([i]) for i in range(7)), 7)
         scen = ScenarioConfig(topology, 7, OpenLoop(1.0), 0.25)
-        return prof, scen, FREE, sched, asg, 0
+        return prof, scen, FREE, sched, 0
 
     def test_issue_on_a_completion_takes_the_event_engine(self):
         run = self.landing_run(Topology.TWO_ST)
@@ -867,22 +803,21 @@ class TestConstantRatePath:
         spec = load_experiment_spec(shipped_spec_path(name))
         qps = math.sqrt(spec.qps_range[0] * spec.qps_range[1])
         sched = build_schedule(spec.config.arrival, qps, 3.0, 5)
-        asg = assign_clients(sched, spec.scenario.n_clients)
         scen = replace(spec.scenario, topology=Topology.TWO_SMT,
                        mode=OpenLoop(qps), duration=3.0)
         smt = simulate_open_loop(spec.profile, scen, spec.limits,
-                                 spec.config.platform, sched, asg, 3)
+                                 spec.config.platform, sched, 3)
         assert smt.meta["engine"] == "event"
         scen = replace(scen, topology=Topology.TWO_ST)
-        fast, ref = run_both((spec.profile, scen, spec.limits, sched, asg, 3),
+        fast, ref = run_both((spec.profile, scen, spec.limits, sched, 3),
                              spec.config.platform)
         assert fast.meta["engine"] == "constant_rate"
         assert_same_trace(fast, ref)
 
 
 class TestClientDiscipline:
-    """Issue times derived from the schedule, the round-robin assignment
-    and the completions alone, on both engine paths and every topology.
+    """Issue times derived from the schedule, the round-robin clients and
+    the completions alone, on both engine paths and every topology.
     Both paths read one request store, so their agreement with each other
     cannot catch a fault in it; this oracle can. Closed loop runs only on
     the event engine: there the constant-rate profile goes through
@@ -906,21 +841,19 @@ class TestClientDiscipline:
         if closed:
             scen = ScenarioConfig(topology, 12, ClosedLoop(12, 0.001),
                                   self.DURATION, rtt=self.RTT)
-            sched = asg = None
+            sched = None
         else:
             qps = 600.0 if censoring else 200.0
             scen = ScenarioConfig(topology, 4, OpenLoop(qps),
                                   self.DURATION, rtt=self.RTT)
             sched = build_schedule(ArrivalModel("poisson"), qps,
                                    self.DURATION, 5)
-            asg = assign_clients(sched, 4)
         if path == "event":
-            tr = engine._run(prof, scen, FREE, PLATFORM, 5, schedule=sched,
-                             assignment=asg)
+            tr = engine._run(prof, scen, FREE, PLATFORM, 5, schedule=sched)
         elif closed:
             tr = simulate_closed_loop(prof, scen, FREE, PLATFORM, 5)
         else:
-            tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, asg, 5)
+            tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, 5)
         assert tr.meta["engine"] == ("event" if closed else path)
         assert (tr.censored_count > 0) == censoring
         return tr, scen, sched
@@ -1145,10 +1078,8 @@ class TestEventCounts:
                        smt_efficiency=0.5)
         scen = ScenarioConfig(Topology.TWO_SMT, 16, OpenLoop(1000.0), 2.0)
         sched = build_schedule(ArrivalModel("poisson"), 1000.0, 2.0, 7)
-        asg = assign_clients(sched, 16)
-        tr = engine._run(prof, scen, FREE, PLATFORM, 0, schedule=sched,
-                         assignment=asg)
-        cpu = np.asarray(engine._request_store(prof, scen, 0, sched, asg)[2])
+        tr = engine._run(prof, scen, FREE, PLATFORM, 0, schedule=sched)
+        cpu = np.asarray(engine._request_store(prof, scen, 0, sched)[2])
         hard_stop = engine._sample_grid(scen.duration)[0]
         started = ~np.isnan(tr.service_start)
         in_flight = np.flatnonzero(started & np.isnan(tr.completion))
@@ -1199,7 +1130,7 @@ def golden_runs():
     def open_run(prof, topology, qps, limits=FREE, n_clients=8):
         scen = ScenarioConfig(topology, n_clients, OpenLoop(qps), 2.0)
         sched = build_schedule(ArrivalModel("poisson"), qps, 2.0, 7)
-        return prof, scen, limits, sched, assign_clients(sched, n_clients)
+        return prof, scen, limits, sched
 
     closed = ScenarioConfig(Topology.TWO_SMT, 6, ClosedLoop(6, 0.002), 2.0)
     one_closed = ScenarioConfig(Topology.ONE_ST, 6, ClosedLoop(6, 0.002),
@@ -1210,13 +1141,13 @@ def golden_runs():
         "two_st_mem_contended": open_run(mem, Topology.TWO_ST, 1500.0,
                                          contended),
         "two_smt_mem": open_run(smt, Topology.TWO_SMT, 900.0),
-        "two_smt_closed": (mem_disk, closed, FREE, None, None),
+        "two_smt_closed": (mem_disk, closed, FREE, None),
         "two_st_censored": open_run(slow, Topology.TWO_ST, 2000.0,
                                     n_clients=16),
         "two_smt_censored": open_run(slow, Topology.TWO_SMT, 2000.0,
                                      n_clients=16),
         "one_st": open_run(mem_disk, Topology.ONE_ST, 300.0, capped),
-        "one_st_closed": (mem_disk, one_closed, FREE, None, None),
+        "one_st_closed": (mem_disk, one_closed, FREE, None),
         "two_st_no_compute": open_run(no_compute, Topology.TWO_ST, 4000.0,
                                       contended),
     }
@@ -1284,9 +1215,8 @@ class TestGolden:
 
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_event_engine_bits(self, name, tmp_path):
-        prof, scen, limits, sched, asg = golden_runs()[name]
-        tr = engine._run(prof, scen, limits, PLATFORM, 11, schedule=sched,
-                         assignment=asg)
+        prof, scen, limits, sched = golden_runs()[name]
+        tr = engine._run(prof, scen, limits, PLATFORM, 11, schedule=sched)
         assert tr.meta["engine"] == "event"
         assert (tr.censored_count > 0) == name.endswith("_censored")
         assert fingerprint(tr, tmp_path) == self.GOLDEN[name]

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from tailsim.loadgen import ArrivalModel, assign_clients, build_schedule
-from tailsim.model import ModelError
+from tailsim import engine
+from tailsim.engine import export_trace_csv, simulate_open_loop
+from tailsim.loadgen import ArrivalModel, build_schedule
+from tailsim.model import (ModelError, OpenLoop, PlatformConfig,
+                           ResourceLimits, ScenarioConfig, Topology,
+                           WorkloadProfile)
+
+PLATFORM = PlatformConfig()
+FREE = ResourceLimits.unconstrained(PLATFORM)
 
 
 class TestBuildSchedule:
@@ -58,33 +64,34 @@ class TestBuildSchedule:
         assert abs(s.realized_qps - 400.0) / 400.0 <= 0.05
 
 
-class TestAssignClients:
-    def test_round_robin_exact(self):
-        s = build_schedule(ArrivalModel("deterministic"), 6.0, 1.0, 0)
-        a = assign_clients(s, 2)
-        assert a.client_indices[0].tolist() == [0, 2, 4]
-        assert a.client_indices[1].tolist() == [1, 3, 5]
-
-    def test_single_client_gets_everything(self):
-        s = build_schedule(ArrivalModel("deterministic"), 50.0, 1.0, 0)
-        a = assign_clients(s, 1)
-        assert a.client_indices[0].tolist() == list(range(50))
+class TestClientLayout:
+    def test_request_j_belongs_to_client_j_mod_n(self, tmp_path):
+        # On both engine paths and in the trace CSV, with more clients
+        # than requests too.
+        prof = WorkloadProfile(name="c", cpu_work=0.001)
+        sched = build_schedule(ArrivalModel("poisson"), 50.0, 1.0, 3)
+        n = len(sched)
+        for topology in (Topology.ONE_ST, Topology.TWO_ST):
+            for n_clients in (1, 2, 7, n, n + 5):
+                scen = ScenarioConfig(topology, n_clients, OpenLoop(50.0),
+                                      1.0)
+                fast = simulate_open_loop(prof, scen, FREE, PLATFORM, sched,
+                                          0)
+                ref = engine._run(prof, scen, FREE, PLATFORM, 0,
+                                  schedule=sched)
+                assert fast.meta["engine"] == "constant_rate"
+                assert ref.meta["engine"] == "event"
+                expected = np.arange(n) % n_clients
+                for tr in (fast, ref):
+                    np.testing.assert_array_equal(tr.client, expected)
+                    export_trace_csv(tr, tmp_path / "trace.csv")
+                    rows = (tmp_path / "trace.csv").read_text().split()[1:]
+                    assert [int(row.split(",")[1]) for row in rows] == (
+                        expected.tolist())
 
     def test_rejects_zero_clients(self):
-        s = build_schedule(ArrivalModel("deterministic"), 5.0, 1.0, 0)
-        with pytest.raises(ModelError):
-            assign_clients(s, 0)
-
-    @given(n=st.integers(0, 500), clients=st.integers(1, 40))
-    @settings(max_examples=80, deadline=None)
-    def test_partition_property(self, n, clients):
-        s = build_schedule(ArrivalModel("deterministic"), max(n, 1) * 1.0,
-                           1.0, 0)
-        a = assign_clients(s, clients)
-        seen = np.concatenate(a.client_indices) if clients else []
-        assert sorted(seen.tolist()) == list(range(len(s)))
-        for ix in a.client_indices:
-            assert np.all(np.diff(ix) > 0)  # per-client order preserved
+        with pytest.raises(ModelError, match="n_clients"):
+            ScenarioConfig(Topology.ONE_ST, 0, OpenLoop(5.0), 1.0)
 
 
 class TestShippedClientCounts:

@@ -7,7 +7,7 @@ import pytest
 from tailsim.engine import (Trace, _sample_grid, export_series_csv,
                             simulate_closed_loop, simulate_open_loop)
 from tailsim.experiments import load_experiment_spec, shipped_spec_path
-from tailsim.loadgen import ArrivalModel, assign_clients, build_schedule
+from tailsim.loadgen import ArrivalModel, build_schedule
 from tailsim.metrics import (MetricsError, _overlap_sum, default_warmup,
                              percentile, summarize, summary_csv_row,
                              SWEEP_CSV_COLUMNS)
@@ -22,9 +22,8 @@ FREE = ResourceLimits.unconstrained(PLATFORM)
 def run(profile, scenario, arrival=None, seed=11, limits=FREE):
     arrival = arrival or ArrivalModel("poisson")
     sched = build_schedule(arrival, scenario.mode.qps, scenario.duration, 7)
-    asg = assign_clients(sched, scenario.n_clients)
     return simulate_open_loop(profile, scenario, limits, PLATFORM, sched,
-                              asg, seed)
+                              seed)
 
 
 class TestPercentile:
@@ -216,8 +215,7 @@ def shipped_run(name, topology):
     scen = dataclasses.replace(spec.scenario, topology=topology,
                                mode=OpenLoop(qps))
     return simulate_open_loop(spec.profile, scen, spec.limits,
-                              spec.config.platform, sched,
-                              assign_clients(sched, scen.n_clients), 3)
+                              spec.config.platform, sched, 3)
 
 
 class TestWindowIntegral:
@@ -301,8 +299,7 @@ class TestTimelyRatio:
                               rtt=0.0)
         sched = build_schedule(ArrivalModel("deterministic"), 1000.0, 1.0, 0)
         assert len(sched) == 1000
-        tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched,
-                                assign_clients(sched, 1), 3)
+        tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, 3)
         np.testing.assert_array_equal(np.flatnonzero(tr.timely), [0])
 
     def test_closed_loop_ratio_is_one(self):

@@ -7,8 +7,8 @@
 CHECKOUT is a source checkout. In a subprocess with the checkout's
 ``src`` on the import path, the open-loop spec NAME (a shipped spec of
 that checkout) is swept on each topology: every load point's schedule and
-client assignment are built as ``experiments.run_point`` builds them, and
-only ``engine.simulate_open_loop`` is timed. Each round runs every
+seeds are built as ``experiments.run_point`` builds them, and only
+``engine.simulate_open_loop`` is timed. Each round runs every
 topology's points; per topology this prints the engine path (each path
 with its point count, as in "constant_rate 11+event 1", when the points
 ran on more than one), the median over the rounds of the engine seconds,
@@ -19,11 +19,13 @@ engines gave the same bits.
 
 With ``--against PARENT``, the subprocess also imports the checkout
 PARENT's ``tailsim`` as a second package, and each side builds its own
-spec, schedules and assignments. The two engines are timed point by
-point in one process, alternating which runs first, so a drift of the
-host's speed falls on both alike. Per topology this prints the path,
-both medians, the change's time over the parent's in each round, both
-event counts and whether the two sides' digests are equal.
+spec and schedules. The two engines are timed point by point in one
+process, alternating which runs first, so a drift of the host's speed
+falls on both alike. Per topology this prints the path, both medians, the
+change's time over the parent's in each round, both event counts and
+whether the two sides' digests are equal. Both checkouts must share
+``simulate_open_loop``'s signature; where it differs, compare the digests
+of two plain runs, each checkout with its own tool.
 """
 
 from __future__ import annotations
@@ -73,19 +75,16 @@ def sweep(name: str, package: str = "tailsim"):
         schedule = loadgen.build_schedule(config.arrival, q,
                                           spec.scenario.duration,
                                           experiments.point_seed(seed, 1))
-        jobs.append((q, schedule,
-                     loadgen.assign_clients(schedule,
-                                            spec.scenario.n_clients),
-                     experiments.point_seed(seed, 2)))
+        jobs.append((q, schedule, experiments.point_seed(seed, 2)))
 
     def run(topology: str, point: int):
-        q, schedule, assignment, seed = jobs[point]
+        q, schedule, seed = jobs[point]
         scenario = replace(spec.scenario, topology=model.Topology[topology],
                            mode=model.OpenLoop(q))
         t0 = time.perf_counter()
         trace = engine.simulate_open_loop(spec.profile, scenario,
                                           spec.limits, config.platform,
-                                          schedule, assignment, seed)
+                                          schedule, seed)
         return time.perf_counter() - t0, trace
 
     return len(jobs), run
