@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tailsim import engine
 from tailsim.engine import export_trace_csv, simulate_open_loop
@@ -64,7 +65,39 @@ class TestBuildSchedule:
         assert abs(s.realized_qps - 400.0) / 400.0 <= 0.05
 
 
-class TestClientLayout:
+def _client_indices(n_requests, n_clients):
+    """Per client, the indices of the requests the engine gave it."""
+    sched = build_schedule(ArrivalModel("deterministic"),
+                           max(n_requests, 1) * 1.0, 1.0, 0)
+    scen = ScenarioConfig(Topology.ONE_ST, n_clients,
+                          OpenLoop(max(n_requests, 1) * 1.0), 1.0)
+    tr = simulate_open_loop(WorkloadProfile(name="c", cpu_work=0.001), scen,
+                            FREE, PLATFORM, sched, 0)
+    assert len(tr.client) == len(sched)
+    return [np.flatnonzero(tr.client == c) for c in range(n_clients)]
+
+
+class TestAssignClients:
+    def test_round_robin_exact(self):
+        ix = _client_indices(6, 2)
+        assert ix[0].tolist() == [0, 2, 4]
+        assert ix[1].tolist() == [1, 3, 5]
+
+    def test_single_client_gets_everything(self):
+        ix = _client_indices(50, 1)
+        assert ix[0].tolist() == list(range(50))
+
+    @given(n=st.integers(0, 500), clients=st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_partition_property(self, n, clients):
+        ix = _client_indices(n, clients)
+        seen = np.concatenate(ix)
+        assert sorted(seen.tolist()) == list(range(max(n, 1)))
+        sizes = [len(i) for i in ix]
+        assert max(sizes) - min(sizes) <= 1  # no client gets two extra
+        for i in ix:
+            assert np.all(np.diff(i) > 0)  # per-client order preserved
+
     def test_request_j_belongs_to_client_j_mod_n(self, tmp_path):
         # On both engine paths and in the trace CSV, with more clients
         # than requests too.
