@@ -237,13 +237,20 @@ def _sat_dict(sat) -> dict:
 
 
 def _sweep_status(sweep: SweepResult) -> dict:
-    """Load points of a sweep, how many ran on each engine path and the
-    events the event engine took over its points: the issues and the
-    phase ends that can change a rate or end a request."""
-    return {"points": len(sweep.points),
-            "engine": dict(Counter(p.engine for p in sweep.points)),
-            "events": sum(p.events for p in sweep.points
-                          if p.events is not None)}
+    """Load points of a sweep, how many ran on each engine path, the
+    events the event engine took over its points (the issues and the
+    phase ends that can change a rate or end a request) and, when there
+    are any, the requests the one-worker constant-rate path walked one at
+    a time, where a client's previous completion could set a start or a
+    block did not settle (``engine._one_worker``)."""
+    status = {"points": len(sweep.points),
+              "engine": dict(Counter(p.engine for p in sweep.points)),
+              "events": sum(p.events for p in sweep.points
+                            if p.events is not None)}
+    walked = sum(p.walked for p in sweep.points if p.walked is not None)
+    if walked:
+        status["walked"] = walked
+    return status
 
 
 def _point_rows(sweep: SweepResult) -> list[dict]:

@@ -19,13 +19,17 @@ closed-loop run and every open-loop run whose rates vary. An open-loop run
 in which each phase drains at its lone rate (beside an idle sibling) in
 every pair its workers can reach (``_constant_rate``: one worker always)
 takes ``_run_constant_rate``. There a request's phase ends are fixed when
-it starts, so it takes one step per request, in issue order: one worker
-walks the schedule by index (Lindley's recursion), two take the issues
-from a heap (Kiefer and Wolfowitz's), and a two-worker run in which two
-event times are equal is handed to ``_run``, which orders them by its
-own push order. In open loop request j is issued by client j mod
-n_clients. The simulate_* functions choose the path and record it in
-``Trace.meta["engine"]`` (``"constant_rate"`` or ``"event"``).
+it starts. One worker takes the requests in index order, by Lindley's
+recursion with the client feedback, computed in numpy blocks whose busy
+stretches np.add.accumulate sums left to right, as the recurrence does;
+a block that this does not settle, or where a client's previous
+completion may set a start, is walked one request at a time. Two workers
+take one step per request, the issues from a heap (Kiefer and
+Wolfowitz's recursion), and a two-worker run in which two event times are
+equal is handed to ``_run``, which orders them by its own push order. In
+open loop request j is issued by client j mod n_clients. The simulate_*
+functions choose the path and record it in ``Trace.meta["engine"]``
+(``"constant_rate"`` or ``"event"``).
 ``_request_store`` builds the request store both paths fill: in open loop
 the schedule times, compute seconds and clients; in closed loop a request
 appended as its session issues it.
@@ -76,6 +80,8 @@ from .model import (COMPUTE, DISK, IDLE, MB, MEMORY, ClosedLoop, ModelError,
 
 TIMELY_EPS = 1e-6  # seconds of slack when judging issue punctuality
 _BLOCK = 4096  # segments per export deposit step; bounds the temporaries
+_RUN_BLOCK = 4096  # requests per block of a one-worker constant-rate run
+_PASSES = 2  # exact passes a one-worker block may take before it is walked
 
 
 @dataclass
@@ -92,7 +98,8 @@ class Trace:
     names the engine path that ran (``"engine"``: ``"event"`` or
     ``"constant_rate"``); the event engine adds ``"events"``, the issues
     and the phase ends that can change a rate or end a request, up to the
-    hard stop."""
+    hard stop, and a one-worker constant-rate run ``"walked"``, the
+    requests it computed one at a time (``_one_worker``)."""
 
     client: np.ndarray
     scheduled: np.ndarray
@@ -495,9 +502,9 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                        limits: ResourceLimits, platform: PlatformConfig,
                        seed: int, schedule: ArrivalSchedule) -> Trace | None:
     """An open-loop run whose phases drain at constant rates
-    (``_constant_rate``), one step per request in issue order: ``_run``'s
-    trace, bit for bit, or None when the order is left to ``_run``: with
-    two workers when two of the run's event times are equal.
+    (``_constant_rate``): ``_run``'s trace, bit for bit, or None when the
+    order is left to ``_run``: with two workers when two of the run's
+    event times are equal.
 
     A request's phase ends are fixed when it starts: compute ends at
     start + cpu, memory mem_bytes / rate later and disk disk_bytes / rate
@@ -509,26 +516,47 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     issue with it, at max(scheduled, done + 2 rtt).
 
     One worker completes its requests in the order they start, so done
-    never decreases in issue order. Request j's client issued
-    j - n_clients before it, and scheduled never decreases, so issue[j] =
-    max(scheduled[j], done[j - n_clients] + 2 rtt) never decreases in j,
-    by induction, and ``_run`` pushes equal issue times in index order:
-    its heap takes the requests in index order. The loop walks them so,
-    with no heap, each starting at the later of its issue and the previous
-    completion (Lindley, "The theory of queues with a single server",
-    1952). A request whose client's previous one never completed is never
-    issued, and no later one is either. With two workers issue order is
-    not index order: the issues go through a heap of (time, push order,
-    request), the client's next pushed when a request starts. ``_run``
-    decides equal times by its own push order, which differs, so if any
-    two of the issues and the completions at or before the hard stop are
-    equal, the run is left to ``_run``.
+    never decreases in issue order. Request j's client issued request
+    j - k before it (k = n_clients), and scheduled never decreases, so
+    issue[j] never decreases in j, by induction, and ``_run`` pushes equal
+    issue times in index order: its heap takes the requests in index
+    order. With done[-1] = -inf, each request follows Lindley's recursion
+    ("The theory of queues with a single server", 1952) with the client
+    feedback:
+
+        issue[j] = max(scheduled[j], done[j - k] + 2 rtt)   (j >= k)
+        start[j] = max(issue[j], done[j - 1])
+        done[j]  = ((start[j] + cpu[j]) + mem_time) + disk_time
+
+    ``_one_worker`` computes it in numpy blocks of _RUN_BLOCK requests. A
+    busy stretch (a request that starts at its issue and the requests
+    that each start at the previous completion after it) is a running sum
+    of [start, cpu, mem_time, disk_time, cpu, ...], and np.add.accumulate
+    adds strictly left to right: the sums of the recurrence, bit for bit.
+    A block guesses its stretches from a closed-form Lindley recursion
+    and is accepted only when the starts that its exact completions give
+    are the ones its stretches began with: a fixed point of the
+    recurrence, equal to it by induction over j. A block where the client
+    feedback may set a start, where some k - 1 consecutive service times
+    sum to less than 2 rtt (k = 1 with any round trip), or where the
+    guess has not settled after one re-check, is walked one request at a
+    time; ``Trace.meta["walked"]`` counts those requests.
+
+    With two workers issue order is not index order: the issues go
+    through a heap of (time, push order, request), the client's next
+    pushed when a request starts. ``_run`` decides equal times by its own
+    push order, which differs, so if any two of the issues and the
+    completions at or before the hard stop are equal, the run is left to
+    ``_run``.
 
     At the hard stop nothing later is issued, started or completed, and
     the busy intervals and bytes of requests in flight end at the last
-    event at or before it. Each phase is one segment, in the order
-    ``_run`` closes it: by completion time, then the requests in flight in
-    worker order.
+    event at or before it. A request whose client's previous one never
+    completed is never issued, and no later one is either. One worker
+    computes issue, start and done without the hard stop, where such a
+    request's issue is past it, and cuts each where it first passes the
+    hard stop. Each phase is one segment, in the order ``_run`` closes
+    it: by completion time, then the requests in flight in worker order.
     """
     n_workers = scenario.topology.n_workers
     n_clients = scenario.n_clients
@@ -547,36 +575,34 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     (client_of, scheduled, cpu, issue, start, done, first,
      _) = _request_store(profile, scenario, seed, schedule)
     n = len(issue)
-    # When each worker frees: the completion of its last request; on holds
-    # 1 for each request worker 1 serves, and in_flight each worker's
-    # request still in service at the hard stop, if any.
-    free0 = free1 = -math.inf
+    issue_a = np.frombuffer(issue)
+    start_a = np.frombuffer(start)
+    done_a = np.frombuffer(done)
+    cpu_a = np.frombuffer(cpu)
+    # on holds 1 for each request worker 1 serves, and in_flight each
+    # worker's request still in service at the hard stop, if any.
     on = bytearray(n)
     in_flight = [-1, -1]
+    meta = {"engine": "constant_rate"}
     if n_workers == 1:
-        # Request j - n_clients is request j's client's previous one, and
-        # the requests issue in index order.
-        for j in range(n):
-            t = scheduled[j]
-            if j >= n_clients:
-                ready = done[j - n_clients] + rtt2
-                if ready > t:
-                    t = ready
-                elif ready != ready:  # NaN: the previous one never completed
-                    break
-            if t > hard_stop:
-                break
-            issue[j] = t
-            s = t if t > free0 else free0
-            if s > hard_stop:  # queued behind the request in flight
-                continue
-            start[j] = s
-            free0 = end = s + cpu[j] + mem_time + disk_time
-            if end > hard_stop:  # in flight at the hard stop
-                in_flight[0] = j
-                continue
-            done[j] = end
+        meta["walked"], stop = _one_worker(
+            schedule.times, cpu_a, issue_a, start_a, done_a, n_clients, rtt2,
+            mem_time, disk_time, hard_stop)
+        # The hard stop: issue, start and done never decrease in index
+        # order, so the issues, starts and completions up to it are
+        # prefixes, and the request in flight, if any, is the first one
+        # started and not completed.
+        issued = int(np.searchsorted(issue_a[:stop], hard_stop, "right"))
+        started = int(np.searchsorted(start_a[:issued], hard_stop, "right"))
+        completed = int(np.searchsorted(done_a[:started], hard_stop, "right"))
+        issue_a[issued:stop] = math.nan
+        start_a[started:stop] = math.nan
+        done_a[completed:stop] = math.nan
+        if completed < started:
+            in_flight[0] = completed
     else:
+        # When each worker frees: the completion of its last request.
+        free0 = free1 = -math.inf
         # The issue heap holds (time, push order, request); the initial
         # issues are pushed first, in client order.
         heap = [(t, i, a) for i, (t, a) in enumerate(first)]
@@ -622,10 +648,6 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
 
     # The per-request temporaries below are dropped as soon as they are
     # used: they would otherwise set the run's peak memory.
-    issue_a = np.frombuffer(issue)
-    start_a = np.frombuffer(start)
-    done_a = np.frombuffer(done)
-    cpu_a = np.frombuffer(cpu)
     in_flight = [j for j in in_flight if j >= 0]
     if n_workers == 2:
         # _run's events up to the hard stop, the issues and the completions,
@@ -690,7 +712,175 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                  net_tx_bytes=base.net_tx_bytes,
                  net_rx_bytes=base.net_rx_bytes, cpu_busy=cpu_busy,
                  llc_occupancy=llc_occupancy(profile, limits, platform),
-                 meta={"engine": "constant_rate"})
+                 meta=meta)
+
+
+def _one_worker(scheduled: np.ndarray, cpu: np.ndarray, issue: np.ndarray,
+                start: np.ndarray, done: np.ndarray, n_clients: int,
+                rtt2: float, mem_time: float, disk_time: float,
+                hard_stop: float) -> tuple[int, int]:
+    """Fill issue, start and done of a one-worker run, with no hard stop,
+    in blocks of _RUN_BLOCK requests up to the first block whose last
+    issue is past the hard stop. Returns the requests walked and the end
+    of the last block filled.
+
+    A block is walked (``_walk``) when the client feedback may set a start
+    in it (``_feedback_may_bind``) or when ``_settle`` does not settle it
+    within _PASSES exact passes."""
+    n = len(scheduled)
+    walked = b = 0
+    for a in range(0, n, _RUN_BLOCK):
+        b = min(a + _RUN_BLOCK, n)
+        if (_feedback_may_bind(cpu, a, b, n_clients, rtt2,
+                               mem_time + disk_time)
+                or not _settle(scheduled, cpu, issue, start, done, a, b,
+                               n_clients, rtt2, mem_time, disk_time)):
+            _walk(scheduled, cpu, issue, start, done, a, b, n_clients, rtt2,
+                  mem_time, disk_time)
+            walked += b - a
+        if issue[b - 1] > hard_stop:
+            break
+    return walked, b
+
+
+def _feedback_may_bind(cpu: np.ndarray, a: int, b: int, k: int,
+                       rtt2: float, tail: float) -> bool:
+    """Whether the client feedback done[j - k] + rtt2 may set the start of
+    a request j of the block [a, b): whether any k - 1 consecutive service
+    times that precede such a j sum to less than rtt2. The worker serves
+    requests j - k + 1 to j - 1 between done[j - k] and done[j - 1], so
+    otherwise the feedback is never later than the previous completion.
+    Always so with one client and a positive round trip."""
+    first = max(a, k)  # the block's first request with a previous one
+    if first >= b:
+        return False
+    lo = first - k + 1
+    # sums[i] is the service of requests lo to lo + i - 1, in floats: the
+    # result is a guess, which _settle checks
+    sums = np.zeros(b - lo)
+    np.cumsum(cpu[lo:b - 1] + tail, out=sums[1:])
+    return bool((sums[k - 1:] - sums[:b - first] < rtt2).any())
+
+
+def _settle(scheduled: np.ndarray, cpu: np.ndarray, issue: np.ndarray,
+            start: np.ndarray, done: np.ndarray, a: int, b: int, k: int,
+            rtt2: float, mem_time: float, disk_time: float) -> bool:
+    """Fill the block [a, b) of a one-worker run from its busy stretches,
+    or return False when they do not settle within _PASSES exact passes.
+
+    A first guess of the completions comes from Lindley's recursion over
+    the schedule in closed form, with cumsum and maximum.accumulate. Each
+    pass takes the starts that the current completions give
+    (``_reissue``), computes the completions of the busy stretches they
+    begin exactly (``_stretches``) and takes the starts again. The block is
+    settled when these are the starts the stretches began with, and the
+    previous completion inside each stretch: a fixed point of the
+    recurrence, which by induction over j is the one the scalar walk
+    computes."""
+    service = cpu[a:b] + (mem_time + disk_time)
+    before = np.cumsum(service)
+    before -= service
+    guess = scheduled[a:b] - before
+    np.maximum.accumulate(guess, out=guess)
+    if a:
+        np.maximum(guess, done[a - 1], out=guess)
+    np.add(guess, before + service, out=done[a:b])
+    prev = _reissue(scheduled, issue, start, done, a, b, k, rtt2)
+    terms = tuple(t for t in (mem_time, disk_time) if t > 0.0)
+    starts = start[a:b]
+    for _ in range(_PASSES):
+        head = starts > prev
+        head[0] = True
+        value = starts[head]
+        _stretches(head, value, cpu[a:b], terms, done[a:b])
+        prev = _reissue(scheduled, issue, start, done, a, b, k, rtt2)
+        used = prev.copy()
+        used[head] = value
+        if np.array_equal(starts, used):
+            return True
+    return False
+
+
+def _reissue(scheduled: np.ndarray, issue: np.ndarray, start: np.ndarray,
+             done: np.ndarray, a: int, b: int, k: int,
+             rtt2: float) -> np.ndarray:
+    """Issue and start of the block [a, b) from the completions in done:
+    issue[j] = max(scheduled[j], done[j - k] + rtt2) and start[j] =
+    max(issue[j], done[j - 1]). Returns done[j - 1] for the block, -inf
+    before the first request."""
+    iss = issue[a:b]
+    iss[:] = scheduled[a:b]
+    first = max(a, k)
+    if first < b:
+        np.maximum(iss[first - a:], done[first - k:b - k] + rtt2,
+                   out=iss[first - a:])
+    prev = np.empty(b - a)
+    prev[0] = done[a - 1] if a else -math.inf
+    prev[1:] = done[a:b - 1]
+    np.maximum(iss, prev, out=start[a:b])
+    return prev
+
+
+def _stretches(head: np.ndarray, value: np.ndarray, cpu: np.ndarray,
+               terms: tuple[float, ...], out: np.ndarray) -> None:
+    """Completions of consecutive requests, into out: the i-th request
+    where head is True starts at value[i], any other at the previous
+    completion, and each completes at ((start + cpu) + terms[0]) +
+    terms[1], with the terms that are present.
+
+    Each busy stretch, a head and the requests up to the next one, is a
+    row [start, cpu, *terms, cpu, *terms, ...], and np.add.accumulate
+    along it adds strictly left to right, so its running sums are the
+    completions as the scalar walk sums them, bit for bit. Rows are
+    bucketed by their length rounded up to a power of two; the padding is
+    summed and dropped."""
+    n = len(cpu)
+    c = 1 + len(terms)
+    firsts = np.flatnonzero(head)
+    lengths = np.diff(firsts, append=n)
+    bucket = np.frexp(lengths - 1)[1]  # lengths up to 2**bucket
+    for e in np.flatnonzero(np.bincount(bucket)).tolist():
+        rows = bucket == e
+        width = 1 << e
+        at = firsts[rows, None] + np.arange(width)
+        np.minimum(at, n - 1, out=at)
+        sums = np.empty((len(at), 1 + width * c))
+        sums[:, 0] = value[rows]
+        sums[:, 1::c] = cpu[at]
+        for i, term in enumerate(terms, 2):
+            sums[:, i::c] = term
+        np.add.accumulate(sums, axis=1, out=sums)
+        keep = np.arange(width) < lengths[rows, None]
+        out[at[keep]] = sums[:, c::c][keep]
+
+
+def _walk(scheduled: np.ndarray, cpu: np.ndarray, issue: np.ndarray,
+          start: np.ndarray, done: np.ndarray, a: int, b: int, k: int,
+          rtt2: float, mem_time: float, disk_time: float) -> None:
+    """Fill the block [a, b) of a one-worker run by the scalar recurrence,
+    one request at a time: issue[j] = max(scheduled[j], done[j - k] +
+    rtt2), start[j] = max(issue[j], done[j - 1]) and done[j] = ((start[j]
+    + cpu[j]) + mem_time) + disk_time (Lindley, "The theory of queues with
+    a single server", 1952)."""
+    lo = max(a - k, 0)
+    ends = done[lo:a].tolist()  # done[lo + i] at ends[i], then the block's
+    free = ends[-1] if ends else -math.inf
+    issues, starts = [], []
+    for i, t, x in zip(range(a - k - lo, b - k - lo),
+                       scheduled[a:b].tolist(), cpu[a:b].tolist()):
+        if i >= 0:  # done[j - k] + rtt2, the client's previous request
+            ready = ends[i] + rtt2
+            if ready > t:
+                t = ready
+        issues.append(t)
+        if free > t:
+            t = free
+        starts.append(t)
+        free = t + x + mem_time + disk_time
+        ends.append(free)
+    issue[a:b] = issues
+    start[a:b] = starts
+    done[a:b] = ends[a - lo:]
 
 
 def _sample_grid(duration: float) -> tuple[float, float, int]:

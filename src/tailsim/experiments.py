@@ -38,6 +38,9 @@ class SweepPoint:
     seed: int
     engine: str  # engine path that ran the point: constant_rate or event
     events: int | None  # the event engine's events (Trace.meta); None off it
+    # requests the one-worker constant-rate path walked one at a time
+    # (Trace.meta); None off it
+    walked: int | None
 
     @property
     def gate_ok(self) -> bool:
@@ -219,12 +222,13 @@ def qps_sweeps(profile: WorkloadProfile,
 def _sweep_point_job(job) -> SweepPoint:
     profile, scen, limits, config, seed, q = job
     trace, summary = run_point(profile, scen, limits, config, seed)
-    engine, events = trace.meta["engine"], trace.meta.get("events")
+    engine = trace.meta["engine"]
+    events, walked = trace.meta.get("events"), trace.meta.get("walked")
     # The point outlives the sweep; freeing the trace before making it
     # measured a lower process peak memory.
     del trace
     return SweepPoint(qps=q, summary=summary, seed=seed, engine=engine,
-                      events=events)
+                      events=events, walked=walked)
 
 
 def interpolate(xs, ys, x: float) -> float | None:

@@ -100,6 +100,36 @@ class TestSweepCommand:
         assert status["sweep"]["engine"] == {"event": 3}
         assert status["sweep"]["events"] == expected > 0
 
+    def test_manifest_counts_walked_requests(self, tmp_path):
+        # Every block of the shipped img-dnn ONE_ST sweep settles, so no
+        # request is walked and the status has no count. With one client
+        # and a round trip, a client's previous completion can set every
+        # start: every request of every point is walked.
+        shipped = shipped_spec_path("img-dnn")
+        out = tmp_path / "shipped"
+        assert main(["--out", str(out), "sweep", str(shipped)]) == 0
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status["sweep"]["engine"] == {"constant_rate": 12}
+        assert "walked" not in status["sweep"]
+        spec = tmp_path / "one-client.spec"
+        spec.write_text(shipped.read_text()
+                        .replace("n_clients: 12", "n_clients: 1")
+                        .replace("duration: 25.0", "duration: 3.0"))
+        out = tmp_path / "one"
+        assert main(["--out", str(out), "--points", "3", "sweep",
+                     str(spec)]) == 0
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        loaded = load_experiment_spec(spec)
+        requests = 0
+        for i, qps in enumerate(geometric_points(*loaded.qps_range, 3)):
+            trace, _ = run_point(loaded.profile,
+                                 replace(loaded.scenario, mode=OpenLoop(qps)),
+                                 loaded.limits, loaded.config,
+                                 point_seed(loaded.config.seed, i))
+            assert trace.meta["walked"] == len(trace)
+            requests += len(trace)
+        assert status["sweep"]["walked"] == requests > 0
+
     def test_unknown_profile_exit_2(self, tmp_path):
         bad = tmp_path / "bad.spec"
         bad.write_text(FAST_SPEC.replace("synth.profile", "nope.profile"))

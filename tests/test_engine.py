@@ -793,6 +793,84 @@ class TestConstantRatePath:
         assert fast.meta["engine"] == "constant_rate"
         assert_same_trace(fast, ref)
 
+    @staticmethod
+    def feedback_run(n_clients, rtt):
+        """img-dnn's profile on ONE_ST at 2000 QPS, far past its saturation,
+        for 3 s, with n_clients clients and the round trip rtt; and the
+        spec's platform."""
+        spec = load_experiment_spec(shipped_spec_path("img-dnn"))
+        scen = replace(spec.scenario, topology=Topology.ONE_ST,
+                       n_clients=n_clients, rtt=rtt, mode=OpenLoop(2000.0),
+                       duration=3.0)
+        sched = build_schedule(spec.config.arrival, 2000.0, 3.0, 5)
+        return ((spec.profile, scen, spec.limits, sched, 3),
+                spec.config.platform)
+
+    @pytest.mark.parametrize("n_clients, rtt",
+                             [(1, 1e-4), (2, 5e-3), (12, 5e-3)])
+    def test_feedback_bound_runs_are_walked(self, n_clients, rtt,
+                                            monkeypatch):
+        # n_clients - 1 service times can sum to less than two round trips,
+        # so a client's previous completion can set a start: such blocks
+        # are walked. Here it does set some. One client with a round trip
+        # walks every block without trying to settle it.
+        if n_clients == 1:
+            monkeypatch.setattr(engine, "_settle", None)
+        run, platform = self.feedback_run(n_clients, rtt)
+        fast, ref = run_both(run, platform)
+        assert fast.meta["walked"] > 0
+        k = n_clients
+        assert (fast.service_start[k:]
+                == fast.completion[:-k] + 2 * rtt).any()
+        assert_same_trace(fast, ref)
+        if n_clients == 1:  # every block, and every request is issued
+            assert fast.meta["walked"] == len(fast)
+            assert not np.isnan(fast.issue).any()
+
+    @pytest.mark.parametrize("rtt", [0.0, 1.5 * TICK])
+    def test_issue_on_the_previous_completion(self, rtt):
+        # Two-tick compute every two ticks, two clients: each request is
+        # issued on the previous completion. Without a round trip the
+        # blocks settle; a three-tick round trip exceeds one service time,
+        # so with it they are walked.
+        prof = WorkloadProfile(name="abut", cpu_work=2 * TICK,
+                               net_tx_bytes=1500.0)
+        sched = ArrivalSchedule(np.arange(600) * 2 * TICK, 1.0,
+                                ArrivalModel("deterministic"), 0, 0.25)
+        scen = ScenarioConfig(Topology.ONE_ST, 2, OpenLoop(1.0), 0.25,
+                              rtt=rtt)
+        fast, ref = run_both((prof, scen, FREE, sched, 0))
+        assert (ref.issue[1:] == ref.completion[:-1]).any()
+        assert fast.meta["walked"] == (len(fast) if rtt else 0)
+        assert_same_trace(fast, ref)
+
+    @staticmethod
+    def hard_stop_run():
+        """Three-tick compute, five clients, a hard stop of 10.5 s: request
+        1 completes on the hard stop, request 2 starts on it, request 3 is
+        issued on it and request 4 is scheduled after it."""
+        prof = WorkloadProfile(name="stop", cpu_work=3 * TICK,
+                               net_tx_bytes=1500.0)
+        ticks = np.array([-6.0, -3.0, -2.0, 0.0, 1.0])
+        sched = ArrivalSchedule(10.5 + ticks * TICK, 1.0,
+                                ArrivalModel("deterministic"), 0, 0.25)
+        scen = ScenarioConfig(Topology.ONE_ST, 5, OpenLoop(1.0), 0.25)
+        return prof, scen, FREE, sched, 0
+
+    def test_events_on_the_hard_stop(self):
+        run = self.hard_stop_run()
+        assert engine._sample_grid(run[1].duration)[0] == 10.5
+        fast, ref = run_both(run)
+        assert_same_trace(fast, ref)
+        assert fast.completion[1] == fast.service_start[2] == 10.5
+        assert fast.issue[3] == 10.5
+        np.testing.assert_array_equal(np.isnan(fast.issue),
+                                      [0, 0, 0, 0, 1])
+        np.testing.assert_array_equal(np.isnan(fast.service_start),
+                                      [0, 0, 0, 1, 1])
+        np.testing.assert_array_equal(np.isnan(fast.completion),
+                                      [0, 0, 1, 1, 1])
+
     @pytest.mark.parametrize("name", ["img-dnn", "masstree", "silo",
                                       "specjbb", "sphinx"])
     def test_shipped_disk_free_specs(self, name):
@@ -900,6 +978,93 @@ class TestClientDiscipline:
             assert not following[-1] < scen.duration
             chained += len(rows) - 1
         assert chained > 0
+
+
+BLOCKS = pytest.mark.parametrize("block", [3, 7])
+
+
+class TestRunBlocks:
+    """One-worker runs in blocks of a few requests, so that block edges,
+    the hard stop, censoring and the request in flight fall inside blocks
+    and across their edges, and walked and settled blocks alternate."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(open_loop_runs() | tied_runs((Topology.ONE_ST,)),
+           st.sampled_from([3, 7]))
+    def test_one_worker_walks_the_schedule(self, run, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_RUN_BLOCK", block)
+            fast, ref = run_both(run)
+        assert fast.meta["engine"] == "constant_rate"
+        assert_same_trace(fast, ref)
+
+    @BLOCKS
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_censored_runs_match_event_engine(self, block, seed,
+                                              monkeypatch):
+        monkeypatch.setattr(engine, "_RUN_BLOCK", block)
+        TestConstantRatePath().test_censored_runs_match_event_engine(
+            Topology.ONE_ST, False, seed)
+
+    @BLOCKS
+    @pytest.mark.parametrize("censoring", [False, True])
+    def test_open_loop_issues(self, block, censoring, monkeypatch):
+        monkeypatch.setattr(engine, "_RUN_BLOCK", block)
+        TestClientDiscipline().test_open_loop_issues(
+            "constant_rate", Topology.ONE_ST, censoring)
+
+    @BLOCKS
+    def test_events_on_the_hard_stop(self, block, monkeypatch):
+        monkeypatch.setattr(engine, "_RUN_BLOCK", block)
+        TestConstantRatePath().test_events_on_the_hard_stop()
+
+    @BLOCKS
+    def test_walked_and_settled_blocks_alternate(self, block, monkeypatch):
+        monkeypatch.setattr(engine, "_RUN_BLOCK", block)
+        run, platform = TestConstantRatePath.feedback_run(12, 5e-3)
+        fast, ref = run_both(run, platform)
+        assert 0 < fast.meta["walked"] < len(fast)
+        assert_same_trace(fast, ref)
+
+    def test_near_ties_settle_or_are_walked(self, monkeypatch):
+        # Schedule times one ulp after or before the previous completion,
+        # or equal to the previous schedule time: the closed-form first
+        # guess misplaces some stretch heads. Each 10-request block
+        # settles on its first pass or on the re-check, or is walked after
+        # them; all three happen here.
+        monkeypatch.setattr(engine, "_RUN_BLOCK", 10)
+        passes = []
+
+        def counted(*args):
+            passes[-1] += 1
+            return stretches(*args)
+
+        def settle(*args):
+            passes.append(0)
+            return run_settle(*args)
+
+        stretches, run_settle = engine._stretches, engine._settle
+        monkeypatch.setattr(engine, "_stretches", counted)
+        monkeypatch.setattr(engine, "_settle", settle)
+        prof = WorkloadProfile(name="ulp", cpu_work=0.0007,
+                               net_tx_bytes=1500.0)
+        times, t, free = [], 1.0, -math.inf
+        for step in np.random.default_rng(0).integers(0, 4, 400).tolist():
+            if step < 2 and free > -math.inf:
+                t = max(t, float(np.nextafter(free, (math.inf,
+                                                     -math.inf)[step])))
+            times.append(t)
+            free = max(t, free) + prof.cpu_work
+        sched = ArrivalSchedule(np.array(times), 1.0,
+                                ArrivalModel("deterministic"), 0, 0.25)
+        scen = ScenarioConfig(Topology.ONE_ST, 400, OpenLoop(1.0), 0.25,
+                              rtt=0.0)
+        fast, ref = run_both((prof, scen, FREE, sched, 0))
+        assert_same_trace(fast, ref)
+        assert set(passes) == {1, 2}
+        walked = fast.meta["walked"]
+        assert 0 < walked < len(fast)
+        assert passes.count(2) > walked // 10  # some settle on the re-check
 
 
 def scalar_deposit(series, dt, t0, t1, amount):

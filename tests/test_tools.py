@@ -355,6 +355,38 @@ def test_engine_time_against_itself(tmp_path, capfd):
                    "--against", str(tmp_path / "nowhere")])
 
 
+def test_engine_time_overrides_clients_and_round_trip(tmp_path, capfd):
+    # The short spec walks no request. With one client and a round trip
+    # every point is replaced on both sides, and ONE_ST walks every
+    # request it issues: each side's count shows.
+    checkout = short_checkout(tmp_path)
+    tool = load_tool("engine_time")
+    argv = [str(checkout), "--spec", "short", "--rounds", "1"]
+    runs = []
+    for extra in ([], ["--n-clients", "1", "--rtt", "1e-4"]):
+        assert tool.main(argv + extra) == 0
+        runs.append([line.split(", ") for line in
+                     capfd.readouterr().out.splitlines()])
+    plain, one = runs
+    assert [line[0].split(": ")[1].split(" s ")[1] for line in plain] == [
+        "(0 walked)"] * 3
+    walked = int(one[0][0].split("(")[1].split()[0])
+    assert walked == int(one[0][1].split()[0]) > 0  # all of its requests
+    assert [line[0].split(" s ")[1] for line in one[1:]] == [
+        "(0 walked)"] * 2
+    assert all(a[-1] != b[-1] for a, b in zip(plain, one))
+    assert tool.main(argv + ["--against", str(checkout), "--n-clients", "1",
+                             "--rtt", "1e-4"]) == 0
+    lines = [line.split(", ") for line in
+             capfd.readouterr().out.splitlines()]
+    assert lines[0][0].endswith(f" s ({walked} walked)")
+    assert lines[0][1].endswith(f" s ({walked} walked)")
+    assert [line[4] for line in lines] == ["digests equal"] * 3
+    for bad in (["--n-clients", "0"], ["--rtt", "-1e-4"], ["--rtt", "nan"]):
+        with pytest.raises(SystemExit):
+            tool.main(argv + bad)
+
+
 def test_engine_time_reports_each_topology(tmp_path, capfd):
     checkout = short_checkout(tmp_path)
     tool = load_tool("engine_time")

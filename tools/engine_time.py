@@ -2,7 +2,8 @@
 """Time the engine in-process on a shipped spec's sweep points.
 
     python tools/engine_time.py CHECKOUT --spec NAME [--rounds N]
-                                [--against PARENT]
+                                [--against PARENT] [--n-clients N]
+                                [--rtt S]
 
 CHECKOUT is a source checkout. In a subprocess with the checkout's
 ``src`` on the import path, the open-loop spec NAME (a shipped spec of
@@ -11,21 +12,27 @@ seeds are built as ``experiments.run_point`` builds them, and only
 ``engine.simulate_open_loop`` is timed. Each round runs every
 topology's points; per topology this prints the engine path (each path
 with its point count, as in "constant_rate 11+event 1", when the points
-ran on more than one), the median over the rounds of the engine seconds,
-requests/s and events/s at that median, and a sha256 over every trace
-array of every point (the request columns, both segment arrays and each
-core's busy intervals). Equal digests from two checkouts show that their
-engines gave the same bits.
+ran on more than one), the median over the rounds of the engine seconds
+with the requests the one-worker constant-rate path walked one at a time
+(``Trace.meta["walked"]``), requests/s and events/s at that median, and a
+sha256 over every trace array of every point (the request columns, both
+segment arrays and each core's busy intervals). Equal digests from two
+checkouts show that their engines gave the same bits. ``--n-clients`` and
+``--rtt`` replace the spec's client count and round trip at every point,
+on both sides with ``--against``: with one client, or a round trip longer
+than a few service times, a client's previous completion can set when
+its next request starts.
 
 With ``--against PARENT``, the subprocess also imports the checkout
 PARENT's ``tailsim`` as a second package, and each side builds its own
 spec and schedules. The two engines are timed point by point in one
 process, alternating which runs first, so a drift of the host's speed
-falls on both alike. Per topology this prints the path, both medians, the
-change's time over the parent's in each round, both event counts and
-whether the two sides' digests are equal. Both checkouts must share
-``simulate_open_loop``'s signature; where it differs, compare the digests
-of two plain runs, each checkout with its own tool.
+falls on both alike. Per topology this prints the path, both medians
+with each side's walked requests, the change's time over the parent's in
+each round, both event counts and whether the two sides' digests are
+equal. Both checkouts must share ``simulate_open_loop``'s signature;
+where it differs, compare the digests of two plain runs, each checkout
+with its own tool.
 """
 
 from __future__ import annotations
@@ -52,10 +59,11 @@ def load_package(src: Path, name: str):
     return module
 
 
-def sweep(name: str, package: str = "tailsim"):
+def sweep(name: str, package: str = "tailsim", overrides=None):
     """(points, run) for the spec NAME with the package's engine:
     run(topology name, point) times simulate_open_loop on the point and
-    returns (seconds, trace)."""
+    returns (seconds, trace). overrides replaces fields of the spec's
+    scenario (``n_clients``, ``rtt``) at every point."""
     import importlib
     import time
     from dataclasses import replace
@@ -80,7 +88,7 @@ def sweep(name: str, package: str = "tailsim"):
     def run(topology: str, point: int):
         q, schedule, seed = jobs[point]
         scenario = replace(spec.scenario, topology=model.Topology[topology],
-                           mode=model.OpenLoop(q))
+                           mode=model.OpenLoop(q), **(overrides or {}))
         t0 = time.perf_counter()
         trace = engine.simulate_open_loop(spec.profile, scenario,
                                           spec.limits, config.platform,
@@ -91,20 +99,21 @@ def sweep(name: str, package: str = "tailsim"):
 
 
 class Tally:
-    """Requests, events, engine paths and a sha256 over the traces of one
-    topology's points."""
+    """Requests, events, walked requests, engine paths and a sha256 over
+    the traces of one topology's points."""
 
     def __init__(self) -> None:
         import hashlib
         from collections import Counter
 
-        self.requests = self.events = 0
+        self.requests = self.events = self.walked = 0
         self.paths = Counter()
         self.digest = hashlib.sha256()
 
     def add(self, trace) -> None:
         self.requests += len(trace)
         self.events += trace.meta.get("events", 0)
+        self.walked += trace.meta.get("walked", 0)
         self.paths[trace.meta["engine"]] += 1
         for column in (trace.client, trace.scheduled, trace.issue,
                        trace.service_start, trace.completion, trace.timely,
@@ -118,11 +127,11 @@ class Tally:
                 if len(paths) > 1 else next(iter(paths)))
 
 
-def report(name: str, rounds: int) -> None:
+def report(name: str, rounds: int, overrides=None) -> None:
     """Print one line per topology; runs with the checkout's tailsim."""
     import statistics
 
-    points, run = sweep(name)
+    points, run = sweep(name, overrides=overrides)
     seconds = {t: [] for t in TOPOLOGIES}
     tally = {t: Tally() for t in TOPOLOGIES}
     for r in range(rounds):
@@ -139,18 +148,21 @@ def report(name: str, rounds: int) -> None:
         t = tally[topology]
         s = statistics.median(seconds[topology])
         rate = f"{t.events / s:.0f} events/s" if t.events else "no events"
-        print(f"{topology} {t.path()}: {s:.4f} s, {t.requests} requests, "
+        print(f"{topology} {t.path()}: {s:.4f} s ({t.walked} walked), "
+              f"{t.requests} requests, "
               f"{t.requests / s:.0f} req/s, {t.events} events, {rate}, "
               f"sha256 {t.digest.hexdigest()}", flush=True)
 
 
-def report_against(name: str, rounds: int, parent_src: str) -> None:
+def report_against(name: str, rounds: int, parent_src: str,
+                   overrides=None) -> None:
     """Print one line per topology comparing the parent's engine (the
     package under parent_src) with the checkout's, point by point."""
     import statistics
 
     load_package(Path(parent_src), "parent_tailsim")
-    sides = (sweep(name, "parent_tailsim"), sweep(name))  # parent, change
+    sides = (sweep(name, "parent_tailsim", overrides),
+             sweep(name, overrides=overrides))  # parent, change
     if sides[0][0] != sides[1][0]:
         sys.exit(f"{name}: the two checkouts sweep different points")
     points = sides[1][0]
@@ -176,8 +188,10 @@ def report_against(name: str, rounds: int, parent_src: str) -> None:
             path += f" -> {change.path()}"
         ratios = " ".join(f"{c / p:.3f}" for p, c in zip(sp, sc))
         same = parent.digest.digest() == change.digest.digest()
-        print(f"{topology} {path}: parent {statistics.median(sp):.4f} s, "
-              f"change {statistics.median(sc):.4f} s, "
+        print(f"{topology} {path}: parent {statistics.median(sp):.4f} s "
+              f"({parent.walked} walked), "
+              f"change {statistics.median(sc):.4f} s "
+              f"({change.walked} walked), "
               f"change/parent per round {ratios}, "
               f"events {parent.events} -> {change.events}, "
               f"digests {'equal' if same else 'differ'}", flush=True)
@@ -189,19 +203,28 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--spec", required=True)
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--against", type=Path, metavar="PARENT")
+    parser.add_argument("--n-clients", type=int, metavar="N")
+    parser.add_argument("--rtt", type=float, metavar="S")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds: must be >= 1")
+    if args.n_clients is not None and args.n_clients < 1:
+        parser.error("--n-clients: must be >= 1")
+    if args.rtt is not None and not args.rtt >= 0.0:
+        parser.error("--rtt: must be >= 0")
+    overrides = {key: value for key, value in (("n_clients", args.n_clients),
+                                               ("rtt", args.rtt))
+                 if value is not None}
     src = args.checkout.resolve() / "src"
     if not (src / "tailsim").is_dir():
         parser.error(f"{args.checkout}: no src/tailsim")
-    call = f"report({args.spec!r}, {args.rounds})"
+    call = f"report({args.spec!r}, {args.rounds}, {overrides!r})"
     if args.against is not None:
         parent_src = args.against.resolve() / "src"
         if not (parent_src / "tailsim").is_dir():
             parser.error(f"--against {args.against}: no src/tailsim")
         call = (f"report_against({args.spec!r}, {args.rounds}, "
-                f"{str(parent_src)!r})")
+                f"{str(parent_src)!r}, {overrides!r})")
     code = (f"import sys; sys.path.insert(1, {str(Path(__file__).parent)!r})"
             f"; import engine_time; engine_time.{call}")
     env = dict(os.environ, PYTHONPATH=str(src))
