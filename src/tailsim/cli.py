@@ -36,6 +36,9 @@ from .taxonomy import Thresholds, classify, extract_features
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNREACHABLE = 3
+# The errors bad input raises; main reports them with EXIT_VALIDATION.
+VALIDATION_ERRORS = (FileFormatError, ModelError, ExperimentError,
+                     MetricsError, FileNotFoundError)
 
 OUT_ROOT_ENV = "TAILSIM_OUT"
 
@@ -79,8 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "replay":
             return _cmd_replay(args)
         return _dispatch(args, args.spec)
-    except (FileFormatError, ModelError, ExperimentError, MetricsError,
-            FileNotFoundError) as exc:
+    except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -131,23 +130,39 @@ def session_points(lo: float, hi: float, n: int) -> list[float]:
 def run_point(profile: WorkloadProfile, scenario: ScenarioConfig,
               limits: ResourceLimits, config: RunConfig,
               seed: int) -> tuple[Trace, MetricsSummary]:
-    """Simulate one load point and summarize it.
+    """Simulate one load point on its own arrival schedule and summarize
+    it; a sweep's point job runs each of its runs the same way, on a
+    schedule it shares."""
+    trace = _simulate(profile, scenario, limits, config, seed,
+                      _arrivals(scenario, config, seed))
+    return trace, summarize(trace, config.warmup)
+
+
+def _arrivals(scenario: ScenarioConfig, config: RunConfig, seed: int):
+    """The arrival schedule of an open-loop point with this seed; None in
+    closed loop, where the sessions issue the requests."""
+    if isinstance(scenario.mode, ClosedLoop):
+        return None
+    return build_schedule(config.arrival, scenario.mode.qps,
+                          scenario.duration, point_seed(seed, 1))
+
+
+def _simulate(profile: WorkloadProfile, scenario: ScenarioConfig,
+              limits: ResourceLimits, config: RunConfig, seed: int,
+              schedule) -> Trace:
+    """Simulate one run of a point from its arrival schedule (None in
+    closed loop).
 
     The arrival schedule and the service-time draws use independently
     derived streams; sharing one stream would correlate gaps with service
     times and distort queueing.
     """
-    sched_seed = point_seed(seed, 1)
     sim_seed = point_seed(seed, 2)
-    if isinstance(scenario.mode, OpenLoop):
-        schedule = build_schedule(config.arrival, scenario.mode.qps,
-                                  scenario.duration, sched_seed)
-        trace = simulate_open_loop(profile, scenario, limits, config.platform,
-                                   schedule, sim_seed)
-    else:
-        trace = simulate_closed_loop(profile, scenario, limits,
-                                     config.platform, sim_seed)
-    return trace, summarize(trace, config.warmup)
+    if schedule is None:
+        return simulate_closed_loop(profile, scenario, limits,
+                                    config.platform, sim_seed)
+    return simulate_open_loop(profile, scenario, limits, config.platform,
+                              schedule, sim_seed)
 
 
 def qps_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -158,7 +173,8 @@ def qps_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
 
     Points failing the 97.5% timely gate are kept and flagged, never
     dropped. The same (config.seed, point index) pair always reproduces the
-    same point, so sweeps sharing a seed share arrival schedules.
+    same point, so sweeps sharing a seed have equal arrival schedules, and
+    the sweeps of one qps_sweeps call share one schedule object per point.
     """
     return qps_sweeps(profile, [(scenario, limits)], qps_range, n_points,
                       config)[0]
@@ -168,67 +184,105 @@ def qps_sweeps(profile: WorkloadProfile,
                runs: list[tuple[ScenarioConfig, ResourceLimits]],
                qps_range: tuple[float, float], n_points: int,
                config: RunConfig) -> list[SweepResult]:
-    """One sweep per (scenario, limits) pair, all run as one job list.
+    """One sweep per (scenario, limits) pair, run as one job per load point.
 
-    Every (sweep, point) job is built first; each point is a pure function
-    of its job, so the order they run in changes no output. With
-    config.parallelism > 1 all jobs go to one process pool of at most as
-    many workers as jobs, largest offered load (QPS, or sessions in closed
-    loop) first, so the longest points start early and no sweep waits on
-    its own slowest point while a worker idles; ties keep job order. With
-    parallelism 1 the jobs run in order in this process. Each sweep's
-    points come back sorted by load. An empty runs list returns [].
+    Point i's job holds every run that has a point i. It builds the
+    point's arrival schedule once and runs the runs on it in turn, each
+    trace summarized and dropped before the next run starts; runs share a
+    schedule only when their arrival model, load, duration and seed are
+    equal, and a closed-loop run builds none. Each point is a pure function
+    of its run, so how the runs are grouped and ordered changes no output.
+
+    With parallelism 1 the jobs run point by point in this process. With
+    config.parallelism = P > 1 a point whose offered load (QPS, or
+    sessions in closed loop, summed over its runs) exceeds 1/P of the
+    total over all points goes as one job per run, each building its own
+    schedule, so no job holds more than a fair share of the pool's work
+    (Graham's list-scheduling bound). The jobs go to one process pool of
+    at most as many workers as jobs, largest load first, so the longest
+    jobs start early and no sweep waits on its own slowest point while a
+    worker idles; ties keep job order. Each sweep's points come back
+    sorted by load. An empty runs list returns [].
     """
     validate_profile(profile, config.platform)
-    jobs, sizes = [], []
+    loads = []
     for scenario, limits in runs:
         limits.validate_against(config.platform)
-        closed = isinstance(scenario.mode, ClosedLoop)
-        values = (session_points(*qps_range, n_points) if closed
-                  else geometric_points(*qps_range, n_points))
-        sizes.append(len(values))
-        for i, q in enumerate(values):
-            seed = point_seed(config.seed, i)
-            if closed:
-                mode = ClosedLoop(int(q), scenario.mode.think_time)
-            else:
-                mode = OpenLoop(q)
-            scen = replace(scenario, mode=mode)
-            jobs.append((profile, scen, limits, config, seed, q))
+        loads.append(session_points(*qps_range, n_points)
+                     if isinstance(scenario.mode, ClosedLoop)
+                     else geometric_points(*qps_range, n_points))
+    jobs = []
+    for i in range(max(map(len, loads), default=0)):
+        members = []  # (run index, scenario at the load, limits, load)
+        for r, ((scenario, limits), values) in enumerate(zip(runs, loads)):
+            if i < len(values):
+                q = values[i]
+                mode = (ClosedLoop(int(q), scenario.mode.think_time)
+                        if isinstance(scenario.mode, ClosedLoop)
+                        else OpenLoop(q))
+                members.append((r, replace(scenario, mode=mode), limits, q))
+        jobs.append((profile, config, point_seed(config.seed, i), members,
+                     sum(m[-1] for m in members)))
+    if config.parallelism > 1:
+        total = sum(job[-1] for job in jobs)
+        jobs = [piece for job in jobs
+                for piece in _split(job, total, config.parallelism)]
     if config.parallelism > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        order = sorted(range(len(jobs)), key=lambda j: -jobs[j][-1])
-        results = [None] * len(jobs)
+        jobs.sort(key=lambda job: -job[-1])
         with ProcessPoolExecutor(
                 max_workers=min(config.parallelism, len(jobs))) as pool:
-            done = pool.map(_sweep_point_job, [jobs[j] for j in order])
-            for j, point in zip(order, done):
-                results[j] = point
+            done = [pair for pairs in pool.map(_point_job, jobs)
+                    for pair in pairs]
     else:
-        results = [_sweep_point_job(j) for j in jobs]
-    out, done = [], iter(results)
-    for (scenario, limits), size in zip(runs, sizes):
-        points = sorted(islice(done, size), key=lambda p: p.qps)
+        done = [pair for job in jobs for pair in _point_job(job)]
+    points = [[] for _ in runs]
+    for r, point in done:
+        points[r].append(point)
+    out = []
+    for (scenario, limits), pts in zip(runs, points):
         warmup = (config.warmup if config.warmup is not None
                   else default_warmup(scenario.duration))
         out.append(SweepResult(
             workload=profile.name, scenario=scenario, limits=limits,
-            points=tuple(points),
+            points=tuple(sorted(pts, key=lambda p: p.qps)),
             qps_range=(float(qps_range[0]), float(qps_range[1])),
             warmup=warmup))
     return out
 
 
-def _sweep_point_job(job) -> SweepPoint:
-    profile, scen, limits, config, seed, q = job
-    trace, summary = run_point(profile, scen, limits, config, seed)
-    engine = trace.meta["engine"]
-    events, walked = trace.meta.get("events"), trace.meta.get("walked")
-    # The point outlives the sweep; freeing the trace before making it
-    # measured a lower process peak memory.
-    del trace
-    return SweepPoint(qps=q, summary=summary, seed=seed, engine=engine,
-                      events=events, walked=walked)
+def _split(job, total: float, parallelism: int) -> list:
+    """The job itself, or one job per run when its load exceeds
+    total / parallelism."""
+    profile, config, seed, members, load = job
+    if load * parallelism <= total or len(members) == 1:
+        return [job]
+    return [(profile, config, seed, [m], m[-1]) for m in members]
+
+
+def _point_job(job) -> list[tuple[int, SweepPoint]]:
+    """Run every run of one load point, each on the schedule it shares with
+    the job's earlier runs when their arrival inputs are equal; returns
+    (run index, point) pairs."""
+    profile, config, seed, members, _ = job
+    schedules = {}
+    out = []
+    for r, scen, limits, q in members:
+        key = (scen.mode, scen.duration)
+        if key not in schedules:
+            schedules[key] = _arrivals(scen, config, seed)
+        trace = _simulate(profile, scen, limits, config, seed,
+                          schedules[key])
+        summary = summarize(trace, config.warmup)
+        engine = trace.meta["engine"]
+        events, walked = trace.meta.get("events"), trace.meta.get("walked")
+        # The point outlives the run; freeing the trace before the next
+        # run starts keeps one trace alive at a time.
+        del trace
+        out.append((r, SweepPoint(qps=q, summary=summary, seed=seed,
+                                  engine=engine, events=events,
+                                  walked=walked)))
+    return out
 
 
 def interpolate(xs, ys, x: float) -> float | None:
@@ -738,9 +792,9 @@ def load_experiment_spec(path: str | Path,
 
     profile_ref = _spec_get(fields, "profile", source)
     candidate = (path.parent / profile_ref).expanduser()
-    if candidate.exists():
+    if candidate.is_file():
         profile_path = candidate
-    elif Path(profile_ref).expanduser().exists():
+    elif Path(profile_ref).expanduser().is_file():
         profile_path = Path(profile_ref).expanduser()
     else:
         try:

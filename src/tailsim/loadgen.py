@@ -15,6 +15,9 @@ import numpy as np
 from .model import ModelError
 
 _RATE_CHUNK = 16384  # gap draws per block while filling a horizon
+# Largest zipf support: a schedule's support, weight and cdf arrays take
+# 8 bytes per value, 8 MB each at this size.
+ZIPF_SUPPORT_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,9 @@ class ArrivalModel:
                 raise ModelError("arrival model: zipf alpha must be > 0")
             if self.support_n < 2:
                 raise ModelError("arrival model: zipf support_n must be >= 2")
+            if self.support_n > ZIPF_SUPPORT_MAX:
+                raise ModelError(
+                    f"zipf_support: must be at most {ZIPF_SUPPORT_MAX}")
 
 
 @dataclass(frozen=True)

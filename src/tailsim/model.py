@@ -87,6 +87,9 @@ class ServiceDist:
             raise ModelError(f"service_dist: unknown kind {self.kind!r}")
         if self.kind == "lognormal" and self.cv <= 0:
             raise ModelError("service_dist: lognormal requires cv > 0")
+        if self.kind == "lognormal" and math.isinf(self.cv * self.cv):
+            # log(1 + cv^2) would be inf, and every draw nan or 0
+            raise ModelError("service_cv: too large, its square overflows")
 
     def _lognormal_params(self) -> tuple[float, float]:
         sigma2 = math.log(1.0 + self.cv * self.cv)
@@ -176,6 +179,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.n_clients < 1:
             raise ModelError("n_clients: must be >= 1")
+        if self.n_clients > 2**63 - 1:  # the engine's int64 client column
+            raise ModelError("n_clients: must be at most 2**63 - 1")
         if self.duration <= 0:
             raise ModelError("duration: must be positive")
         if self.rtt < 0:

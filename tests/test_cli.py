@@ -1,14 +1,20 @@
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tailsim.cli import main
-from tailsim.experiments import (geometric_points, load_experiment_spec,
-                                 point_seed, run_point, shipped_spec_path)
+from tailsim.cli import VALIDATION_ERRORS, main
+from tailsim.experiments import (_SPEC_KEYS, geometric_points,
+                                 load_experiment_spec, point_seed, run_point,
+                                 shipped_spec_path)
+from tailsim.loadgen import ZIPF_SUPPORT_MAX
 from tailsim.metrics import SWEEP_CSV_COLUMNS
-from tailsim.model import OpenLoop
+from tailsim.model import (_PLATFORM_FIELDS, _PROFILE_FLOAT_FIELDS, OpenLoop,
+                           PlatformConfig, load_platform, load_profile,
+                           validate_profile)
 
 FAST_PROFILE = """\
 name: synth
@@ -136,6 +142,15 @@ class TestSweepCommand:
         rc = main(["--out", str(tmp_path / "o"), "sweep", str(bad)])
         assert rc == 2
         assert not (tmp_path / "o").exists()  # no partial output dir
+
+    @pytest.mark.parametrize("ref", [".", ".."])
+    def test_profile_naming_a_directory_exit_2(self, tmp_path, capsys, ref):
+        bad = tmp_path / "bad.spec"
+        bad.write_text(FAST_SPEC.replace("synth.profile", ref))
+        rc = main(["--out", str(tmp_path / "o"), "sweep", str(bad)])
+        assert rc == 2
+        assert f"profile {ref!r} not found" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_spec_exit_2(self, tmp_path):
         bad = tmp_path / "bad.spec"
@@ -392,6 +407,25 @@ duration: 5.0
         assert "--parallelism: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("zipf_support", str(ZIPF_SUPPORT_MAX + 1),
+         f"zipf_support: must be at most {ZIPF_SUPPORT_MAX}"),
+        ("zipf_support", "99999999999999999999999",
+         f"zipf_support: must be at most {ZIPF_SUPPORT_MAX}"),
+        ("n_clients", "99999999999999999999999",
+         "n_clients: must be at most 2**63 - 1")])
+    def test_oversized_count_exit_2(self, spec_dir, tmp_path, capsys, key,
+                                    value, message):
+        lines = [l for l in FAST_SPEC.splitlines()
+                 if not l.startswith(key + ":")]
+        (spec_dir / "bad.spec").write_text(
+            "\n".join(lines + [f"{key}: {value}"]) + "\n")
+        rc = main(["--out", str(tmp_path / "o"), "--points", "2", "sweep",
+                   str(spec_dir / "bad.spec")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_limit_words_accepted(self, spec_dir):
         from tailsim.experiments import load_experiment_spec
         (spec_dir / "ok.spec").write_text(
@@ -430,6 +464,106 @@ duration: 5.0
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+# Values a hand-edited file may hold: signs, zero, nan, inf, numbers past
+# every float and int64 range, empty and stray strings, paths, and lists
+# with bad members.
+ADVERSARIAL = st.one_of(
+    st.sampled_from([
+        "-1", "0", "-0.0", "nan", "inf", "-inf", "1e-300", "1e23", "1e200",
+        "99999999999999999999999", "1e308", "abc", "", ".", "..", ",",
+        "1,,2", "none", "unlimited", "ONE_ST", "closed_loop", "poisson"]),
+    st.integers(-2**80, 2**80).map(str),
+    st.floats().map(repr),
+    st.lists(st.sampled_from(["1", "0", "-1", "2.5", "nan", "inf", "x", "",
+                              "1e23", "unlimited"]),
+             min_size=1, max_size=4).map(",".join))
+
+FUZZ_SPECS = {
+    "open_loop": FAST_SPEC.replace("qps_min: 60.0", "qps_min: 20.0")
+    .replace("qps_max: 700.0", "qps_max: 200.0")
+    .replace("duration: 8.0", "duration: 1.0")
+    .replace("warmup: 1.0", "warmup: 0.2"),
+    "closed_loop": "name: closed\nprofile: synth.profile\nmode: closed_loop\n"
+    "sessions_min: 1\nsessions_max: 4\nthink_time: 0.01\nduration: 1.0\n"
+    "warmup: 0.2\nseed: 77\n",
+}
+PROFILE_KEYS = ("name", "service_dist", "service_cv") + _PROFILE_FLOAT_FIELDS
+
+
+def with_value(text: str, key: str, value: str) -> str:
+    """text with key's line, if any, replaced by key: value at the end."""
+    lines = [l for l in text.splitlines() if not l.startswith(key + ":")]
+    return "\n".join(lines + [f"{key}: {value}"]) + "\n"
+
+
+def accepted(load, *args):
+    """What the loader returns, or None when it raises one of the errors
+    the CLI reports with exit 2; any other error fails the test."""
+    try:
+        return load(*args)
+    except VALIDATION_ERRORS:
+        return None
+
+
+def check_input(spec_text: str, profile_text: str = FAST_PROFILE,
+                platform_text: str | None = None) -> None:
+    """Each loader of the input returns or raises an exit-2 error. An
+    accepted spec runs --points 2 sweep end to end when its size is
+    bounded: at most 2 s and 1e4 QPS or sessions, whose run time and
+    memory are small whatever the other keys hold."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "synth.profile").write_text(profile_text)
+        (root / "fuzz.spec").write_text(spec_text)
+        args = ["--out", str(root / "out"), "--points", "2"]
+        platform = PlatformConfig()
+        if platform_text is not None:
+            (root / "fuzz.platform").write_text(platform_text)
+            platform = accepted(load_platform, root / "fuzz.platform")
+            if platform is None:
+                return
+            args += ["--platform", str(root / "fuzz.platform")]
+        profile = accepted(load_profile, root / "synth.profile")
+        if (profile is None
+                or accepted(validate_profile, profile, platform) is None):
+            return
+        spec = accepted(load_experiment_spec, root / "fuzz.spec", platform)
+        if spec is None:
+            return
+        # No accepted spec asks for an unbounded zipf support table.
+        assert spec.config.arrival.support_n <= ZIPF_SUPPORT_MAX
+        if spec.scenario.duration <= 2.0 and spec.qps_range[1] <= 1e4:
+            # 3: an unreachable QoS target, a result of the run
+            assert main(args + ["sweep", str(root / "fuzz.spec")]) in (
+                0, 2, 3)
+
+
+class TestAdversarialInput:
+    """Bad values in any key of a spec, profile or platform file exit 2
+    with a message; they never end in a traceback or exhaust memory."""
+
+    @pytest.mark.parametrize("mode", sorted(FUZZ_SPECS))
+    @pytest.mark.parametrize("key", sorted(_SPEC_KEYS))
+    @settings(max_examples=12, deadline=None)
+    @given(value=ADVERSARIAL)
+    def test_spec_key(self, mode, key, value):
+        check_input(with_value(FUZZ_SPECS[mode], key, value))
+
+    @pytest.mark.parametrize("key", PROFILE_KEYS)
+    @settings(max_examples=12, deadline=None)
+    @given(value=ADVERSARIAL)
+    def test_profile_key(self, key, value):
+        check_input(FUZZ_SPECS["open_loop"],
+                    profile_text=with_value(FAST_PROFILE, key, value))
+
+    @pytest.mark.parametrize("key", _PLATFORM_FIELDS)
+    @settings(max_examples=12, deadline=None)
+    @given(value=ADVERSARIAL)
+    def test_platform_key(self, key, value):
+        check_input(FUZZ_SPECS["open_loop"],
+                    platform_text=with_value("", key, value))
 
 
 class TestCharacterize:

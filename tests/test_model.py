@@ -189,6 +189,13 @@ class TestServiceDist:
         with pytest.raises(ModelError):
             ServiceDist("weibull")
 
+    def test_cv_whose_square_overflows_rejected(self):
+        # past 1.34e154 the lognormal's sigma is inf and draws are nan
+        assert np.isfinite(ServiceDist("lognormal", 1e150).sample(
+            np.random.default_rng(1), 100)).all()
+        with pytest.raises(ModelError, match="service_cv: too large"):
+            ServiceDist("lognormal", 1e155)
+
 
 class TestProfileFiles:
     def test_roundtrip(self, tmp_path):
