@@ -130,39 +130,25 @@ def session_points(lo: float, hi: float, n: int) -> list[float]:
 def run_point(profile: WorkloadProfile, scenario: ScenarioConfig,
               limits: ResourceLimits, config: RunConfig,
               seed: int) -> tuple[Trace, MetricsSummary]:
-    """Simulate one load point on its own arrival schedule and summarize
-    it; a sweep's point job runs each of its runs the same way, on a
-    schedule it shares."""
-    trace = _simulate(profile, scenario, limits, config, seed,
-                      _arrivals(scenario, config, seed))
-    return trace, summarize(trace, config.warmup)
-
-
-def _arrivals(scenario: ScenarioConfig, config: RunConfig, seed: int):
-    """The arrival schedule of an open-loop point with this seed; None in
-    closed loop, where the sessions issue the requests."""
-    if isinstance(scenario.mode, ClosedLoop):
-        return None
-    return build_schedule(config.arrival, scenario.mode.qps,
-                          scenario.duration, point_seed(seed, 1))
-
-
-def _simulate(profile: WorkloadProfile, scenario: ScenarioConfig,
-              limits: ResourceLimits, config: RunConfig, seed: int,
-              schedule) -> Trace:
-    """Simulate one run of a point from its arrival schedule (None in
-    closed loop).
+    """Simulate one load point and summarize it.
 
     The arrival schedule and the service-time draws use independently
     derived streams; sharing one stream would correlate gaps with service
-    times and distort queueing.
+    times and distort queueing. A sweep's point job calls this for each of
+    its runs in turn; build_schedule hands the runs of the point one
+    schedule, drawn once.
     """
+    sched_seed = point_seed(seed, 1)
     sim_seed = point_seed(seed, 2)
-    if schedule is None:
-        return simulate_closed_loop(profile, scenario, limits,
-                                    config.platform, sim_seed)
-    return simulate_open_loop(profile, scenario, limits, config.platform,
-                              schedule, sim_seed)
+    if isinstance(scenario.mode, OpenLoop):
+        schedule = build_schedule(config.arrival, scenario.mode.qps,
+                                  scenario.duration, sched_seed)
+        trace = simulate_open_loop(profile, scenario, limits, config.platform,
+                                   schedule, sim_seed)
+    else:
+        trace = simulate_closed_loop(profile, scenario, limits,
+                                     config.platform, sim_seed)
+    return trace, summarize(trace, config.warmup)
 
 
 def qps_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -174,7 +160,8 @@ def qps_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
     Points failing the 97.5% timely gate are kept and flagged, never
     dropped. The same (config.seed, point index) pair always reproduces the
     same point, so sweeps sharing a seed have equal arrival schedules, and
-    the sweeps of one qps_sweeps call share one schedule object per point.
+    the sweeps of one qps_sweeps call share each point's schedule, drawn
+    once.
     """
     return qps_sweeps(profile, [(scenario, limits)], qps_range, n_points,
                       config)[0]
@@ -186,23 +173,21 @@ def qps_sweeps(profile: WorkloadProfile,
                config: RunConfig) -> list[SweepResult]:
     """One sweep per (scenario, limits) pair, run as one job per load point.
 
-    Point i's job holds every run that has a point i. It builds the
-    point's arrival schedule once and runs the runs on it in turn, each
-    trace summarized and dropped before the next run starts; runs share a
-    schedule only when their arrival model, load, duration and seed are
-    equal, and a closed-loop run builds none. Each point is a pure function
-    of its run, so how the runs are grouped and ordered changes no output.
+    Point i's job holds every run that has a point i and runs them in
+    turn, each trace summarized and dropped before the next run starts.
+    The runs of a point ask for their arrival schedules one after another,
+    so runs whose arrival model, load, duration and seed are equal get one
+    schedule, drawn once (build_schedule); a closed-loop run needs none.
+    Each point is a pure function of its run, so how the runs are grouped
+    and ordered changes no output.
 
     With parallelism 1 the jobs run point by point in this process. With
-    config.parallelism = P > 1 a point whose offered load (QPS, or
-    sessions in closed loop, summed over its runs) exceeds 1/P of the
-    total over all points goes as one job per run, each building its own
-    schedule, so no job holds more than a fair share of the pool's work
-    (Graham's list-scheduling bound). The jobs go to one process pool of
-    at most as many workers as jobs, largest load first, so the longest
-    jobs start early and no sweep waits on its own slowest point while a
-    worker idles; ties keep job order. Each sweep's points come back
-    sorted by load. An empty runs list returns [].
+    config.parallelism > 1 they go to one process pool of at most as many
+    workers as jobs, largest offered load (QPS, or sessions in closed
+    loop, summed over the job's runs) first, so the longest points start
+    early and no sweep waits on its own slowest point while a worker
+    idles; ties keep job order. Each sweep's points come back sorted by
+    load. An empty runs list returns [].
     """
     validate_profile(profile, config.platform)
     loads = []
@@ -223,10 +208,6 @@ def qps_sweeps(profile: WorkloadProfile,
                 members.append((r, replace(scenario, mode=mode), limits, q))
         jobs.append((profile, config, point_seed(config.seed, i), members,
                      sum(m[-1] for m in members)))
-    if config.parallelism > 1:
-        total = sum(job[-1] for job in jobs)
-        jobs = [piece for job in jobs
-                for piece in _split(job, total, config.parallelism)]
     if config.parallelism > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         jobs.sort(key=lambda job: -job[-1])
@@ -251,29 +232,13 @@ def qps_sweeps(profile: WorkloadProfile,
     return out
 
 
-def _split(job, total: float, parallelism: int) -> list:
-    """The job itself, or one job per run when its load exceeds
-    total / parallelism."""
-    profile, config, seed, members, load = job
-    if load * parallelism <= total or len(members) == 1:
-        return [job]
-    return [(profile, config, seed, [m], m[-1]) for m in members]
-
-
 def _point_job(job) -> list[tuple[int, SweepPoint]]:
-    """Run every run of one load point, each on the schedule it shares with
-    the job's earlier runs when their arrival inputs are equal; returns
-    (run index, point) pairs."""
+    """Run every run of one load point; returns (run index, point)
+    pairs."""
     profile, config, seed, members, _ = job
-    schedules = {}
     out = []
     for r, scen, limits, q in members:
-        key = (scen.mode, scen.duration)
-        if key not in schedules:
-            schedules[key] = _arrivals(scen, config, seed)
-        trace = _simulate(profile, scen, limits, config, seed,
-                          schedules[key])
-        summary = summarize(trace, config.warmup)
+        trace, summary = run_point(profile, scen, limits, config, seed)
         engine = trace.meta["engine"]
         events, walked = trace.meta.get("events"), trace.meta.get("walked")
         # The point outlives the run; freeing the trace before the next

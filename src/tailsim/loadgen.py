@@ -8,6 +8,7 @@ at the scheduled instant (the timeliness test).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +74,22 @@ def build_schedule(model: ArrivalModel, qps: float, duration: float,
     """Generate the arrival schedule for one run.
 
     Identical (model, qps, duration, seed) always yields the identical
-    schedule.
+    schedule. The runs of one load point ask for it one after another, so
+    the last schedule's times are kept, read-only, and handed out again
+    to a call with equal inputs instead of being drawn anew.
     """
     if qps <= 0:
         raise ModelError("qps: must be positive")
     if duration <= 0:
         raise ModelError("duration: must be positive")
+    return ArrivalSchedule(times=_times(model, qps, duration, seed),
+                           target_qps=qps, model=model, seed=seed,
+                           duration=duration)
+
+
+@functools.lru_cache(maxsize=1)
+def _times(model: ArrivalModel, qps: float, duration: float,
+           seed: int) -> np.ndarray:
     if model.kind == "deterministic":
         n = int(np.floor(qps * duration + 1e-9))
         times = np.arange(n, dtype=np.float64) / qps
@@ -100,8 +111,8 @@ def build_schedule(model: ArrivalModel, qps: float, duration: float,
             return scale * z
 
         times = _accumulate_gaps(draw, duration)
-    return ArrivalSchedule(times=times, target_qps=qps, model=model,
-                           seed=seed, duration=duration)
+    times.flags.writeable = False
+    return times
 
 
 def _accumulate_gaps(draw, duration: float) -> np.ndarray:

@@ -84,18 +84,27 @@ def inline_pool(monkeypatch):
 
 
 @pytest.fixture()
-def builds(monkeypatch):
-    """(qps, seed) of every arrival schedule the experiments build."""
+def drawn(monkeypatch):
+    """(qps, seed) of every arrival schedule the engine is given, once per
+    draw: runs handed the same times array share one draw."""
     import tailsim.experiments as experiments
-    made = []
-    real = experiments.build_schedule
+    given = []
+    real = experiments.simulate_open_loop
 
-    def counted(model, qps, duration, seed):
-        made.append((qps, seed))
-        return real(model, qps, duration, seed)
+    def spy(profile, scenario, limits, platform, schedule, seed):
+        given.append(schedule)
+        return real(profile, scenario, limits, platform, schedule, seed)
 
-    monkeypatch.setattr(experiments, "build_schedule", counted)
-    return made
+    monkeypatch.setattr(experiments, "simulate_open_loop", spy)
+
+    class Drawn:
+        def __call__(self):
+            firsts = {id(s.times): s for s in reversed(given)}
+            return [(s.target_qps, s.seed) for s in reversed(firsts.values())]
+
+        runs = given
+
+    return Drawn()
 
 
 class TestInterpolate:
@@ -199,13 +208,14 @@ class TestOnePool:
         entries = constraint_study(self.MEM, scen(duration=2.0),
                                    cat_levels([11, 5, 2]), (100.0, 400.0), 3,
                                    config)
-        assert inline_pool.made == [3, 9]
+        # one job per point: three sweeps of three points make three jobs
+        assert inline_pool.made == [3, 3]
         assert_same_points(sw, qps_sweep(DET_1MS, scen(duration=2.0), FREE,
                                          (100.0, 400.0), 3, cfg(warmup=0.5)))
         assert len(entries) == 3
         constraint_study(self.MEM, scen(duration=2.0), cat_levels([11, 5]),
                          (100.0, 400.0), 3, cfg(warmup=0.5, parallelism=2))
-        assert inline_pool.made == [3, 9, 2]
+        assert inline_pool.made == [3, 3, 2]
 
     def test_largest_load_first_ties_in_job_order(self, inline_pool):
         runs = [(scen(duration=2.0, topo=t), FREE)
@@ -213,10 +223,9 @@ class TestOnePool:
         sweeps = qps_sweeps(DET_1MS, runs, (100.0, 400.0), 3,
                             cfg(warmup=0.5, parallelism=2))
         q = geometric_points(100.0, 400.0, 3)
-        # The top point holds 4/7 of the load, over 1/2: one job per run.
-        # A job's load sums its runs' loads, and 2 q[1] == q[2].
-        assert inline_pool.loads == [[2 * q[1], q[2], q[2], 2 * q[0]]]
-        assert inline_pool.runs == [[2, 1, 1, 2]]
+        # one job per point, its load summed over its two runs
+        assert inline_pool.loads == [[2 * q[2], 2 * q[1], 2 * q[0]]]
+        assert inline_pool.runs == [[2, 2, 2]]
         # each result went back to its own sweep, in load order
         assert [sw.scenario.topology for sw in sweeps] == [
             Topology.ONE_ST, Topology.TWO_ST]
@@ -231,88 +240,43 @@ class TestOnePool:
         assert inline_pool.loads[1] == sorted(session_points(1.0, 6.0, 4),
                                               reverse=True)
 
-    def test_one_schedule_per_point(self, inline_pool, builds):
-        # 100 to 400 QPS in 4 points: the top point holds 44% of the load,
-        # under 1/2, so at parallelism 2 no point splits
+    def test_one_schedule_per_point(self, inline_pool, drawn):
         q = geometric_points(100.0, 400.0, 4)
         config = cfg(seed=5, warmup=0.5)
         seeds = [point_seed(point_seed(5, i), 1) for i in range(4)]
         serial = compare_scenarios(self.MEM, FREE, (100.0, 400.0), 4,
                                    scen(duration=2.0), config)
-        assert builds == list(zip(q, seeds))
-        builds.clear()
+        assert drawn() == list(zip(q, seeds)) and len(drawn.runs) == 12
+        drawn.runs.clear()
         pooled = compare_scenarios(self.MEM, FREE, (100.0, 400.0), 4,
                                    scen(duration=2.0),
                                    replace(config, parallelism=2))
-        assert builds == list(zip(q, seeds))[::-1]  # largest load first
+        assert drawn() == list(zip(q, seeds))[::-1]  # largest load first
         assert inline_pool.runs == [[3, 3, 3, 3]]
         for topo in serial.sweeps:
             assert_same_points(serial.sweeps[topo], pooled.sweeps[topo])
         for par in (1, 2):
-            builds.clear()
+            drawn.runs.clear()
             constraint_study(self.MEM, scen(duration=2.0),
                              cat_levels([11, 5, 2]), (100.0, 400.0), 4,
                              replace(config, parallelism=par))
-            assert sorted(builds) == list(zip(q, seeds))
-        # a closed-loop run builds no schedule
-        builds.clear()
+            assert sorted(drawn()) == list(zip(q, seeds))
+        # a closed-loop run is given no schedule
+        drawn.runs.clear()
         constraint_study(self.MEM, self.CLOSED, cat_levels([11, 2]),
                          (1.0, 6.0), 4, replace(config, parallelism=2))
-        assert builds == []
+        assert drawn.runs == []
 
-    def test_runs_of_a_point_share_a_schedule_only_when_equal(self, builds):
-        # the durations differ, so each point builds one schedule per run
+    def test_runs_of_a_point_share_a_schedule_only_when_equal(self, drawn):
+        # the durations differ, so each run of a point gets its own draw
         runs = [(scen(duration=d), FREE) for d in (2.0, 1.5)]
         sweeps = qps_sweeps(DET_1MS, runs, (100.0, 400.0), 3,
                             cfg(warmup=0.5))
-        assert len(builds) == 6
+        assert len(drawn()) == 6
         for (sc, limits), sw in zip(runs, sweeps):
             assert_same_points(sw, qps_sweep(DET_1MS, sc, limits,
                                              (100.0, 400.0), 3,
                                              cfg(warmup=0.5)))
-
-    def test_points_over_a_fair_share_split(self, inline_pool, builds):
-        # 100 to 1500 QPS in 4 points on three topologies: the top point
-        # holds 61% of the load, over 1/2, and goes as one job per run
-        args = (self.MEM, FREE, (100.0, 1500.0), 4, scen(duration=2.0))
-        serial = compare_scenarios(*args, cfg(warmup=0.5))
-        builds.clear()
-        pooled = compare_scenarios(*args, cfg(warmup=0.5, parallelism=2))
-        q = geometric_points(100.0, 1500.0, 4)
-        assert inline_pool.made == [2]
-        assert inline_pool.loads == [[3 * q[2], q[3], q[3], q[3],
-                                      3 * q[1], 3 * q[0]]]
-        assert inline_pool.runs == [[3, 1, 1, 1, 3, 3]]
-        assert len(builds) == 6  # each split job builds its own
-        for topo in serial.sweeps:
-            assert_same_points(serial.sweeps[topo], pooled.sweeps[topo])
-        # sessions 1, 2, 3 and 6: the top point holds exactly 1/2, which
-        # does not exceed a fair share, and stays one job
-        constraint_study(self.MEM, self.CLOSED, cat_levels([11, 2]),
-                         (1.0, 6.0), 4, cfg(warmup=0.5, parallelism=2))
-        assert inline_pool.loads[1] == [12.0, 6.0, 4.0, 2.0]
-        assert inline_pool.runs[1] == [2, 2, 2, 2]
-
-    def test_top_points_split_at_parallelism_8(self, inline_pool, builds):
-        # 12 points over a 20x range: the top three hold 25%, 19% and 15%
-        # of the load, over 1/8, and the fourth 11%
-        levels = cat_levels([11, 5, 2])
-        args = (self.MEM, scen(duration=1.0), levels, (100.0, 2000.0), 12)
-        serial = constraint_study(*args, cfg(warmup=0.2))
-        builds.clear()
-        pooled = constraint_study(*args, cfg(warmup=0.2, parallelism=8))
-        q = geometric_points(100.0, 2000.0, 12)
-        assert inline_pool.made == [8]
-        jobs = list(zip(inline_pool.loads[0], inline_pool.runs[0]))
-        assert sorted(load for load, runs in jobs if runs == 1) == sorted(
-            q[9:] * 3)
-        assert sorted(load for load, runs in jobs if runs == 3) == sorted(
-            3 * x for x in q[:9])
-        assert len(jobs) == 18 and len(builds) == 18
-        assert inline_pool.loads[0] == sorted(inline_pool.loads[0],
-                                              reverse=True)
-        for a, b in zip(serial, pooled, strict=True):
-            assert_same_points(a.sweep, b.sweep)
 
     def test_no_runs_start_no_pool(self, inline_pool):
         config = cfg(parallelism=2)

@@ -46,6 +46,17 @@ class TestBuildSchedule:
         c = build_schedule(ArrivalModel("zipf", 1.2, 500), 300.0, 50.0, 98)
         assert not np.array_equal(a.times, c.times)
 
+    def test_equal_inputs_share_one_read_only_draw(self):
+        m = ArrivalModel("poisson")
+        a = build_schedule(m, 300.0, 5.0, 4)
+        b = build_schedule(m, 300.0, 5.0, 4)
+        assert b.times is a.times and not a.times.flags.writeable
+        c = build_schedule(m, 300.0, 5.0, 5)
+        assert c.times is not a.times
+        # only the last draw is kept: a's inputs are drawn again, equal
+        d = build_schedule(m, 300.0, 5.0, 4)
+        assert d.times is not a.times and np.array_equal(d.times, a.times)
+
     def test_invalid_inputs(self):
         with pytest.raises(ModelError):
             build_schedule(ArrivalModel("poisson"), 0.0, 1.0, 0)
