@@ -10,8 +10,8 @@ from .model import (ClosedLoop, ModelError, OpenLoop, PlatformConfig,
                     miss_ratio, save_profile, shipped_profile,
                     validate_profile)
 from .loadgen import ArrivalModel, ArrivalSchedule, build_schedule
-from .engine import (Trace, export_series_csv, export_trace_csv,
-                     simulate_closed_loop, simulate_open_loop)
+from .engine import (Trace, export_trace_csv, simulate_closed_loop,
+                     simulate_open_loop)
 from .metrics import MetricsSummary, default_warmup, percentile, summarize
 
 __version__ = "0.1.0"

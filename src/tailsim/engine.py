@@ -43,8 +43,7 @@ segment, and the constant-rate path builds the rows in the order the event
 engine closes them (by completion time, then the requests in flight), so
 the two paths' segment arrays are the same, bit for bit. Network traffic
 is a fixed amount per issue (received) and per completion (sent).
-``metrics.summarize`` integrates the segments exactly over its window;
-only ``export_series_csv`` bins them onto a sampling grid.
+``metrics.summarize`` integrates the segments exactly over its window.
 The event engine's heap holds issues only. Each worker's next phase end
 sits in a slot with its push order, and a rate change overwrites it, so
 each step takes the earliest in (time, push order) of the heap's top and
@@ -73,13 +72,12 @@ from pathlib import Path
 import numpy as np
 
 from .loadgen import ArrivalSchedule
-from .model import (COMPUTE, DISK, IDLE, MB, MEMORY, ClosedLoop, ModelError,
+from .model import (COMPUTE, DISK, IDLE, MEMORY, ClosedLoop, ModelError,
                     OpenLoop, PlatformConfig, ResourceLimits, ScenarioConfig,
                     WorkloadProfile, drain_rates, llc_occupancy, mean_demands,
                     validate_profile)
 
 TIMELY_EPS = 1e-6  # seconds of slack when judging issue punctuality
-_BLOCK = 4096  # segments per export deposit step; bounds the temporaries
 _RUN_BLOCK = 4096  # requests per block of a one-worker constant-rate run
 _PASSES = 2  # exact passes a one-worker block may take before it is walked
 
@@ -133,8 +131,8 @@ def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
     by client j mod scenario.n_clients.
 
     Every scheduled request appears in the trace exactly once; requests
-    still unfinished when the run truncates (twice the scenario duration)
-    are censored rather than dropped.
+    still unfinished at the hard stop (twice the scenario duration plus
+    10 s) are censored rather than dropped.
     """
     if not isinstance(scenario.mode, OpenLoop):
         raise ModelError("scenario.mode: open_loop required")
@@ -143,6 +141,7 @@ def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
         raise ModelError("schedule: times must not decrease")
     validate_profile(profile, platform)
     limits.validate_against(platform)
+    _check_times(profile, scenario, limits, platform)
     if _constant_rate(profile, scenario, limits, platform):
         trace = _run_constant_rate(profile, scenario, limits, platform, seed,
                                    schedule)
@@ -161,7 +160,51 @@ def simulate_closed_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
         raise ModelError("scenario.mode: closed_loop required")
     validate_profile(profile, platform)
     limits.validate_against(platform)
+    _check_times(profile, scenario, limits, platform)
     return _run(profile, scenario, limits, platform, seed)
+
+
+def _check_times(profile: WorkloadProfile, scenario: ScenarioConfig,
+                 limits: ResourceLimits, platform: PlatformConfig) -> None:
+    """Raise ModelError, naming the keys that set it, for a time the run
+    cannot hold: every phase of a request must drain at a finite positive
+    rate in finite time on the run's topology, and a round trip and each
+    phase of a lone request must end by the hard stop. Values that pass
+    each key's own range check can fail this. A memory bandwidth of
+    5e-324 MB/s makes a memory phase last inf s, and the engine then
+    computes inf - inf = nan; at 2.2e-308 MB/s the phase is finite, but a
+    few of them in a row sum past the largest float."""
+    hard_stop = _hard_stop(scenario.duration)
+    if 2.0 * scenario.rtt > hard_stop:
+        raise ModelError(
+            f"rtt: a round trip of {2.0 * scenario.rtt:g} s outlasts the "
+            f"run's hard stop of {hard_stop:g} s")
+    demand = mean_demands(profile, limits, platform)
+    mem_limit = ("mem_bw_limit" if limits.effective_mem_bw(platform)
+                 < platform.mem_bw_capacity else "mem_bw_capacity")
+    disk_limit = ("disk_bw_limit" if limits.effective_disk_bw(platform)
+                  < platform.disk_bw_capacity else "disk_bw_capacity")
+    phases = {COMPUTE: (demand.cpu_seconds, "compute", "cpu_work"),
+              MEMORY: (demand.mem_bytes, "memory",
+                       f"mem_accesses/mem_stream_rate/{mem_limit}"),
+              DISK: (demand.disk_bytes, "disk", f"disk_bytes/{disk_limit}")}
+    for pair, row in enumerate(drain_rates(profile, scenario.topology, limits,
+                                           platform)):
+        for _, phase, rate in row:
+            amount, name, keys = phases[phase]
+            if amount <= 0.0:
+                continue
+            lone = pair in (phase * 4 + IDLE, IDLE * 4 + phase)
+            time = amount / rate if 0.0 < rate < math.inf else math.inf
+            if (time <= hard_stop) if lone else math.isfinite(time):
+                continue
+            if not lone and phase == COMPUTE:
+                keys += "/smt_efficiency"
+            raise ModelError(
+                f"{keys}: a request's {name} phase lasts {time:g} s "
+                f"{'alone' if lone else 'beside its sibling'}; it must end "
+                f"in finite time, and alone by the run's hard stop of "
+                f"{hard_stop:g} s")
 
 
 def _request_store(profile: WorkloadProfile, scenario: ScenarioConfig,
@@ -222,7 +265,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     two = n_workers == 2
     rtt2 = 2.0 * scenario.rtt
     duration = scenario.duration
-    hard_stop = _sample_grid(duration)[0]
+    hard_stop = _hard_stop(duration)
 
     base = mean_demands(profile, limits, platform)
     mem_bytes = base.mem_bytes
@@ -561,7 +604,7 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     n_workers = scenario.topology.n_workers
     n_clients = scenario.n_clients
     rtt2 = 2.0 * scenario.rtt
-    hard_stop = _sample_grid(scenario.duration)[0]
+    hard_stop = _hard_stop(scenario.duration)
 
     base = mean_demands(profile, limits, platform)
     mem_bytes = base.mem_bytes
@@ -883,11 +926,10 @@ def _walk(scheduled: np.ndarray, cpu: np.ndarray, issue: np.ndarray,
     done[a:b] = ends[a - lo:]
 
 
-def _sample_grid(duration: float) -> tuple[float, float, int]:
-    """Hard stop of a run, and the width and count of its sampling bins."""
-    hard_stop = 2.0 * duration + 10.0
-    sample_dt = max(0.001, hard_stop / 200000.0)
-    return hard_stop, sample_dt, int(hard_stop / sample_dt) + 2
+def _hard_stop(duration: float) -> float:
+    """Time past which a run of this duration issues, starts and completes
+    nothing."""
+    return 2.0 * duration + 10.0
 
 
 def _rows(flat: array) -> np.ndarray:
@@ -911,36 +953,6 @@ def _phase_rows(begin: np.ndarray, length: float, rate: float,
     return rows if keep.all() else rows[keep]
 
 
-def _deposit(series: np.ndarray, dt: float, t0: np.ndarray, t1: np.ndarray,
-             rate: np.ndarray) -> None:
-    """Spread rate x (t1 - t0) bytes of each segment [t0, t1] over the bins
-    it covers: the part up to its first bin's upper edge, dt x rate in each
-    inner bin and the rest in its last bin, or all of it when it lies in
-    one bin. Bytes in bins past the end of series are dropped. The result
-    is the same, bit for bit, as adding the segments one after the other:
-    segments may cover the same bins, inner ones too when two workers drain
-    over one step, so every bin receives its additions in segment order."""
-    amount = rate * (t1 - t0)
-    end = len(series)
-    b0 = (t0 / dt).astype(np.int64)
-    keep = (amount > 0.0) & (b0 < end)
-    t0, t1, amount, b0 = t0[keep], t1[keep], amount[keep], b0[keep]
-    # A segment running past the end gets one entry at end, dropped below.
-    b1 = np.minimum((t1 / dt).astype(np.int64), end)
-    per_s = amount / (t1 - t0)
-    n_bins = b1 - b0 + 1
-    ends = np.cumsum(n_bins)  # one past each segment's last entry
-    firsts = ends - n_bins
-    bins = (np.repeat(b0 - firsts, n_bins)
-            + np.arange(int(ends[-1]) if len(ends) else 0))
-    values = np.repeat(dt * per_s, n_bins)
-    values[ends - 1] = (t1 - b1 * dt) * per_s
-    values[firsts] = np.where(n_bins == 1, amount,
-                              ((b0 + 1) * dt - t0) * per_s)
-    inside = bins < end
-    np.add.at(series, bins[inside], values[inside])
-
-
 def export_trace_csv(trace: Trace, path: str | Path) -> None:
     """One row per request with the full lifecycle timestamps."""
     lines = ["index,client,scheduled,issue,service_start,completion,"
@@ -958,38 +970,7 @@ def export_trace_csv(trace: Trace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def export_series_csv(trace: Trace, path: str | Path) -> None:
-    """Sampled resource movement up to the run's horizon: the bytes of
-    each bin of the run's sampling grid (``_sample_grid``) that starts at
-    or before the duration, in MB/s. A segment's bytes spread over the
-    bins it covers, and a request's network bytes fall in the bin of its
-    issue (rx) or completion (tx); bytes in later bins are left out."""
-    _, dt, _ = _sample_grid(trace.duration)
-    rows = int(trace.duration / dt) + 2  # at least one too many
-    while (rows - 1) * dt > trace.duration:
-        rows -= 1
-    mem, disk, tx, rx = series = [np.zeros(rows) for _ in range(4)]
-    for out, segments in ((mem, trace.mem_segments),
-                          (disk, trace.disk_segments)):
-        for i in range(0, len(segments), _BLOCK):
-            block = segments[i:i + _BLOCK]
-            _deposit(out, dt, block[:, 0], block[:, 1], block[:, 2])
-    for out, times, amount in ((tx, trace.completion, trace.net_tx_bytes),
-                               (rx, trace.issue, trace.net_rx_bytes)):
-        if amount > 0.0:
-            bins = (times[~np.isnan(times)] / dt).astype(np.int64)
-            np.add.at(out, bins[bins < rows], amount)
-    lines = ["t,mem_mbps,disk_mbps,net_tx_mbps,net_rx_mbps"]
-    scale = 1.0 / (dt * MB)
-    for b in range(rows):
-        lines.append(",".join([_num(b * dt)]
-                              + [_num(x[b] * scale) for x in series]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _num(x: float) -> str:
-    if isinstance(x, (np.floating,)):
-        x = float(x)
     if math.isnan(x):
         return ""
     return repr(x)

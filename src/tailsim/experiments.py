@@ -331,12 +331,24 @@ def derive_lqos(sweep: SweepResult, qos_multiplier: float = 5.0,
                      qos_multiplier=qos_multiplier)
 
 
-def saturation_qps(sweep: SweepResult, qos: QosTarget) -> SaturationResult:
-    """Largest load with p95 <= LQoS, timely ratio >= 97.5%, and no
-    saturation flag; linear interpolation against the first failing point
-    refines the crossing. Returns 0 (flagged) when no point qualifies."""
+def qos_saturation(sweep: SweepResult,
+                   qos: QosTarget | None) -> SaturationResult:
+    """Saturation of a sweep. A closed-loop sweep has no latency QoS: its
+    saturation is the peak realized completion rate across the session
+    sweep, whatever the target. Otherwise it is the largest load with
+    p95 <= LQoS, timely ratio >= 97.5%, and no saturation flag; linear
+    interpolation against the first failing point refines the crossing.
+    Returns 0 (flagged, binding "none") when no point qualifies or the
+    target is not resolved."""
+    if isinstance(sweep.scenario.mode, ClosedLoop):
+        best = 0.0
+        for p in sweep.points:
+            window = p.summary.completed / max(
+                sweep.scenario.duration - sweep.warmup, 1e-9)
+            best = max(best, window)
+        return SaturationResult(best, True, "throughput")
     if not qos.resolved:
-        raise ExperimentError("saturation_qps: QoS target not resolved")
+        return SaturationResult(0.0, False, "none")
     lqos = qos.lqos
 
     def ok(p: SweepPoint) -> bool:
@@ -371,29 +383,6 @@ def saturation_qps(sweep: SweepResult, qos: QosTarget) -> SaturationResult:
     qps, binding = min(candidates, key=lambda c: c[0])
     qps = max(qps, p_ok.qps)
     return SaturationResult(qps, True, binding)
-
-
-def qos_saturation(sweep: SweepResult,
-                   qos: QosTarget | None) -> SaturationResult:
-    """Saturation of a sweep: closed_loop_saturation for a closed-loop
-    sweep, whatever the target; otherwise saturation_qps when the target is
-    resolved, zero and unqualified (binding "none") when it is not."""
-    if isinstance(sweep.scenario.mode, ClosedLoop):
-        return closed_loop_saturation(sweep)
-    if not qos.resolved:
-        return SaturationResult(0.0, False, "none")
-    return saturation_qps(sweep, qos)
-
-
-def closed_loop_saturation(sweep: SweepResult) -> SaturationResult:
-    """Closed-loop runs have no latency QoS; saturation is the peak realized
-    completion rate across the session sweep."""
-    best = 0.0
-    for p in sweep.points:
-        window = p.summary.completed / max(
-            sweep.scenario.duration - sweep.warmup, 1e-9)
-        best = max(best, window)
-    return SaturationResult(best, True, "throughput")
 
 
 @dataclass(frozen=True)
@@ -813,11 +802,18 @@ def load_experiment_spec(path: str | Path,
                             disk_bw_limit=disk_lim).validate_against(platform)
 
     arrival_kind = _spec_get(fields, "arrival", source, "zipf")
-    arrival = ArrivalModel(
-        kind=arrival_kind,
-        alpha=_spec_float(fields, "zipf_alpha", source, "1.0"),
-        support_n=_spec_int(fields, "zipf_support", source, "1000"),
-    )
+    if arrival_kind == "zipf":
+        arrival = ArrivalModel(
+            kind=arrival_kind,
+            alpha=_spec_float(fields, "zipf_alpha", source, "1.0"),
+            support_n=_spec_int(fields, "zipf_support", source, "1000"),
+        )
+    else:
+        arrival = ArrivalModel(kind=arrival_kind)
+        unread = [k for k in ("zipf_alpha", "zipf_support") if k in fields]
+        if unread:
+            raise FileFormatError(f"{source}: key {unread[0]!r}: not read "
+                                  f"with arrival {arrival_kind}")
     seed = _spec_int(fields, "seed", source, "1")
     if seed < 0:
         raise FileFormatError(

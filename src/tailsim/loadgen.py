@@ -64,10 +64,6 @@ class ArrivalSchedule:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def realized_qps(self) -> float:
-        return len(self.times) / self.duration
-
 
 def build_schedule(model: ArrivalModel, qps: float, duration: float,
                    seed: int) -> ArrivalSchedule:
@@ -116,12 +112,15 @@ def _times(model: ArrivalModel, qps: float, duration: float,
 
 
 def _accumulate_gaps(draw, duration: float) -> np.ndarray:
-    """Cumulate gap draws until the horizon is covered, then cut."""
+    """Cumulate gap draws until the horizon is covered, then cut. At a
+    load so low that a gap or a sum of gaps passes the largest float, the
+    times that overflow to inf lie past any horizon and are cut with the
+    rest."""
     chunks: list[np.ndarray] = []
     total = 0.0
     while total < duration:
-        gaps = draw(_RATE_CHUNK)
-        cum = total + np.cumsum(gaps)
+        with np.errstate(over="ignore"):
+            cum = total + np.cumsum(draw(_RATE_CHUNK))
         chunks.append(cum)
         total = float(cum[-1])
     times = np.concatenate(chunks)

@@ -7,8 +7,7 @@ latency statistics but are counted and flagged. Bandwidths are exact
 window integrals of the trace: memory and disk bytes are the constant-rate
 segments' rates times their overlap with the window, and network bytes are
 the per-request amount times the issues (received) or completions (sent)
-in [warmup, horizon). No sampling grid enters them; bins exist only in
-``engine.export_series_csv``.
+in [warmup, horizon).
 """
 
 from __future__ import annotations

@@ -492,7 +492,11 @@ def load_platform(path: str | Path) -> PlatformConfig:
         if key not in _PLATFORM_FIELDS:
             raise FileFormatError(f"{path}: unknown platform key {key!r}")
         num = parse_number(value, key, str(path))
-        kwargs[key] = int(num) if key in ("llc_total_ways", "cache_line") else num
+        if key in ("llc_total_ways", "cache_line"):
+            if not num.is_integer():
+                raise FileFormatError(f"{path}: key {key!r}: not an integer")
+            num = int(num)
+        kwargs[key] = num
     try:
         return PlatformConfig(**kwargs)
     except ModelError as exc:

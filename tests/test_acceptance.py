@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from tailsim.cli import main as cli_main
-from tailsim.engine import (export_series_csv, export_trace_csv,
-                            simulate_open_loop)
+from tailsim.engine import export_trace_csv, simulate_open_loop
 from tailsim.experiments import (RunConfig, compare_scenarios,
                                  constraint_study, derive_lqos,
                                  interpolate, load_experiment_spec,
-                                 qps_sweep, saturation_qps,
+                                 qos_saturation, qps_sweep,
                                  shipped_spec_path)
 from tailsim.loadgen import ArrivalModel, build_schedule
 from tailsim.metrics import summarize
@@ -140,10 +139,10 @@ def test_criterion_3_degeneracy_suite(tmp_path):
 
     def bytes_of(trace, tag):
         rec = tmp_path / f"{tag}_records.csv"
-        ser = tmp_path / f"{tag}_series.csv"
         export_trace_csv(trace, rec)
-        export_series_csv(trace, ser)
-        return rec.read_bytes() + ser.read_bytes()
+        return [rec.read_bytes(), trace.mem_segments.tobytes(),
+                trace.disk_segments.tobytes(),
+                *(c.tobytes() for c in trace.cpu_busy)]
 
     # sigma = 1.0: the SMT topology degenerates to two independent cores
     assert bytes_of(run(Topology.TWO_ST, FREE), "st") == \
@@ -178,7 +177,7 @@ def test_criterion_4_table2_reproduction(shipped_runs):
     for name, sat_target in TABLE2_SATURATION.items():
         spec, sweep, qos = shipped_runs[name]
         assert qos.resolved, name
-        sat = saturation_qps(sweep, qos)
+        sat = qos_saturation(sweep, qos)
         lqos_target = TABLE2_LQOS_MS[name] / 1000.0
         sat_err = (sat.qps - sat_target) / sat_target
         lqos_err = (qos.lqos - lqos_target) / lqos_target
@@ -215,8 +214,7 @@ def test_criterion_5_scenario_ordering(shipped_runs):
             sw = qps_sweep(prof, replace(scen, topology=topo), FREE,
                            (lo, hi), 6, cfg)
             qos = derive_lqos(sw, 5.0)
-            sats[topo] = (saturation_qps(sw, qos).qps if qos.resolved
-                          else 0.0)
+            sats[topo] = qos_saturation(sw, qos).qps
         if not (sats[Topology.TWO_ST] >= sats[Topology.TWO_SMT]
                 >= sats[Topology.ONE_ST]):
             violations += 1

@@ -375,6 +375,53 @@ duration: 5.0
             capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("arrival", ["poisson", "deterministic"])
+    @pytest.mark.parametrize("key,value", [("zipf_alpha", "-5"),
+                                           ("zipf_support", "1")])
+    def test_zipf_key_under_another_arrival_exit_2(
+            self, spec_dir, tmp_path, capsys, arrival, key, value):
+        lines = [l for l in FAST_SPEC.splitlines()
+                 if not l.startswith(("arrival:", "zipf_"))]
+        (spec_dir / "bad.spec").write_text("\n".join(
+            lines + [f"arrival: {arrival}", f"{key}: {value}"]) + "\n")
+        rc = main(["--out", str(tmp_path / "o"), "sweep",
+                   str(spec_dir / "bad.spec")])
+        assert rc == 2
+        assert f"key '{key}': not read with arrival {arrival}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("where,key,value", [
+        ("platform", "mem_bw_capacity", "5e-324"),
+        ("platform", "mem_bw_capacity", "2.2250738585072014e-308"),
+        ("platform", "disk_bw_capacity", "5e-324"),
+        ("profile", "mem_stream_rate", "5e-324"),
+        ("profile", "cpu_work", "1e308"),
+        ("spec", "mem_bw_limit", "5e-324"),
+        ("spec", "rtt", "8.98e307")])
+    def test_time_the_run_cannot_hold_exit_2(self, spec_dir, tmp_path,
+                                             capsys, where, key, value):
+        # Each value passes its key's own range check, but makes a phase
+        # or a round trip last inf s, or so long that the engine's sums
+        # of them overflow.
+        args = ["--out", str(tmp_path / "o"), "--points", "2"]
+        if where == "platform":
+            (spec_dir / "box.platform").write_text(f"{key}: {value}\n")
+            args += ["--platform", str(spec_dir / "box.platform")]
+        profile = FAST_PROFILE + "disk_bytes: 1000.0\n"
+        if where == "profile":
+            profile = with_value(profile, key, value)
+        (spec_dir / "synth.profile").write_text(profile)
+        spec = with_value(FAST_SPEC, key, value) if where == "spec" else (
+            FAST_SPEC)
+        (spec_dir / "bad.spec").write_text(spec)
+        rc = main(args + ["sweep", str(spec_dir / "bad.spec")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and "hard stop" in err
+        assert not (tmp_path / "o").exists()
+
     def test_window_without_requests_exit_2(self, tmp_path, capsys):
         # So short a run schedules no request in its summary window.
         lines = [l for l in shipped_spec_path("img-dnn").read_text()
@@ -540,9 +587,11 @@ def check_input(spec_text: str, profile_text: str = FAST_PROFILE,
                 0, 2, 3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestAdversarialInput:
     """Bad values in any key of a spec, profile or platform file exit 2
-    with a message; they never end in a traceback or exhaust memory."""
+    with a message; they never end in a traceback, a numpy RuntimeWarning
+    or exhausted memory."""
 
     @pytest.mark.parametrize("mode", sorted(FUZZ_SPECS))
     @pytest.mark.parametrize("key", sorted(_SPEC_KEYS))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tailsim import engine
-from tailsim.engine import (export_series_csv, export_trace_csv,
-                            simulate_closed_loop, simulate_open_loop)
+from tailsim.engine import (export_trace_csv, simulate_closed_loop,
+                            simulate_open_loop)
 from tailsim.experiments import load_experiment_spec, shipped_spec_path
 from tailsim.loadgen import ArrivalModel, ArrivalSchedule, build_schedule
 from tailsim.metrics import summarize
@@ -486,24 +487,47 @@ class TestThroughputCap:
         assert peak_rate(tr.mem_segments) <= 3000.0 * MB * (1 + 1e-12)
         assert peak_rate(tr.disk_segments) <= 40.0 * MB * (1 + 1e-12)
 
+    def test_constant_rate_phase_is_one_piece(self):
+        # the memory limit is twice the lone rate, so memory never contends:
+        # the event engine drains each memory phase at one rate from the end
+        # of its compute to the completion and logs it as one segment when
+        # it completes
+        prof = WorkloadProfile(name="cm", cpu_work=0.0005, mem_accesses=2e5,
+                               miss_min=0.25, miss_max=0.25,
+                               mem_stream_rate=3000.0,
+                               service_dist=ServiceDist("exponential"))
+        limits = ResourceLimits(11, mem_bw_limit=6000.0)
+        scen = ScenarioConfig(Topology.TWO_ST, 8, OpenLoop(800.0), 5.0)
+        tr = run_event(prof, scen, limits=limits, seed=11)
+        assert tr.censored_count == 0
+        cpu = prof.cpu_work * prof.service_dist.sample(
+            np.random.default_rng(11), len(tr))
+        order = np.argsort(tr.completion, kind="stable")
+        ref = np.column_stack(((tr.service_start + cpu)[order],
+                               tr.completion[order],
+                               np.full(len(tr), prof.mem_stream_rate * MB)))
+        np.testing.assert_array_equal(tr.mem_segments, ref)
+
 
 class TestTraceExport:
     def test_csv_export_headers_and_reruns_identical(self, tmp_path):
-        prof = WorkloadProfile(name="x", cpu_work=0.001,
+        prof = WorkloadProfile(name="x", cpu_work=0.001, mem_accesses=1e4,
+                               miss_min=0.25, miss_max=0.25, disk_bytes=2e3,
                                service_dist=ServiceDist("exponential"))
         scen = ScenarioConfig(Topology.ONE_ST, 3, OpenLoop(100.0), 3.0)
-        tr = run_open(prof, scen)
+        tr, again = run_open(prof, scen), run_open(prof, scen)
         p1, p2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         export_trace_csv(tr, p1)
-        export_trace_csv(run_open(prof, scen), p2)
+        export_trace_csv(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == ("index,client,scheduled,issue,service_start,"
                           "completion,timely,latency")
-        s1 = tmp_path / "s1.csv"
-        export_series_csv(tr, s1)
-        assert s1.read_text().splitlines()[0] == (
-            "t,mem_mbps,disk_mbps,net_tx_mbps,net_rx_mbps")
+        assert len(tr.mem_segments) and len(tr.disk_segments)
+        for a, b in [(tr.mem_segments, again.mem_segments),
+                     (tr.disk_segments, again.disk_segments),
+                     *zip(tr.cpu_busy, again.cpu_busy)]:
+            assert a.tobytes() == b.tobytes()
 
     def test_mode_validation(self):
         prof = WorkloadProfile(name="x", cpu_work=0.001)
@@ -514,6 +538,29 @@ class TestTraceExport:
         opened = ScenarioConfig(Topology.ONE_ST, 1, OpenLoop(1.0), 1.0)
         with pytest.raises(ModelError):
             simulate_closed_loop(prof, opened, FREE, PLATFORM, 0)
+
+    @pytest.mark.parametrize("profile,topology,message", [
+        (WorkloadProfile(name="smt", cpu_work=0.001, smt_efficiency=5e-324),
+         Topology.TWO_SMT,
+         "cpu_work/smt_efficiency: a request's compute phase lasts inf s "
+         "beside its sibling"),
+        # two 1e308 MB/s streams sum to inf, so each gets a share of 0
+        (replace(memory_only(1e308), cpu_work=0.001), Topology.TWO_ST,
+         "mem_accesses/mem_stream_rate/mem_bw_capacity: a request's memory "
+         "phase lasts inf s beside its sibling"),
+        (WorkloadProfile(name="slow", cpu_work=13.0), Topology.ONE_ST,
+         "cpu_work: a request's compute phase lasts 13 s alone; it must end "
+         "in finite time, and alone by the run's hard stop of 12 s")])
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_phase_that_cannot_end_rejected(self, profile, topology, message,
+                                            closed):
+        mode = ClosedLoop(2) if closed else OpenLoop(10.0)
+        scen = ScenarioConfig(topology, 2, mode, 1.0)
+        with pytest.raises(ModelError, match="^" + re.escape(message)):
+            if closed:
+                simulate_closed_loop(profile, scen, FREE, PLATFORM, 0)
+            else:
+                run_open(profile, scen)
 
 
 @st.composite
@@ -636,7 +683,7 @@ def tied_events(run, ref):
     to the hard stop: the issues and the completions."""
     scen = run[1]
     times = np.sort(np.concatenate((ref.issue, ref.completion)))
-    times = times[times <= engine._sample_grid(scen.duration)[0]]
+    times = times[times <= engine._hard_stop(scen.duration)]
     return int((times[1:] == times[:-1]).sum())
 
 
@@ -859,7 +906,7 @@ class TestConstantRatePath:
 
     def test_events_on_the_hard_stop(self):
         run = self.hard_stop_run()
-        assert engine._sample_grid(run[1].duration)[0] == 10.5
+        assert engine._hard_stop(run[1].duration) == 10.5
         fast, ref = run_both(run)
         assert_same_trace(fast, ref)
         assert fast.completion[1] == fast.service_start[2] == 10.5
@@ -1067,98 +1114,6 @@ class TestRunBlocks:
         assert passes.count(2) > walked // 10  # some settle on the re-check
 
 
-def scalar_deposit(series, dt, t0, t1, amount):
-    """The event engine's former per-piece deposit, kept as the reference
-    for engine._deposit; bytes in bins past the end of series are
-    dropped."""
-    nbins = len(series)
-    b0 = int(t0 / dt)
-    b1 = int(t1 / dt)
-    if amount <= 0.0 or b0 >= nbins:
-        return
-    if b0 >= b1:
-        series[b0] += amount
-        return
-    rate = amount / (t1 - t0)
-    series[b0] += ((b0 + 1) * dt - t0) * rate
-    if b1 > b0 + 1:
-        series[b0 + 1:min(b1, nbins)] += dt * rate
-    if b1 < nbins:
-        series[b1] += (t1 - b1 * dt) * rate
-
-
-@st.composite
-def ordered_pieces(draw):
-    """Drain pieces as the event loop logs them: steps between event times
-    in order (bin edges, times inside a bin, times past the last bin,
-    steps of zero length), each drained by one or two workers over the
-    same [t0, t1], some steps skipped and some rates zero."""
-    dt = draw(st.sampled_from([0.001, 0.00045, 0.25]))
-    nbins = draw(st.integers(1, 40))
-    marks = draw(st.lists(
-        st.tuples(st.integers(0, nbins + 3),
-                  st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999)),
-        min_size=2, max_size=14))
-    times = sorted((k + frac) * dt for k, frac in marks)
-    rate = st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1e9)
-    pieces = []
-    for t0, t1 in zip(times, times[1:]):
-        for _ in range(draw(st.integers(0, 2))):
-            pieces.append((t0, t1, draw(rate)))
-    start = draw(st.lists(st.floats(0.0, 1e6), min_size=nbins,
-                          max_size=nbins))
-    return dt, np.array(start), pieces
-
-
-class TestDeposit:
-    """The ordered vectorised deposit kernel of the series export against
-    the scalar loop."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(ordered_pieces(), st.booleans())
-    def test_matches_scalar_deposit(self, drawn, one_rate):
-        dt, start, pieces = drawn
-        if one_rate:  # every phase of a constant-rate run has one rate
-            pieces = [(t0, t1, 3.5e6) for t0, t1, _ in pieces]
-        ref = start.copy()
-        for t0, t1, rate in pieces:
-            scalar_deposit(ref, dt, t0, t1, rate * (t1 - t0))
-        got = start.copy()
-        t0, t1, rate = (np.array([p[i] for p in pieces], dtype=float)
-                        for i in range(3))
-        engine._deposit(got, dt, t0, t1, rate)
-        np.testing.assert_array_equal(got, ref)
-
-    def test_shared_inner_bins_keep_both_pieces(self):
-        # two workers over one many-bin step: a fancy-index += would keep
-        # only one of the two additions to each inner bin
-        got = np.zeros(8)
-        engine._deposit(got, 1.0, np.array([0.5, 0.5]), np.array([6.5, 6.5]),
-                        np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(got, [1.5, 3, 3, 3, 3, 3, 1.5, 0])
-
-    def test_constant_rate_phase_is_one_piece(self):
-        # the memory limit is twice the lone rate, so memory never contends:
-        # the event engine drains each memory phase at one rate from the end
-        # of its compute to the completion and logs it as one segment when
-        # it completes
-        prof = WorkloadProfile(name="cm", cpu_work=0.0005, mem_accesses=2e5,
-                               miss_min=0.25, miss_max=0.25,
-                               mem_stream_rate=3000.0,
-                               service_dist=ServiceDist("exponential"))
-        limits = ResourceLimits(11, mem_bw_limit=6000.0)
-        scen = ScenarioConfig(Topology.TWO_ST, 8, OpenLoop(800.0), 5.0)
-        tr = run_event(prof, scen, limits=limits, seed=11)
-        assert tr.censored_count == 0
-        cpu = prof.cpu_work * prof.service_dist.sample(
-            np.random.default_rng(11), len(tr))
-        order = np.argsort(tr.completion, kind="stable")
-        ref = np.column_stack(((tr.service_start + cpu)[order],
-                               tr.completion[order],
-                               np.full(len(tr), prof.mem_stream_rate * MB)))
-        np.testing.assert_array_equal(tr.mem_segments, ref)
-
-
 class TestEventCounts:
     """Event counts of the event engine, which records them."""
 
@@ -1245,7 +1200,7 @@ class TestEventCounts:
         sched = build_schedule(ArrivalModel("poisson"), 1000.0, 2.0, 7)
         tr = engine._run(prof, scen, FREE, PLATFORM, 0, schedule=sched)
         cpu = np.asarray(engine._request_store(prof, scen, 0, sched)[2])
-        hard_stop = engine._sample_grid(scen.duration)[0]
+        hard_stop = engine._hard_stop(scen.duration)
         started = ~np.isnan(tr.service_start)
         in_flight = np.flatnonzero(started & np.isnan(tr.completion))
         queued = ~started & ~np.isnan(tr.issue)
@@ -1319,15 +1274,13 @@ def golden_runs():
 
 
 def fingerprint(trace, tmp):
-    """sha256 prefixes of the trace CSV, the series CSV, the memory and disk
-    segments and the per-core busy intervals, and the event count."""
+    """sha256 prefixes of the trace CSV, the memory and disk segments and
+    the per-core busy intervals, and the event count."""
     def sha(data):
         return hashlib.sha256(data).hexdigest()[:16]
 
     export_trace_csv(trace, tmp / "trace.csv")
-    export_series_csv(trace, tmp / "series.csv")
     return {"trace": sha((tmp / "trace.csv").read_bytes()),
-            "series": sha((tmp / "series.csv").read_bytes()),
             "mem": sha(trace.mem_segments.tobytes()),
             "disk": sha(trace.disk_segments.tobytes()),
             "cpu": sha(b"|".join(c.tobytes() for c in trace.cpu_busy)),
@@ -1341,41 +1294,41 @@ class TestGolden:
 
     GOLDEN = {
         "two_st_disk": {
-            "trace": "101383d78d101577", "series": "39f915b52f55f7fd",
-            "mem": "e3b0c44298fc1c14", "disk": "fdaa9b5f3b797431",
-            "cpu": "bc44bd14fa205f1d", "events": 53754},
+            "trace": "101383d78d101577", "mem": "e3b0c44298fc1c14",
+            "disk": "fdaa9b5f3b797431", "cpu": "bc44bd14fa205f1d",
+            "events": 53754},
         "two_st_mem_contended": {
-            "trace": "5dd10a10d898c020", "series": "d282b8e62777a831",
-            "mem": "fbe1d9823fd4487c", "disk": "e3b0c44298fc1c14",
-            "cpu": "103c37b78dcd29de", "events": 8937},
+            "trace": "5dd10a10d898c020", "mem": "fbe1d9823fd4487c",
+            "disk": "e3b0c44298fc1c14", "cpu": "103c37b78dcd29de",
+            "events": 8937},
         "two_smt_mem": {
-            "trace": "32a77e22b0e472ca", "series": "3c4233eb3559fa7c",
-            "mem": "c3048c5fa3595975", "disk": "e3b0c44298fc1c14",
-            "cpu": "f8b53f8daa889eae", "events": 3600},
+            "trace": "32a77e22b0e472ca", "mem": "c3048c5fa3595975",
+            "disk": "e3b0c44298fc1c14", "cpu": "f8b53f8daa889eae",
+            "events": 3600},
         "two_smt_closed": {
-            "trace": "b10705a2b3ca9265", "series": "68a7b0a82f9ce8be",
-            "mem": "da0504a670829233", "disk": "66a6f6deb45da7a1",
-            "cpu": "e56b33de0aefdc12", "events": 10680},
+            "trace": "b10705a2b3ca9265", "mem": "da0504a670829233",
+            "disk": "66a6f6deb45da7a1", "cpu": "e56b33de0aefdc12",
+            "events": 10680},
         "two_st_censored": {
-            "trace": "92a8aeb4c749eca2", "series": "cd61d22f45916a5e",
-            "mem": "23e8eb07a5321046", "disk": "e64172d3c86c0e26",
-            "cpu": "9fb3c369cf2222be", "events": 7981},
+            "trace": "92a8aeb4c749eca2", "mem": "23e8eb07a5321046",
+            "disk": "e64172d3c86c0e26", "cpu": "9fb3c369cf2222be",
+            "events": 7981},
         "two_smt_censored": {
-            "trace": "e1aded70b8837b99", "series": "5272f39a072a3327",
-            "mem": "d91492e365459ef4", "disk": "3cc708c1d17f7e3f",
-            "cpu": "17eebf03f399d5eb", "events": 6475},
+            "trace": "e1aded70b8837b99", "mem": "d91492e365459ef4",
+            "disk": "3cc708c1d17f7e3f", "cpu": "17eebf03f399d5eb",
+            "events": 6475},
         "one_st": {
-            "trace": "c350dd47100a7c6d", "series": "34391311fcadda3f",
-            "mem": "8bb7ef0b4eb23ac3", "disk": "b4280e89889d0351",
-            "cpu": "b1bad3fe33c62c67", "events": 1791},
+            "trace": "c350dd47100a7c6d", "mem": "8bb7ef0b4eb23ac3",
+            "disk": "b4280e89889d0351", "cpu": "b1bad3fe33c62c67",
+            "events": 1791},
         "one_st_closed": {
-            "trace": "dd11330da74a0e2e", "series": "f16cf655ef73d128",
-            "mem": "88a797ca69eba542", "disk": "106fe4bdad4822d7",
-            "cpu": "bcc7192d82b7d49d", "events": 6873},
+            "trace": "dd11330da74a0e2e", "mem": "88a797ca69eba542",
+            "disk": "106fe4bdad4822d7", "cpu": "bcc7192d82b7d49d",
+            "events": 6873},
         "two_st_no_compute": {
-            "trace": "0aec14185a14ccb3", "series": "5b08aa8c2cfdb995",
-            "mem": "0849b7d30f472307", "disk": "42905b0f70e9445a",
-            "cpu": "2754e9db9986f874", "events": 23877},
+            "trace": "0aec14185a14ccb3", "mem": "0849b7d30f472307",
+            "disk": "42905b0f70e9445a", "cpu": "2754e9db9986f874",
+            "events": 23877},
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN))

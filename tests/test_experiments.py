@@ -7,12 +7,11 @@ import pytest
 from tailsim.loadgen import ArrivalModel
 from tailsim.experiments import (CalibrationError, ExperimentError,
                                  RunConfig, calibrate_profile,
-                                 closed_loop_saturation, compare_scenarios,
-                                 constraint_study, derive_lqos,
-                                 geometric_points, interpolate,
+                                 compare_scenarios, constraint_study,
+                                 derive_lqos, geometric_points, interpolate,
                                  load_experiment_spec, point_seed,
-                                 qps_at_utilization, qps_sweep, qps_sweeps,
-                                 saturation_qps, session_points,
+                                 qos_saturation, qps_at_utilization,
+                                 qps_sweep, qps_sweeps, session_points,
                                  shipped_spec_path)
 from tailsim.model import (ClosedLoop, FileFormatError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
@@ -344,7 +343,7 @@ class TestSaturation:
         from tailsim.experiments import QosTarget
         qos = QosTarget(lqos=0.006, basis_qps=None, basis_service_time=None,
                         qos_multiplier=5.0)
-        sat = saturation_qps(sw, qos)
+        sat = qos_saturation(sw, qos)
         expected = 1000.0 - math.log(20) / 0.006
         assert sat.qps == pytest.approx(expected, rel=0.05)
 
@@ -354,7 +353,7 @@ class TestSaturation:
                        4, cfg(warmup=1.0))
         qos = QosTarget(lqos=1e-9, basis_qps=None, basis_service_time=None,
                         qos_multiplier=5.0)
-        sat = saturation_qps(sw, qos)
+        sat = qos_saturation(sw, qos)
         assert sat.qps == 0.0
         assert not sat.qualified
         assert sat.binding == "none"
@@ -363,9 +362,9 @@ class TestSaturation:
         from tailsim.experiments import QosTarget
         sw = qps_sweep(DET_1MS, scen(duration=5.0), FREE, (100.0, 200.0),
                        2, cfg(warmup=1.0))
-        with pytest.raises(ExperimentError):
-            saturation_qps(sw, QosTarget(None, None, None, 5.0,
-                                         unreachable=True))
+        sat = qos_saturation(sw, QosTarget(None, None, None, 5.0,
+                                           unreachable=True))
+        assert astuple(sat) == (0.0, False, "none")
 
 
 class TestCompare:
@@ -590,7 +589,7 @@ class TestClosedLoopSaturation:
         prof = WorkloadProfile(name="c", cpu_work=0.02)
         sc = ScenarioConfig(Topology.ONE_ST, 8, ClosedLoop(1, 0.1), 30.0)
         sw = qps_sweep(prof, sc, FREE, (1.0, 8.0), 4, cfg(warmup=3.0))
-        sat = closed_loop_saturation(sw)
+        sat = qos_saturation(sw, None)
         # service 20 ms: plateau at 50/s
         assert sat.qps == pytest.approx(50.0, rel=0.05)
         assert sat.binding == "throughput"
@@ -634,7 +633,7 @@ class TestReproducibility:
             sw = qps_sweep(DET_1MS, scen(duration=8.0), FREE,
                            (50.0, 700.0), 6, cfg(warmup=1.0))
             qos = derive_lqos(sw, 5.0)
-            return qos.lqos, qos.basis_qps, saturation_qps(sw, qos).qps
+            return qos.lqos, qos.basis_qps, qos_saturation(sw, qos).qps
         assert once() == once()
 
 

@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from tailsim.engine import (Trace, _sample_grid, export_series_csv,
-                            simulate_closed_loop, simulate_open_loop)
+from tailsim.engine import Trace, simulate_closed_loop, simulate_open_loop
 from tailsim.experiments import load_experiment_spec, shipped_spec_path
 from tailsim.loadgen import ArrivalModel, build_schedule
 from tailsim.metrics import (MetricsError, _overlap_sum, default_warmup,
                              percentile, summarize, summary_csv_row,
                              SWEEP_CSV_COLUMNS)
-from tailsim.model import (MB, ClosedLoop, OpenLoop, PlatformConfig,
-                           ResourceLimits, ScenarioConfig, ServiceDist,
-                           Topology, WorkloadProfile)
+from tailsim.model import (DISK, IDLE, MB, MEMORY, ClosedLoop, OpenLoop,
+                           PlatformConfig, ResourceLimits, ScenarioConfig,
+                           ServiceDist, Topology, WorkloadProfile,
+                           drain_rates)
 
 PLATFORM = PlatformConfig()
 FREE = ResourceLimits.unconstrained(PLATFORM)
@@ -197,25 +197,45 @@ def hand_trace(scheduled, issue, completion, mem=(), disk=(),
                  cpu_busy=[np.empty((0, 2))])
 
 
-def export_bins(trace, tmp_path):
-    """export_series_csv's bin width and rows (t and four MB/s
-    columns)."""
-    path = tmp_path / "series.csv"
-    export_series_csv(trace, path)
-    return _sample_grid(trace.duration)[1], np.loadtxt(path, delimiter=",",
-                                                       skiprows=1)
-
-
 def shipped_run(name, topology):
-    """A shipped spec's run at the geometric middle of its load range."""
+    """A shipped spec and its run at the geometric middle of its load
+    range."""
     spec = load_experiment_spec(shipped_spec_path(name))
     qps = math.sqrt(spec.qps_range[0] * spec.qps_range[1])
     duration = spec.scenario.duration
     sched = build_schedule(spec.config.arrival, qps, duration, 5)
     scen = dataclasses.replace(spec.scenario, topology=topology,
                                mode=OpenLoop(qps))
-    return simulate_open_loop(spec.profile, scen, spec.limits,
-                              spec.config.platform, sched, 3)
+    return spec, simulate_open_loop(spec.profile, scen, spec.limits,
+                                    spec.config.platform, sched, 3)
+
+
+def lone_rate_bandwidths(spec, trace, warmup):
+    """The four window bandwidths (MB/s) of summarize(trace, warmup),
+    computed from the request columns alone. On a run where every phase
+    drains at its lone rate, a completed request's memory phase is
+    [done - disk_t - mem_t, done - disk_t] and its disk phase
+    [done - disk_t, done]; each moves its lone rate times its overlap
+    with [warmup, horizon]. Network bytes count the issues (received) and
+    completions (sent) in [warmup, horizon)."""
+    platform = spec.config.platform
+    _, mem_t, disk_t = spec.profile.phase_times(spec.limits, platform)
+    rates = drain_rates(spec.profile, Topology.ONE_ST, spec.limits, platform)
+    lo, hi = warmup, trace.duration
+    done = [t for t in trace.completion.tolist() if not math.isnan(t)]
+
+    def phase_bytes(rate, length, end_before_done):
+        parts = (min(d - end_before_done, hi)
+                 - max(d - end_before_done - length, lo) for d in done)
+        return rate * math.fsum(p for p in parts if p > 0.0)
+
+    mem = phase_bytes(rates[MEMORY * 4 + IDLE][0][2], mem_t, disk_t)
+    disk = phase_bytes(rates[DISK * 4 + IDLE][0][2], disk_t, 0.0)
+    sent = sum(lo <= t < hi for t in trace.completion.tolist())
+    received = sum(lo <= t < hi for t in trace.issue.tolist())
+    window = hi - lo
+    return [x / window / MB for x in (mem, disk, sent * trace.net_tx_bytes,
+                                      received * trace.net_rx_bytes)]
 
 
 class TestWindowIntegral:
@@ -247,38 +267,37 @@ class TestWindowIntegral:
 
     @pytest.mark.parametrize("topology", [Topology.ONE_ST,
                                           Topology.TWO_SMT])
-    def test_on_grid_window_equals_exported_bins(self, tmp_path, topology):
-        # img-dnn: warmup 5 s and horizon 25 s lie on the 1 ms grid, so
-        # the window is a whole number of bins
-        tr = shipped_run("img-dnn", topology)
+    def test_window_equals_lone_rate_phases(self, topology):
+        # img-dnn drains memory at its lone rate on both topologies: one
+        # worker, and two SMT workers whose streams fit the limit together
+        spec, tr = shipped_run("img-dnn", topology)
         s = summarize(tr)
-        dt, rows = export_bins(tr, tmp_path)
-        lo, hi = round(5.0 / dt), round(tr.duration / dt)
-        window = tr.duration - 5.0
-        binned = rows[lo:hi, 1:].sum(axis=0) * dt / window
+        want = lone_rate_bandwidths(spec, tr, default_warmup(tr.duration))
         assert s.mem_bw > 0.0 and s.net_tx_bw > 0.0
-        for got, want in zip((s.mem_bw, s.disk_bw, s.net_tx_bw, s.net_rx_bw),
-                             binned):
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        for got, w in zip((s.mem_bw, s.disk_bw, s.net_tx_bw, s.net_rx_bw),
+                          want):
+            assert got == pytest.approx(w, rel=1e-12, abs=0.0)
 
-    def test_off_grid_window_within_boundary_bins(self, tmp_path):
-        # sphinx: warmup 240 s and horizon 2400 s fall inside bins of its
-        # 0.02405 s grid; the window holds the bins strictly inside it and
-        # parts of the two boundary bins, and nothing else
-        tr = shipped_run("sphinx", Topology.ONE_ST)
-        s = summarize(tr)
-        warmup = default_warmup(tr.duration)
-        dt, rows = export_bins(tr, tmp_path)
-        lo, hi = int(warmup / dt), int(tr.duration / dt)
-        assert lo * dt < warmup and hi * dt < tr.duration
-        window = tr.duration - warmup
-        inner = rows[lo + 1:hi, 1:].sum(axis=0) * dt / window
-        edges = (rows[lo, 1:] + rows[hi, 1:]) * dt / window
+    def test_window_cuts_phases_at_warmup_and_horizon(self):
+        # sphinx's memory phases last 0.095 s; a warmup and a horizon in the
+        # middle of one each leave half of that phase inside the window
+        spec, tr = shipped_run("sphinx", Topology.ONE_ST)
+        _, mem_t, disk_t = spec.profile.phase_times(spec.limits,
+                                                    spec.config.platform)
+        done = tr.completion[~np.isnan(tr.completion)]
+        mid = done - disk_t - mem_t / 2.0
+        warmup = mid[np.searchsorted(mid, default_warmup(tr.duration))]
+        horizon = mid[np.searchsorted(mid, 0.9 * tr.duration)]
+        cut = dataclasses.replace(tr, duration=float(horizon))
+        seg = tr.mem_segments
+        for t in (warmup, horizon):
+            assert ((seg[:, 0] < t) & (seg[:, 1] > t)).sum() == 1
+        s = summarize(cut, warmup=float(warmup))
+        want = lone_rate_bandwidths(spec, cut, float(warmup))
         assert s.mem_bw > 0.0 and s.net_rx_bw > 0.0
-        for got, low, edge in zip(
-                (s.mem_bw, s.disk_bw, s.net_tx_bw, s.net_rx_bw), inner,
-                edges):
-            assert low * (1 - 1e-12) <= got <= (low + edge) * (1 + 1e-12)
+        for got, w in zip((s.mem_bw, s.disk_bw, s.net_tx_bw, s.net_rx_bw),
+                          want):
+            assert got == pytest.approx(w, rel=1e-12, abs=0.0)
 
 
 class TestTimelyRatio:

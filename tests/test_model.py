@@ -292,9 +292,11 @@ class TestPlatformFiles:
         ("llc_ways", "4", "unknown platform key 'llc_ways'"),
         ("disk_bw_capacity", "nan", "'disk_bw_capacity': not a finite"),
         ("llc_total_ways", "inf", "'llc_total_ways': not a finite"),
-        ("cache_line", "wide", "'cache_line': not a number")],
+        ("cache_line", "wide", "'cache_line': not a number"),
+        ("llc_total_ways", "2.5", "'llc_total_ways': not an integer"),
+        ("cache_line", "64.9", "'cache_line': not an integer")],
         ids=["unknown-key", "disk_bw_capacity-nan", "llc_total_ways-inf",
-             "cache_line-wide"])
+             "cache_line-wide", "llc_total_ways-2.5", "cache_line-64.9"])
     def test_platform_file_rejects_bad_entry(self, tmp_path, key, value,
                                              message):
         from tailsim.model import load_platform

@@ -109,13 +109,13 @@ class TestExtractFeatures:
                          (50.0, 800.0), 8, cfg)
 
     def test_features_at_saturation_point(self):
-        from tailsim.experiments import derive_lqos, saturation_qps
+        from tailsim.experiments import derive_lqos, qos_saturation
         sw = self._sweep()
         qos = derive_lqos(sw, 5.0)
         f = extract_features(sw, qos)
         assert f.mode == "open"
         assert not f.flagged
-        sat = saturation_qps(sw, qos)
+        sat = qos_saturation(sw, qos)
         assert f.saturation_qps == sat.qps
         assert f.p95_at_saturation == pytest.approx(qos.lqos, rel=0.02)
         assert f.net_tx_bw_peak == max(p.summary.net_tx_bw
