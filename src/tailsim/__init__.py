@@ -9,7 +9,7 @@ from .model import (ClosedLoop, ModelError, OpenLoop, PlatformConfig,
                     WorkDemand, WorkloadProfile, load_profile, mean_demands,
                     miss_ratio, save_profile, shipped_profile,
                     validate_profile)
-from .loadgen import ArrivalModel, ArrivalSchedule, build_schedule
+from .loadgen import ArrivalModel, build_schedule
 from .engine import (Trace, export_trace_csv, simulate_closed_loop,
                      simulate_open_loop)
 from .metrics import MetricsSummary, default_warmup, percentile, summarize

@@ -23,8 +23,7 @@ import numpy as np
 from . import __version__
 from .experiments import (ExperimentSpec, ExperimentError, SweepResult,
                           CalibrationError, calibrate_profile,
-                          compare_scenarios, constraint_study, derive_lqos,
-                          load_experiment_spec, qos_saturation, qps_sweep)
+                          compare_scenarios, load_experiment_spec, study)
 from .metrics import (SWEEP_CSV_COLUMNS, MetricsError, default_warmup,
                       summary_csv_row)
 from .model import (ClosedLoop, FileFormatError, ModelError, PlatformConfig,
@@ -108,14 +107,7 @@ def _dispatch(args, spec_path: Path) -> int:
         spec = replace(spec, config=replace(spec.config,
                                             parallelism=args.parallelism))
     out_dir = _resolve_out(args, spec.name)
-    handler = {
-        "sweep": cmd_sweep,
-        "characterize": cmd_characterize,
-        "partition": cmd_partition,
-        "classify": cmd_classify,
-        "calibrate": cmd_calibrate,
-    }[args.command]
-    return handler(spec, out_dir)
+    return _HANDLERS[args.command](spec, out_dir)
 
 
 def _resolve_out(args, spec_name: str) -> Path:
@@ -171,8 +163,12 @@ def _spec_text(spec: ExperimentSpec) -> str:
     return "\n".join(f"{k}: {v}" for k, v in spec.raw.items()) + "\n"
 
 
-_REPLAY_KEYS = ("command", "spec_content", "profile_content", "seed",
-                "points")
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _cmd_replay(args) -> int:
@@ -181,10 +177,30 @@ def _cmd_replay(args) -> int:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not a JSON manifest ({exc})") from None
-    needed = _REPLAY_KEYS + (() if args.out is not None else ("out_dir",))
-    for key in needed:
-        if not isinstance(manifest, dict) or key not in manifest:
+    # The keys replay reads: (key, required, check, what it must be).
+    keys = [
+        ("command", True, lambda v: _is_str(v) and v in _HANDLERS,
+         "one of " + ", ".join(_HANDLERS)),
+        ("spec_content", True, _is_str, "a string"),
+        ("profile_content", True, _is_str, "a string"),
+        ("seed", True, _is_int, "an integer"),
+        ("points", True, _is_int, "an integer"),
+        ("platform_content", False, lambda v: v is None or _is_str(v),
+         "a string or null"),
+        ("warmup", False,
+         lambda v: v is None or _is_int(v) or isinstance(v, float),
+         "a number or null"),
+    ]
+    if args.out is None:
+        keys.append(("out_dir", True, lambda v: _is_str(v) and "\0" not in v,
+                     "a string without NUL"))
+    for key, required, _, _ in keys:
+        if required and not (isinstance(manifest, dict) and key in manifest):
             raise FileFormatError(f"{path}: manifest lacks key {key!r}")
+    for key, _, ok, want in keys:
+        if not ok(manifest.get(key)):
+            raise FileFormatError(
+                f"{path}: manifest key {key!r}: must be {want}")
     out_dir = (args.out if args.out is not None
                else Path(manifest["out_dir"] + "-replay"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -265,13 +281,11 @@ def _point_rows(sweep: SweepResult) -> list[dict]:
 
 def cmd_sweep(spec: ExperimentSpec, out_dir: Path) -> int:
     t0 = time.time()
-    sweep = qps_sweep(spec.profile, spec.scenario, spec.limits,
-                      spec.qps_range, spec.n_points, spec.config)
+    [e] = study(spec.profile, [(spec.scenario, spec.limits)], spec.qps_range,
+                spec.n_points, spec.config, spec.lqos_override,
+                spec.override_reason)
+    sweep, qos = e.sweep, e.qos
     closed = isinstance(spec.scenario.mode, ClosedLoop)
-    qos = derive_lqos(sweep, spec.profile.qos_multiplier,
-                      manual_override=spec.lqos_override,
-                      override_reason=spec.override_reason)
-    sat = qos_saturation(sweep, qos)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_sweep_csv(out_dir / "sweep.csv", sweep)
@@ -283,8 +297,8 @@ def cmd_sweep(spec: ExperimentSpec, out_dir: Path) -> int:
         "points": _point_rows(sweep),
         "qos": _qos_dict(qos),
         # No saturation is reported under an unresolved QoS target.
-        "saturation": (_sat_dict(sat) if qos is None or qos.resolved
-                       else None),
+        "saturation": (_sat_dict(e.saturation)
+                       if qos is None or qos.resolved else None),
     }
     _write_json(out_dir / "summary.json", _sanitize(summary))
     outputs = ["sweep.csv", "summary.json"]
@@ -300,14 +314,16 @@ def cmd_sweep(spec: ExperimentSpec, out_dir: Path) -> int:
     return EXIT_OK
 
 
-_PANELS = (
-    ("p95", "p95", "95th percentile latency (ms)", 1000.0),
-    ("util", "cpu_utilization", "CPU utilization", 1.0),
-    ("net_tx", "net_tx_bw", "network transmit bandwidth (MB/s)", 1.0),
-    ("disk", "disk_bw", "disk bandwidth (MB/s)", 1.0),
-    ("mem", "mem_bw", "main memory bandwidth (MB/s)", 1.0),
-    ("llc", "llc_occupancy", "LLC occupancy (MB)", 1.0),
-)
+# Metric panels by key: (summary attribute, label, scale to the label's
+# unit); characterize plots all six in this order.
+_PANELS = {
+    "p95": ("p95", "95th percentile latency (ms)", 1000.0),
+    "util": ("cpu_utilization", "CPU utilization", 1.0),
+    "net_tx": ("net_tx_bw", "network transmit bandwidth (MB/s)", 1.0),
+    "disk": ("disk_bw", "disk bandwidth (MB/s)", 1.0),
+    "mem": ("mem_bw", "main memory bandwidth (MB/s)", 1.0),
+    "llc": ("llc_occupancy", "LLC occupancy (MB)", 1.0),
+}
 
 
 def cmd_characterize(spec: ExperimentSpec, out_dir: Path) -> int:
@@ -318,26 +334,26 @@ def cmd_characterize(spec: ExperimentSpec, out_dir: Path) -> int:
     comp = compare_scenarios(spec.profile, spec.limits, spec.qps_range,
                              spec.n_points, spec.scenario, spec.config,
                              lqos_override=spec.lqos_override)
-    one_st = comp.sweeps[Topology.ONE_ST]
-    qos = comp.qos[Topology.ONE_ST]
-    features = extract_features(one_st, qos)
-    result = classify(features, Thresholds.from_mapping(spec.thresholds))
+    one_st = comp.entries[Topology.ONE_ST]
+    qos = one_st.qos
+    result = classify(extract_features(one_st),
+                      Thresholds.from_mapping(spec.thresholds))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
-    for topo, sweep in comp.sweeps.items():
+    for topo, e in comp.entries.items():
         fname = f"sweep_{topo.value.lower()}.csv"
-        _write_sweep_csv(out_dir / fname, sweep)
+        _write_sweep_csv(out_dir / fname, e.sweep)
         outputs.append(fname)
 
     x_label = "sessions" if closed else "QPS"
     lat_label = ("transfer+response time (ms)" if closed
                  else "95th percentile latency (ms)")
-    for key, attr, ylabel, scale in _PANELS:
+    for key, (attr, ylabel, scale) in _PANELS.items():
         series = []
-        for topo, sweep in comp.sweeps.items():
-            xs = [p.qps for p in sweep.points]
-            ys = [getattr(p.summary, attr) * scale for p in sweep.points]
+        for topo, e in comp.entries.items():
+            xs = [p.qps for p in e.sweep.points]
+            ys = [getattr(p.summary, attr) * scale for p in e.sweep.points]
             series.append((topo.value, xs, ys))
         hline = None
         hlabel = ""
@@ -354,9 +370,9 @@ def cmd_characterize(spec: ExperimentSpec, out_dir: Path) -> int:
     summary = {
         "workload": spec.profile.name,
         "mode": "closed_loop" if closed else "open_loop",
-        "qos": {t.value: _qos_dict(q) for t, q in comp.qos.items()},
-        "saturation": {t.value: _sat_dict(s)
-                       for t, s in comp.saturation.items()},
+        "qos": {t.value: _qos_dict(e.qos) for t, e in comp.entries.items()},
+        "saturation": {t.value: _sat_dict(e.saturation)
+                       for t, e in comp.entries.items()},
         "qps_at_20_util": {t.value: v for t, v in comp.qps_at_20.items()},
         "qps_at_50_util": {t.value: v for t, v in comp.qps_at_50.items()},
         "ratios": comp.ratios,
@@ -366,7 +382,8 @@ def cmd_characterize(spec: ExperimentSpec, out_dir: Path) -> int:
     outputs.append("summary.json")
     _write_json(out_dir / "features.json", _sanitize(result.to_dict()))
     outputs.append("features.json")
-    status = {t.value: _sweep_status(s) for t, s in comp.sweeps.items()}
+    status = {t.value: _sweep_status(e.sweep)
+              for t, e in comp.entries.items()}
     _write_manifest(out_dir, "characterize", spec, outputs, status,
                     time.time() - t0)
     if not closed and not qos.resolved:
@@ -384,37 +401,33 @@ def cmd_partition(spec: ExperimentSpec, out_dir: Path) -> int:
         raise FileFormatError(
             f"{spec.name}: partition study needs ways_list and/or bw_limits")
 
-    # CAT levels, then MBA levels, in one study, so one job list.
-    axes = (["llc_ways"] * len(spec.ways_list)
-            + ["mem_bw_limit"] * len(spec.bw_limits))
-    levels = [replace(spec.limits, **{axis: v}) for axis, v in
-              zip(axes, spec.ways_list + spec.bw_limits)]
-    study = constraint_study(spec.profile, spec.scenario, levels,
-                             spec.qps_range, spec.n_points, spec.config,
-                             axis=axes, lqos_override=spec.lqos_override,
-                             override_reason=spec.override_reason)
-    entries = [(f"cat_w{int(e.constraint)}" if axis == "llc_ways"
-                else "mba_unlimited" if math.isinf(e.constraint)
-                else f"mba_{int(e.constraint)}", e)
-               for axis, e in zip(axes, study)]
+    # CAT levels, then MBA levels, in one study, so one job list; each
+    # level is (label, value on its axis, limits).
+    levels = ([(f"cat_w{w}", w, replace(spec.limits, llc_ways=w))
+               for w in spec.ways_list]
+              + [("mba_unlimited" if b is None else f"mba_{int(b)}", b,
+                  replace(spec.limits, mem_bw_limit=b))
+                 for b in spec.bw_limits])
+    entries = study(spec.profile,
+                    [(spec.scenario, limits) for _, _, limits in levels],
+                    spec.qps_range, spec.n_points, spec.config,
+                    spec.lqos_override, spec.override_reason)
+    labels = [label for label, _, _ in levels]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for label, e in entries:
+    for label, e in zip(labels, entries):
         fname = f"{label}.csv"
         _write_sweep_csv(out_dir / fname, e.sweep)
         outputs.append(fname)
 
     closed = isinstance(spec.scenario.mode, ClosedLoop)
     x_label = "sessions" if closed else "QPS"
-    panels = [("p95", "p95", "95th percentile latency (ms)", 1000.0),
-              ("llc", "llc_occupancy", "LLC occupancy (MB)", 1.0),
-              ("mem", "mem_bw", "main memory bandwidth (MB/s)", 1.0)]
-    if spec.bw_limits:
-        panels.append(("util", "cpu_utilization", "CPU utilization", 1.0))
-    for key, attr, ylabel, scale in panels:
+    keys = ["p95", "llc", "mem"] + (["util"] if spec.bw_limits else [])
+    for key in keys:
+        attr, ylabel, scale = _PANELS[key]
         series = []
-        for label, e in entries:
+        for label, e in zip(labels, entries):
             xs = [p.qps for p in e.sweep.points]
             ys = [getattr(p.summary, attr) * scale for p in e.sweep.points]
             series.append((label, xs, ys))
@@ -428,19 +441,18 @@ def cmd_partition(spec: ExperimentSpec, out_dir: Path) -> int:
         "workload": spec.profile.name,
         "entries": [{
             "label": label,
-            "constraint": (None if math.isinf(e.constraint)
-                           else e.constraint),
-            "llc_capacity_mb": (e.constraint * way_cap
-                                if label.startswith("cat_") else None),
+            "constraint": None if value is None else float(value),
+            "llc_capacity_mb": (value * way_cap if label.startswith("cat_")
+                                else None),
             "qos": _qos_dict(e.qos),
             "saturation": _sat_dict(e.saturation),
-        } for label, e in entries],
+        } for (label, value, _), e in zip(levels, entries)],
     }
     _write_json(out_dir / "summary.json", _sanitize(summary))
     outputs.append("summary.json")
     status = {"entries": len(entries),
               "sweeps": {label: _sweep_status(e.sweep)
-                         for label, e in entries}}
+                         for label, e in zip(labels, entries)}}
     _write_manifest(out_dir, "partition", spec, outputs, status,
                     time.time() - t0)
     print(f"partition {spec.name}: {len(entries)} constraint levels "
@@ -452,20 +464,18 @@ def cmd_classify(spec: ExperimentSpec, out_dir: Path) -> int:
     """Single-thread characterization followed by taxonomy classification."""
     t0 = time.time()
     scen = replace(spec.scenario, topology=Topology.ONE_ST)
-    sweep = qps_sweep(spec.profile, scen, spec.limits, spec.qps_range,
-                      spec.n_points, spec.config)
-    qos = derive_lqos(sweep, spec.profile.qos_multiplier,
-                      manual_override=spec.lqos_override,
-                      override_reason=spec.override_reason)
-    features = extract_features(sweep, qos)
-    result = classify(features, Thresholds.from_mapping(spec.thresholds))
+    [e] = study(spec.profile, [(scen, spec.limits)], spec.qps_range,
+                spec.n_points, spec.config, spec.lqos_override,
+                spec.override_reason)
+    result = classify(extract_features(e),
+                      Thresholds.from_mapping(spec.thresholds))
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_sweep_csv(out_dir / "sweep.csv", sweep)
+    _write_sweep_csv(out_dir / "sweep.csv", e.sweep)
     _write_json(out_dir / "classification.json", _sanitize(result.to_dict()))
     _write_manifest(out_dir, "classify", spec,
                     ["sweep.csv", "classification.json"],
                     {"category": result.category.value,
-                     "sweep": _sweep_status(sweep)}, time.time() - t0)
+                     "sweep": _sweep_status(e.sweep)}, time.time() - t0)
     print(f"classify {spec.name}: {result.category.value} "
           f"(rule: {result.rule}) -> {out_dir}")
     return EXIT_OK
@@ -500,6 +510,15 @@ def cmd_calibrate(spec: ExperimentSpec, out_dir: Path) -> int:
     print(f"calibrate {spec.name}: worst residual "
           f"{report.worst_residual:+.1%} -> {out_dir}")
     return EXIT_OK
+
+
+_HANDLERS = {
+    "sweep": cmd_sweep,
+    "characterize": cmd_characterize,
+    "partition": cmd_partition,
+    "classify": cmd_classify,
+    "calibrate": cmd_calibrate,
+}
 
 
 if __name__ == "__main__":

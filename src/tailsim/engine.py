@@ -71,7 +71,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .loadgen import ArrivalSchedule
 from .model import (COMPUTE, DISK, IDLE, MEMORY, ClosedLoop, ModelError,
                     OpenLoop, PlatformConfig, ResourceLimits, ScenarioConfig,
                     WorkloadProfile, drain_rates, llc_occupancy, mean_demands,
@@ -126,9 +125,10 @@ class Trace:
 
 def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
                        limits: ResourceLimits, platform: PlatformConfig,
-                       schedule: ArrivalSchedule, seed: int) -> Trace:
-    """Run an open-loop simulation of the full schedule, request j issued
-    by client j mod scenario.n_clients.
+                       schedule: np.ndarray, seed: int) -> Trace:
+    """Run an open-loop simulation of the full schedule (the float64 issue
+    times of build_schedule), request j issued by client j mod
+    scenario.n_clients.
 
     Every scheduled request appears in the trace exactly once; requests
     still unfinished at the hard stop (twice the scenario duration plus
@@ -136,8 +136,7 @@ def simulate_open_loop(profile: WorkloadProfile, scenario: ScenarioConfig,
     """
     if not isinstance(scenario.mode, OpenLoop):
         raise ModelError("scenario.mode: open_loop required")
-    times = schedule.times
-    if (times[1:] < times[:-1]).any():
+    if (schedule[1:] < schedule[:-1]).any():
         raise ModelError("schedule: times must not decrease")
     validate_profile(profile, platform)
     limits.validate_against(platform)
@@ -208,7 +207,7 @@ def _check_times(profile: WorkloadProfile, scenario: ScenarioConfig,
 
 
 def _request_store(profile: WorkloadProfile, scenario: ScenarioConfig,
-                   seed: int, schedule: ArrivalSchedule | None) -> tuple:
+                   seed: int, schedule: np.ndarray | None) -> tuple:
     """The request store a run fills, indexed by request: (client,
     scheduled, cpu, issue, start, done, first, closed_issue).
 
@@ -248,7 +247,7 @@ def _request_store(profile: WorkloadProfile, scenario: ScenarioConfig,
         return (client, scheduled, cpu, issue, start, done, first,
                 closed_issue)
     n = len(schedule)
-    scheduled = memoryview(schedule.times)
+    scheduled = memoryview(schedule)
     cpu = memoryview(profile.cpu_work * profile.service_dist.sample(rng, n))
     client = np.arange(n, dtype=np.int64)
     client %= scenario.n_clients
@@ -259,7 +258,7 @@ def _request_store(profile: WorkloadProfile, scenario: ScenarioConfig,
 
 def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
          limits: ResourceLimits, platform: PlatformConfig, seed: int,
-         schedule: ArrivalSchedule | None = None) -> Trace:
+         schedule: np.ndarray | None = None) -> Trace:
     open_mode = schedule is not None
     n_workers = scenario.topology.n_workers
     two = n_workers == 2
@@ -497,7 +496,7 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
                 (since, t_last, rate))
 
     # The trace gets its own copy of the schedule's times.
-    scheduled_a = (schedule.times.copy() if open_mode
+    scheduled_a = (schedule.copy() if open_mode
                    else np.frombuffer(scheduled))
     issue_a = np.frombuffer(issue)
     done_a = np.frombuffer(done)
@@ -543,7 +542,7 @@ def _reach(profile: WorkloadProfile, base) -> list[int]:
 
 def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                        limits: ResourceLimits, platform: PlatformConfig,
-                       seed: int, schedule: ArrivalSchedule) -> Trace | None:
+                       seed: int, schedule: np.ndarray) -> Trace | None:
     """An open-loop run whose phases drain at constant rates
     (``_constant_rate``): ``_run``'s trace, bit for bit, or None when the
     order is left to ``_run``: with two workers when two of the run's
@@ -629,7 +628,7 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     meta = {"engine": "constant_rate"}
     if n_workers == 1:
         meta["walked"], stop = _one_worker(
-            schedule.times, cpu_a, issue_a, start_a, done_a, n_clients, rtt2,
+            schedule, cpu_a, issue_a, start_a, done_a, n_clients, rtt2,
             mem_time, disk_time, hard_stop)
         # The hard stop: issue, start and done never decrease in index
         # order, so the issues, starts and completions up to it are
@@ -744,7 +743,7 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     del s, in_cpu, cpu_end, on_1
 
     # The trace gets its own copy of the schedule's times.
-    scheduled_a = schedule.times.copy()
+    scheduled_a = schedule.copy()
     return Trace(client=np.frombuffer(client_of, dtype=np.int64),
                  scheduled=scheduled_a, issue=issue_a,
                  service_start=start_a, completion=done_a,

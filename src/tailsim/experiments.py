@@ -1,6 +1,7 @@
 """Experimental procedures: QPS sweeps, QoS-target derivation, saturation
-search, scenario comparison, LLC-way and memory-bandwidth studies, and
-profile calibration.
+search, the study procedure that chains the three (one run for a load
+sweep, one per topology, one per LLC-way or memory-bandwidth level),
+scenario comparison and profile calibration.
 
 A sweep simulates geometrically spaced load points and summarizes each one;
 everything downstream (QoS targets, saturation, feature extraction) reads
@@ -52,7 +53,6 @@ class SweepResult:
     scenario: ScenarioConfig
     limits: ResourceLimits
     points: tuple[SweepPoint, ...]
-    qps_range: tuple[float, float]
     warmup: float
 
 
@@ -83,9 +83,6 @@ class SaturationResult:
     qps: float
     qualified: bool
     binding: str  # qos | timely | saturated | range | none
-
-    def __float__(self) -> float:
-        return self.qps
 
 
 @dataclass(frozen=True)
@@ -151,22 +148,6 @@ def run_point(profile: WorkloadProfile, scenario: ScenarioConfig,
     return trace, summarize(trace, config.warmup)
 
 
-def qps_sweep(profile: WorkloadProfile, scenario: ScenarioConfig,
-              limits: ResourceLimits, qps_range: tuple[float, float],
-              n_points: int, config: RunConfig) -> SweepResult:
-    """Sweep geometrically spaced load points across qps_range: the
-    one-sweep call of qps_sweeps.
-
-    Points failing the 97.5% timely gate are kept and flagged, never
-    dropped. The same (config.seed, point index) pair always reproduces the
-    same point, so sweeps sharing a seed have equal arrival schedules, and
-    the sweeps of one qps_sweeps call share each point's schedule, drawn
-    once.
-    """
-    return qps_sweeps(profile, [(scenario, limits)], qps_range, n_points,
-                      config)[0]
-
-
 def qps_sweeps(profile: WorkloadProfile,
                runs: list[tuple[ScenarioConfig, ResourceLimits]],
                qps_range: tuple[float, float], n_points: int,
@@ -179,7 +160,10 @@ def qps_sweeps(profile: WorkloadProfile,
     so runs whose arrival model, load, duration and seed are equal get one
     schedule, drawn once (build_schedule); a closed-loop run needs none.
     Each point is a pure function of its run, so how the runs are grouped
-    and ordered changes no output.
+    and ordered changes no output. Points failing the 97.5% timely gate
+    are kept and flagged, never dropped. The same (config.seed, point
+    index) pair always reproduces the same point, so sweeps sharing a seed
+    have equal arrival schedules.
 
     With parallelism 1 the jobs run point by point in this process. With
     config.parallelism > 1 they go to one process pool of at most as many
@@ -227,7 +211,6 @@ def qps_sweeps(profile: WorkloadProfile,
         out.append(SweepResult(
             workload=profile.name, scenario=scenario, limits=limits,
             points=tuple(sorted(pts, key=lambda p: p.qps)),
-            qps_range=(float(qps_range[0]), float(qps_range[1])),
             warmup=warmup))
     return out
 
@@ -386,10 +369,43 @@ def qos_saturation(sweep: SweepResult,
 
 
 @dataclass(frozen=True)
+class StudyEntry:
+    """One sweep of a study, its QoS target (None in closed loop) and its
+    saturation under that target."""
+
+    sweep: SweepResult
+    qos: QosTarget | None
+    saturation: SaturationResult
+
+
+def study(profile: WorkloadProfile,
+          runs: list[tuple[ScenarioConfig, ResourceLimits]],
+          qps_range: tuple[float, float], n_points: int, config: RunConfig,
+          lqos_override: float | None = None,
+          override_reason: str | None = None) -> list[StudyEntry]:
+    """The procedure of every study: one sweep per (scenario, limits) run,
+    all through one qps_sweeps call, then each sweep's own QoS target at
+    the profile's qos_multiplier and its saturation under that target.
+
+    A load-level study is one run, a hyper-threading study one run per
+    topology, a resource-limit study one run per LLC-way or memory-bandwidth
+    level. Each run derives its own target, since the service time at 20%
+    utilization shifts with the topology and as the miss ratio grows or
+    the bandwidth binds, so saturation tracks the service rate the run can
+    achieve. All runs share the same load points, so metrics at matching
+    loads compare directly.
+    """
+    out = []
+    for sw in qps_sweeps(profile, runs, qps_range, n_points, config):
+        qos = derive_lqos(sw, profile.qos_multiplier, lqos_override,
+                          override_reason)
+        out.append(StudyEntry(sw, qos, qos_saturation(sw, qos)))
+    return out
+
+
+@dataclass(frozen=True)
 class ScenarioComparison:
-    sweeps: dict[Topology, SweepResult]
-    qos: dict[Topology, QosTarget | None]
-    saturation: dict[Topology, SaturationResult]
+    entries: dict[Topology, StudyEntry]
     qps_at_20: dict[Topology, float | None]
     qps_at_50: dict[Topology, float | None]
     ratios: dict[str, float | None]
@@ -402,22 +418,12 @@ def compare_scenarios(profile: WorkloadProfile, limits: ResourceLimits,
                       lqos_override: float | None = None) -> ScenarioComparison:
     """Characterize all three topologies with shared arrival schedules and
     report saturation plus the loads reaching 20% and 50% utilization."""
-    sweeps: dict[Topology, SweepResult] = {}
-    qos: dict[Topology, QosTarget | None] = {}
-    sat: dict[Topology, SaturationResult] = {}
-    at20: dict[Topology, float | None] = {}
-    at50: dict[Topology, float | None] = {}
     topologies = (Topology.ONE_ST, Topology.TWO_ST, Topology.TWO_SMT)
     runs = [(replace(base_scenario, topology=t), limits) for t in topologies]
-    for topo, sw in zip(topologies, qps_sweeps(profile, runs, qps_range,
-                                               n_points, config)):
-        sweeps[topo] = sw
-        q = derive_lqos(sw, profile.qos_multiplier,
-                        manual_override=lqos_override)
-        qos[topo] = q
-        sat[topo] = qos_saturation(sw, q)
-        at20[topo] = qps_at_utilization(sw, 0.20)
-        at50[topo] = qps_at_utilization(sw, 0.50)
+    entries = dict(zip(topologies, study(profile, runs, qps_range, n_points,
+                                         config, lqos_override)))
+    at20 = {t: qps_at_utilization(e.sweep, 0.20) for t, e in entries.items()}
+    at50 = {t: qps_at_utilization(e.sweep, 0.50) for t, e in entries.items()}
 
     def _ratio(a, b):
         if a is None or b is None or b == 0:
@@ -431,54 +437,12 @@ def compare_scenarios(profile: WorkloadProfile, limits: ResourceLimits,
                                             at20[Topology.ONE_ST]),
         "two_st_over_two_smt_at_50": _ratio(at50[Topology.TWO_ST],
                                             at50[Topology.TWO_SMT]),
-        "two_st_over_one_st_saturation": _ratio(sat[Topology.TWO_ST].qps,
-                                                sat[Topology.ONE_ST].qps),
+        "two_st_over_one_st_saturation": _ratio(
+            entries[Topology.TWO_ST].saturation.qps,
+            entries[Topology.ONE_ST].saturation.qps),
     }
-    return ScenarioComparison(sweeps=sweeps, qos=qos, saturation=sat,
-                              qps_at_20=at20, qps_at_50=at50, ratios=ratios)
-
-
-@dataclass(frozen=True)
-class ConstraintStudyEntry:
-    constraint: float  # the level's value on the study axis; inf for None
-    sweep: SweepResult
-    qos: QosTarget | None
-    saturation: SaturationResult
-
-
-def constraint_study(profile: WorkloadProfile, scenario: ScenarioConfig,
-                     levels: list[ResourceLimits],
-                     qps_range: tuple[float, float], n_points: int,
-                     config: RunConfig, axis: str | list[str] = "llc_ways",
-                     lqos_override: float | None = None,
-                     override_reason: str | None = None
-                     ) -> list[ConstraintStudyEntry]:
-    """One sweep per constraint level: LLC ways for a CAT study, memory
-    bandwidth (axis "mem_bw_limit", None for unlimited) for an MBA study.
-    axis is one name for every level or a list of one name per level, so
-    a CAT and an MBA study can run as one; all levels' sweeps go through
-    one qps_sweeps call.
-
-    Each level derives its own QoS target (the service time at 20%
-    utilization shifts as the miss ratio grows or the bandwidth binds), so
-    saturation tracks the achievable service rate under that allocation.
-    All levels share the same load points, so utilization at matching
-    loads compares directly.
-    """
-    axes = [axis] * len(levels) if isinstance(axis, str) else axis
-    if len(axes) != len(levels):
-        raise ExperimentError("axis: need one name per level")
-    sweeps = qps_sweeps(profile, [(scenario, limits) for limits in levels],
-                        qps_range, n_points, config)
-    out = []
-    for limits, name, sw in zip(levels, axes, sweeps):
-        qos = derive_lqos(sw, profile.qos_multiplier, lqos_override,
-                          override_reason)
-        value = getattr(limits, name)
-        out.append(ConstraintStudyEntry(
-            math.inf if value is None else float(value), sw, qos,
-            qos_saturation(sw, qos)))
-    return out
+    return ScenarioComparison(entries=entries, qps_at_20=at20,
+                              qps_at_50=at50, ratios=ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -614,20 +578,19 @@ def calibrate_profile(profile: WorkloadProfile, targets: dict[str, float],
     achieved: dict[str, float] = {}
     residuals: dict[str, float] = {}
     if lqos_t is not None or sat_t is not None or bw_t is not None:
-        sweep = qps_sweep(p, scenario, limits, qps_range, n_points, config)
-        qos = derive_lqos(sweep, p.qos_multiplier,
-                          manual_override=lqos_override)
+        [e] = study(p, [(scenario, limits)], qps_range, n_points, config,
+                    lqos_override)
     if lqos_t is not None:
-        got = qos.lqos if qos.resolved else math.nan
+        got = e.qos.lqos if e.qos.resolved else math.nan
         achieved["lqos"] = got
-        residuals["lqos"] = (got - lqos_t) / lqos_t if qos.resolved else math.inf
+        residuals["lqos"] = ((got - lqos_t) / lqos_t if e.qos.resolved
+                             else math.inf)
     if sat_t is not None:
-        sat = qos_saturation(sweep, qos)
-        achieved["saturation_qps"] = sat.qps
-        residuals["saturation_qps"] = (sat.qps - sat_t) / sat_t
+        achieved["saturation_qps"] = e.saturation.qps
+        residuals["saturation_qps"] = (e.saturation.qps - sat_t) / sat_t
     if bw_t is not None:
         sat_anchor = achieved.get("saturation_qps", sat_t)
-        bw = sweep_metric_at(sweep, sat_anchor, "mem_bw")
+        bw = sweep_metric_at(e.sweep, sat_anchor, "mem_bw")
         achieved["mem_bw_at_saturation"] = bw
         residuals["mem_bw_at_saturation"] = (bw - bw_t) / bw_t
     if ratio_t is not None:
@@ -675,7 +638,6 @@ def sweep_metric_at(sweep: SweepResult, qps: float, name: str) -> float:
 class ExperimentSpec:
     name: str
     profile: WorkloadProfile
-    profile_path: Path
     scenario: ScenarioConfig
     limits: ResourceLimits
     qps_range: tuple[float, float]
@@ -864,7 +826,7 @@ def load_experiment_spec(path: str | Path,
 
     return ExperimentSpec(
         name=fields.get("name", path.stem), profile=profile,
-        profile_path=profile_path, scenario=scenario, limits=limits,
+        scenario=scenario, limits=limits,
         qps_range=(qps_lo, qps_hi), n_points=n_points, config=config,
         lqos_override=lqos_override,
         override_reason=fields.get("override_reason"),

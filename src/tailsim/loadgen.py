@@ -50,37 +50,21 @@ class ArrivalModel:
                     f"zipf_support: must be at most {ZIPF_SUPPORT_MAX}")
 
 
-@dataclass(frozen=True)
-class ArrivalSchedule:
-    """Scheduled request issue times for one run."""
-
-    # Seconds, all < duration; simulate_open_loop enforces non-decreasing.
-    times: np.ndarray
-    target_qps: float
-    model: ArrivalModel
-    seed: int
-    duration: float
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
 def build_schedule(model: ArrivalModel, qps: float, duration: float,
-                   seed: int) -> ArrivalSchedule:
-    """Generate the arrival schedule for one run.
+                   seed: int) -> np.ndarray:
+    """Generate the arrival schedule for one run: the request issue times
+    in seconds, float64, non-decreasing, all < duration, read-only.
 
     Identical (model, qps, duration, seed) always yields the identical
     schedule. The runs of one load point ask for it one after another, so
-    the last schedule's times are kept, read-only, and handed out again
-    to a call with equal inputs instead of being drawn anew.
+    the last schedule is kept and handed out again to a call with equal
+    inputs instead of being drawn anew.
     """
     if qps <= 0:
         raise ModelError("qps: must be positive")
     if duration <= 0:
         raise ModelError("duration: must be positive")
-    return ArrivalSchedule(times=_times(model, qps, duration, seed),
-                           target_qps=qps, model=model, seed=seed,
-                           duration=duration)
+    return _times(model, qps, duration, seed)
 
 
 @functools.lru_cache(maxsize=1)

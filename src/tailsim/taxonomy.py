@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .experiments import (QosTarget, SweepResult, qos_saturation,
-                          sweep_metric_at)
+from .experiments import StudyEntry, sweep_metric_at
 from .model import ClosedLoop
 
 
@@ -77,17 +76,17 @@ class Classification:
         }
 
 
-def extract_features(sweep: SweepResult,
-                     qos: QosTarget | None) -> FeatureVector:
-    """Read the feature vector off the unconstrained single-thread sweep.
+def extract_features(entry: StudyEntry) -> FeatureVector:
+    """Read the feature vector off the study entry of the unconstrained
+    single-thread sweep.
 
-    Latency and bandwidth features are interpolated at the saturation load;
-    utilization and network transmit are sweep-wide peaks. When no point
-    passes the gates, features come from the highest timely point and the
-    vector is flagged.
+    Latency and bandwidth features are interpolated at the entry's
+    saturation load; utilization and network transmit are sweep-wide
+    peaks. When no point passes the gates, features come from the highest
+    timely point and the vector is flagged.
     """
+    sweep, sat = entry.sweep, entry.saturation
     closed = isinstance(sweep.scenario.mode, ClosedLoop)
-    sat = qos_saturation(sweep, qos)
     anchor = sweep.points[-1].qps if closed else sat.qps
 
     flagged = False

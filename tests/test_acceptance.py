@@ -15,11 +15,10 @@ import pytest
 
 from tailsim.cli import main as cli_main
 from tailsim.engine import export_trace_csv, simulate_open_loop
-from tailsim.experiments import (RunConfig, compare_scenarios,
-                                 constraint_study, derive_lqos,
+from tailsim.experiments import (RunConfig, compare_scenarios, derive_lqos,
                                  interpolate, load_experiment_spec,
-                                 qos_saturation, qps_sweep,
-                                 shipped_spec_path)
+                                 qps_sweeps,
+                                 shipped_spec_path, study)
 from tailsim.loadgen import ArrivalModel, build_schedule
 from tailsim.metrics import summarize
 from tailsim.model import (OpenLoop, PlatformConfig, ResourceLimits,
@@ -56,12 +55,10 @@ def shipped_runs():
     t0 = time.time()
     for name in EXPECTED_CATEGORY:
         spec = load_experiment_spec(shipped_spec_path(name))
-        sweep = qps_sweep(spec.profile, spec.scenario, spec.limits,
-                          spec.qps_range, spec.n_points, spec.config)
-        qos = derive_lqos(sweep, spec.profile.qos_multiplier,
-                          manual_override=spec.lqos_override,
-                          override_reason=spec.override_reason)
-        runs[name] = (spec, sweep, qos)
+        [e] = study(spec.profile, [(spec.scenario, spec.limits)],
+                    spec.qps_range, spec.n_points, spec.config,
+                    spec.lqos_override, spec.override_reason)
+        runs[name] = (spec, e)
     runs["__elapsed__"] = time.time() - t0
     return runs
 
@@ -175,9 +172,9 @@ def test_criterion_4_table2_reproduction(shipped_runs):
     elapsed = shipped_runs["__elapsed__"]
     lines = []
     for name, sat_target in TABLE2_SATURATION.items():
-        spec, sweep, qos = shipped_runs[name]
+        spec, e = shipped_runs[name]
+        qos, sat = e.qos, e.saturation
         assert qos.resolved, name
-        sat = qos_saturation(sweep, qos)
         lqos_target = TABLE2_LQOS_MS[name] / 1000.0
         sat_err = (sat.qps - sat_target) / sat_target
         lqos_err = (qos.lqos - lqos_target) / lqos_target
@@ -187,8 +184,8 @@ def test_criterion_4_table2_reproduction(shipped_runs):
                      f"lqos {qos.lqos * 1000:.2f}ms ({lqos_err:+.1%})")
     # shore's target is a manual override: the derivation must report
     # UNREACHABLE without it
-    spec, sweep, _ = shipped_runs["shore"]
-    bare = derive_lqos(sweep, spec.profile.qos_multiplier)
+    spec, e = shipped_runs["shore"]
+    bare = derive_lqos(e.sweep, spec.profile.qos_multiplier)
     assert bare.unreachable
     assert elapsed < 900.0
     report(4, True, f"Table-2 suite in {elapsed:.0f}s: " + "; ".join(lines))
@@ -209,18 +206,16 @@ def test_criterion_5_scenario_ordering(shipped_runs):
         scen = ScenarioConfig(Topology.ONE_ST, 16, OpenLoop(lo), 8.0)
         cfg = RunConfig(arrival=ArrivalModel("zipf", 1.0, 200),
                         seed=1000 + i, warmup=1.0)
-        sats = {}
-        for topo in Topology:
-            sw = qps_sweep(prof, replace(scen, topology=topo), FREE,
-                           (lo, hi), 6, cfg)
-            qos = derive_lqos(sw, 5.0)
-            sats[topo] = qos_saturation(sw, qos).qps
+        entries = study(prof, [(replace(scen, topology=topo), FREE)
+                               for topo in Topology], (lo, hi), 6, cfg)
+        sats = {e.sweep.scenario.topology: e.saturation.qps
+                for e in entries}
         if not (sats[Topology.TWO_ST] >= sats[Topology.TWO_SMT]
                 >= sats[Topology.ONE_ST]):
             violations += 1
     assert violations == 0
 
-    spec, _, _ = shipped_runs["silo"]
+    spec, _ = shipped_runs["silo"]
     comp = compare_scenarios(spec.profile, spec.limits, spec.qps_range, 10,
                              spec.scenario, spec.config)
     ratio = comp.ratios["two_st_over_two_smt_at_20"]
@@ -231,11 +226,11 @@ def test_criterion_5_scenario_ordering(shipped_runs):
 
 def test_criterion_6_partitioning_reproduction():
     spec = load_experiment_spec(shipped_spec_path("img-dnn-partition"))
-    entries = constraint_study(spec.profile, spec.scenario,
-                               [replace(spec.limits, llc_ways=w)
-                                for w in spec.ways_list],
-                               spec.qps_range, spec.n_points, spec.config)
-    sats = {int(e.constraint): e.saturation.qps for e in entries}
+    entries = study(spec.profile,
+                    [(spec.scenario, replace(spec.limits, llc_ways=w))
+                     for w in spec.ways_list],
+                    spec.qps_range, spec.n_points, spec.config)
+    sats = {w: e.saturation.qps for w, e in zip(spec.ways_list, entries)}
     ordered = [sats[w] for w in (11, 8, 5, 2)]
     assert ordered == sorted(ordered, reverse=True)
     assert len(set(ordered)) == 4  # strictly decreasing
@@ -245,10 +240,10 @@ def test_criterion_6_partitioning_reproduction():
 
     mspec = load_experiment_spec(shipped_spec_path(
         "media-streaming-partition"))
-    mentries = constraint_study(mspec.profile, mspec.scenario,
-                                [replace(mspec.limits, llc_ways=w)
-                                 for w in mspec.ways_list], mspec.qps_range,
-                                mspec.n_points, mspec.config)
+    mentries = study(mspec.profile,
+                     [(mspec.scenario, replace(mspec.limits, llc_ways=w))
+                      for w in mspec.ways_list],
+                     mspec.qps_range, mspec.n_points, mspec.config)
     msats = [e.saturation.qps for e in mentries]
     delta = abs(msats[0] - msats[1]) / msats[0]
     assert delta < 0.02
@@ -260,13 +255,12 @@ def test_criterion_6_partitioning_reproduction():
 
 def test_criterion_7_mba_reproduction():
     spec = load_experiment_spec(shipped_spec_path("img-dnn-mba"))
-    entries = constraint_study(spec.profile, spec.scenario,
-                               [replace(spec.limits, mem_bw_limit=b)
-                                for b in spec.bw_limits],
-                               spec.qps_range, spec.n_points, spec.config,
-                               axis="mem_bw_limit")
-    unlimited = next(e for e in entries if math.isinf(e.constraint))
-    limited = next(e for e in entries if e.constraint == 4000.0)
+    entries = dict(zip(spec.bw_limits, study(
+        spec.profile,
+        [(spec.scenario, replace(spec.limits, mem_bw_limit=b))
+         for b in spec.bw_limits],
+        spec.qps_range, spec.n_points, spec.config)))
+    unlimited, limited = entries[None], entries[4000.0]
     peak = max(p.summary.mem_bw for p in unlimited.sweep.points)
     assert peak == pytest.approx(5500.0, rel=0.20)
     util_700 = interpolate([p.qps for p in limited.sweep.points],
@@ -310,7 +304,7 @@ def test_criterion_8_timeliness_property():
                     warmup=0.5)
     scen_g = ScenarioConfig(Topology.ONE_ST, 1, OpenLoop(100.0), 20.0,
                             rtt=rtt)
-    sweep = qps_sweep(prof, scen_g, FREE, (100.0, 800.0), 7, cfg)
+    [sweep] = qps_sweeps(prof, [(scen_g, FREE)], (100.0, 800.0), 7, cfg)
     predicted_flags = []
     observed_flags = []
     for p in sweep.points:
@@ -365,8 +359,8 @@ def test_criterion_9_manifest_determinism(tmp_path):
 def test_criterion_10_taxonomy_fixtures(shipped_runs):
     got = {}
     for name, want in EXPECTED_CATEGORY.items():
-        spec, sweep, qos = shipped_runs[name]
-        features = extract_features(sweep, qos)
+        spec, e = shipped_runs[name]
+        features = extract_features(e)
         got[name] = classify(features).category.value
         assert got[name] == want, (name, got[name], want)
     report(10, True,

@@ -61,6 +61,17 @@ def read(path: Path) -> bytes:
     return path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def sweep_manifest(tmp_path_factory):
+    """The manifest of a two-point sweep of the synth spec."""
+    root = tmp_path_factory.mktemp("manifest")
+    (root / "synth.profile").write_text(FAST_PROFILE)
+    (root / "synth.spec").write_text(FAST_SPEC)
+    assert main(["--out", str(root / "out"), "--points", "2", "sweep",
+                 str(root / "synth.spec")]) == 0
+    return json.loads((root / "out" / "manifest.json").read_text())
+
+
 class TestSweepCommand:
     def test_writes_bundle_and_exits_zero(self, spec_dir, tmp_path):
         out = tmp_path / "out"
@@ -613,6 +624,22 @@ class TestAdversarialInput:
     def test_platform_key(self, key, value):
         check_input(FUZZ_SPECS["open_loop"],
                     platform_text=with_value("", key, value))
+
+    @pytest.mark.parametrize("key, value", [
+        ("command", "bogus"), ("command", "replay"), ("command", ["sweep"]),
+        ("spec_content", 5), ("profile_content", None),
+        ("platform_content", 5), ("seed", "4"), ("seed", True),
+        ("points", 2.5), ("points", False), ("warmup", "1"),
+        ("warmup", True), ("out_dir", 5), ("out_dir", "out\0")])
+    def test_manifest_key(self, sweep_manifest, tmp_path, capsys, key,
+                          value):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({**sweep_manifest, key: value}))
+        # out_dir is read only without --out
+        out = [] if key == "out_dir" else ["--out", str(tmp_path / "r")]
+        assert main([*out, "replay", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"manifest key {key!r}" in err
 
 
 class TestCharacterize:

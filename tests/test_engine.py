@@ -13,7 +13,7 @@ from tailsim import engine
 from tailsim.engine import (export_trace_csv, simulate_closed_loop,
                             simulate_open_loop)
 from tailsim.experiments import load_experiment_spec, shipped_spec_path
-from tailsim.loadgen import ArrivalModel, ArrivalSchedule, build_schedule
+from tailsim.loadgen import ArrivalModel, build_schedule
 from tailsim.metrics import summarize
 from tailsim.model import (MB, ClosedLoop, ModelError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
@@ -265,13 +265,10 @@ class TestSmtContention:
     def test_overlapping_compute_runs_at_sigma(self):
         # Two requests arrive together; with sigma=0.7 both drain at 0.7
         # for their entire (equal) compute demand.
-        from tailsim.loadgen import ArrivalSchedule
         prof = WorkloadProfile(name="s", cpu_work=0.007, smt_efficiency=0.7)
         scen = ScenarioConfig(Topology.TWO_SMT, 2, OpenLoop(2.0), 1.0,
                               rtt=0.0)
-        sched = ArrivalSchedule(times=np.array([0.0, 0.0]), target_qps=2.0,
-                                model=ArrivalModel("deterministic"), seed=0,
-                                duration=1.0)
+        sched = np.array([0.0, 0.0])
         tr = simulate_open_loop(prof, scen, FREE, PLATFORM, sched, 1)
         np.testing.assert_allclose(tr.completion, 0.007 / 0.7, rtol=1e-9)
 
@@ -391,8 +388,7 @@ class TestDiskAccounting:
 def run_pair(profile, topology, times, limits=FREE):
     """Two requests from two clients issued at the given times, with no
     network delay; returns their completion times."""
-    sched = ArrivalSchedule(np.asarray(times, dtype=float), 1.0,
-                            ArrivalModel("deterministic"), 0, 1.0)
+    sched = np.asarray(times, dtype=float)
     scen = ScenarioConfig(topology, 2, OpenLoop(1.0), 1.0, rtt=0.0)
     tr = simulate_open_loop(profile, scen, limits, PLATFORM, sched, 0)
     return tr.completion
@@ -647,8 +643,7 @@ def tied_runs(draw, topologies=tuple(Topology)):
     times = np.repeat(np.arange(len(per_slot)) * 2 * TICK, per_slot)
     if len(times) == 0:
         times = np.zeros(1)
-    sched = ArrivalSchedule(times, 1.0, ArrivalModel("deterministic"), 0,
-                            0.25)
+    sched = times
     n_clients = draw(st.integers(1, 8))
     scen = ScenarioConfig(topology, n_clients, OpenLoop(1.0), 0.25, rtt=rtt)
     return prof, scen, FREE, sched, 0
@@ -725,8 +720,7 @@ class TestConstantRatePath:
         # Request 1 is scheduled before request 0.
         prof = WorkloadProfile(name="back", cpu_work=3 * TICK,
                                net_tx_bytes=1500.0)
-        sched = ArrivalSchedule(np.array([2.0, 1.0, 4.0]) * TICK, 1.0,
-                                ArrivalModel("deterministic"), 0, 0.25)
+        sched = np.array([2.0, 1.0, 4.0]) * TICK
         for topology in Topology:
             scen = ScenarioConfig(topology, 2, OpenLoop(1.0), 0.25)
             with pytest.raises(ModelError,
@@ -814,8 +808,7 @@ class TestConstantRatePath:
                                miss_max=0.5, mem_stream_rate=1000.0,
                                net_tx_bytes=1500.0)
         ticks = np.array([0.0, 0.25, 2.0 + shift, 5.25, 5.5, 5.75, 9.0])
-        sched = ArrivalSchedule(ticks * TICK, 1.0,
-                                ArrivalModel("deterministic"), 0, 0.25)
+        sched = ticks * TICK
         scen = ScenarioConfig(topology, 7, OpenLoop(1.0), 0.25)
         return prof, scen, FREE, sched, 0
 
@@ -882,8 +875,7 @@ class TestConstantRatePath:
         # so with it they are walked.
         prof = WorkloadProfile(name="abut", cpu_work=2 * TICK,
                                net_tx_bytes=1500.0)
-        sched = ArrivalSchedule(np.arange(600) * 2 * TICK, 1.0,
-                                ArrivalModel("deterministic"), 0, 0.25)
+        sched = np.arange(600) * 2 * TICK
         scen = ScenarioConfig(Topology.ONE_ST, 2, OpenLoop(1.0), 0.25,
                               rtt=rtt)
         fast, ref = run_both((prof, scen, FREE, sched, 0))
@@ -899,8 +891,7 @@ class TestConstantRatePath:
         prof = WorkloadProfile(name="stop", cpu_work=3 * TICK,
                                net_tx_bytes=1500.0)
         ticks = np.array([-6.0, -3.0, -2.0, 0.0, 1.0])
-        sched = ArrivalSchedule(10.5 + ticks * TICK, 1.0,
-                                ArrivalModel("deterministic"), 0, 0.25)
+        sched = 10.5 + ticks * TICK
         scen = ScenarioConfig(Topology.ONE_ST, 5, OpenLoop(1.0), 0.25)
         return prof, scen, FREE, sched, 0
 
@@ -991,18 +982,18 @@ class TestClientDiscipline:
         n_clients = scen.n_clients
         index = np.arange(len(sched))
         np.testing.assert_array_equal(tr.client, index % n_clients)
-        np.testing.assert_array_equal(tr.scheduled, sched.times)
+        np.testing.assert_array_equal(tr.scheduled, sched)
         first = index < n_clients
-        np.testing.assert_array_equal(tr.issue[first], sched.times[first])
+        np.testing.assert_array_equal(tr.issue[first], sched[first])
         # A later request waits for its client: the previous completion
         # plus a round trip (NaN when it never completed), and is never
         # issued past the hard stop.
         later = index[~first]
         ready = tr.completion[later - n_clients] + 2 * scen.rtt
-        expected = np.maximum(sched.times[later], ready)
+        expected = np.maximum(sched[later], ready)
         expected[expected > self.HARD_STOP] = np.nan
         np.testing.assert_array_equal(tr.issue[later], expected)
-        assert (tr.issue[later] > sched.times[later]).any()  # late clients
+        assert (tr.issue[later] > sched[later]).any()  # late clients
 
     @pytest.mark.parametrize("censoring", [False, True])
     @pytest.mark.parametrize("topology", list(Topology))
@@ -1102,8 +1093,7 @@ class TestRunBlocks:
                                                      -math.inf)[step])))
             times.append(t)
             free = max(t, free) + prof.cpu_work
-        sched = ArrivalSchedule(np.array(times), 1.0,
-                                ArrivalModel("deterministic"), 0, 0.25)
+        sched = np.array(times)
         scen = ScenarioConfig(Topology.ONE_ST, 400, OpenLoop(1.0), 0.25,
                               rtt=0.0)
         fast, ref = run_both((prof, scen, FREE, sched, 0))

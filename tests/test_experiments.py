@@ -7,12 +7,12 @@ import pytest
 from tailsim.loadgen import ArrivalModel
 from tailsim.experiments import (CalibrationError, ExperimentError,
                                  RunConfig, calibrate_profile,
-                                 compare_scenarios, constraint_study,
-                                 derive_lqos, geometric_points, interpolate,
+                                 compare_scenarios, derive_lqos,
+                                 geometric_points, interpolate,
                                  load_experiment_spec, point_seed,
                                  qos_saturation, qps_at_utilization,
-                                 qps_sweep, qps_sweeps, session_points,
-                                 shipped_spec_path)
+                                 qps_sweeps, session_points,
+                                 shipped_spec_path, study)
 from tailsim.model import (ClosedLoop, FileFormatError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
                            ServiceDist, Topology, WorkloadProfile,
@@ -42,6 +42,11 @@ def cat_levels(ways_list):
 
 def mba_levels(bw_limits, ways=11):
     return [ResourceLimits(llc_ways=ways, mem_bw_limit=b) for b in bw_limits]
+
+
+def runs_of(scenario, levels):
+    """One (scenario, limits) run per constraint level."""
+    return [(scenario, limits) for limits in levels]
 
 
 def assert_same_points(a, b):
@@ -84,22 +89,24 @@ def inline_pool(monkeypatch):
 
 @pytest.fixture()
 def drawn(monkeypatch):
-    """(qps, seed) of every arrival schedule the engine is given, once per
+    """(qps, seed) of every arrival schedule the runs ask for, once per
     draw: runs handed the same times array share one draw."""
     import tailsim.experiments as experiments
-    given = []
-    real = experiments.simulate_open_loop
+    given = []  # (qps, seed, times) per call
+    real = experiments.build_schedule
 
-    def spy(profile, scenario, limits, platform, schedule, seed):
-        given.append(schedule)
-        return real(profile, scenario, limits, platform, schedule, seed)
+    def spy(model, qps, duration, seed):
+        times = real(model, qps, duration, seed)
+        given.append((qps, seed, times))
+        return times
 
-    monkeypatch.setattr(experiments, "simulate_open_loop", spy)
+    monkeypatch.setattr(experiments, "build_schedule", spy)
 
     class Drawn:
         def __call__(self):
-            firsts = {id(s.times): s for s in reversed(given)}
-            return [(s.target_qps, s.seed) for s in reversed(firsts.values())]
+            firsts = {id(times): (qps, seed)
+                      for qps, seed, times in reversed(given)}
+            return list(reversed(firsts.values()))
 
         runs = given
 
@@ -147,8 +154,8 @@ class TestSpacing:
 
 class TestSweep:
     def test_points_ordered_and_flagged_not_dropped(self):
-        sw = qps_sweep(DET_1MS, scen(duration=8.0), FREE, (100.0, 1500.0),
-                       8, cfg(warmup=1.0))
+        [sw] = qps_sweeps(DET_1MS, [(scen(duration=8.0), FREE)],
+                          (100.0, 1500.0), 8, cfg(warmup=1.0))
         qs = [p.qps for p in sw.points]
         assert qs == sorted(qs)
         assert len(sw.points) == 8
@@ -156,10 +163,10 @@ class TestSweep:
         assert not sw.points[-1].gate_ok or sw.points[-1].summary.saturated
 
     def test_parallel_matches_serial(self):
-        sw1 = qps_sweep(DET_1MS, scen(duration=5.0), FREE, (100.0, 500.0),
-                        4, cfg(warmup=1.0))
-        sw2 = qps_sweep(DET_1MS, scen(duration=5.0), FREE, (100.0, 500.0),
-                        4, cfg(warmup=1.0, parallelism=2))
+        [sw1] = qps_sweeps(DET_1MS, [(scen(duration=5.0), FREE)],
+                           (100.0, 500.0), 4, cfg(warmup=1.0))
+        [sw2] = qps_sweeps(DET_1MS, [(scen(duration=5.0), FREE)],
+                           (100.0, 500.0), 4, cfg(warmup=1.0, parallelism=2))
         assert_same_points(sw1, sw2)
 
 
@@ -177,43 +184,44 @@ class TestOnePool:
         args = (self.MEM, FREE, (100.0, 1500.0), 4, scen(duration=4.0))
         serial = compare_scenarios(*args, cfg(warmup=0.5))
         pooled = compare_scenarios(*args, cfg(warmup=0.5, parallelism=2))
-        assert list(serial.sweeps) == list(pooled.sweeps)
-        for topo in serial.sweeps:
-            assert_same_points(serial.sweeps[topo], pooled.sweeps[topo])
-        assert serial.saturation == pooled.saturation
+        assert list(serial.entries) == list(pooled.entries)
+        for topo, a in serial.entries.items():
+            b = pooled.entries[topo]
+            assert_same_points(a.sweep, b.sweep)
+            assert (a.qos, a.saturation) == (b.qos, b.saturation)
         assert serial.ratios == pooled.ratios
 
     @pytest.mark.parametrize("closed", [False, True])
-    def test_constraint_study_parallel_matches_serial(self, closed):
+    def test_study_parallel_matches_serial(self, closed):
         levels = cat_levels([11, 2]) + mba_levels([None, 800.0])
-        axes = ["llc_ways"] * 2 + ["mem_bw_limit"] * 2
         sc, qps = ((self.CLOSED, (1.0, 6.0)) if closed
                    else (scen(duration=4.0), (100.0, 1500.0)))
         serial, pooled = (
-            constraint_study(self.MEM, sc, levels, qps, 4,
-                             cfg(warmup=0.5, parallelism=par), axis=axes)
+            study(self.MEM, runs_of(sc, levels), qps, 4,
+                  cfg(warmup=0.5, parallelism=par))
             for par in (1, 2))
-        assert [e.constraint for e in pooled] == [11.0, 2.0, math.inf, 800.0]
+        assert [e.sweep.limits for e in pooled] == levels
         for a, b in zip(serial, pooled, strict=True):
             assert_same_points(a.sweep, b.sweep)
-            assert (a.constraint, a.qos, a.saturation) == (
-                b.constraint, b.qos, b.saturation)
+            assert (a.sweep.limits, a.qos, a.saturation) == (
+                b.sweep.limits, b.qos, b.saturation)
 
     def test_one_pool_capped_at_the_job_count(self, inline_pool):
         config = cfg(warmup=0.5, parallelism=64)
-        sw = qps_sweep(DET_1MS, scen(duration=2.0), FREE, (100.0, 400.0), 3,
-                       config)
+        [sw] = qps_sweeps(DET_1MS, [(scen(duration=2.0), FREE)],
+                          (100.0, 400.0), 3, config)
         assert inline_pool.made == [3]
-        entries = constraint_study(self.MEM, scen(duration=2.0),
-                                   cat_levels([11, 5, 2]), (100.0, 400.0), 3,
-                                   config)
+        entries = study(self.MEM,
+                        runs_of(scen(duration=2.0), cat_levels([11, 5, 2])),
+                        (100.0, 400.0), 3, config)
         # one job per point: three sweeps of three points make three jobs
         assert inline_pool.made == [3, 3]
-        assert_same_points(sw, qps_sweep(DET_1MS, scen(duration=2.0), FREE,
-                                         (100.0, 400.0), 3, cfg(warmup=0.5)))
+        [serial] = qps_sweeps(DET_1MS, [(scen(duration=2.0), FREE)],
+                              (100.0, 400.0), 3, cfg(warmup=0.5))
+        assert_same_points(sw, serial)
         assert len(entries) == 3
-        constraint_study(self.MEM, scen(duration=2.0), cat_levels([11, 5]),
-                         (100.0, 400.0), 3, cfg(warmup=0.5, parallelism=2))
+        study(self.MEM, runs_of(scen(duration=2.0), cat_levels([11, 5])),
+              (100.0, 400.0), 3, cfg(warmup=0.5, parallelism=2))
         assert inline_pool.made == [3, 3, 2]
 
     def test_largest_load_first_ties_in_job_order(self, inline_pool):
@@ -252,18 +260,18 @@ class TestOnePool:
                                    replace(config, parallelism=2))
         assert drawn() == list(zip(q, seeds))[::-1]  # largest load first
         assert inline_pool.runs == [[3, 3, 3, 3]]
-        for topo in serial.sweeps:
-            assert_same_points(serial.sweeps[topo], pooled.sweeps[topo])
+        for topo, e in serial.entries.items():
+            assert_same_points(e.sweep, pooled.entries[topo].sweep)
         for par in (1, 2):
             drawn.runs.clear()
-            constraint_study(self.MEM, scen(duration=2.0),
-                             cat_levels([11, 5, 2]), (100.0, 400.0), 4,
-                             replace(config, parallelism=par))
+            study(self.MEM,
+                  runs_of(scen(duration=2.0), cat_levels([11, 5, 2])),
+                  (100.0, 400.0), 4, replace(config, parallelism=par))
             assert sorted(drawn()) == list(zip(q, seeds))
-        # a closed-loop run is given no schedule
+        # a closed-loop run asks for no schedule
         drawn.runs.clear()
-        constraint_study(self.MEM, self.CLOSED, cat_levels([11, 2]),
-                         (1.0, 6.0), 4, replace(config, parallelism=2))
+        study(self.MEM, runs_of(self.CLOSED, cat_levels([11, 2])),
+              (1.0, 6.0), 4, replace(config, parallelism=2))
         assert drawn.runs == []
 
     def test_runs_of_a_point_share_a_schedule_only_when_equal(self, drawn):
@@ -272,28 +280,22 @@ class TestOnePool:
         sweeps = qps_sweeps(DET_1MS, runs, (100.0, 400.0), 3,
                             cfg(warmup=0.5))
         assert len(drawn()) == 6
-        for (sc, limits), sw in zip(runs, sweeps):
-            assert_same_points(sw, qps_sweep(DET_1MS, sc, limits,
-                                             (100.0, 400.0), 3,
-                                             cfg(warmup=0.5)))
+        for run, sw in zip(runs, sweeps):
+            [alone] = qps_sweeps(DET_1MS, [run], (100.0, 400.0), 3,
+                                 cfg(warmup=0.5))
+            assert_same_points(sw, alone)
 
     def test_no_runs_start_no_pool(self, inline_pool):
         config = cfg(parallelism=2)
         assert qps_sweeps(DET_1MS, [], (100.0, 400.0), 3, config) == []
-        assert constraint_study(DET_1MS, scen(), [], (100.0, 400.0), 3,
-                                config) == []
+        assert study(DET_1MS, [], (100.0, 400.0), 3, config) == []
         assert inline_pool.made == []
-
-    def test_one_name_per_level(self):
-        with pytest.raises(ExperimentError, match="one name per level"):
-            constraint_study(DET_1MS, scen(), cat_levels([11, 2]),
-                             (100.0, 400.0), 3, cfg(), axis=["llc_ways"])
 
 
 class TestDeriveLqos:
     def test_deterministic_1ms_gives_5ms(self):
-        sw = qps_sweep(DET_1MS, scen(duration=20.0), FREE, (50.0, 600.0),
-                       10, cfg(warmup=2.0))
+        [sw] = qps_sweeps(DET_1MS, [(scen(duration=20.0), FREE)],
+                          (50.0, 600.0), 10, cfg(warmup=2.0))
         qos = derive_lqos(sw, 5.0)
         assert qos.resolved and not qos.unreachable
         assert qos.basis_qps == pytest.approx(200.0, rel=0.05)
@@ -304,8 +306,8 @@ class TestDeriveLqos:
         # disk-dominated profile: CPU busy share stays under 20%
         prof = WorkloadProfile(name="d", cpu_work=0.0002,
                                disk_bytes=550000.0)
-        sw = qps_sweep(prof, scen(duration=20.0, clients=64), FREE,
-                       (20.0, 400.0), 8, cfg(warmup=2.0))
+        [sw] = qps_sweeps(prof, [(scen(duration=20.0, clients=64), FREE)],
+                          (20.0, 400.0), 8, cfg(warmup=2.0))
         qos = derive_lqos(sw, 5.0)
         assert qos.unreachable and not qos.resolved
         qos2 = derive_lqos(sw, 5.0, manual_override=0.025,
@@ -314,8 +316,8 @@ class TestDeriveLqos:
 
     def test_shipped_shore_spec_is_unreachable_without_override(self):
         spec = load_experiment_spec(shipped_spec_path("shore"))
-        sw = qps_sweep(spec.profile, spec.scenario, spec.limits,
-                       spec.qps_range, spec.n_points, spec.config)
+        [sw] = qps_sweeps(spec.profile, [(spec.scenario, spec.limits)],
+                          spec.qps_range, spec.n_points, spec.config)
         qos = derive_lqos(sw, spec.profile.qos_multiplier)
         assert qos.unreachable
         qos_ovr = derive_lqos(sw, spec.profile.qos_multiplier,
@@ -323,10 +325,9 @@ class TestDeriveLqos:
         assert qos_ovr.lqos == 0.025
 
     def test_closed_loop_sweep_has_no_target(self):
-        sw = qps_sweep(WorkloadProfile(name="c", cpu_work=0.02),
-                       ScenarioConfig(Topology.ONE_ST, 8, ClosedLoop(1, 0.1),
-                                      5.0), FREE, (1.0, 8.0), 3,
-                       cfg(warmup=1.0))
+        closed = ScenarioConfig(Topology.ONE_ST, 8, ClosedLoop(1, 0.1), 5.0)
+        [sw] = qps_sweeps(WorkloadProfile(name="c", cpu_work=0.02),
+                          [(closed, FREE)], (1.0, 8.0), 3, cfg(warmup=1.0))
         assert derive_lqos(sw, 5.0) is None
         assert derive_lqos(sw, 5.0, manual_override=0.025) is None
 
@@ -339,7 +340,7 @@ class TestSaturation:
         config = RunConfig(platform=PLATFORM, arrival=ArrivalModel("poisson"),
                            seed=5, warmup=10.0)
         sc = scen(duration=120.0, clients=1000, rtt=0.0)
-        sw = qps_sweep(prof, sc, FREE, (300.0, 700.0), 9, config)
+        [sw] = qps_sweeps(prof, [(sc, FREE)], (300.0, 700.0), 9, config)
         from tailsim.experiments import QosTarget
         qos = QosTarget(lqos=0.006, basis_qps=None, basis_service_time=None,
                         qos_multiplier=5.0)
@@ -349,8 +350,8 @@ class TestSaturation:
 
     def test_all_points_violating_gives_zero_flagged(self):
         from tailsim.experiments import QosTarget
-        sw = qps_sweep(DET_1MS, scen(duration=8.0), FREE, (100.0, 400.0),
-                       4, cfg(warmup=1.0))
+        [sw] = qps_sweeps(DET_1MS, [(scen(duration=8.0), FREE)],
+                          (100.0, 400.0), 4, cfg(warmup=1.0))
         qos = QosTarget(lqos=1e-9, basis_qps=None, basis_service_time=None,
                         qos_multiplier=5.0)
         sat = qos_saturation(sw, qos)
@@ -360,8 +361,8 @@ class TestSaturation:
 
     def test_unresolved_qos_rejected(self):
         from tailsim.experiments import QosTarget
-        sw = qps_sweep(DET_1MS, scen(duration=5.0), FREE, (100.0, 200.0),
-                       2, cfg(warmup=1.0))
+        [sw] = qps_sweeps(DET_1MS, [(scen(duration=5.0), FREE)],
+                          (100.0, 200.0), 2, cfg(warmup=1.0))
         sat = qos_saturation(sw, QosTarget(None, None, None, 5.0,
                                            unreachable=True))
         assert astuple(sat) == (0.0, False, "none")
@@ -372,8 +373,8 @@ class TestCompare:
         prof = WorkloadProfile(name="s1", cpu_work=0.001, smt_efficiency=1.0)
         comp = compare_scenarios(prof, FREE, (100.0, 1800.0), 8,
                                  scen(duration=8.0), cfg(warmup=1.0))
-        sat_st = comp.saturation[Topology.TWO_ST].qps
-        sat_smt = comp.saturation[Topology.TWO_SMT].qps
+        sat_st = comp.entries[Topology.TWO_ST].saturation.qps
+        sat_smt = comp.entries[Topology.TWO_SMT].saturation.qps
         assert sat_st == pytest.approx(sat_smt, rel=1e-9)
         assert comp.ratios["two_st_over_two_smt_at_20"] == pytest.approx(
             1.0, abs=1e-9)
@@ -382,15 +383,15 @@ class TestCompare:
         prof = WorkloadProfile(name="s", cpu_work=0.001, smt_efficiency=0.7)
         comp = compare_scenarios(prof, FREE, (100.0, 900.0), 4,
                                  scen(duration=6.0), cfg(warmup=1.0))
-        seeds = {t: [p.seed for p in sw.points]
-                 for t, sw in comp.sweeps.items()}
+        seeds = {t: [p.seed for p in e.sweep.points]
+                 for t, e in comp.entries.items()}
         assert seeds[Topology.ONE_ST] == seeds[Topology.TWO_ST]
         assert seeds[Topology.ONE_ST] == seeds[Topology.TWO_SMT]
 
     def test_utilization_crossings_present(self):
         prof = WorkloadProfile(name="u", cpu_work=0.001)
-        sw = qps_sweep(prof, scen(duration=10.0), FREE, (50.0, 800.0), 8,
-                       cfg(warmup=1.0))
+        [sw] = qps_sweeps(prof, [(scen(duration=10.0), FREE)], (50.0, 800.0),
+                          8, cfg(warmup=1.0))
         q20 = qps_at_utilization(sw, 0.20)
         q50 = qps_at_utilization(sw, 0.50)
         assert q20 == pytest.approx(200.0, rel=0.06)
@@ -407,25 +408,25 @@ class TestConstraintStudies:
                            mem_stream_rate=6000.0, footprint=5.0)
 
     def test_flat_miss_profile_invariant_across_ways(self):
-        entries = constraint_study(self.FLAT, scen(duration=8.0),
-                                   cat_levels([11, 8, 5, 2]), (100.0, 700.0),
-                                   5, cfg(warmup=1.0))
+        entries = study(self.FLAT,
+                        runs_of(scen(duration=8.0), cat_levels([11, 8, 5, 2])),
+                        (100.0, 700.0), 5, cfg(warmup=1.0))
         sats = [e.saturation.qps for e in entries]
         assert all(s == pytest.approx(sats[0], rel=1e-12) for s in sats)
 
     def test_capacity_report_matches_way_count(self):
-        entries = constraint_study(self.FLAT, scen(duration=5.0),
-                                   cat_levels([11, 8, 5, 2]), (100.0, 300.0),
-                                   2, cfg(warmup=1.0))
+        entries = study(self.FLAT,
+                        runs_of(scen(duration=5.0), cat_levels([11, 8, 5, 2])),
+                        (100.0, 300.0), 2, cfg(warmup=1.0))
         occupancies = [e.sweep.points[0].summary.llc_occupancy
                        for e in entries]
         assert occupancies == [5.0, 5.0, 5.0, 3.0]  # capped by footprint
 
     def test_nonbinding_mba_limit_identical_to_unlimited(self):
-        entries = constraint_study(self.FLAT, scen(duration=8.0),
-                                   mba_levels([None, 50000.0]),
-                                   (100.0, 700.0), 5, cfg(warmup=1.0),
-                                   axis="mem_bw_limit")
+        entries = study(self.FLAT,
+                        runs_of(scen(duration=8.0),
+                                mba_levels([None, 50000.0])),
+                        (100.0, 700.0), 5, cfg(warmup=1.0))
         unlimited, limited = entries
         for a, b in zip(unlimited.sweep.points, limited.sweep.points):
             assert a.summary == b.summary
@@ -434,9 +435,10 @@ class TestConstraintStudies:
         prof = WorkloadProfile(name="mem", cpu_work=0.0004,
                                mem_accesses=800000, miss_min=0.3,
                                miss_max=0.3, mem_stream_rate=9000.0)
-        entries = constraint_study(prof, scen(duration=8.0),
-                                   mba_levels([None, 2000.0]), (50.0, 500.0),
-                                   6, cfg(warmup=1.0), axis="mem_bw_limit")
+        entries = study(prof,
+                        runs_of(scen(duration=8.0),
+                                mba_levels([None, 2000.0])),
+                        (50.0, 500.0), 6, cfg(warmup=1.0))
         unlimited, limited = entries
         assert limited.saturation.qps < unlimited.saturation.qps
         assert max(p.summary.mem_bw
@@ -482,7 +484,7 @@ class TestCalibrate:
         spec = load_experiment_spec(shipped_spec_path("silo"))
         args = (replace(spec.scenario, duration=5.0), spec.qps_range, 6,
                 replace(spec.config, warmup=1.0))
-        calls = {"compare_scenarios": 0, "qps_sweep": 0}
+        calls = {"compare_scenarios": 0, "qps_sweeps": 0}
 
         def counted(name):
             real = getattr(experiments, name)
@@ -493,11 +495,12 @@ class TestCalibrate:
             monkeypatch.setattr(experiments, name, wrapper)
 
         counted("compare_scenarios")
-        counted("qps_sweep")
+        counted("qps_sweeps")
         calibrated, report = calibrate_profile(
             spec.profile, {"smt_ratio_20": 1.23}, *args)
+        # one comparison, so one qps_sweeps call, per bisection step
         assert calls == {"compare_scenarios": report.iterations,
-                         "qps_sweep": 0}
+                         "qps_sweeps": report.iterations}
         scenario, qps_range, n_points, config = args
         ratio = compare_scenarios(calibrated, FREE, qps_range, n_points,
                                   scenario, config).ratios[
@@ -588,7 +591,7 @@ class TestClosedLoopSaturation:
     def test_peak_throughput(self):
         prof = WorkloadProfile(name="c", cpu_work=0.02)
         sc = ScenarioConfig(Topology.ONE_ST, 8, ClosedLoop(1, 0.1), 30.0)
-        sw = qps_sweep(prof, sc, FREE, (1.0, 8.0), 4, cfg(warmup=3.0))
+        [sw] = qps_sweeps(prof, [(sc, FREE)], (1.0, 8.0), 4, cfg(warmup=3.0))
         sat = qos_saturation(sw, None)
         # service 20 ms: plateau at 50/s
         assert sat.qps == pytest.approx(50.0, rel=0.05)
@@ -597,8 +600,8 @@ class TestClosedLoopSaturation:
 
 class TestSweepMonotonicity:
     def test_deterministic_service_p95_nondecreasing(self):
-        sw = qps_sweep(DET_1MS, scen(duration=15.0), FREE, (50.0, 900.0),
-                       10, cfg(warmup=2.0))
+        [sw] = qps_sweeps(DET_1MS, [(scen(duration=15.0), FREE)],
+                          (50.0, 900.0), 10, cfg(warmup=2.0))
         p95s = [p.summary.p95 for p in sw.points
                 if not math.isnan(p.summary.p95)]
         assert all(a <= b for a, b in zip(p95s, p95s[1:]))
@@ -608,9 +611,9 @@ class TestSweepMonotonicity:
                                mem_accesses=300000, miss_min=0.05,
                                miss_max=0.6, miss_shape=1.4,
                                mem_stream_rate=9000.0, footprint=6.0)
-        entries = constraint_study(prof, scen(duration=10.0),
-                                   cat_levels([11, 6, 2]), (50.0, 1200.0), 7,
-                                   cfg(warmup=1.0))
+        entries = study(prof,
+                        runs_of(scen(duration=10.0), cat_levels([11, 6, 2])),
+                        (50.0, 1200.0), 7, cfg(warmup=1.0))
         sats = [e.saturation.qps for e in entries]
         assert sats[0] > sats[1] > sats[2]
 
@@ -618,10 +621,10 @@ class TestSweepMonotonicity:
         prof = WorkloadProfile(name="memy", cpu_work=0.0004,
                                mem_accesses=700000, miss_min=0.3,
                                miss_max=0.3, mem_stream_rate=9000.0)
-        entries = constraint_study(prof, scen(duration=10.0),
-                                   mba_levels([None, 6000.0, 3000.0]),
-                                   (50.0, 800.0), 6, cfg(warmup=1.0),
-                                   axis="mem_bw_limit")
+        entries = study(prof,
+                        runs_of(scen(duration=10.0),
+                                mba_levels([None, 6000.0, 3000.0])),
+                        (50.0, 800.0), 6, cfg(warmup=1.0))
         sats = [e.saturation.qps for e in entries]
         assert sats[0] >= sats[1] >= sats[2]
         assert sats[0] > sats[2]
@@ -630,10 +633,9 @@ class TestSweepMonotonicity:
 class TestReproducibility:
     def test_lqos_and_saturation_identical_across_reruns(self):
         def once():
-            sw = qps_sweep(DET_1MS, scen(duration=8.0), FREE,
-                           (50.0, 700.0), 6, cfg(warmup=1.0))
-            qos = derive_lqos(sw, 5.0)
-            return qos.lqos, qos.basis_qps, qos_saturation(sw, qos).qps
+            [e] = study(DET_1MS, [(scen(duration=8.0), FREE)],
+                        (50.0, 700.0), 6, cfg(warmup=1.0))
+            return e.qos.lqos, e.qos.basis_qps, e.saturation.qps
         assert once() == once()
 
 
@@ -641,18 +643,17 @@ class TestShippedFeatureAnchors:
     def test_sphinx_features_at_saturation(self):
         from tailsim.taxonomy import extract_features
         spec = load_experiment_spec(shipped_spec_path("sphinx"))
-        sw = qps_sweep(spec.profile, spec.scenario, spec.limits,
-                       spec.qps_range, spec.n_points, spec.config)
-        qos = derive_lqos(sw, spec.profile.qos_multiplier)
-        f = extract_features(sw, qos)
+        [e] = study(spec.profile, [(spec.scenario, spec.limits)],
+                    spec.qps_range, spec.n_points, spec.config)
+        f = extract_features(e)
         assert f.p95_at_saturation == pytest.approx(4.2754, rel=0.15)
         assert f.saturation_qps == pytest.approx(0.7, rel=0.20)
         assert f.max_cpu_utilization >= 0.95
 
     def test_moses_disk_bandwidth_scale(self):
         spec = load_experiment_spec(shipped_spec_path("moses"))
-        sw = qps_sweep(spec.profile, spec.scenario, spec.limits,
-                       spec.qps_range, spec.n_points, spec.config)
+        [sw] = qps_sweeps(spec.profile, [(spec.scenario, spec.limits)],
+                          spec.qps_range, spec.n_points, spec.config)
         # disk traffic around the 100-QPS region lands in the observed
         # single-digit MB/s band
         near = min(sw.points, key=lambda p: abs(p.qps - 100.0))

@@ -95,8 +95,8 @@ class TestThresholds:
 
 
 class TestExtractFeatures:
-    def _sweep(self, with_gate=True):
-        from tailsim.experiments import RunConfig, qps_sweep
+    def _entry(self):
+        from tailsim.experiments import RunConfig, study
         from tailsim.loadgen import ArrivalModel
         from tailsim.model import (OpenLoop, ResourceLimits,
                                    ScenarioConfig, Topology, WorkloadProfile)
@@ -104,27 +104,24 @@ class TestExtractFeatures:
         scen = ScenarioConfig(Topology.ONE_ST, 16, OpenLoop(1.0), 10.0)
         cfg = RunConfig(arrival=ArrivalModel("zipf", 1.0, 100), seed=3,
                         warmup=1.0)
-        return qps_sweep(prof, scen,
-                         ResourceLimits.unconstrained(cfg.platform),
-                         (50.0, 800.0), 8, cfg)
+        [e] = study(prof, [(scen, ResourceLimits.unconstrained(cfg.platform))],
+                    (50.0, 800.0), 8, cfg)
+        return e
 
     def test_features_at_saturation_point(self):
-        from tailsim.experiments import derive_lqos, qos_saturation
-        sw = self._sweep()
-        qos = derive_lqos(sw, 5.0)
-        f = extract_features(sw, qos)
+        e = self._entry()
+        f = extract_features(e)
         assert f.mode == "open"
         assert not f.flagged
-        sat = qos_saturation(sw, qos)
-        assert f.saturation_qps == sat.qps
-        assert f.p95_at_saturation == pytest.approx(qos.lqos, rel=0.02)
+        assert f.saturation_qps == e.saturation.qps
+        assert f.p95_at_saturation == pytest.approx(e.qos.lqos, rel=0.02)
         assert f.net_tx_bw_peak == max(p.summary.net_tx_bw
-                                       for p in sw.points)
+                                       for p in e.sweep.points)
 
     def test_unresolved_qos_flags_features(self):
-        from tailsim.experiments import QosTarget
-        sw = self._sweep()
-        f = extract_features(sw, QosTarget(None, None, None, 5.0,
-                                           unreachable=True))
+        from tailsim.experiments import QosTarget, StudyEntry, qos_saturation
+        sw = self._entry().sweep
+        qos = QosTarget(None, None, None, 5.0, unreachable=True)
+        f = extract_features(StudyEntry(sw, qos, qos_saturation(sw, qos)))
         assert f.flagged
         assert f.saturation_qps == 0.0

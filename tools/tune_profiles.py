@@ -22,8 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from tailsim.loadgen import ArrivalModel
-from tailsim.experiments import (RunConfig, calibrate_profile, derive_lqos,
-                                 pin_cpu_work, qos_saturation, qps_sweep)
+from tailsim.experiments import (RunConfig, calibrate_profile, pin_cpu_work,
+                                 study)
 from tailsim.model import (MB, OpenLoop, PlatformConfig,
                            ResourceLimits, ScenarioConfig, ServiceDist,
                            Topology, WorkloadProfile, miss_ratio,
@@ -143,10 +143,9 @@ def measure_sat(profile, w, support, limits=LIMITS, duration_scale=1.0):
     if duration_scale != 1.0:
         scen = replace(scen, duration=w["duration"] * duration_scale)
     cfg = config_for(w, support)
-    sweep = qps_sweep(profile, scen, limits, w["qps_range"], 12, cfg)
     override = w["lqos"] if w.get("lqos_override") else None
-    qos = derive_lqos(sweep, 5.0, manual_override=override)
-    return qos_saturation(sweep, qos).qps, qos, sweep
+    [e] = study(profile, [(scen, limits)], w["qps_range"], 12, cfg, override)
+    return e.saturation.qps, e.qos, e.sweep
 
 
 def pick_support(profile, w, target, limits, margin) -> int:
