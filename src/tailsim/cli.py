@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: sweep, characterize, partition, classify, calibrate, replay.
-Each run writes its results (CSV/JSON, SVG panels) plus a manifest that
+Each spec command computes its results and returns them as files by name
+(CSV/JSON, SVG panels); ``_dispatch`` writes them, then a manifest that
 embeds the resolved spec and profile text, so `replay` can reproduce the
 exact same outputs byte for byte.
 """
@@ -17,18 +18,19 @@ import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .experiments import (ExperimentSpec, ExperimentError, SweepResult,
-                          CalibrationError, calibrate_profile,
-                          compare_scenarios, load_experiment_spec, study)
+                          calibrate_profile, compare_scenarios,
+                          load_experiment_spec, study)
 from .metrics import (SWEEP_CSV_COLUMNS, MetricsError, default_warmup,
                       summary_csv_row)
 from .model import (ClosedLoop, FileFormatError, ModelError, PlatformConfig,
                     Topology, load_platform, platform_to_text,
-                    profile_to_text, save_profile)
+                    profile_to_text)
 from .svgplot import line_plot
 from .taxonomy import Thresholds, classify, extract_features
 
@@ -40,6 +42,16 @@ VALIDATION_ERRORS = (FileFormatError, ModelError, ExperimentError,
                      MetricsError, FileNotFoundError)
 
 OUT_ROOT_ENV = "TAILSIM_OUT"
+
+
+class Result(NamedTuple):
+    """What a spec command returns: its output files' text by name in
+    write order, the manifest's ``status``, the line printed on success,
+    and whether the QoS target was left unresolved (exit 3)."""
+    files: dict[str, str]
+    status: dict
+    note: str
+    unresolved: bool = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,15 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--platform", type=Path, default=None,
                         help="platform config file (defaults shipped)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, hlp in (("sweep", "run one load sweep from a spec file"),
-                      ("characterize", "full three-topology characterization"),
-                      ("partition", "LLC-way / memory-bandwidth study"),
-                      ("classify", "classify a workload from its spec"),
-                      ("calibrate", "fit profile knobs to spec targets")):
+    for name, (_, hlp) in _COMMANDS.items():
         p = sub.add_parser(name, help=hlp)
         p.add_argument("spec", type=Path, help="experiment spec file")
-
     p = sub.add_parser("replay", help="re-run a manifest and reproduce its "
                                       "outputs")
     p.add_argument("manifest", type=Path)
@@ -87,6 +93,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args, spec_path: Path) -> int:
+    """Run a spec command, then write its files and the manifest: the one
+    place that writes a result bundle."""
     if args.parallelism < 1:
         raise ExperimentError("--parallelism: must be at least 1")
     if args.seed is not None and args.seed < 0:
@@ -107,7 +115,36 @@ def _dispatch(args, spec_path: Path) -> int:
         spec = replace(spec, config=replace(spec.config,
                                             parallelism=args.parallelism))
     out_dir = _resolve_out(args, spec.name)
-    return _HANDLERS[args.command](spec, out_dir)
+    t0 = time.time()
+    result = _COMMANDS[args.command][0](spec)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in result.files.items():
+        (out_dir / name).write_text(text)
+    manifest = {
+        "command": args.command,
+        "spec_name": spec.name,
+        "spec_content": _spec_text(spec),
+        "profile_content": profile_to_text(spec.profile),
+        "platform_content": platform_to_text(spec.config.platform),
+        "seed": spec.config.seed,
+        "points": spec.n_points,
+        "warmup": (spec.config.warmup if spec.config.warmup is not None
+                   else default_warmup(spec.scenario.duration)),
+        "out_dir": str(out_dir),
+        "outputs": list(result.files),
+        "status": result.status,
+        "versions": {"tailsim": __version__,
+                     "python": sys.version.split()[0],
+                     "numpy": np.__version__},
+        "wall_clock_s": time.time() - t0,
+    }
+    (out_dir / "manifest.json").write_text(_json(manifest))
+    if result.unresolved:
+        print("UNREACHABLE: CPU utilization never reached 20% before "
+              "saturation; set lqos_override in the spec", file=sys.stderr)
+        return EXIT_UNREACHABLE
+    print(f"{result.note} -> {out_dir}")
+    return EXIT_OK
 
 
 def _resolve_out(args, spec_name: str) -> Path:
@@ -120,9 +157,10 @@ def _resolve_out(args, spec_name: str) -> Path:
 # ---------------------------------------------------------------------------
 # Manifest
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
+def _json(payload) -> str:
+    """JSON text of a payload, with NaN and infinities as null."""
+    return json.dumps(_sanitize(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _sanitize(obj):
@@ -133,30 +171,6 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     return obj
-
-
-def _write_manifest(out_dir: Path, command: str, spec: ExperimentSpec,
-                    outputs: list[str], status: dict,
-                    wall_clock: float) -> None:
-    manifest = {
-        "command": command,
-        "spec_name": spec.name,
-        "spec_content": _spec_text(spec),
-        "profile_content": profile_to_text(spec.profile),
-        "platform_content": platform_to_text(spec.config.platform),
-        "seed": spec.config.seed,
-        "points": spec.n_points,
-        "warmup": (spec.config.warmup if spec.config.warmup is not None
-                   else default_warmup(spec.scenario.duration)),
-        "out_dir": str(out_dir),
-        "outputs": outputs,
-        "status": _sanitize(status),
-        "versions": {"tailsim": __version__,
-                     "python": sys.version.split()[0],
-                     "numpy": np.__version__},
-        "wall_clock_s": wall_clock,
-    }
-    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _spec_text(spec: ExperimentSpec) -> str:
@@ -179,8 +193,8 @@ def _cmd_replay(args) -> int:
         raise FileFormatError(f"{path}: not a JSON manifest ({exc})") from None
     # The keys replay reads: (key, required, check, what it must be).
     keys = [
-        ("command", True, lambda v: _is_str(v) and v in _HANDLERS,
-         "one of " + ", ".join(_HANDLERS)),
+        ("command", True, lambda v: _is_str(v) and v in _COMMANDS,
+         "one of " + ", ".join(_COMMANDS)),
         ("spec_content", True, _is_str, "a string"),
         ("profile_content", True, _is_str, "a string"),
         ("seed", True, _is_int, "an integer"),
@@ -228,11 +242,11 @@ def _cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 # Output helpers
 
-def _write_sweep_csv(path: Path, sweep: SweepResult) -> None:
+def _sweep_csv(sweep: SweepResult) -> str:
     lines = [",".join(SWEEP_CSV_COLUMNS)]
     for p in sweep.points:
         lines.append(summary_csv_row(p.qps, p.summary))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _qos_dict(qos) -> dict | None:
@@ -276,44 +290,6 @@ def _point_rows(sweep: SweepResult) -> list[dict]:
              "saturated": p.summary.saturated} for p in sweep.points]
 
 
-# ---------------------------------------------------------------------------
-# Commands
-
-def cmd_sweep(spec: ExperimentSpec, out_dir: Path) -> int:
-    t0 = time.time()
-    [e] = study(spec.profile, [(spec.scenario, spec.limits)], spec.qps_range,
-                spec.n_points, spec.config, spec.lqos_override,
-                spec.override_reason)
-    sweep, qos = e.sweep, e.qos
-    closed = isinstance(spec.scenario.mode, ClosedLoop)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_sweep_csv(out_dir / "sweep.csv", sweep)
-    summary = {
-        "workload": spec.profile.name,
-        "topology": spec.scenario.topology.value,
-        "mode": "closed_loop" if closed else "open_loop",
-        "qps_range": list(spec.qps_range),
-        "points": _point_rows(sweep),
-        "qos": _qos_dict(qos),
-        # No saturation is reported under an unresolved QoS target.
-        "saturation": (_sat_dict(e.saturation)
-                       if qos is None or qos.resolved else None),
-    }
-    _write_json(out_dir / "summary.json", _sanitize(summary))
-    outputs = ["sweep.csv", "summary.json"]
-    status = {"sweep": {**_sweep_status(sweep),
-                        "gated": sum(p.gate_ok for p in sweep.points)}}
-    _write_manifest(out_dir, "sweep", spec, outputs, status,
-                    time.time() - t0)
-    if qos is not None and not qos.resolved:
-        print("UNREACHABLE: CPU utilization never reached 20% before "
-              "saturation; set lqos_override in the spec", file=sys.stderr)
-        return EXIT_UNREACHABLE
-    print(f"sweep {spec.name}: {len(sweep.points)} points -> {out_dir}")
-    return EXIT_OK
-
-
 # Metric panels by key: (summary attribute, label, scale to the label's
 # unit); characterize plots all six in this order.
 _PANELS = {
@@ -326,50 +302,75 @@ _PANELS = {
 }
 
 
-def cmd_characterize(spec: ExperimentSpec, out_dir: Path) -> int:
-    """Three-topology characterization bundle: per-topology sweep CSVs, the
-    QoS/saturation table, classification, and the six metric panels."""
-    t0 = time.time()
+def _sweep_files(spec: ExperimentSpec, sweeps: dict[str, SweepResult],
+                 csv_prefix: str, keys, lqos: float | None = None
+                 ) -> dict[str, str]:
+    """One CSV per sweep (``<csv_prefix><label>.csv``), then one panel
+    per key with one series per sweep, labelled as in ``sweeps``; the p95
+    panel draws the LQoS line when lqos is given."""
+    files = {f"{csv_prefix}{label.lower()}.csv": _sweep_csv(sw)
+             for label, sw in sweeps.items()}
     closed = isinstance(spec.scenario.mode, ClosedLoop)
+    for key in keys:
+        attr, ylabel, scale = _PANELS[key]
+        series = [(label, [p.qps for p in sw.points],
+                   [getattr(p.summary, attr) * scale for p in sw.points])
+                  for label, sw in sweeps.items()]
+        p95 = key == "p95"
+        files[f"plot_{key}.svg"] = line_plot(
+            f"{spec.profile.name}: {ylabel}", "sessions" if closed else "QPS",
+            "transfer+response time (ms)" if closed and p95 else ylabel,
+            series, hline=lqos * 1000.0 if p95 and lqos is not None else None,
+            hline_label="LQoS", log_x=not closed)
+    return files
+
+
+# ---------------------------------------------------------------------------
+# Commands
+
+def cmd_sweep(spec: ExperimentSpec) -> Result:
+    [e] = study(spec.profile, [(spec.scenario, spec.limits)], spec.qps_range,
+                spec.n_points, spec.config, spec.lqos_override,
+                spec.override_reason)
+    sweep, qos = e.sweep, e.qos
+    resolved = qos is None or qos.resolved
+    summary = {
+        "workload": spec.profile.name,
+        "topology": spec.scenario.topology.value,
+        "mode": ("closed_loop" if isinstance(spec.scenario.mode, ClosedLoop)
+                 else "open_loop"),
+        "qps_range": list(spec.qps_range),
+        "points": _point_rows(sweep),
+        "qos": _qos_dict(qos),
+        # No saturation is reported under an unresolved QoS target.
+        "saturation": _sat_dict(e.saturation) if resolved else None,
+    }
+    status = {"sweep": {**_sweep_status(sweep),
+                        "gated": sum(p.gate_ok for p in sweep.points)}}
+    return Result({"sweep.csv": _sweep_csv(sweep),
+                   "summary.json": _json(summary)}, status,
+                  f"sweep {spec.name}: {len(sweep.points)} points",
+                  not resolved)
+
+
+def cmd_characterize(spec: ExperimentSpec) -> Result:
+    """Three-topology characterization bundle: per-topology sweep CSVs, the
+    six metric panels, the QoS/saturation table and classification."""
     comp = compare_scenarios(spec.profile, spec.limits, spec.qps_range,
                              spec.n_points, spec.scenario, spec.config,
                              lqos_override=spec.lqos_override)
-    one_st = comp.entries[Topology.ONE_ST]
-    qos = one_st.qos
-    result = classify(extract_features(one_st),
+    qos = comp.entries[Topology.ONE_ST].qos
+    resolved = qos is None or qos.resolved
+    result = classify(extract_features(comp.entries[Topology.ONE_ST]),
                       Thresholds.from_mapping(spec.thresholds))
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-    for topo, e in comp.entries.items():
-        fname = f"sweep_{topo.value.lower()}.csv"
-        _write_sweep_csv(out_dir / fname, e.sweep)
-        outputs.append(fname)
-
-    x_label = "sessions" if closed else "QPS"
-    lat_label = ("transfer+response time (ms)" if closed
-                 else "95th percentile latency (ms)")
-    for key, (attr, ylabel, scale) in _PANELS.items():
-        series = []
-        for topo, e in comp.entries.items():
-            xs = [p.qps for p in e.sweep.points]
-            ys = [getattr(p.summary, attr) * scale for p in e.sweep.points]
-            series.append((topo.value, xs, ys))
-        hline = None
-        hlabel = ""
-        if key == "p95" and qos is not None and qos.resolved:
-            hline = qos.lqos * 1000.0
-            hlabel = "LQoS"
-        fname = f"plot_{key}.svg"
-        line_plot(out_dir / fname,
-                  f"{spec.profile.name}: {ylabel}",
-                  x_label, lat_label if key == "p95" else ylabel,
-                  series, hline=hline, hline_label=hlabel, log_x=not closed)
-        outputs.append(fname)
-
+    files = _sweep_files(spec, {t.value: e.sweep
+                                for t, e in comp.entries.items()},
+                         "sweep_", _PANELS,
+                         qos.lqos if qos is not None and resolved else None)
     summary = {
         "workload": spec.profile.name,
-        "mode": "closed_loop" if closed else "open_loop",
+        "mode": ("closed_loop" if isinstance(spec.scenario.mode, ClosedLoop)
+                 else "open_loop"),
         "qos": {t.value: _qos_dict(e.qos) for t, e in comp.entries.items()},
         "saturation": {t.value: _sat_dict(e.saturation)
                        for t, e in comp.entries.items()},
@@ -378,66 +379,43 @@ def cmd_characterize(spec: ExperimentSpec, out_dir: Path) -> int:
         "ratios": comp.ratios,
         "classification": result.to_dict(),
     }
-    _write_json(out_dir / "summary.json", _sanitize(summary))
-    outputs.append("summary.json")
-    _write_json(out_dir / "features.json", _sanitize(result.to_dict()))
-    outputs.append("features.json")
+    files["summary.json"] = _json(summary)
+    files["features.json"] = _json(result.to_dict())
     status = {t.value: _sweep_status(e.sweep)
               for t, e in comp.entries.items()}
-    _write_manifest(out_dir, "characterize", spec, outputs, status,
-                    time.time() - t0)
-    if not closed and not qos.resolved:
-        print("UNREACHABLE: CPU utilization never reached 20%; set "
-              "lqos_override in the spec", file=sys.stderr)
-        return EXIT_UNREACHABLE
-    print(f"characterize {spec.name}: {result.category.value} -> {out_dir}")
-    return EXIT_OK
+    return Result(files, status,
+                  f"characterize {spec.name}: {result.category.value}",
+                  not resolved)
 
 
-def cmd_partition(spec: ExperimentSpec, out_dir: Path) -> int:
+def cmd_partition(spec: ExperimentSpec) -> Result:
     """Cache-way and memory-bandwidth constraint study."""
-    t0 = time.time()
     if not spec.ways_list and not spec.bw_limits:
         raise FileFormatError(
             f"{spec.name}: partition study needs ways_list and/or bw_limits")
-
     # CAT levels, then MBA levels, in one study, so one job list; each
-    # level is (label, value on its axis, limits).
-    levels = ([(f"cat_w{w}", w, replace(spec.limits, llc_ways=w))
+    # level is (spec key, label, value on its axis, limits).
+    levels = ([("ways_list", f"cat_w{w}", w, replace(spec.limits, llc_ways=w))
                for w in spec.ways_list]
-              + [("mba_unlimited" if b is None else f"mba_{int(b)}", b,
+              + [("bw_limits",
+                  "mba_unlimited" if b is None else f"mba_{int(b)}", b,
                   replace(spec.limits, mem_bw_limit=b))
                  for b in spec.bw_limits])
+    labels = [label for _, label, _, _ in levels]
+    for key, label, _, _ in levels:
+        if labels.count(label) > 1:
+            raise FileFormatError(
+                f"{spec.name}: {key}: two levels share the label {label!r}")
     entries = study(spec.profile,
-                    [(spec.scenario, limits) for _, _, limits in levels],
+                    [(spec.scenario, limits) for *_, limits in levels],
                     spec.qps_range, spec.n_points, spec.config,
                     spec.lqos_override, spec.override_reason)
-    labels = [label for label, _, _ in levels]
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for label, e in zip(labels, entries):
-        fname = f"{label}.csv"
-        _write_sweep_csv(out_dir / fname, e.sweep)
-        outputs.append(fname)
-
-    closed = isinstance(spec.scenario.mode, ClosedLoop)
-    x_label = "sessions" if closed else "QPS"
     keys = ["p95", "llc", "mem"] + (["util"] if spec.bw_limits else [])
-    for key in keys:
-        attr, ylabel, scale = _PANELS[key]
-        series = []
-        for label, e in zip(labels, entries):
-            xs = [p.qps for p in e.sweep.points]
-            ys = [getattr(p.summary, attr) * scale for p in e.sweep.points]
-            series.append((label, xs, ys))
-        fname = f"plot_{key}.svg"
-        line_plot(out_dir / fname, f"{spec.profile.name}: {ylabel}",
-                  x_label, ylabel, series, log_x=not closed)
-        outputs.append(fname)
-
+    files = _sweep_files(spec, {label: e.sweep
+                                for label, e in zip(labels, entries)},
+                         "", keys)
     way_cap = spec.config.platform.llc_way_capacity
-    summary = {
+    files["summary.json"] = _json({
         "workload": spec.profile.name,
         "entries": [{
             "label": label,
@@ -446,55 +424,38 @@ def cmd_partition(spec: ExperimentSpec, out_dir: Path) -> int:
                                 else None),
             "qos": _qos_dict(e.qos),
             "saturation": _sat_dict(e.saturation),
-        } for (label, value, _), e in zip(levels, entries)],
-    }
-    _write_json(out_dir / "summary.json", _sanitize(summary))
-    outputs.append("summary.json")
+        } for (_, label, value, _), e in zip(levels, entries)],
+    })
     status = {"entries": len(entries),
               "sweeps": {label: _sweep_status(e.sweep)
                          for label, e in zip(labels, entries)}}
-    _write_manifest(out_dir, "partition", spec, outputs, status,
-                    time.time() - t0)
-    print(f"partition {spec.name}: {len(entries)} constraint levels "
-          f"-> {out_dir}")
-    return EXIT_OK
+    return Result(files, status, f"partition {spec.name}: {len(entries)} "
+                                 "constraint levels")
 
 
-def cmd_classify(spec: ExperimentSpec, out_dir: Path) -> int:
+def cmd_classify(spec: ExperimentSpec) -> Result:
     """Single-thread characterization followed by taxonomy classification."""
-    t0 = time.time()
     scen = replace(spec.scenario, topology=Topology.ONE_ST)
     [e] = study(spec.profile, [(scen, spec.limits)], spec.qps_range,
                 spec.n_points, spec.config, spec.lqos_override,
                 spec.override_reason)
     result = classify(extract_features(e),
                       Thresholds.from_mapping(spec.thresholds))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_sweep_csv(out_dir / "sweep.csv", e.sweep)
-    _write_json(out_dir / "classification.json", _sanitize(result.to_dict()))
-    _write_manifest(out_dir, "classify", spec,
-                    ["sweep.csv", "classification.json"],
-                    {"category": result.category.value,
-                     "sweep": _sweep_status(e.sweep)}, time.time() - t0)
-    print(f"classify {spec.name}: {result.category.value} "
-          f"(rule: {result.rule}) -> {out_dir}")
-    return EXIT_OK
+    return Result({"sweep.csv": _sweep_csv(e.sweep),
+                   "classification.json": _json(result.to_dict())},
+                  {"category": result.category.value,
+                   "sweep": _sweep_status(e.sweep)},
+                  f"classify {spec.name}: {result.category.value} "
+                  f"(rule: {result.rule})")
 
 
-def cmd_calibrate(spec: ExperimentSpec, out_dir: Path) -> int:
-    t0 = time.time()
+def cmd_calibrate(spec: ExperimentSpec) -> Result:
     if not spec.targets:
         raise FileFormatError(
             f"{spec.name}: calibrate needs target_* keys in the spec")
-    try:
-        calibrated, report = calibrate_profile(
-            spec.profile, spec.targets, spec.scenario, spec.qps_range,
-            spec.n_points, spec.config, lqos_override=spec.lqos_override)
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_profile(calibrated, out_dir / "calibrated.profile")
+    calibrated, report = calibrate_profile(
+        spec.profile, spec.targets, spec.scenario, spec.qps_range,
+        spec.n_points, spec.config, lqos_override=spec.lqos_override)
     payload = {
         "targets": spec.targets,
         "achieved": report.achieved,
@@ -502,22 +463,20 @@ def cmd_calibrate(spec: ExperimentSpec, out_dir: Path) -> int:
         "iterations": report.iterations,
         "notes": list(report.notes),
     }
-    _write_json(out_dir / "calibration.json", _sanitize(payload))
-    _write_manifest(out_dir, "calibrate", spec,
-                    ["calibrated.profile", "calibration.json"],
-                    {"worst_residual": report.worst_residual},
-                    time.time() - t0)
-    print(f"calibrate {spec.name}: worst residual "
-          f"{report.worst_residual:+.1%} -> {out_dir}")
-    return EXIT_OK
+    return Result({"calibrated.profile": profile_to_text(calibrated),
+                   "calibration.json": _json(payload)},
+                  {"worst_residual": report.worst_residual},
+                  f"calibrate {spec.name}: worst residual "
+                  f"{report.worst_residual:+.1%}")
 
 
-_HANDLERS = {
-    "sweep": cmd_sweep,
-    "characterize": cmd_characterize,
-    "partition": cmd_partition,
-    "classify": cmd_classify,
-    "calibrate": cmd_calibrate,
+# The spec commands: name -> (handler, help).
+_COMMANDS = {
+    "sweep": (cmd_sweep, "run one load sweep from a spec file"),
+    "characterize": (cmd_characterize, "full three-topology characterization"),
+    "partition": (cmd_partition, "LLC-way / memory-bandwidth study"),
+    "classify": (cmd_classify, "classify a workload from its spec"),
+    "calibrate": (cmd_calibrate, "fit profile knobs to spec targets"),
 }
 
 

@@ -13,7 +13,7 @@ in [warmup, horizon).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,15 +54,6 @@ class MetricsSummary:
     completed: int
     censored: int
     saturated: bool
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, float) and math.isnan(v):
-                v = None
-            out[f.name] = v
-        return out
 
 
 def percentile(latencies, p: float) -> float:

@@ -8,7 +8,6 @@ external plotting dependency.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 36, 52
@@ -61,11 +60,11 @@ def _tick_label(v: float) -> str:
     return _fmt(round(v, 4))
 
 
-def line_plot(path: str | Path, title: str, xlabel: str, ylabel: str,
+def line_plot(title: str, xlabel: str, ylabel: str,
               series: list[tuple[str, list[float], list[float]]],
               hline: float | None = None, hline_label: str = "",
-              log_x: bool = False) -> None:
-    """Write one line chart with optional dashed horizontal rule.
+              log_x: bool = False) -> str:
+    """SVG text of one line chart with optional dashed horizontal rule.
 
     series is a list of (label, xs, ys); NaN points are skipped.
     """
@@ -165,7 +164,7 @@ def line_plot(path: str | Path, title: str, xlabel: str, ylabel: str,
                    f'{_esc(label)}</text>')
 
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"
 
 
 def _esc(s: str) -> str:

@@ -197,6 +197,11 @@ class TestSweepCommand:
                    str(spec_dir / "disky.spec")])
         assert rc == 3
         assert "UNREACHABLE" in capsys.readouterr().err
+        # the bundle is still written, and the manifest lists it
+        names = sorted(p.name for p in (tmp_path / "o3").iterdir())
+        assert names == ["manifest.json", "summary.json", "sweep.csv"]
+        manifest = json.loads((tmp_path / "o3" / "manifest.json").read_text())
+        assert manifest["outputs"] == ["sweep.csv", "summary.json"]
 
     def test_override_resolves_exit_0(self, spec_dir, tmp_path):
         (spec_dir / "disky.profile").write_text(
@@ -785,6 +790,27 @@ class TestPartition:
                    str(spec_dir / "synth.spec")])
         assert rc == 2
 
+    @pytest.mark.parametrize("line, key, label", [
+        ("bw_limits: 4000, 4000.7", "bw_limits", "mba_4000"),
+        ("bw_limits: unlimited, none", "bw_limits", "mba_unlimited"),
+        ("ways_list: 5,5", "ways_list", "cat_w5"),
+    ])
+    def test_levels_sharing_a_label_exit_2(self, spec_dir, tmp_path, capsys,
+                                           monkeypatch, line, key, label):
+        import tailsim.cli
+
+        def no_study(*args, **kwargs):
+            raise AssertionError("simulated before the check")
+
+        monkeypatch.setattr(tailsim.cli, "study", no_study)
+        (spec_dir / "part.spec").write_text(FAST_SPEC + line + "\n")
+        rc = main(["--out", str(tmp_path / "p4"), "--points", "3",
+                   "partition", str(spec_dir / "part.spec")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and repr(label) in err
+        assert not (tmp_path / "p4").exists()
+
     def test_ways_outside_platform_exit_2(self, spec_dir, tmp_path):
         spec = FAST_SPEC + "ways_list: 14,2\n"
         (spec_dir / "part.spec").write_text(spec)
@@ -834,6 +860,18 @@ class TestCalibrateCommand:
         rc = main(["--out", str(tmp_path / "c2"), "calibrate",
                    str(spec_dir / "synth.spec")])
         assert rc == 2
+
+    def test_calibration_miss_exit_2_without_outputs(self, spec_dir,
+                                                     tmp_path, capsys):
+        # the sweep stops at 700 QPS, so saturation cannot reach 1e5
+        (spec_dir / "cal.spec").write_text(
+            FAST_SPEC + "target_saturation_qps: 100000\n")
+        rc = main(["--out", str(tmp_path / "c3"), "--points", "3",
+                   "calibrate", str(spec_dir / "cal.spec")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: calibration missed")
+        assert not (tmp_path / "c3").exists()
 
 
 @pytest.fixture()

@@ -77,15 +77,15 @@ def test_compare_outputs_reports_changed_cells(tmp_path):
     tool = load_tool("compare_outputs")
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     write_root(a, 0.004, "qos", 1.0)
-    write_root(b, 0.004, "qos", 2.0)  # only the manifest differs
+    write_root(b, 0.004, "qos", 2.0)  # only the manifest's wall clock
     write_root(c, 0.005, "throughput", 1.0)
     (c / "sweep-x" / "plot_p95.svg").write_text("<svg></svg>\n")
     (c / "extra.csv").write_text("x\n1\n")
 
     out = io.StringIO()
     assert tool.compare(a, b, out) == 0
-    assert out.getvalue() == ("3 of 3 files byte-identical (manifest.json "
-                              "skipped), 0 differ\n")
+    assert out.getvalue() == ("4 of 4 files identical (manifest.json "
+                              "without wall_clock_s and out_dir), 0 differ\n")
     assert tool.main([str(a), str(b)]) == 0
 
     out = io.StringIO()
@@ -96,7 +96,8 @@ def test_compare_outputs_reports_changed_cells(tmp_path):
         "sweep-x/plot_p95.svg: differs",
         "sweep-x/summary.json: .saturation.binding: 'qos' -> 'throughput'",
         "sweep-x/sweep.csv: row 2 p95: '0.004' -> '0.005' (rel 0.25)",
-        "0 of 4 files byte-identical (manifest.json skipped), 4 differ",
+        "1 of 5 files identical (manifest.json without wall_clock_s and "
+        "out_dir), 4 differ",
         "largest change: sweep-x/sweep.csv p95: rel 0.25",
     ]
     assert tool.main([str(a), str(c)]) == 1
@@ -112,7 +113,8 @@ def test_compare_outputs_tolerates_numbers_within_rel(tmp_path):
     out = io.StringIO()
     assert tool.compare(a, b, out, tol=1e-9) == 0
     assert out.getvalue().splitlines()[-3:] == [
-        "2 of 3 files byte-identical (manifest.json skipped), 1 differ",
+        "3 of 4 files identical (manifest.json without wall_clock_s and "
+        "out_dir), 1 differ",
         "1 differ only in numbers within rel 1e-09",
         "largest change: sweep-x/sweep.csv p95: rel 2.5e-10",
     ]
@@ -123,6 +125,35 @@ def test_compare_outputs_tolerates_numbers_within_rel(tmp_path):
     assert tool.main([str(a), str(b)]) == 1
     # a string must match exactly whatever the tolerance
     assert tool.compare(a, c, io.StringIO(), tol=1.0) == 1
+
+
+def test_compare_outputs_checks_manifest(tmp_path):
+    tool = load_tool("compare_outputs")
+    manifest = {"command": "sweep", "out_dir": "a/sweep-x",
+                "outputs": ["sweep.csv", "summary.json"],
+                "status": {"sweep": {"points": 2, "gated": 1}},
+                "wall_clock_s": 1.0}
+    changed = {
+        "same": dict(manifest, out_dir="b/sweep-x", wall_clock_s=2.5),
+        "status": dict(manifest, status={"sweep": {"points": 2,
+                                                   "gated": 2}}),
+        "outputs": dict(manifest, outputs=["sweep.csv"]),
+    }
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "manifest.json").write_text(json.dumps(manifest))
+    for name, m in changed.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.json").write_text(json.dumps(m))
+    out = io.StringIO()
+    assert tool.compare(tmp_path / "a", tmp_path / "same", out) == 0
+    out = io.StringIO()
+    assert tool.compare(tmp_path / "a", tmp_path / "status", out) == 1
+    assert out.getvalue().splitlines()[0] == (
+        "manifest.json: .status.sweep.gated: 1 -> 2 (rel 1)")
+    out = io.StringIO()
+    assert tool.compare(tmp_path / "a", tmp_path / "outputs", out) == 1
+    assert out.getvalue().splitlines()[0] == (
+        "manifest.json: .outputs[1]: 'summary.json' -> '<missing>'")
 
 
 SHORT_SPEC = """\

@@ -3,15 +3,16 @@
 
 Run from the repository root:  python tools/compare_outputs.py A B [--rel TOL]
 
-Both trees are walked and every file but ``manifest.json`` (it records the
-wall-clock time and the output directory) is compared. A CSV or JSON file
+Both trees are walked and every file is compared. A ``manifest.json`` is
+compared without its ``wall_clock_s`` and ``out_dir``, which differ between
+any two runs; every other file must be byte-identical. A CSV or JSON file
 that differs is compared cell by cell: a CSV cell is named by its row and
 column, a JSON value by its key path. Each differing cell is printed with
 both values and, when both are numbers, its relative change |b - a| / |a|.
 Any other differing file, and a file found in only one root, is printed on
-one line. A closing summary counts the byte-identical files and gives, for
+one line. A closing summary counts the identical files and gives, for
 each field (CSV column or JSON key path) that changed, its largest relative
-change. Exits 0 when every compared file is byte-identical, 1 otherwise.
+change. Exits 0 when every file is identical, 1 otherwise.
 
 With ``--rel TOL`` a CSV or JSON file that differs only in numeric cells,
 each by a relative change of at most TOL, passes too, and the summary
@@ -30,12 +31,13 @@ import re
 import sys
 from pathlib import Path
 
-SKIPPED = "manifest.json"
+MANIFEST = "manifest.json"
+# The manifest keys that differ between any two runs; not compared.
+RUN_KEYS = ("wall_clock_s", "out_dir")
 
 
 def _files(root: Path) -> set[Path]:
-    return {p.relative_to(root) for p in root.rglob("*")
-            if p.is_file() and p.name != SKIPPED}
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
 
 def _number(value):
@@ -63,9 +65,12 @@ def _flatten(obj, where: str = ""):
 
 def _cells(path: Path) -> dict[str, object]:
     """Each cell of a CSV file, named "row <r> <column>", or each leaf of a
-    JSON file, named by its key path."""
+    JSON file, named by its key path (a manifest's RUN_KEYS left out)."""
     if path.suffix == ".json":
-        return dict(_flatten(json.loads(path.read_text())))
+        obj = json.loads(path.read_text())
+        if path.name == MANIFEST:
+            obj = {k: v for k, v in obj.items() if k not in RUN_KEYS}
+        return dict(_flatten(obj))
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     header = rows[0] if rows else []
@@ -110,7 +115,8 @@ def compare(a_root: Path, b_root: Path, out=sys.stdout,
         differing += 1
     for rel in sorted(a_files & b_files):
         a, b = a_root / rel, b_root / rel
-        if a.read_bytes() == b.read_bytes():
+        if (_cells(a) == _cells(b) if rel.name == MANIFEST
+                else a.read_bytes() == b.read_bytes()):
             identical += 1
             continue
         differing += 1
@@ -131,8 +137,9 @@ def compare(a_root: Path, b_root: Path, out=sys.stdout,
                 key = (str(rel), _field(cell))
                 largest[key] = max(largest.get(key, 0.0), change)
         tolerated += within
-    print(f"{identical} of {len(a_files | b_files)} files byte-identical "
-          f"({SKIPPED} skipped), {differing} differ", file=out)
+    print(f"{identical} of {len(a_files | b_files)} files identical "
+          f"({MANIFEST} without {' and '.join(RUN_KEYS)}), "
+          f"{differing} differ", file=out)
     if tol is not None:
         print(f"{tolerated} differ only in numbers within rel {tol:g}",
               file=out)
