@@ -29,8 +29,8 @@ from .experiments import (ExperimentSpec, ExperimentError, SweepResult,
 from .metrics import (SWEEP_CSV_COLUMNS, MetricsError, default_warmup,
                       summary_csv_row)
 from .model import (ClosedLoop, FileFormatError, ModelError, PlatformConfig,
-                    Topology, load_platform, platform_to_text,
-                    profile_to_text)
+                    Topology, kv_text, load_platform, parse_kv_text,
+                    platform_to_text, profile_to_text)
 from .svgplot import line_plot
 from .taxonomy import Thresholds, classify, extract_features
 
@@ -123,7 +123,7 @@ def _dispatch(args, spec_path: Path) -> int:
     manifest = {
         "command": args.command,
         "spec_name": spec.name,
-        "spec_content": _spec_text(spec),
+        "spec_content": kv_text(spec.raw),
         "profile_content": profile_to_text(spec.profile),
         "platform_content": platform_to_text(spec.config.platform),
         "seed": spec.config.seed,
@@ -173,10 +173,6 @@ def _sanitize(obj):
     return obj
 
 
-def _spec_text(spec: ExperimentSpec) -> str:
-    return "\n".join(f"{k}: {v}" for k, v in spec.raw.items()) + "\n"
-
-
 def _is_str(v) -> bool:
     return isinstance(v, str)
 
@@ -221,13 +217,10 @@ def _cmd_replay(args) -> int:
     spec_path = out_dir / "replayed.spec"
     profile_path = out_dir / "replayed.profile"
     profile_path.write_text(manifest["profile_content"])
-    spec_lines = []
-    for line in manifest["spec_content"].splitlines():
-        if line.strip().startswith("profile:"):
-            spec_lines.append(f"profile: {profile_path.name}")
-        else:
-            spec_lines.append(line)
-    spec_path.write_text("\n".join(spec_lines) + "\n")
+    spec = parse_kv_text(manifest["spec_content"], f"{path}: spec_content")
+    if "profile" in spec:  # else the replayed spec lacks it too
+        spec["profile"] = profile_path.name
+    spec_path.write_text(kv_text(spec))
     platform_path = None
     if manifest.get("platform_content") is not None:
         platform_path = out_dir / "replayed.platform"
@@ -394,11 +387,12 @@ def cmd_partition(spec: ExperimentSpec) -> Result:
         raise FileFormatError(
             f"{spec.name}: partition study needs ways_list and/or bw_limits")
     # CAT levels, then MBA levels, in one study, so one job list; each
-    # level is (spec key, label, value on its axis, limits).
+    # level is (spec key, label, value on its axis, limits). An integral
+    # bandwidth is labelled without its ".0".
     levels = ([("ways_list", f"cat_w{w}", w, replace(spec.limits, llc_ways=w))
                for w in spec.ways_list]
-              + [("bw_limits",
-                  "mba_unlimited" if b is None else f"mba_{int(b)}", b,
+              + [("bw_limits", "mba_unlimited" if b is None else
+                  f"mba_{int(b) if b.is_integer() else b}", b,
                   replace(spec.limits, mem_bw_limit=b))
                  for b in spec.bw_limits])
     labels = [label for _, label, _, _ in levels]

@@ -18,11 +18,12 @@ import numpy as np
 
 from .loadgen import ArrivalModel, build_schedule
 from .engine import Trace, simulate_closed_loop, simulate_open_loop
-from .metrics import MetricsSummary, default_warmup, summarize
-from .model import (ClosedLoop, FileFormatError, OpenLoop,
+from .metrics import MetricsSummary, default_warmup, in_window, summarize
+from .model import (_SPEC_KEYS, ClosedLoop, FileFormatError, OpenLoop,
                     PlatformConfig, ResourceLimits, ScenarioConfig, Topology,
                     WorkloadProfile, load_profile, miss_ratio, parse_kv_text,
-                    parse_number, shipped_profile_path, validate_profile)
+                    parse_number, read_fields, shipped_profile_path,
+                    validate_profile)
 
 TIMELY_GATE = 0.975  # minimum timely-requests ratio for a valid load point
 
@@ -133,13 +134,16 @@ def run_point(profile: WorkloadProfile, scenario: ScenarioConfig,
     derived streams; sharing one stream would correlate gaps with service
     times and distort queueing. A sweep's point job calls this for each of
     its runs in turn; build_schedule hands the runs of the point one
-    schedule, drawn once.
+    schedule, drawn once. An open-loop run whose window holds no request
+    is not simulated: the schedule is sorted and below the duration, so
+    its last time is in the window if any is.
     """
     sched_seed = point_seed(seed, 1)
     sim_seed = point_seed(seed, 2)
     if isinstance(scenario.mode, OpenLoop):
         schedule = build_schedule(config.arrival, scenario.mode.qps,
                                   scenario.duration, sched_seed)
+        in_window(schedule[-1:], config.warmup, scenario.duration)
         trace = simulate_open_loop(profile, scenario, limits, config.platform,
                                    schedule, sim_seed)
     else:
@@ -631,8 +635,9 @@ def sweep_metric_at(sweep: SweepResult, qps: float, name: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Experiment spec files: flat "key: value" text naming profile, scenario,
-# limits, range, points, and seeds. Profiles are included by reference.
+# Experiment spec files name profile, scenario, limits, range, points, and
+# seeds; model._SPEC_KEYS declares their keys and types. Profiles are
+# included by reference.
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -652,37 +657,11 @@ class ExperimentSpec:
     raw: dict[str, str] = field(default_factory=dict)
 
 
-_SPEC_KEYS = frozenset((
-    "name", "profile", "topology", "mode", "duration", "rtt", "qps_min",
-    "qps_max", "n_clients", "sessions_min", "sessions_max", "think_time",
-    "llc_ways", "mem_bw_limit", "disk_bw_limit", "arrival", "zipf_alpha",
-    "zipf_support", "seed", "warmup", "points", "lqos_override",
-    "override_reason", "ways_list", "bw_limits",
-))
-# The keys only one mode reads; the other mode rejects them.
+# The keys only one mode reads; the other mode rejects them, and the ones
+# without a default are required in their own mode.
 _MODE_KEYS = {"open_loop": ("qps_min", "qps_max", "n_clients", "arrival",
                             "zipf_alpha", "zipf_support"),
               "closed_loop": ("sessions_min", "sessions_max", "think_time")}
-
-
-def _spec_get(fields: dict[str, str], key: str, source: str,
-              default: str | None = None) -> str:
-    if key in fields:
-        return fields[key]
-    if default is not None:
-        return default
-    raise FileFormatError(f"{source}: missing required key {key!r}")
-
-
-def _spec_float(fields, key, source, default=None):
-    return parse_number(_spec_get(fields, key, source, default), key, source)
-
-
-def _spec_int(fields, key, source, default=None):
-    value = _spec_float(fields, key, source, default)
-    if not value.is_integer():
-        raise FileFormatError(f"{source}: key {key!r}: not an integer")
-    return int(value)
 
 
 def load_experiment_spec(path: str | Path,
@@ -695,18 +674,16 @@ def load_experiment_spec(path: str | Path,
     """
     path = Path(path)
     source = str(path)
-    fields = parse_kv_text(path.read_text(), source=source)
-    raw = dict(fields)
+    raw = parse_kv_text(path.read_text(), source=source)
+    from .taxonomy import Thresholds  # taxonomy imports this module
+    prefixed = {f"{prefix}_{name}": (parse_number, None) for prefix, names
+                in (("target", CALIBRATION_TARGETS),
+                    ("threshold", Thresholds.__dataclass_fields__))
+                for name in sorted(names)}
+    f = read_fields(raw, {**_SPEC_KEYS, **prefixed}, "spec", source)
     platform = platform or PlatformConfig()
 
-    unknown = [k for k in fields
-               if k not in _SPEC_KEYS
-               and not k.startswith(("target_", "threshold_"))]
-    if unknown:
-        raise FileFormatError(
-            f"{source}: unknown spec keys {sorted(unknown)}")
-
-    profile_ref = _spec_get(fields, "profile", source)
+    profile_ref = f["profile"]
     candidate = (path.parent / profile_ref).expanduser()
     if candidate.is_file():
         profile_path = candidate
@@ -723,68 +700,52 @@ def load_experiment_spec(path: str | Path,
     profile = load_profile(profile_path)
     validate_profile(profile, platform)
 
-    topo_raw = _spec_get(fields, "topology", source, "ONE_ST").upper()
+    topo_raw = f["topology"].upper()
     try:
         topology = Topology[topo_raw]
     except KeyError:
         raise FileFormatError(f"{source}: unknown topology {topo_raw!r}")
 
-    mode_raw = _spec_get(fields, "mode", source, "open_loop")
+    mode_raw = f["mode"]
     if mode_raw not in _MODE_KEYS:
         raise FileFormatError(f"{source}: unknown mode {mode_raw!r}")
     unread = [k for other, keys in _MODE_KEYS.items() if other != mode_raw
-              for k in keys if k in fields]
+              for k in keys if k in raw]
     if unread:
         raise FileFormatError(
             f"{source}: key {unread[0]!r}: not read in {mode_raw} mode")
-    duration = _spec_float(fields, "duration", source)
-    rtt = _spec_float(fields, "rtt", source, "0.0001")
+    for key in _MODE_KEYS[mode_raw]:
+        if key not in f:
+            raise FileFormatError(f"{source}: missing required key {key!r}")
     if mode_raw == "open_loop":
-        qps_lo = _spec_float(fields, "qps_min", source)
-        qps_hi = _spec_float(fields, "qps_max", source)
-        n_clients = _spec_int(fields, "n_clients", source, "1")
+        qps_lo, qps_hi, n_clients = f["qps_min"], f["qps_max"], f["n_clients"]
         mode: OpenLoop | ClosedLoop = OpenLoop(qps_lo)
     else:
-        qps_lo = float(_spec_int(fields, "sessions_min", source, "1"))
-        qps_hi = float(_spec_int(fields, "sessions_max", source))
-        think = _spec_float(fields, "think_time", source, "0")
-        n_clients = int(qps_hi)
-        mode = ClosedLoop(int(qps_lo), think)
+        qps_lo, qps_hi = float(f["sessions_min"]), float(f["sessions_max"])
+        n_clients = f["sessions_max"]
+        mode = ClosedLoop(f["sessions_min"], f["think_time"])
+    duration = f["duration"]
     scenario = ScenarioConfig(topology=topology, n_clients=n_clients,
-                              mode=mode, duration=duration, rtt=rtt)
+                              mode=mode, duration=duration, rtt=f["rtt"])
 
-    ways = _spec_int(fields, "llc_ways", source, str(platform.llc_total_ways))
-    mem_lim_raw = _spec_get(fields, "mem_bw_limit", source, "unlimited")
-    mem_lim = (None if mem_lim_raw in ("unlimited", "none")
-               else parse_number(mem_lim_raw, "mem_bw_limit", source))
-    disk_lim_raw = _spec_get(fields, "disk_bw_limit", source, "default")
-    disk_lim = (None if disk_lim_raw in ("default", "unlimited", "none")
-                else parse_number(disk_lim_raw, "disk_bw_limit", source))
-    limits = ResourceLimits(llc_ways=ways, mem_bw_limit=mem_lim,
-                            disk_bw_limit=disk_lim).validate_against(platform)
+    limits = ResourceLimits(f.get("llc_ways", platform.llc_total_ways),
+                            f["mem_bw_limit"], f["disk_bw_limit"])
+    limits.validate_against(platform)
 
-    arrival_kind = _spec_get(fields, "arrival", source, "zipf")
-    if arrival_kind == "zipf":
-        arrival = ArrivalModel(
-            kind=arrival_kind,
-            alpha=_spec_float(fields, "zipf_alpha", source, "1.0"),
-            support_n=_spec_int(fields, "zipf_support", source, "1000"),
-        )
+    if f["arrival"] == "zipf":
+        arrival = ArrivalModel("zipf", f["zipf_alpha"], f["zipf_support"])
     else:
-        arrival = ArrivalModel(kind=arrival_kind)
-        unread = [k for k in ("zipf_alpha", "zipf_support") if k in fields]
+        arrival = ArrivalModel(kind=f["arrival"])
+        unread = [k for k in ("zipf_alpha", "zipf_support") if k in raw]
         if unread:
             raise FileFormatError(f"{source}: key {unread[0]!r}: not read "
-                                  f"with arrival {arrival_kind}")
-    seed = _spec_int(fields, "seed", source, "1")
-    if seed < 0:
+                                  f"with arrival {f['arrival']}")
+    if f["seed"] < 0:
         raise FileFormatError(
             f"{source}: key 'seed': must be a non-negative integer")
-    if seed_override is not None:
-        seed = seed_override
-    # nan and inf fail the range check below, which names the range.
-    warmup = (parse_number(fields["warmup"], "warmup", source, finite=False)
-              if fields.get("warmup") else None)
+    seed = f["seed"] if seed_override is None else seed_override
+    # nan and inf fail this check, which names the range.
+    warmup = f.get("warmup")
     if warmup is not None and not 0.0 <= warmup < duration:
         raise FileFormatError(
             f"{source}: key 'warmup': must lie in [0, duration) = "
@@ -792,62 +753,33 @@ def load_experiment_spec(path: str | Path,
     config = RunConfig(platform=platform, arrival=arrival, seed=seed,
                        warmup=warmup)
 
-    n_points = _spec_int(fields, "points", source, "12")
-    lqos_override = (_spec_float(fields, "lqos_override", source)
-                     if "lqos_override" in fields else None)
+    lqos_override = f.get("lqos_override")
     if lqos_override is not None and lqos_override <= 0.0:
         raise FileFormatError(
             f"{source}: key 'lqos_override': must be positive")
-
-    ways_list: tuple[int, ...] = ()
-    if "ways_list" in fields:
-        try:
-            ways_list = tuple(int(w) for w in fields["ways_list"].split(","))
-        except ValueError:
-            raise FileFormatError(f"{source}: ways_list: expected integers")
-        for w in ways_list:
-            if not 1 <= w <= platform.llc_total_ways:
-                raise FileFormatError(
-                    f"{source}: ways_list: {w} outside [1, "
-                    f"{platform.llc_total_ways}]")
-    bw_limits: tuple[float | None, ...] = ()
-    if "bw_limits" in fields:
-        vals = []
-        for tok in fields["bw_limits"].split(","):
-            tok = tok.strip()
-            vals.append(None if tok in ("unlimited", "none")
-                        else parse_number(tok, "bw_limits", source))
-        bw_limits = tuple(vals)
-
-    from .taxonomy import Thresholds  # taxonomy imports this module
-    targets = _prefixed(fields, "target_", CALIBRATION_TARGETS, source)
-    thresholds = _prefixed(fields, "threshold_",
-                           Thresholds.__dataclass_fields__, source)
+    ways_list = f.get("ways_list", ())
+    for w in ways_list:
+        if not 1 <= w <= platform.llc_total_ways:
+            raise FileFormatError(
+                f"{source}: ways_list: {w} outside [1, "
+                f"{platform.llc_total_ways}]")
+    bw_limits = f.get("bw_limits", ())
+    if any(b is not None and b <= 0.0 for b in bw_limits):
+        raise FileFormatError(
+            f"{source}: key 'bw_limits': must be positive when finite")
 
     return ExperimentSpec(
-        name=fields.get("name", path.stem), profile=profile,
+        name=f.get("name", path.stem), profile=profile,
         scenario=scenario, limits=limits,
-        qps_range=(qps_lo, qps_hi), n_points=n_points, config=config,
+        qps_range=(qps_lo, qps_hi), n_points=f["points"], config=config,
         lqos_override=lqos_override,
-        override_reason=fields.get("override_reason"),
-        ways_list=ways_list, bw_limits=bw_limits, targets=targets,
-        thresholds=thresholds, raw=raw)
-
-
-def _prefixed(fields: dict[str, str], prefix: str, known,
-              source: str) -> dict[str, float]:
-    """Numeric values of the prefix_* keys, by name without the prefix;
-    names outside known are rejected."""
-    out = {}
-    for key in fields:
-        if key.startswith(prefix):
-            name = key[len(prefix):]
-            if name not in known:
-                raise FileFormatError(
-                    f"{source}: unknown key {key!r} (known: "
-                    f"{', '.join(prefix + k for k in sorted(known))})")
-            out[name] = _spec_float(fields, key, source)
-    return out
+        override_reason=f.get("override_reason"),
+        ways_list=ways_list, bw_limits=bw_limits,
+        targets={k.removeprefix("target_"): v for k, v in f.items()
+                 if k.startswith("target_")},
+        thresholds={k.removeprefix("threshold_"): v for k, v in f.items()
+                    if k.startswith("threshold_")},
+        raw=raw)
 
 
 def shipped_spec_path(name: str) -> Path:

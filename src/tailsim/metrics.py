@@ -81,6 +81,21 @@ def default_warmup(duration: float) -> float:
     return w
 
 
+def in_window(scheduled: np.ndarray, warmup: float | None,
+              horizon: float) -> tuple[float, np.ndarray]:
+    """The window's start (warmup, default_warmup(horizon) when None) and
+    which scheduled times lie in [start, horizon); MetricsError when the
+    start is not below the horizon or no time lies in the window."""
+    if warmup is None:
+        warmup = default_warmup(horizon)
+    if warmup >= horizon:
+        raise MetricsError("warmup: must be below the run horizon")
+    in_win = (scheduled >= warmup) & (scheduled < horizon)
+    if not in_win.any():
+        raise MetricsError("summarize: no requests scheduled in the window")
+    return warmup, in_win
+
+
 def summarize(trace: Trace, warmup: float | None = None) -> MetricsSummary:
     """Aggregate a trace over [warmup, horizon].
 
@@ -89,17 +104,9 @@ def summarize(trace: Trace, warmup: float | None = None) -> MetricsSummary:
     utilization and bandwidths are clipped to the window.
     """
     horizon = trace.duration
-    if warmup is None:
-        warmup = default_warmup(horizon)
-    if warmup >= horizon:
-        raise MetricsError("warmup: must be below the run horizon")
-    window = horizon - warmup
-
-    sched = trace.scheduled
-    in_win = (sched >= warmup) & (sched < horizon)
+    warmup, in_win = in_window(trace.scheduled, warmup, horizon)
     n_win = int(in_win.sum())
-    if n_win == 0:
-        raise MetricsError("summarize: no requests scheduled in the window")
+    window = horizon - warmup
 
     completion = trace.completion
     completed_mask = in_win & ~np.isnan(completion)

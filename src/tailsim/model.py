@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -387,19 +388,10 @@ def llc_occupancy(profile: WorkloadProfile, limits: ResourceLimits,
 
 
 # ---------------------------------------------------------------------------
-# Profile and platform files: flat "key: value" text, one object per file.
-
-_PROFILE_FLOAT_FIELDS = (
-    "cpu_work", "mem_accesses", "miss_min", "miss_max", "miss_shape",
-    "mem_stream_rate", "footprint", "disk_bytes", "net_tx_bytes",
-    "net_rx_bytes", "smt_efficiency", "qos_multiplier",
-)
-
-_PLATFORM_FIELDS = (
-    "llc_total_ways", "llc_way_capacity", "mem_bw_capacity",
-    "disk_bw_capacity", "cache_line",
-)
-
+# Profile, platform and spec files: flat "key: value" text, one object per
+# file. Each kind declares its keys once, key -> (type, default). A type
+# turns a value's text into the value or raises ValueError; a default is
+# the text a missing key reads as, _REQUIRED, or None to leave the key out.
 
 class FileFormatError(ValueError):
     """Raised for malformed profile/spec files, with line numbers."""
@@ -424,36 +416,117 @@ def parse_kv_text(text: str, source: str = "<text>") -> dict[str, str]:
     return out
 
 
-def parse_number(raw: str, key: str, source: str,
-                 finite: bool = True) -> float:
-    """The number a file gives for key; FileFormatError naming the key when
-    it is not a number or, unless finite is False, is inf or nan."""
+def kv_text(fields: dict) -> str:
+    """The file text parse_kv_text reads back as fields, a line per key in
+    order: a float as its repr, which reads back exactly, another value as
+    its str. FileFormatError for a value that would not read back."""
+    lines = []
+    for key, value in fields.items():
+        text = repr(float(value)) if isinstance(value, float) else str(value)
+        if "#" in text or text.strip().splitlines() != [text]:
+            raise FileFormatError(
+                f"key {key!r}: {text!r} does not read back as written")
+        lines.append(f"{key}: {text}\n")
+    return "".join(lines)
+
+
+def parse_number(raw: str, finite: bool = True) -> float:
+    """The number raw gives; ValueError when it is not a number or, unless
+    finite is False, is inf or nan."""
     try:
         value = float(raw)
     except ValueError:
-        raise FileFormatError(f"{source}: key {key!r}: not a number")
+        raise ValueError("not a number") from None
     if finite and not math.isfinite(value):
-        raise FileFormatError(f"{source}: key {key!r}: not a finite number")
+        raise ValueError("not a finite number")
     return value
+
+
+def parse_int(raw: str) -> int:
+    """A finite integral number, so 5, 5.0 and 5e0 all read as 5."""
+    value = parse_number(raw)
+    if not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _limit(*words: str):
+    """A bandwidth limit's type: a finite number, or None for a word."""
+    return lambda raw: None if raw in words else parse_number(raw)
+
+
+def _list(item):
+    """The type of a comma-separated list of item values."""
+    return lambda raw: tuple(item(tok.strip()) for tok in raw.split(","))
+
+
+_REQUIRED = object()  # the default of a key every file must give
+_NO_LIMIT = ("unlimited", "none")  # the words that leave a limit unset
+
+_PROFILE_FLOAT_FIELDS = (
+    "cpu_work", "mem_accesses", "miss_min", "miss_max", "miss_shape",
+    "mem_stream_rate", "footprint", "disk_bytes", "net_tx_bytes",
+    "net_rx_bytes", "smt_efficiency", "qos_multiplier",
+)
+_PROFILE_KEYS = {"name": (str, _REQUIRED),
+                 **dict.fromkeys(_PROFILE_FLOAT_FIELDS, (parse_number, None)),
+                 "service_dist": (str, "deterministic"),
+                 "service_cv": (parse_number, "0")}
+_PLATFORM_KEYS = {"llc_total_ways": (parse_int, None),
+                  **dict.fromkeys(("llc_way_capacity", "mem_bw_capacity",
+                                   "disk_bw_capacity"), (parse_number, None)),
+                  "cache_line": (parse_int, None)}
+# An experiment spec's keys; experiments.load_experiment_spec gives them
+# their meaning and adds the target_* and threshold_* keys. A warmup may be
+# inf or nan here: its range check names the range.
+_SPEC_KEYS = {
+    "name": (str, None), "profile": (str, _REQUIRED),
+    "topology": (str, "ONE_ST"), "mode": (str, "open_loop"),
+    "duration": (parse_number, _REQUIRED), "rtt": (parse_number, "0.0001"),
+    "qps_min": (parse_number, None), "qps_max": (parse_number, None),
+    "n_clients": (parse_int, "1"), "sessions_min": (parse_int, "1"),
+    "sessions_max": (parse_int, None), "think_time": (parse_number, "0"),
+    "llc_ways": (parse_int, None),
+    "mem_bw_limit": (_limit(*_NO_LIMIT), "unlimited"),
+    "disk_bw_limit": (_limit("default", *_NO_LIMIT), "default"),
+    "arrival": (str, "zipf"), "zipf_alpha": (parse_number, "1.0"),
+    "zipf_support": (parse_int, "1000"), "seed": (parse_int, "1"),
+    "warmup": (partial(parse_number, finite=False), None),
+    "points": (parse_int, "12"), "lqos_override": (parse_number, None),
+    "override_reason": (str, None), "ways_list": (_list(parse_int), None),
+    "bw_limits": (_list(_limit(*_NO_LIMIT)), None),
+}
+
+
+def read_fields(fields: dict[str, str], keys: dict, kind: str,
+                source: str) -> dict:
+    """A file's values by key, read through its kind's key table: every
+    field parsed by its key's type, then the defaults of the missing keys
+    that have one. FileFormatError names an unknown key, a missing
+    required key or a value its type rejects."""
+    for key in fields:
+        if key not in keys:
+            raise FileFormatError(f"{source}: unknown {kind} key {key!r}")
+    out = {}
+    for key, (parse, default) in keys.items():
+        raw = fields.get(key, default)
+        if raw is _REQUIRED:
+            raise FileFormatError(f"{source}: missing required key {key!r}")
+        if raw is not None:
+            try:
+                out[key] = parse(raw)
+            except ValueError as exc:
+                raise FileFormatError(f"{source}: key {key!r}: {exc}")
+    return out
 
 
 def profile_from_mapping(fields: dict[str, str],
                          source: str = "<mapping>") -> WorkloadProfile:
-    kwargs: dict = {}
-    fields = dict(fields)
+    values = read_fields(fields, _PROFILE_KEYS, "profile", source)
     try:
-        kwargs["name"] = fields.pop("name")
-    except KeyError:
-        raise FileFormatError(f"{source}: missing required key 'name'")
-    dist_kind = fields.pop("service_dist", "deterministic")
-    cv = parse_number(fields.pop("service_cv", "0"), "service_cv", source)
-    for key, value in fields.items():
-        if key not in _PROFILE_FLOAT_FIELDS:
-            raise FileFormatError(f"{source}: unknown profile key {key!r}")
-        kwargs[key] = parse_number(value, key, source)
-    try:
-        kwargs["service_dist"] = ServiceDist(dist_kind, cv)
-        return WorkloadProfile(**kwargs)
+        dist = ServiceDist(values.pop("service_dist"),
+                           values.pop("service_cv"))
+        return WorkloadProfile(service_dist=dist, **values)
     except ModelError as exc:
         raise FileFormatError(f"{source}: {exc}")
 
@@ -465,13 +538,15 @@ def load_profile(path: str | Path) -> WorkloadProfile:
 
 
 def profile_to_text(profile: WorkloadProfile) -> str:
-    lines = [f"name: {profile.name}"]
-    for key in _PROFILE_FLOAT_FIELDS:
-        lines.append(f"{key}: {getattr(profile, key)!r}")
-    lines.append(f"service_dist: {profile.service_dist.kind}")
-    if profile.service_dist.kind == "lognormal":
-        lines.append(f"service_cv: {profile.service_dist.cv!r}")
-    return "\n".join(lines) + "\n"
+    """Profile file text that load_profile reads back; service_cv is
+    written for a lognormal, the one kind that reads it."""
+    dist = profile.service_dist
+    fields = {"name": profile.name,
+              **{key: getattr(profile, key) for key in _PROFILE_FLOAT_FIELDS},
+              "service_dist": dist.kind}
+    if dist.kind == "lognormal":
+        fields["service_cv"] = dist.cv
+    return kv_text(fields)
 
 
 def save_profile(profile: WorkloadProfile, path: str | Path) -> None:
@@ -480,27 +555,17 @@ def save_profile(profile: WorkloadProfile, path: str | Path) -> None:
 
 def platform_to_text(platform: PlatformConfig) -> str:
     """Platform file text that load_platform reads back exactly."""
-    return "".join(f"{key}: {getattr(platform, key)!r}\n"
-                   for key in _PLATFORM_FIELDS)
+    return kv_text({key: getattr(platform, key) for key in _PLATFORM_KEYS})
 
 
 def load_platform(path: str | Path) -> PlatformConfig:
-    path = Path(path)
-    fields = parse_kv_text(path.read_text(), source=str(path))
-    kwargs: dict = {}
-    for key, value in fields.items():
-        if key not in _PLATFORM_FIELDS:
-            raise FileFormatError(f"{path}: unknown platform key {key!r}")
-        num = parse_number(value, key, str(path))
-        if key in ("llc_total_ways", "cache_line"):
-            if not num.is_integer():
-                raise FileFormatError(f"{path}: key {key!r}: not an integer")
-            num = int(num)
-        kwargs[key] = num
+    source = str(path)
+    fields = parse_kv_text(Path(path).read_text(), source=source)
     try:
-        return PlatformConfig(**kwargs)
+        return PlatformConfig(**read_fields(fields, _PLATFORM_KEYS,
+                                            "platform", source))
     except ModelError as exc:
-        raise FileFormatError(f"{path}: {exc}")
+        raise FileFormatError(f"{source}: {exc}")
 
 
 def shipped_profile_path(name: str) -> Path:

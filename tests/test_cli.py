@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tailsim.cli import VALIDATION_ERRORS, main
-from tailsim.experiments import (_SPEC_KEYS, geometric_points,
-                                 load_experiment_spec, point_seed, run_point,
-                                 shipped_spec_path)
+from tailsim.experiments import (geometric_points, load_experiment_spec,
+                                 point_seed, run_point, shipped_spec_path)
 from tailsim.loadgen import ZIPF_SUPPORT_MAX
 from tailsim.metrics import SWEEP_CSV_COLUMNS
-from tailsim.model import (_PLATFORM_FIELDS, _PROFILE_FLOAT_FIELDS, OpenLoop,
+from tailsim.model import (_PLATFORM_KEYS as _PLATFORM_FIELDS,
+                           _PROFILE_FLOAT_FIELDS, _SPEC_KEYS, OpenLoop,
                            PlatformConfig, load_platform, load_profile,
                            validate_profile)
 
@@ -450,6 +450,25 @@ duration: 5.0
         assert capsys.readouterr().err == (
             "error: summarize: no requests scheduled in the window\n")
 
+    def test_window_without_requests_is_not_simulated(self, tmp_path,
+                                                      capsys, monkeypatch):
+        import tailsim.experiments
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("simulated a run with an empty window")
+
+        monkeypatch.setattr(tailsim.experiments, "simulate_open_loop",
+                            no_engine)
+        spec = tmp_path / "tiny.spec"
+        spec.write_text(with_value(shipped_spec_path("img-dnn").read_text(),
+                                   "duration", "1e-6"))
+        rc = main(["--out", str(tmp_path / "o"), "--points", "3", "sweep",
+                   str(spec)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: summarize: no requests scheduled in the window\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("option,value", [
         ("--seed", "-1"), ("--warmup", "1000"), ("--warmup", "8"),
         ("--warmup", "nan"), ("--warmup", "-1")])
@@ -504,6 +523,32 @@ duration: 5.0
         (spec_dir / "ok.spec").write_text(
             FAST_SPEC.replace("points: 5", "points: 5.0"))
         assert load_experiment_spec(spec_dir / "ok.spec").n_points == 5
+
+    def test_ways_list_reads_integers_as_llc_ways_does(self, spec_dir):
+        (spec_dir / "ok.spec").write_text(
+            FAST_SPEC + "llc_ways: 5.0\nways_list: 5.0, 1e1, 2\n")
+        spec = load_experiment_spec(spec_dir / "ok.spec")
+        assert spec.limits.llc_ways == 5
+        assert spec.ways_list == (5, 10, 2)
+        assert all(type(w) is int for w in spec.ways_list)
+
+    @pytest.mark.parametrize("value", ["-5", "0", "unlimited, -0.0"])
+    def test_bw_limit_not_positive_exit_2_at_load(self, spec_dir, tmp_path,
+                                                  capsys, monkeypatch,
+                                                  value):
+        import tailsim.cli
+
+        def no_study(*args, **kwargs):
+            raise AssertionError("simulated before the check")
+
+        monkeypatch.setattr(tailsim.cli, "study", no_study)
+        (spec_dir / "bad.spec").write_text(FAST_SPEC + f"bw_limits: {value}\n")
+        for command in ("sweep", "partition"):
+            rc = main(["--out", str(tmp_path / "o"), command,
+                       str(spec_dir / "bad.spec")])
+            assert rc == 2
+            assert "'bw_limits': must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_ways_list_checked_at_load(self, spec_dir, tmp_path, capsys):
         from tailsim.experiments import load_experiment_spec
@@ -773,6 +818,20 @@ class TestPartition:
         assert caps["cat_w2"] == pytest.approx(3.0)
         assert caps["mba_300"] is None
 
+    def test_fractional_bandwidth_keeps_its_digits(self, spec_dir,
+                                                   tmp_path):
+        (spec_dir / "part.spec").write_text(FAST_SPEC
+                                            + "bw_limits: 4000.7, 300.0\n")
+        out = tmp_path / "part"
+        assert main(["--out", str(out), "--points", "2", "partition",
+                     str(spec_dir / "part.spec")]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(e["label"], e["constraint"]) for e in summary["entries"]] \
+            == [("mba_4000.7", 4000.7), ("mba_300", 300.0)]
+        assert (out / "mba_4000.7.csv").exists()
+        assert not (out / "mba_4000.csv").exists()
+        assert ">mba_4000.7<" in (out / "plot_mem.svg").read_text()
+
     def test_override_reason_reaches_summary(self, spec_dir, tmp_path):
         spec = (FAST_SPEC + "ways_list: 5,2\nlqos_override: 0.02\n"
                 "override_reason: knee\n")
@@ -791,7 +850,7 @@ class TestPartition:
         assert rc == 2
 
     @pytest.mark.parametrize("line, key, label", [
-        ("bw_limits: 4000, 4000.7", "bw_limits", "mba_4000"),
+        ("bw_limits: 4000, 4000.0", "bw_limits", "mba_4000"),
         ("bw_limits: unlimited, none", "bw_limits", "mba_unlimited"),
         ("ways_list: 5,5", "ways_list", "cat_w5"),
     ])

@@ -583,7 +583,8 @@ class TestSpecFiles:
         bad = tmp_path / "bad.spec"
         bad.write_text("profile: img-dnn\nduration: 5\nqps_mim: 1\n"
                        "qps_max: 2\n")
-        with pytest.raises(FileFormatError, match="unknown spec keys"):
+        with pytest.raises(FileFormatError,
+                           match="unknown spec key 'qps_mim'"):
             load_experiment_spec(bad)
 
 

@@ -1,15 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tailsim.model import (COMPUTE, DISK, IDLE, MB, MEMORY, FileFormatError,
-                           ModelError, PlatformConfig, ResourceLimits,
+from tailsim.model import (_PROFILE_FLOAT_FIELDS, COMPUTE, DISK, IDLE, MB,
+                           MEMORY, FileFormatError, ModelError,
+                           PlatformConfig, ResourceLimits,
                            ServiceDist, Topology, WorkloadProfile,
-                           drain_rates, load_profile, mean_demands,
-                           miss_ratio, profile_from_mapping, save_profile,
-                           validate_profile)
+                           drain_rates, kv_text, load_platform, load_profile,
+                           mean_demands, miss_ratio, parse_kv_text,
+                           platform_to_text, profile_from_mapping,
+                           profile_to_text, save_profile, validate_profile)
 
 PLATFORM = PlatformConfig()
 
@@ -304,3 +307,64 @@ class TestPlatformFiles:
         path.write_text(f"{key}: {value}\n")
         with pytest.raises(FileFormatError, match=message):
             load_platform(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+# Integers a file holds exactly: they are read as numbers, and a float
+# holds every integer up to 2**53.
+EXACT_COUNT = st.integers(1, 2**53)
+
+
+class TestFileReaderAndWriter:
+    """One reader (parse_kv_text, then each kind's key table) and one
+    writer (kv_text) for profile, platform and spec files."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src" / "tailsim"
+
+    @pytest.mark.parametrize("path", sorted(
+        (SRC / "profiles").glob("*.profile")), ids=lambda p: p.name)
+    def test_shipped_profile_is_its_written_text(self, path):
+        assert profile_to_text(load_profile(path)) == path.read_text()
+
+    @pytest.mark.parametrize("path", sorted(
+        (SRC / "specs").glob("*.spec")), ids=lambda p: p.name)
+    def test_shipped_spec_is_its_written_text(self, path):
+        text = path.read_text()
+        assert kv_text(parse_kv_text(text)) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.text(min_size=1, max_size=12),
+           values=st.lists(FINITE, min_size=12, max_size=12),
+           dist=st.sampled_from(ServiceDist.KINDS),
+           cv=st.floats(min_value=1e-300, max_value=1e150))
+    def test_profile_round_trip(self, tmp_path_factory, name, values, dist,
+                                cv):
+        profile = WorkloadProfile(
+            name, **dict(zip(_PROFILE_FLOAT_FIELDS, values)),
+            service_dist=ServiceDist(dist, cv if dist == "lognormal"
+                                     else 0.0))
+        try:
+            text = profile_to_text(profile)
+        except FileFormatError:  # a name that would not read back
+            assert "#" in name or name.strip().splitlines() != [name]
+            return
+        path = tmp_path_factory.mktemp("p") / "x.profile"
+        path.write_text(text)
+        assert load_profile(path) == profile
+
+    @settings(max_examples=60, deadline=None)
+    @given(ways=EXACT_COUNT, way_mb=POSITIVE, mem=POSITIVE, disk=POSITIVE,
+           line=EXACT_COUNT)
+    def test_platform_round_trip(self, tmp_path_factory, ways, way_mb, mem,
+                                 disk, line):
+        platform = PlatformConfig(ways, way_mb, mem, disk, line)
+        path = tmp_path_factory.mktemp("p") / "x.platform"
+        path.write_text(platform_to_text(platform))
+        assert load_platform(path) == platform
+
+    @pytest.mark.parametrize("value", ["", " x", "x ", "a\nb", "a#b"])
+    def test_writer_refuses_what_would_not_read_back(self, value):
+        with pytest.raises(FileFormatError, match="does not read back"):
+            kv_text({"name": value})
+

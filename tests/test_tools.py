@@ -61,6 +61,28 @@ def test_tune_profiles_rewrites_shipped_files(tmp_path, monkeypatch):
                 == shipped_spec_path(name).read_bytes()), name
 
 
+def test_tune_profiles_spec_writers_give_shipped_specs(tmp_path,
+                                                       monkeypatch):
+    # Given what the search chose (the shipped zipf_support, and shore's
+    # disk bandwidth), each spec writer writes the shipped file and
+    # returns the fields it wrote.
+    from tailsim.experiments import load_experiment_spec, shipped_spec_path
+    from tailsim.model import kv_text
+    tune = load_tool("tune_profiles")
+    monkeypatch.setattr(tune, "SPEC_DIR", tmp_path)
+    written = {"media-streaming": tune.write_media_spec()}
+    for name, w in tune.WORKLOADS.items():
+        shipped = load_experiment_spec(shipped_spec_path(name))
+        written[name] = tune.write_spec(name, dict(
+            w, support=shipped.config.arrival.support_n,
+            disk_limit=shipped.limits.disk_bw_limit))
+    assert len(written) == 9
+    for name, fields in written.items():
+        text = shipped_spec_path(name).read_text()
+        assert (tmp_path / f"{name}.spec").read_text() == text, name
+        assert kv_text(fields) == text, name
+
+
 def write_root(root, p95, binding, wall):
     (root / "sweep-x").mkdir(parents=True)
     (root / "sweep-x" / "sweep.csv").write_text(

@@ -26,7 +26,7 @@ from tailsim.experiments import (RunConfig, calibrate_profile, pin_cpu_work,
                                  study)
 from tailsim.model import (MB, OpenLoop, PlatformConfig,
                            ResourceLimits, ScenarioConfig, ServiceDist,
-                           Topology, WorkloadProfile, miss_ratio,
+                           Topology, WorkloadProfile, kv_text, miss_ratio,
                            save_profile)
 
 PLATFORM = PlatformConfig()
@@ -332,49 +332,40 @@ def build_media() -> WorkloadProfile:
         service_dist=ServiceDist("lognormal", 0.3))
 
 
-def write_spec(name: str, w: dict) -> None:
-    lines = [
-        f"name: {name}",
-        f"profile: {name}.profile",
-        "topology: ONE_ST",
-        "mode: open_loop",
-        f"qps_min: {w['qps_range'][0]!r}",
-        f"qps_max: {w['qps_range'][1]!r}",
-        "points: 12",
-        f"duration: {w['duration']!r}",
-        f"n_clients: {w['clients']}",
-        "arrival: zipf",
-        "zipf_alpha: 1.0",
-        f"zipf_support: {w['support']}",
-        f"seed: {w['seed']}",
-        f"rtt: {w['rtt']!r}",
-    ]
+def write_spec(name: str, w: dict) -> dict:
+    """Write the workload's spec file; returns the fields it wrote."""
+    fields = {
+        "name": name, "profile": f"{name}.profile", "topology": "ONE_ST",
+        "mode": "open_loop", "qps_min": w["qps_range"][0],
+        "qps_max": w["qps_range"][1], "points": 12,
+        "duration": w["duration"], "n_clients": w["clients"],
+        "arrival": "zipf", "zipf_alpha": 1.0, "zipf_support": w["support"],
+        "seed": w["seed"], "rtt": w["rtt"],
+    }
     if w.get("disk_limit"):
-        lines.append(f"disk_bw_limit: {w['disk_limit']!r}")
+        fields["disk_bw_limit"] = w["disk_limit"]
     if w.get("lqos_override"):
-        lines.append(f"lqos_override: {w['lqos']!r}")
-        lines.append("override_reason: utilization stays below 20% up to "
-                     "saturation; target set just before the latency knee")
-    SPEC_DIR.joinpath(f"{name}.spec").write_text("\n".join(lines) + "\n")
+        fields["lqos_override"] = w["lqos"]
+        fields["override_reason"] = (
+            "utilization stays below 20% up to saturation; target set just "
+            "before the latency knee")
+    SPEC_DIR.joinpath(f"{name}.spec").write_text(kv_text(fields))
+    return fields
 
 
-def write_media_spec() -> None:
+def write_media_spec() -> dict:
+    """Write media-streaming's spec file; returns the fields it wrote."""
     m = MEDIA
-    lines = [
-        "name: media-streaming",
-        "profile: media-streaming.profile",
-        "topology: ONE_ST",
-        "mode: closed_loop",
-        "sessions_min: 1",
-        f"sessions_max: {m['sessions'][1]}",
-        f"think_time: {m['think']!r}",
-        "points: 10",
-        f"duration: {m['duration']!r}",
-        f"seed: {m['seed']}",
-        f"rtt: {m['rtt']!r}",
-    ]
-    SPEC_DIR.joinpath("media-streaming.spec").write_text(
-        "\n".join(lines) + "\n")
+    fields = {
+        "name": "media-streaming", "profile": "media-streaming.profile",
+        "topology": "ONE_ST", "mode": "closed_loop",
+        "sessions_min": m["sessions"][0], "sessions_max": m["sessions"][1],
+        "think_time": m["think"],
+        "points": 10, "duration": m["duration"], "seed": m["seed"],
+        "rtt": m["rtt"],
+    }
+    SPEC_DIR.joinpath("media-streaming.spec").write_text(kv_text(fields))
+    return fields
 
 
 def main(argv: list[str]) -> None:
