@@ -4,6 +4,11 @@ timeliness accounting, tail-latency analysis across SMT thread placements,
 behavior under LLC-way and memory-bandwidth constraints, and a
 resource-signature workload taxonomy."""
 
+import os
+
+# tailsim makes no BLAS call: keep OpenBLAS from starting a worker thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .model import (ClosedLoop, ModelError, OpenLoop, PlatformConfig,
                     ResourceLimits, ScenarioConfig, ServiceDist, Topology,
                     WorkDemand, WorkloadProfile, load_profile, mean_demands,

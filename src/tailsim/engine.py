@@ -61,6 +61,7 @@ are logged as rows of packed native doubles.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import struct
@@ -73,8 +74,8 @@ import numpy as np
 
 from .model import (COMPUTE, DISK, IDLE, MEMORY, ClosedLoop, ModelError,
                     OpenLoop, PlatformConfig, ResourceLimits, ScenarioConfig,
-                    WorkloadProfile, drain_rates, llc_occupancy, mean_demands,
-                    validate_profile)
+                    ServiceDist, WorkloadProfile, drain_rates, llc_occupancy,
+                    mean_demands, validate_profile)
 
 TIMELY_EPS = 1e-6  # seconds of slack when judging issue punctuality
 _RUN_BLOCK = 4096  # requests per block of a one-worker constant-rate run
@@ -220,10 +221,12 @@ def _request_store(profile: WorkloadProfile, scenario: ScenarioConfig,
     appends the request a session issues at t and returns its index.
     Compute seconds are cpu_work times service multipliers drawn from the
     seed's generator: all at once in open loop, in blocks of 1024 in issue
-    order in closed loop.
+    order in closed loop. The runs of one open-loop point ask for the same
+    compute seconds one after another, so the last column is kept, read-only,
+    and handed out again to a call with equal inputs.
     """
-    rng = np.random.default_rng(seed)
     if schedule is None:
+        rng = np.random.default_rng(seed)
         client, scheduled, cpu = array("q"), array("d"), array("d")
         issue, start, done = array("d"), array("d"), array("d")
         mult = profile.service_dist.sample(rng, 1024)
@@ -248,12 +251,21 @@ def _request_store(profile: WorkloadProfile, scenario: ScenarioConfig,
                 closed_issue)
     n = len(schedule)
     scheduled = memoryview(schedule)
-    cpu = memoryview(profile.cpu_work * profile.service_dist.sample(rng, n))
+    cpu = memoryview(_compute_seconds(profile.cpu_work, profile.service_dist,
+                                      n, seed))
     client = np.arange(n, dtype=np.int64)
     client %= scenario.n_clients
     first = [(scheduled[j], j) for j in range(min(n, scenario.n_clients))]
     issue, start, done = (array("d", [math.nan]) * n for _ in range(3))
     return client, scheduled, cpu, issue, start, done, first, None
+
+
+@functools.lru_cache(maxsize=1)
+def _compute_seconds(cpu_work: float, dist: ServiceDist, n: int,
+                     seed: int) -> np.ndarray:
+    cpu = cpu_work * dist.sample(np.random.default_rng(seed), n)
+    cpu.flags.writeable = False
+    return cpu
 
 
 def _run(profile: WorkloadProfile, scenario: ScenarioConfig,

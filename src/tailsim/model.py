@@ -443,11 +443,15 @@ def parse_number(raw: str, finite: bool = True) -> float:
 
 
 def parse_int(raw: str) -> int:
-    """A finite integral number, so 5, 5.0 and 5e0 all read as 5."""
+    """A finite integral number, so 5, 5.0 and 5e0 all read as 5. Integer
+    text reads exactly, past 2**53 too."""
     value = parse_number(raw)
     if not value.is_integer():
         raise ValueError("not an integer")
-    return int(value)
+    try:
+        return int(raw)
+    except ValueError:
+        return int(value)
 
 
 def _limit(*words: str):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -239,6 +242,32 @@ class TestSweepCommand:
         assert (tmp_path / "root" / "sweep-synth" / "sweep.csv").exists()
 
 
+def _cpus() -> int:
+    return (len(os.sched_getaffinity(0))
+            if sys.platform.startswith("linux") else 0)
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="needs Linux and an affinity of "
+                    "at least two CPUs, where OpenBLAS starts threads")
+@pytest.mark.parametrize("exported", [None, "2"])
+def test_import_starts_no_blas_thread(exported):
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    if exported is not None:
+        env["OPENBLAS_NUM_THREADS"] = exported
+    code = ("import os, tailsim\n"
+            "print(len(os.listdir('/proc/self/task')),"
+            " os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    threads, value = proc.stdout.split()
+    if exported is None:
+        assert (threads, value) == ("1", "1")
+    else:  # a value the user exported wins
+        assert value == exported
+
+
 class TestReplay:
     def test_replay_reproduces_outputs(self, spec_dir, tmp_path):
         out = tmp_path / "orig"
@@ -261,6 +290,22 @@ class TestReplay:
                      str(out / "manifest.json")]) == 0
         assert read(out / "sweep.csv") == read(replay_out / "sweep.csv")
         return json.loads((out / "manifest.json").read_text())
+
+    def test_seed_past_2_53_is_kept_exactly(self, spec_dir, tmp_path):
+        seed = 2**53 + 1  # a float would round it to 2**53
+        (spec_dir / "big.spec").write_text(
+            FAST_SPEC.replace("seed: 77", f"seed: {seed}"))
+        manifest = self._replay_matches(["--points", "2"],
+                                        spec_dir / "big.spec", tmp_path)
+        assert manifest["seed"] == seed
+        replayed = json.loads(
+            (tmp_path / "replayed" / "manifest.json").read_text())
+        assert replayed["seed"] == seed
+        rounded = tmp_path / "rounded"
+        assert main(["--out", str(rounded), "--points", "2", "--seed",
+                     str(2**53), "sweep", str(spec_dir / "big.spec")]) == 0
+        assert read(rounded / "sweep.csv") != read(
+            tmp_path / "orig" / "sweep.csv")
 
     def test_replay_keeps_warmup_override(self, spec_dir, tmp_path):
         manifest = self._replay_matches(["--warmup", "3", "--points", "3"],
@@ -817,6 +862,26 @@ class TestPartition:
         assert caps["cat_w5"] == pytest.approx(7.5)
         assert caps["cat_w2"] == pytest.approx(3.0)
         assert caps["mba_300"] is None
+
+    def test_runs_of_a_point_draw_service_once(self, spec_dir, tmp_path,
+                                               monkeypatch):
+        from tailsim import engine
+        from tailsim.model import ServiceDist
+        draws = []
+        real = ServiceDist.sample
+
+        def counted(self, rng, n):
+            draws.append(n)
+            return real(self, rng, n)
+
+        monkeypatch.setattr(ServiceDist, "sample", counted)
+        engine._compute_seconds.cache_clear()
+        (spec_dir / "part.spec").write_text(FAST_SPEC
+                                            + "ways_list: 11,5,2\n")
+        assert main(["--out", str(tmp_path / "part"), "--points", "2",
+                     "partition", str(spec_dir / "part.spec")]) == 0
+        # two points of three runs each: one draw per point
+        assert len(draws) == 2
 
     def test_fractional_bandwidth_keeps_its_digits(self, spec_dir,
                                                    tmp_path):

@@ -559,6 +559,23 @@ class TestTraceExport:
                 run_open(profile, scen)
 
 
+def test_open_loop_compute_seconds_drawn_once_and_read_only():
+    prof = WorkloadProfile(name="x", cpu_work=0.001,
+                           service_dist=ServiceDist("lognormal", 0.8))
+    scen = ScenarioConfig(Topology.ONE_ST, 3, OpenLoop(200.0), 2.0)
+    sched = build_schedule(ArrivalModel("poisson"), 200.0, 2.0, 7)
+    a = engine._request_store(prof, scen, 11, sched)[2]
+    b = engine._request_store(prof, scen, 11, sched)[2]
+    assert b.obj is a.obj
+    with pytest.raises(TypeError):
+        a[0] = 1.0
+    # another seed draws anew; only the last column is kept
+    c = engine._request_store(prof, scen, 12, sched)[2]
+    assert c.obj is not a.obj
+    d = engine._request_store(prof, scen, 11, sched)[2]
+    assert d.obj is not a.obj and d.tobytes() == a.tobytes()
+
+
 @st.composite
 def phase_mixes(draw):
     """A random profile and limits: phase mix (zero-memory and disk-only

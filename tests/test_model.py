@@ -10,9 +10,10 @@ from tailsim.model import (_PROFILE_FLOAT_FIELDS, COMPUTE, DISK, IDLE, MB,
                            PlatformConfig, ResourceLimits,
                            ServiceDist, Topology, WorkloadProfile,
                            drain_rates, kv_text, load_platform, load_profile,
-                           mean_demands, miss_ratio, parse_kv_text,
-                           platform_to_text, profile_from_mapping,
-                           profile_to_text, save_profile, validate_profile)
+                           mean_demands, miss_ratio, parse_int,
+                           parse_kv_text, platform_to_text,
+                           profile_from_mapping, profile_to_text,
+                           save_profile, validate_profile)
 
 PLATFORM = PlatformConfig()
 
@@ -311,9 +312,9 @@ class TestPlatformFiles:
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
-# Integers a file holds exactly: they are read as numbers, and a float
-# holds every integer up to 2**53.
-EXACT_COUNT = st.integers(1, 2**53)
+# Integer text reads as an int, so a file holds integers past 2**53, the
+# last that a float holds exactly.
+EXACT_COUNT = st.integers(1, 2**64)
 
 
 class TestFileReaderAndWriter:
@@ -362,6 +363,19 @@ class TestFileReaderAndWriter:
         path = tmp_path_factory.mktemp("p") / "x.platform"
         path.write_text(platform_to_text(platform))
         assert load_platform(path) == platform
+
+    @pytest.mark.parametrize("raw,value", [
+        ("9007199254740993", 2**53 + 1), ("-9007199254740993", -2**53 - 1),
+        ("5.0", 5), ("1e1", 10), ("-0", 0)])
+    def test_integer_reads_exactly(self, raw, value):
+        assert parse_int(raw) == value
+
+    @pytest.mark.parametrize("raw,message", [
+        ("1e400", "not a finite number"), ("9" * 400, "not a finite number"),
+        ("2.5", "not an integer"), ("x", "not a number")])
+    def test_integer_rejects_what_is_not_a_finite_integer(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            parse_int(raw)
 
     @pytest.mark.parametrize("value", ["", " x", "x ", "a\nb", "a#b"])
     def test_writer_refuses_what_would_not_read_back(self, value):

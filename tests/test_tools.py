@@ -330,6 +330,54 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path, capsys):
     assert [s["seconds"] for s in saved] == [9.0, 5.0]
 
 
+def canned_checkout(root, walls, slowness):
+    """A checkout whose perfbench/run.py prints perfbench's output for
+    command runs of the given raw walls at one host slowness."""
+    runs = [f"run {i}: wall {w:.3f} s, cpu {2 * w:.3f} s, peak rss 37.4 "
+            f"MB, host slowness {slowness:.3f}, ok"
+            for i, w in enumerate(walls)]
+    scaled = sorted(w / slowness for w in walls)[len(walls) // 2]
+    result = {"correct": True, "attempted": len(walls), "failed": 0,
+              "metrics": {"wall_s": {"value": scaled, "unit": "s"}}}
+    text = "\n".join(["env {}", "workload imgdnn-cat-partition: ...",
+                      "requests simulated per command: 10", *runs,
+                      "failed_ratio 0 (0/3)", f"wall_s {scaled:.6g} s",
+                      json.dumps(result)])
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(f"print({text!r})\n")
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower"},
+        {"name": "cpu_s", "better": "lower"}]}))
+    return runs
+
+
+def test_bench_pairs_keeps_raw_figures(tmp_path, capsys):
+    # the change runs faster, but its probe reads the host as faster too,
+    # so its scaled wall is the worse one; the raw figures show both
+    tool = load_tool("bench_pairs")
+    canned_checkout(tmp_path / "p", [0.40, 0.39, 0.41], 0.950)
+    runs = canned_checkout(tmp_path / "c", [0.38, 0.37, 0.39], 0.880)
+    out = tmp_path / "BENCH.json"
+    assert tool.main([str(tmp_path / "p"), str(tmp_path / "c"),
+                      "--workload", "w", "--pairs", "2",
+                      "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == [
+        "cpu_s.raw [s]: parent 0.8 [0.8, 0.8], change 0.76 [0.76, 0.76], "
+        "change wins 2/2, |median gap| > parent IQR: yes",
+        "host_slowness []: parent 0.95 [0.95, 0.95], change 0.88 [0.88, "
+        "0.88], change wins ?/2, |median gap| > parent IQR: yes",
+        "wall_s [s]: parent 0.421053 [0.421053, 0.421053], change 0.431818 "
+        "[0.431818, 0.431818], change wins 0/2, |median gap| > parent IQR: "
+        "yes",
+        "wall_s.raw [s]: parent 0.4 [0.4, 0.4], change 0.38 [0.38, 0.38], "
+        "change wins 2/2, |median gap| > parent IQR: yes",
+        "runs failed or incorrect: 0 of 4",
+    ]
+    pair = json.loads(out.read_text())["sets"][0]["pairs"][0]
+    assert pair["change"]["runs"] == runs
+
+
 def test_bench_pairs_counts_failed_runs(tmp_path, capsys):
     tool = load_tool("bench_pairs")
     stub_checkout(tmp_path / "p", "parent", tmp_path / "log", {})

@@ -8,10 +8,12 @@
 PARENT and CHANGE are source checkouts. Each pair runs
 ``perfbench/run.py`` once in each, from the checkout's root; the even
 pairs run PARENT first and the odd pairs CHANGE first, so a drift of the
-host's speed falls on both sides alike. Each run's ``env`` line and its
-last line, the JSON result, are kept. The pairs are added to FILE as one
-set (a set of the same workload, seed, seconds and trace replaces an
-earlier one), so one file can hold a PR's sets for every workload.
+host's speed falls on both sides alike. Each run's ``env`` line, its
+``run i:`` lines (each command run's unscaled wall and CPU seconds and
+host slowness) and its last line, the JSON result, are kept. The pairs
+are added to FILE as one set (a set of the same workload, seed, seconds
+and trace replaces an earlier one), so one file can hold a PR's sets for
+every workload.
 Each set records, under ``sources``, which code each side ran: the
 checkout's commit (``git rev-parse HEAD``) when it has a ``.git``,
 otherwise a sha256 over its ``src/`` files (see ``source_id``), since a
@@ -20,8 +22,12 @@ otherwise a sha256 over its ``src/`` files (see ``source_id``), since a
 For each metric the summary prints each side's median and quartiles, the
 pairs the change wins (lower or higher is better as ``BENCHMARK.json`` in
 CHANGE says; "?" for a metric it does not list) and whether the medians
-differ by more than the parent's interquartile range. Exits 1 when a run
-failed or reported incorrect outputs, 0 otherwise.
+differ by more than the parent's interquartile range. Beside the scaled
+``wall_s`` and ``cpu_s`` it prints the unscaled ``wall_s.raw`` and
+``cpu_s.raw`` and the ``host_slowness`` they were divided by, each a
+benchmark run's median over its command runs, so that a change which
+moves the host-speed probe shows. Exits 1 when a run failed or reported
+incorrect outputs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -29,12 +35,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# A command run's line in perfbench/run.py's output.
+RUN_LINE = re.compile(r"run \d+: wall (\S+) s, cpu (\S+) s, .*"
+                      r"host slowness (\S+),")
 
 
 def source_id(checkout: Path) -> str:
@@ -70,15 +80,16 @@ def run_once(checkout: Path, args: argparse.Namespace) -> dict:
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(l[4:]) for l in lines if l.startswith("env ")),
                None)
+    runs = [l for l in lines if RUN_LINE.match(l)]
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
     if proc.returncode != 0 or not isinstance(result, dict):
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-        return {"env": env, "result": None,
+        return {"env": env, "runs": runs, "result": None,
                 "error": f"exit {proc.returncode}: {tail}"}
-    return {"env": env, "result": result}
+    return {"env": env, "runs": runs, "result": result}
 
 
 def brief(run: dict) -> str:
@@ -105,26 +116,39 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def figures(run: dict) -> dict[str, dict]:
+    """A run's metrics, with the medians of its command runs' unscaled
+    wall and CPU seconds and host slowness when it kept run lines."""
+    out = dict(run["result"]["metrics"])
+    rows = [RUN_LINE.match(l).groups() for l in run["runs"]]
+    if rows:
+        for name, unit, column in (("wall_s.raw", "s", 0),
+                                   ("cpu_s.raw", "s", 1),
+                                   ("host_slowness", "", 2)):
+            out[name] = {"value": statistics.median(
+                float(row[column]) for row in rows), "unit": unit}
+    return out
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> list[str]:
     """One line per metric that every run of both sides reported."""
-    results = [{side: p[side]["result"] for side in SIDES} for p in pairs]
-    if not results or any(r[s] is None for r in results for s in SIDES):
+    if not pairs or any(p[s]["result"] is None for p in pairs
+                        for s in SIDES):
         return []
-    names = set.intersection(*(set(r[s]["metrics"]) for r in results
-                               for s in SIDES))
+    results = [{side: figures(p[side]) for side in SIDES} for p in pairs]
+    names = set.intersection(*(set(r[s]) for r in results for s in SIDES))
     lines = []
     for name in sorted(names):
-        value = {s: [r[s]["metrics"][name]["value"] for r in results]
-                 for s in SIDES}
+        value = {s: [r[s][name]["value"] for r in results] for s in SIDES}
         (a1, a2, a3), (b1, b2, b3) = (quartiles(value[s]) for s in SIDES)
-        way = better.get(name)
+        way = better.get(name.removesuffix(".raw"))
         if way is None:
             wins = "?"
         else:
             wins = sum((b < a) if way == "lower" else (b > a)
                        for a, b in zip(value["parent"], value["change"]))
         gap = "yes" if abs(b2 - a2) > a3 - a1 else "no"
-        unit = results[0]["change"]["metrics"][name].get("unit", "")
+        unit = results[0]["change"][name].get("unit", "")
         lines.append(
             f"{name} [{unit}]: parent {a2:.6g} [{a1:.6g}, {a3:.6g}], change "
             f"{b2:.6g} [{b1:.6g}, {b3:.6g}], change wins {wins}/"
