@@ -68,7 +68,6 @@ import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -507,24 +506,33 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             (mem_log if ph == MEMORY else disk_log).extend(
                 (since, t_last, rate))
 
-    # The trace gets its own copy of the schedule's times.
-    scheduled_a = (schedule.copy() if open_mode
-                   else np.frombuffer(scheduled))
-    issue_a = np.frombuffer(issue)
-    done_a = np.frombuffer(done)
-    meta = {"engine": "event", "events": events}
-    return Trace(client=np.frombuffer(client_of, dtype=np.int64),
-                 scheduled=scheduled_a, issue=issue_a,
-                 service_start=np.frombuffer(start), completion=done_a,
-                 timely=issue_a <= scheduled_a + TIMELY_EPS,
-                 latency=done_a - scheduled_a + rtt2,
-                 n_cores=n_workers,  # one logical core per worker thread
-                 duration=duration,
-                 mem_segments=np.frombuffer(mem_log).reshape(-1, 3),
-                 disk_segments=np.frombuffer(disk_log).reshape(-1, 3),
-                 net_tx_bytes=base.net_tx_bytes,
-                 net_rx_bytes=base.net_rx_bytes,
-                 cpu_busy=[_rows(iv) for iv in cpu_busy],
+    return _trace(profile, scenario, limits, platform, schedule, client_of,
+                  scheduled, issue, start, done,
+                  np.frombuffer(mem_log).reshape(-1, 3),
+                  np.frombuffer(disk_log).reshape(-1, 3),
+                  [_rows(iv) for iv in cpu_busy],
+                  {"engine": "event", "events": events})
+
+
+def _trace(profile: WorkloadProfile, scenario: ScenarioConfig,
+           limits: ResourceLimits, platform: PlatformConfig,
+           schedule: np.ndarray | None, client, scheduled, issue, start,
+           done, mem_segments, disk_segments, cpu_busy, meta) -> Trace:
+    """A run's trace: views of its request store's columns, timely and
+    latency derived from them, and its own copy of an open-loop schedule."""
+    scheduled = (np.frombuffer(scheduled) if schedule is None
+                 else schedule.copy())
+    issue, done = np.frombuffer(issue), np.frombuffer(done)
+    base = mean_demands(profile, limits, platform)
+    return Trace(client=np.frombuffer(client, dtype=np.int64),
+                 scheduled=scheduled, issue=issue,
+                 service_start=np.frombuffer(start), completion=done,
+                 timely=issue <= scheduled + TIMELY_EPS,
+                 latency=done - scheduled + 2.0 * scenario.rtt,
+                 n_cores=scenario.topology.n_workers,  # a core per worker
+                 duration=scenario.duration, mem_segments=mem_segments,
+                 disk_segments=disk_segments, net_tx_bytes=base.net_tx_bytes,
+                 net_rx_bytes=base.net_rx_bytes, cpu_busy=cpu_busy,
                  llc_occupancy=llc_occupancy(profile, limits, platform),
                  meta=meta)
 
@@ -753,20 +761,9 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     cpu_busy = [np.column_stack((s[rows], cpu_end[rows]))
                 for rows in (in_cpu & ~on_1, in_cpu & on_1)[:n_workers]]
     del s, in_cpu, cpu_end, on_1
-
-    # The trace gets its own copy of the schedule's times.
-    scheduled_a = schedule.copy()
-    return Trace(client=np.frombuffer(client_of, dtype=np.int64),
-                 scheduled=scheduled_a, issue=issue_a,
-                 service_start=start_a, completion=done_a,
-                 timely=issue_a <= scheduled_a + TIMELY_EPS,
-                 latency=done_a - scheduled_a + rtt2, n_cores=n_workers,
-                 duration=scenario.duration, mem_segments=mem_segments,
-                 disk_segments=disk_segments,
-                 net_tx_bytes=base.net_tx_bytes,
-                 net_rx_bytes=base.net_rx_bytes, cpu_busy=cpu_busy,
-                 llc_occupancy=llc_occupancy(profile, limits, platform),
-                 meta=meta)
+    return _trace(profile, scenario, limits, platform, schedule, client_of,
+                  scheduled, issue, start, done, mem_segments,
+                  disk_segments, cpu_busy, meta)
 
 
 def _one_worker(scheduled: np.ndarray, cpu: np.ndarray, issue: np.ndarray,
@@ -962,26 +959,3 @@ def _phase_rows(begin: np.ndarray, length: float, rate: float,
     rows[:, 2] = rate
     keep = t1 > t0
     return rows if keep.all() else rows[keep]
-
-
-def export_trace_csv(trace: Trace, path: str | Path) -> None:
-    """One row per request with the full lifecycle timestamps."""
-    lines = ["index,client,scheduled,issue,service_start,completion,"
-             "timely,latency"]
-    columns = zip(trace.client.tolist(), trace.scheduled.tolist(),
-                  trace.issue.tolist(), trace.service_start.tolist(),
-                  trace.completion.tolist(), trace.timely.tolist(),
-                  trace.latency.tolist())
-    for i, (client, sched, issue, start, done, timely, lat) in enumerate(
-            columns):
-        lines.append(",".join([
-            str(i), str(client), _num(sched), _num(issue), _num(start),
-            _num(done), str(int(timely)), _num(lat),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _num(x: float) -> str:
-    if math.isnan(x):
-        return ""
-    return repr(x)

@@ -443,15 +443,23 @@ def parse_number(raw: str, finite: bool = True) -> float:
 
 
 def parse_int(raw: str) -> int:
-    """A finite integral number, so 5, 5.0 and 5e0 all read as 5. Integer
-    text reads exactly, past 2**53 too."""
-    value = parse_number(raw)
-    if not value.is_integer():
-        raise ValueError("not an integer")
+    """A finite number whose text has an integral exact decimal value, so 5,
+    5.0 and 5e0 all read as 5 and 2.5 or 9007199254740993.5 fail. Read
+    exactly, past 2**53 too."""
+    parse_number(raw)
     try:
         return int(raw)
     except ValueError:
-        return int(value)
+        pass
+    # decimal is imported only for text that is not integer text
+    from decimal import Decimal, InvalidOperation
+    try:
+        exact = Decimal(raw)
+    except InvalidOperation:  # an exponent of more than 18 digits
+        exact = None
+    if exact is None or exact != exact.to_integral_value():
+        raise ValueError("not an integer")
+    return int(exact)
 
 
 def _limit(*words: str):

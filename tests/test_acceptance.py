@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tailsim.cli import main as cli_main
-from tailsim.engine import export_trace_csv, simulate_open_loop
+from tailsim.engine import simulate_open_loop
 from tailsim.experiments import (RunConfig, compare_scenarios, derive_lqos,
                                  interpolate, load_experiment_spec,
                                  qps_sweeps,
@@ -25,6 +25,8 @@ from tailsim.model import (OpenLoop, PlatformConfig, ResourceLimits,
                            ScenarioConfig, ServiceDist, Topology,
                            WorkloadProfile)
 from tailsim.taxonomy import classify, extract_features
+
+from trace_columns import assert_same_requests
 
 PLATFORM = PlatformConfig()
 FREE = ResourceLimits.unconstrained(PLATFORM)
@@ -121,7 +123,7 @@ def test_criterion_2_mm2_oracle():
            f"(Erlang-C {mean_exp * 1000:.4f}ms)")
 
 
-def test_criterion_3_degeneracy_suite(tmp_path):
+def test_criterion_3_degeneracy_suite():
     prof = WorkloadProfile(name="mix", cpu_work=0.0008, mem_accesses=50000,
                            miss_min=0.1, miss_max=0.4, miss_shape=1.3,
                            mem_stream_rate=6000.0, footprint=8.0,
@@ -134,16 +136,16 @@ def test_criterion_3_degeneracy_suite(tmp_path):
         return simulate_open_loop(prof, scen, limits, PLATFORM, sched,
                                   seed=3)
 
-    def bytes_of(trace, tag):
-        rec = tmp_path / f"{tag}_records.csv"
-        export_trace_csv(trace, rec)
-        return [rec.read_bytes(), trace.mem_segments.tobytes(),
-                trace.disk_segments.tobytes(),
+    def logs(trace):
+        return [trace.mem_segments.tobytes(), trace.disk_segments.tobytes(),
                 *(c.tobytes() for c in trace.cpu_busy)]
 
+    def assert_same_run(a, b):
+        assert_same_requests(a, b)
+        assert logs(a) == logs(b)
+
     # sigma = 1.0: the SMT topology degenerates to two independent cores
-    assert bytes_of(run(Topology.TWO_ST, FREE), "st") == \
-        bytes_of(run(Topology.TWO_SMT, FREE), "smt")
+    assert_same_run(run(Topology.TWO_ST, FREE), run(Topology.TWO_SMT, FREE))
 
     # flat miss curve: identical traces at every way count
     flat = replace(prof, miss_min=0.2, miss_max=0.2)
@@ -153,18 +155,16 @@ def test_criterion_3_degeneracy_suite(tmp_path):
         return simulate_open_loop(flat, scen, ResourceLimits(llc_ways=ways),
                                   PLATFORM, sched, seed=3)
 
-    base = bytes_of(run_flat(11), "w11")
+    base = run_flat(11)
     for ways in (8, 5, 2, 1):
-        assert bytes_of(run_flat(ways), f"w{ways}") == base
+        assert_same_run(run_flat(ways), base)
 
     # non-binding bandwidth limits: identical to unlimited
-    unlimited = bytes_of(run(Topology.ONE_ST, ResourceLimits(llc_ways=11)),
-                         "unl")
-    capped = bytes_of(
-        run(Topology.ONE_ST,
-            ResourceLimits(llc_ways=11, mem_bw_limit=50000.0,
-                           disk_bw_limit=550.0)), "cap")
-    assert capped == unlimited
+    unlimited = run(Topology.ONE_ST, ResourceLimits(llc_ways=11))
+    capped = run(Topology.ONE_ST,
+                 ResourceLimits(llc_ways=11, mem_bw_limit=50000.0,
+                                disk_bw_limit=550.0))
+    assert_same_run(capped, unlimited)
     report(3, True, "SMT/flat-miss/non-binding-limit degeneracies exact")
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tailsim.cli import VALIDATION_ERRORS, main
+from tailsim.cli import VALIDATION_ERRORS, build_parser, main
 from tailsim.experiments import (geometric_points, load_experiment_spec,
                                  point_seed, run_point, shipped_spec_path)
 from tailsim.loadgen import ZIPF_SUPPORT_MAX
@@ -268,6 +269,23 @@ def test_import_starts_no_blas_thread(exported):
         assert value == exported
 
 
+def test_readme_command_lines_parse():
+    # Every line of README's sh blocks that runs tailsim, comment dropped.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines, in_sh = [], False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("tailsim "):
+            lines.append(line)
+    assert lines
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
+
+
 class TestReplay:
     def test_replay_reproduces_outputs(self, spec_dir, tmp_path):
         out = tmp_path / "orig"
@@ -363,7 +381,8 @@ duration: 5.0
 
     @pytest.mark.parametrize("key,value", [
         ("points", "2.7"), ("n_clients", "1.5"), ("llc_ways", "5.5"),
-        ("seed", "7.5"), ("zipf_support", "100.5"),
+        ("seed", "7.5"), ("seed", "9007199254740993.5"),
+        ("zipf_support", "100.5"),
         ("sessions_min", "1.5"), ("sessions_max", "8.5")])
     def test_non_integral_count_exit_2(self, spec_dir, tmp_path, capsys,
                                        key, value):

@@ -1,23 +1,22 @@
 import hashlib
 import math
 import re
-import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tailsim import engine
-from tailsim.engine import (export_trace_csv, simulate_closed_loop,
-                            simulate_open_loop)
+from tailsim.engine import simulate_closed_loop, simulate_open_loop
 from tailsim.experiments import load_experiment_spec, shipped_spec_path
 from tailsim.loadgen import ArrivalModel, build_schedule
 from tailsim.metrics import summarize
 from tailsim.model import (MB, ClosedLoop, ModelError, OpenLoop,
                            PlatformConfig, ResourceLimits, ScenarioConfig,
                            ServiceDist, Topology, WorkloadProfile)
+
+from trace_columns import REQUEST_COLUMNS, assert_same_requests
 
 PLATFORM = PlatformConfig()
 FREE = ResourceLimits.unconstrained(PLATFORM)
@@ -141,20 +140,13 @@ class TestDegeneracy:
         return a, b
 
     def assert_identical(self, a, b):
-        np.testing.assert_array_equal(a.issue, b.issue)
-        np.testing.assert_array_equal(a.service_start, b.service_start)
-        np.testing.assert_array_equal(a.completion, b.completion)
-        np.testing.assert_array_equal(a.timely, b.timely)
+        assert_same_requests(a, b)
         np.testing.assert_array_equal(a.mem_segments, b.mem_segments)
         np.testing.assert_array_equal(a.disk_segments, b.disk_segments)
 
-    def test_sigma_one_makes_smt_equal_two_st(self, tmp_path):
+    def test_sigma_one_makes_smt_equal_two_st(self):
         a, b = self.trace_pair(Topology.TWO_ST, Topology.TWO_SMT)
         self.assert_identical(a, b)
-        fa, fb = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_trace_csv(a, fa)
-        export_trace_csv(b, fb)
-        assert fa.read_bytes() == fb.read_bytes()
 
     def test_sigma_below_one_differs(self):
         a, b = self.trace_pair(Topology.TWO_ST, Topology.TWO_SMT, sigma=0.6)
@@ -506,19 +498,13 @@ class TestThroughputCap:
 
 
 class TestTraceExport:
-    def test_csv_export_headers_and_reruns_identical(self, tmp_path):
+    def test_reruns_identical(self):
         prof = WorkloadProfile(name="x", cpu_work=0.001, mem_accesses=1e4,
                                miss_min=0.25, miss_max=0.25, disk_bytes=2e3,
                                service_dist=ServiceDist("exponential"))
         scen = ScenarioConfig(Topology.ONE_ST, 3, OpenLoop(100.0), 3.0)
         tr, again = run_open(prof, scen), run_open(prof, scen)
-        p1, p2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-        export_trace_csv(tr, p1)
-        export_trace_csv(again, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        header = p1.read_text().splitlines()[0]
-        assert header == ("index,client,scheduled,issue,service_start,"
-                          "completion,timely,latency")
+        assert_same_requests(tr, again)
         assert len(tr.mem_segments) and len(tr.disk_segments)
         for a, b in [(tr.mem_segments, again.mem_segments),
                      (tr.disk_segments, again.disk_segments),
@@ -667,12 +653,9 @@ def tied_runs(draw, topologies=tuple(Topology)):
 
 
 def assert_same_trace(fast, ref):
-    """Bit-equal columns, per-core busy intervals, segments (each of
-    positive length), network amounts and trace CSV."""
-    for col in ("client", "scheduled", "issue", "service_start",
-                "completion", "latency", "timely"):
-        np.testing.assert_array_equal(getattr(fast, col), getattr(ref, col),
-                                      err_msg=col)
+    """Equal request columns, and bit-equal per-core busy intervals,
+    segments (each of positive length) and network amounts."""
+    assert_same_requests(fast, ref)
     assert len(fast.cpu_busy) == len(ref.cpu_busy)
     for core, (a, b) in enumerate(zip(fast.cpu_busy, ref.cpu_busy)):
         np.testing.assert_array_equal(a, b, err_msg=f"cpu_busy[{core}]")
@@ -683,11 +666,6 @@ def assert_same_trace(fast, ref):
         assert (rows[:, 1] > rows[:, 0]).all(), col
     assert fast.net_tx_bytes == ref.net_tx_bytes
     assert fast.net_rx_bytes == ref.net_rx_bytes
-    with tempfile.TemporaryDirectory() as tmp:
-        a, b = Path(tmp) / "fast.csv", Path(tmp) / "ref.csv"
-        export_trace_csv(fast, a)
-        export_trace_csv(ref, b)
-        assert a.read_bytes() == b.read_bytes()
 
 
 def tied_events(run, ref):
@@ -1280,14 +1258,14 @@ def golden_runs():
     }
 
 
-def fingerprint(trace, tmp):
-    """sha256 prefixes of the trace CSV, the memory and disk segments and
-    the per-core busy intervals, and the event count."""
+def fingerprint(trace):
+    """sha256 prefixes of the request columns, the memory and disk
+    segments and the per-core busy intervals, and the event count."""
     def sha(data):
         return hashlib.sha256(data).hexdigest()[:16]
 
-    export_trace_csv(trace, tmp / "trace.csv")
-    return {"trace": sha((tmp / "trace.csv").read_bytes()),
+    return {"trace": sha(b"".join(getattr(trace, col).tobytes()
+                                  for col in REQUEST_COLUMNS)),
             "mem": sha(trace.mem_segments.tobytes()),
             "disk": sha(trace.disk_segments.tobytes()),
             "cpu": sha(b"|".join(c.tobytes() for c in trace.cpu_busy)),
@@ -1301,47 +1279,47 @@ class TestGolden:
 
     GOLDEN = {
         "two_st_disk": {
-            "trace": "101383d78d101577", "mem": "e3b0c44298fc1c14",
+            "trace": "bf5f9c6ec70a4007", "mem": "e3b0c44298fc1c14",
             "disk": "fdaa9b5f3b797431", "cpu": "bc44bd14fa205f1d",
             "events": 53754},
         "two_st_mem_contended": {
-            "trace": "5dd10a10d898c020", "mem": "fbe1d9823fd4487c",
+            "trace": "bf68064fb1cf4e8e", "mem": "fbe1d9823fd4487c",
             "disk": "e3b0c44298fc1c14", "cpu": "103c37b78dcd29de",
             "events": 8937},
         "two_smt_mem": {
-            "trace": "32a77e22b0e472ca", "mem": "c3048c5fa3595975",
+            "trace": "37f1032e1381624b", "mem": "c3048c5fa3595975",
             "disk": "e3b0c44298fc1c14", "cpu": "f8b53f8daa889eae",
             "events": 3600},
         "two_smt_closed": {
-            "trace": "b10705a2b3ca9265", "mem": "da0504a670829233",
+            "trace": "ecc131bcc6b9f6f9", "mem": "da0504a670829233",
             "disk": "66a6f6deb45da7a1", "cpu": "e56b33de0aefdc12",
             "events": 10680},
         "two_st_censored": {
-            "trace": "92a8aeb4c749eca2", "mem": "23e8eb07a5321046",
+            "trace": "2567a73aecb59af5", "mem": "23e8eb07a5321046",
             "disk": "e64172d3c86c0e26", "cpu": "9fb3c369cf2222be",
             "events": 7981},
         "two_smt_censored": {
-            "trace": "e1aded70b8837b99", "mem": "d91492e365459ef4",
+            "trace": "7283e3e4e5f3caf3", "mem": "d91492e365459ef4",
             "disk": "3cc708c1d17f7e3f", "cpu": "17eebf03f399d5eb",
             "events": 6475},
         "one_st": {
-            "trace": "c350dd47100a7c6d", "mem": "8bb7ef0b4eb23ac3",
+            "trace": "1368780e90ca53ba", "mem": "8bb7ef0b4eb23ac3",
             "disk": "b4280e89889d0351", "cpu": "b1bad3fe33c62c67",
             "events": 1791},
         "one_st_closed": {
-            "trace": "dd11330da74a0e2e", "mem": "88a797ca69eba542",
+            "trace": "b84c1f39856154ad", "mem": "88a797ca69eba542",
             "disk": "106fe4bdad4822d7", "cpu": "bcc7192d82b7d49d",
             "events": 6873},
         "two_st_no_compute": {
-            "trace": "0aec14185a14ccb3", "mem": "0849b7d30f472307",
+            "trace": "3d7a3b9b027b0173", "mem": "0849b7d30f472307",
             "disk": "42905b0f70e9445a", "cpu": "2754e9db9986f874",
             "events": 23877},
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN))
-    def test_event_engine_bits(self, name, tmp_path):
+    def test_event_engine_bits(self, name):
         prof, scen, limits, sched = golden_runs()[name]
         tr = engine._run(prof, scen, limits, PLATFORM, 11, schedule=sched)
         assert tr.meta["engine"] == "event"
         assert (tr.censored_count > 0) == name.endswith("_censored")
-        assert fingerprint(tr, tmp_path) == self.GOLDEN[name]
+        assert fingerprint(tr) == self.GOLDEN[name]

@@ -366,13 +366,15 @@ class TestFileReaderAndWriter:
 
     @pytest.mark.parametrize("raw,value", [
         ("9007199254740993", 2**53 + 1), ("-9007199254740993", -2**53 - 1),
-        ("5.0", 5), ("1e1", 10), ("-0", 0)])
+        ("5.0", 5), ("1e1", 10), ("-0", 0), ("1e23", 10**23)])
     def test_integer_reads_exactly(self, raw, value):
         assert parse_int(raw) == value
 
     @pytest.mark.parametrize("raw,message", [
         ("1e400", "not a finite number"), ("9" * 400, "not a finite number"),
-        ("2.5", "not an integer"), ("x", "not a number")])
+        ("2.5", "not an integer"), ("9007199254740993.5", "not an integer"),
+        ("1e-400", "not an integer"), ("1e-" + "9" * 25, "not an integer"),
+        ("x", "not a number")])
     def test_integer_rejects_what_is_not_a_finite_integer(self, raw, message):
         with pytest.raises(ValueError, match=message):
             parse_int(raw)
