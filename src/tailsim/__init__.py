@@ -4,10 +4,21 @@ timeliness accounting, tail-latency analysis across SMT thread placements,
 behavior under LLC-way and memory-bandwidth constraints, and a
 resource-signature workload taxonomy."""
 
+import atexit
+import gc
 import os
 
 # tailsim makes no BLAS call: keep OpenBLAS from starting a worker thread.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# At exit, move every tracked object to the permanent generation, which the
+# interpreter's exit-time collections skip: numpy's and tailsim's classes,
+# functions and module globals form cycles that the collector would
+# otherwise free one object at a time, and the OS takes the pages back
+# anyway. Nothing is frozen while the process runs. Hooks registered after
+# this import run before it (atexit runs last-registered-first); forked
+# pool workers leave by os._exit and never run it.
+atexit.register(gc.freeze)
 
 from .model import (ClosedLoop, ModelError, OpenLoop, PlatformConfig,
                     ResourceLimits, ScenarioConfig, ServiceDist, Topology,

@@ -115,7 +115,7 @@ def _dispatch(args, spec_path: Path) -> int:
         spec = replace(spec, config=replace(spec.config,
                                             parallelism=args.parallelism))
     out_dir = _resolve_out(args, spec.name)
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = _COMMANDS[args.command][0](spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in result.files.items():
@@ -136,7 +136,7 @@ def _dispatch(args, spec_path: Path) -> int:
         "versions": {"tailsim": __version__,
                      "python": sys.version.split()[0],
                      "numpy": np.__version__},
-        "wall_clock_s": time.time() - t0,
+        "wall_clock_s": time.perf_counter() - t0,
     }
     (out_dir / "manifest.json").write_text(_json(manifest))
     if result.unresolved:

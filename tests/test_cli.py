@@ -100,6 +100,19 @@ class TestSweepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["versions"]["numpy"] == np.__version__
 
+    def test_wall_clock_ignores_a_clock_step(self, spec_dir, tmp_path,
+                                             monkeypatch):
+        # a wall clock that steps back 10 s at every read
+        import itertools
+        from tailsim import cli
+        steps = itertools.count(1e9, -10.0)
+        monkeypatch.setattr(cli.time, "time", lambda: next(steps))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--points", "2", "sweep",
+                     str(spec_dir / "synth.spec")]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["wall_clock_s"] >= 0
+
     def test_manifest_counts_events(self, spec_dir, tmp_path):
         # SMT compute at 0.8 beside a memory phase varies the rates, so
         # every point runs on the event engine, which counts its events
@@ -267,6 +280,27 @@ def test_import_starts_no_blas_thread(exported):
         assert (threads, value) == ("1", "1")
     else:  # a value the user exported wins
         assert value == exported
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_import_freezes_the_collector_only_at_exit(enabled):
+    # A hook registered before the import runs after tailsim's, at exit.
+    # Until then nothing is frozen and the collector runs as it did.
+    code = ("import atexit, gc\n"
+            f"gc.enable() if {enabled} else gc.disable()\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "import tailsim\n"
+            f"assert gc.isenabled() is {enabled}\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "cycle = []\n"
+            "cycle.append(cycle)\n"
+            "del cycle\n"
+            "assert gc.collect() >= 1\n"
+            "print('ran')\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ran", "True"]
 
 
 def test_readme_command_lines_parse():

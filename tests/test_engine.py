@@ -497,7 +497,7 @@ class TestThroughputCap:
         np.testing.assert_array_equal(tr.mem_segments, ref)
 
 
-class TestTraceExport:
+class TestRerunAndRejection:
     def test_reruns_identical(self):
         prof = WorkloadProfile(name="x", cpu_work=0.001, mem_accesses=1e4,
                                miss_min=0.25, miss_max=0.25, disk_bytes=2e3,

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -531,3 +532,32 @@ def test_engine_time_reports_each_topology(tmp_path, capfd):
     assert [line.split(":")[0] for line in lines] == [
         "ONE_ST constant_rate", "TWO_ST constant_rate 2+event 1",
         "TWO_SMT event"]
+
+
+def test_exit_time_against_itself(tmp_path, capsys):
+    # The benchmark's workloads, each on the short spec under its spec's
+    # name: one line per workload, with both sides' medians.
+    checkout = short_checkout(tmp_path)
+    specs = checkout / "src" / "tailsim" / "specs"
+    for name in ("img-dnn", "img-dnn-partition", "shore"):
+        (specs / f"{name}.spec").write_text(SHORT_SPEC)
+    tool = load_tool("exit_time")
+    assert tool.main([str(checkout), "--rounds", "1", "--against",
+                      str(checkout)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "imgdnn-characterize", "imgdnn-cat-partition", "shore-characterize"]
+    for line in lines:
+        figures = re.fullmatch(
+            r"[\w-]+: set-up parent (\S+) ms, change (\S+) ms; "
+            r"teardown parent (\S+) ms, change (\S+) ms", line).groups()
+        assert all(float(ms) > 0 for ms in figures)
+    assert tool.main([str(checkout), "--rounds", "1"]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        assert re.fullmatch(r"[\w-]+: set-up \S+ ms; teardown \S+ ms", line)
+    # a process that fails stops the tool
+    (specs / "img-dnn.spec").write_text("name: broken\n")
+    assert tool.main([str(checkout), "--rounds", "1"]) == 1
+    assert "error: " in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        tool.main([str(tmp_path / "nowhere")])
