@@ -22,9 +22,8 @@ atexit.register(gc.freeze)
 
 from .model import (ClosedLoop, ModelError, OpenLoop, PlatformConfig,
                     ResourceLimits, ScenarioConfig, ServiceDist, Topology,
-                    WorkDemand, WorkloadProfile, load_profile, mean_demands,
-                    miss_ratio, save_profile, shipped_profile,
-                    validate_profile)
+                    WorkloadProfile, load_profile, mem_bytes, miss_ratio,
+                    save_profile, shipped_profile, validate_profile)
 from .loadgen import ArrivalModel, build_schedule
 from .engine import Trace, simulate_closed_loop, simulate_open_loop
 from .metrics import MetricsSummary, default_warmup, percentile, summarize

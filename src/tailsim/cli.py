@@ -32,7 +32,7 @@ from .model import (ClosedLoop, FileFormatError, ModelError, PlatformConfig,
                     Topology, kv_text, load_platform, parse_kv_text,
                     platform_to_text, profile_to_text)
 from .svgplot import line_plot
-from .taxonomy import Thresholds, classify, extract_features
+from .taxonomy import classify, extract_features
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -86,13 +86,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "replay":
             return _cmd_replay(args)
-        return _dispatch(args, args.spec)
+        return _dispatch(args)
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 
-def _dispatch(args, spec_path: Path) -> int:
+def _dispatch(args) -> int:
     """Run a spec command, then write its files and the manifest: the one
     place that writes a result bundle."""
     if args.parallelism < 1:
@@ -101,9 +101,11 @@ def _dispatch(args, spec_path: Path) -> int:
         raise ExperimentError("--seed: must be a non-negative integer")
     platform = (load_platform(args.platform) if args.platform
                 else PlatformConfig())
-    spec = load_experiment_spec(spec_path, platform=platform,
+    spec = load_experiment_spec(args.spec, platform=platform,
                                 seed_override=args.seed)
     if args.points is not None:
+        if args.points < 2:
+            raise ExperimentError("--points: must be at least 2")
         spec = replace(spec, n_points=args.points)
     if args.warmup is not None:
         duration = spec.scenario.duration
@@ -182,6 +184,12 @@ def _is_int(v) -> bool:
 
 
 def _cmd_replay(args) -> int:
+    # The manifest sets every input of the run; a flag that would set one
+    # too is refused, not dropped.
+    for flag in ("seed", "points", "warmup", "platform"):
+        if getattr(args, flag) is not None:
+            raise ExperimentError(
+                f"--{flag}: replay takes it from the manifest")
     path = Path(args.manifest)
     try:
         manifest = json.loads(path.read_text())
@@ -228,8 +236,9 @@ def _cmd_replay(args) -> int:
     ns = argparse.Namespace(
         command=manifest["command"], spec=spec_path, out=out_dir,
         seed=manifest["seed"], points=manifest["points"],
-        warmup=manifest.get("warmup"), parallelism=1, platform=platform_path)
-    return _dispatch(ns, spec_path)
+        warmup=manifest.get("warmup"), parallelism=args.parallelism,
+        platform=platform_path)
+    return _dispatch(ns)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +278,9 @@ def _sweep_status(sweep: SweepResult) -> dict:
     a time, where a client's previous completion could set a start or a
     block did not settle (``engine._one_worker``)."""
     status = {"points": len(sweep.points),
-              "engine": dict(Counter(p.engine for p in sweep.points)),
-              "events": sum(p.events for p in sweep.points
-                            if p.events is not None)}
-    walked = sum(p.walked for p in sweep.points if p.walked is not None)
+              "engine": dict(Counter(p.meta["engine"] for p in sweep.points)),
+              "events": sum(p.meta.get("events", 0) for p in sweep.points)}
+    walked = sum(p.meta.get("walked", 0) for p in sweep.points)
     if walked:
         status["walked"] = walked
     return status
@@ -355,7 +363,7 @@ def cmd_characterize(spec: ExperimentSpec) -> Result:
     qos = comp.entries[Topology.ONE_ST].qos
     resolved = qos is None or qos.resolved
     result = classify(extract_features(comp.entries[Topology.ONE_ST]),
-                      Thresholds.from_mapping(spec.thresholds))
+                      spec.thresholds)
     files = _sweep_files(spec, {t.value: e.sweep
                                 for t, e in comp.entries.items()},
                          "sweep_", _PANELS,
@@ -433,8 +441,7 @@ def cmd_classify(spec: ExperimentSpec) -> Result:
     [e] = study(spec.profile, [(scen, spec.limits)], spec.qps_range,
                 spec.n_points, spec.config, spec.lqos_override,
                 spec.override_reason)
-    result = classify(extract_features(e),
-                      Thresholds.from_mapping(spec.thresholds))
+    result = classify(extract_features(e), spec.thresholds)
     return Result({"sweep.csv": _sweep_csv(e.sweep),
                    "classification.json": _json(result.to_dict())},
                   {"category": result.category.value,

@@ -74,7 +74,7 @@ import numpy as np
 from .model import (COMPUTE, DISK, IDLE, MEMORY, ClosedLoop, ModelError,
                     OpenLoop, PlatformConfig, ResourceLimits, ScenarioConfig,
                     ServiceDist, WorkloadProfile, drain_rates, llc_occupancy,
-                    mean_demands, validate_profile)
+                    mem_bytes, validate_profile)
 
 TIMELY_EPS = 1e-6  # seconds of slack when judging issue punctuality
 _RUN_BLOCK = 4096  # requests per block of a one-worker constant-rate run
@@ -178,15 +178,14 @@ def _check_times(profile: WorkloadProfile, scenario: ScenarioConfig,
         raise ModelError(
             f"rtt: a round trip of {2.0 * scenario.rtt:g} s outlasts the "
             f"run's hard stop of {hard_stop:g} s")
-    demand = mean_demands(profile, limits, platform)
     mem_limit = ("mem_bw_limit" if limits.effective_mem_bw(platform)
                  < platform.mem_bw_capacity else "mem_bw_capacity")
     disk_limit = ("disk_bw_limit" if limits.effective_disk_bw(platform)
                   < platform.disk_bw_capacity else "disk_bw_capacity")
-    phases = {COMPUTE: (demand.cpu_seconds, "compute", "cpu_work"),
-              MEMORY: (demand.mem_bytes, "memory",
+    phases = {COMPUTE: (profile.cpu_work, "compute", "cpu_work"),
+              MEMORY: (mem_bytes(profile, limits, platform), "memory",
                        f"mem_accesses/mem_stream_rate/{mem_limit}"),
-              DISK: (demand.disk_bytes, "disk", f"disk_bytes/{disk_limit}")}
+              DISK: (profile.disk_bytes, "disk", f"disk_bytes/{disk_limit}")}
     for pair, row in enumerate(drain_rates(profile, scenario.topology, limits,
                                            platform)):
         for _, phase, rate in row:
@@ -277,9 +276,8 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     duration = scenario.duration
     hard_stop = _hard_stop(duration)
 
-    base = mean_demands(profile, limits, platform)
-    mem_bytes = base.mem_bytes
-    disk_bytes = base.disk_bytes
+    mem_demand = mem_bytes(profile, limits, platform)
+    disk_bytes = profile.disk_bytes
     # Each worker's drain rate at phase0 * 4 + phase1, 0.0 while it is idle
     # or missing: one column per worker of drain_rates' table.
     rate_of = [[0.0] * 16, [0.0] * 16]
@@ -294,13 +292,13 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
     # computes or drains memory. A compute phase's slot end is then its
     # memory end, cend + mem_time, with cend its compute end.
     mem_rate = rates0[MEMORY * 4 + IDLE]
-    hide = mem_bytes > 0.0 and (not two or all(
+    hide = mem_demand > 0.0 and (not two or all(
         rates0[MEMORY * 4 + sib] == rates1[sib * 4 + MEMORY] == mem_rate
         and rates1[COMPUTE * 4 + sib] == rates1[MEMORY * 4 + sib]
         and rates0[sib * 4 + COMPUTE] == rates0[sib * 4 + MEMORY]
-        for sib in _reach(profile, base)))
+        for sib in _reach(profile, mem_demand)))
     hidden = COMPUTE if hide else -1
-    mem_time = mem_bytes / mem_rate if hide else 0.0
+    mem_time = mem_demand / mem_rate if hide else 0.0
 
     (client_of, scheduled, cpu, issue, start, done, first,
      closed_issue) = _request_store(profile, scenario, seed, schedule)
@@ -385,9 +383,9 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             j = -1
             if ph == hidden:  # past its hidden compute end: memory ends
                 ph, since, rate = MEMORY, c, mem_rate
-            if ph == COMPUTE and mem_bytes > 0.0:
+            if ph == COMPUTE and mem_demand > 0.0:
                 ph = MEMORY
-                rem = mem_bytes
+                rem = mem_demand
             else:
                 if ph != COMPUTE and t > since:
                     (mem_add if ph == MEMORY else disk_add)(
@@ -425,9 +423,9 @@ def _run(profile: WorkloadProfile, scenario: ScenarioConfig,
             if x > 0.0:
                 ph = COMPUTE
                 rem = x
-            elif mem_bytes > 0.0:
+            elif mem_demand > 0.0:
                 ph = MEMORY
-                rem = mem_bytes
+                rem = mem_demand
             else:
                 ph = DISK
                 rem = disk_bytes
@@ -523,7 +521,6 @@ def _trace(profile: WorkloadProfile, scenario: ScenarioConfig,
     scheduled = (np.frombuffer(scheduled) if schedule is None
                  else schedule.copy())
     issue, done = np.frombuffer(issue), np.frombuffer(done)
-    base = mean_demands(profile, limits, platform)
     return Trace(client=np.frombuffer(client, dtype=np.int64),
                  scheduled=scheduled, issue=issue,
                  service_start=np.frombuffer(start), completion=done,
@@ -531,8 +528,9 @@ def _trace(profile: WorkloadProfile, scenario: ScenarioConfig,
                  latency=done - scheduled + 2.0 * scenario.rtt,
                  n_cores=scenario.topology.n_workers,  # a core per worker
                  duration=scenario.duration, mem_segments=mem_segments,
-                 disk_segments=disk_segments, net_tx_bytes=base.net_tx_bytes,
-                 net_rx_bytes=base.net_rx_bytes, cpu_busy=cpu_busy,
+                 disk_segments=disk_segments,
+                 net_tx_bytes=profile.net_tx_bytes,
+                 net_rx_bytes=profile.net_rx_bytes, cpu_busy=cpu_busy,
                  llc_occupancy=llc_occupancy(profile, limits, platform),
                  meta=meta)
 
@@ -543,7 +541,7 @@ def _constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     start to its end: whether each phase its requests enter drains at its
     lone rate (``drain_rates`` beside IDLE) in every pair of phases the
     workers can reach. Always so with one worker."""
-    reach = _reach(profile, mean_demands(profile, limits, platform))
+    reach = _reach(profile, mem_bytes(profile, limits, platform))
     rates = drain_rates(profile, scenario.topology, limits, platform)
     return all(rate == rates[ph * 4 + IDLE][0][2]
                for p0 in reach
@@ -552,11 +550,11 @@ def _constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
                for _, ph, rate in rates[p0 * 4 + p1])
 
 
-def _reach(profile: WorkloadProfile, base) -> list[int]:
-    """IDLE and each phase a run's requests enter: positive mean demand."""
-    return [ph for ph, demand in ((COMPUTE, profile.cpu_work),
-                                  (MEMORY, base.mem_bytes),
-                                  (DISK, base.disk_bytes), (IDLE, 1.0))
+def _reach(profile: WorkloadProfile, mem: float) -> list[int]:
+    """IDLE and each phase a run's requests enter: positive mean demand,
+    with mem the run's memory bytes per request (``model.mem_bytes``)."""
+    return [ph for ph, demand in ((COMPUTE, profile.cpu_work), (MEMORY, mem),
+                                  (DISK, profile.disk_bytes), (IDLE, 1.0))
             if demand > 0.0]
 
 
@@ -625,13 +623,12 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     rtt2 = 2.0 * scenario.rtt
     hard_stop = _hard_stop(scenario.duration)
 
-    base = mean_demands(profile, limits, platform)
-    mem_bytes = base.mem_bytes
-    disk_bytes = base.disk_bytes
+    mem_demand = mem_bytes(profile, limits, platform)
+    disk_bytes = profile.disk_bytes
     rates = drain_rates(profile, scenario.topology, limits, platform)
     mem_rate = rates[MEMORY * 4 + IDLE][0][2]
     disk_rate = rates[DISK * 4 + IDLE][0][2]
-    mem_time = mem_bytes / mem_rate if mem_bytes > 0.0 else 0.0
+    mem_time = mem_demand / mem_rate if mem_demand > 0.0 else 0.0
     disk_time = disk_bytes / disk_rate if disk_bytes > 0.0 else 0.0
 
     (client_of, scheduled, cpu, issue, start, done, first,
@@ -746,7 +743,7 @@ def _run_constant_rate(profile: WorkloadProfile, scenario: ScenarioConfig,
     s = start_a[order]
     cpu_end = cpu_a[order]
     on_1 = np.frombuffer(on, dtype=np.bool_)[order]
-    has_cpu = (cpu_end > 0.0) | (mem_bytes > 0.0)
+    has_cpu = (cpu_end > 0.0) | (mem_demand > 0.0)
     cpu_end += s  # start + cpu, as _run sums it
     del order, on
     # One segment per phase: every phase drains at one rate.

@@ -37,11 +37,7 @@ class SweepPoint:
     qps: float  # offered load; session count for closed-loop sweeps
     summary: MetricsSummary
     seed: int
-    engine: str  # engine path that ran the point: constant_rate or event
-    events: int | None  # the event engine's events (Trace.meta); None off it
-    # requests the one-worker constant-rate path walked one at a time
-    # (Trace.meta); None off it
-    walked: int | None
+    meta: dict  # the run's Trace.meta: its engine path and counts
 
     @property
     def gate_ok(self) -> bool:
@@ -50,7 +46,6 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    workload: str
     scenario: ScenarioConfig
     limits: ResourceLimits
     points: tuple[SweepPoint, ...]
@@ -213,9 +208,8 @@ def qps_sweeps(profile: WorkloadProfile,
         warmup = (config.warmup if config.warmup is not None
                   else default_warmup(scenario.duration))
         out.append(SweepResult(
-            workload=profile.name, scenario=scenario, limits=limits,
-            points=tuple(sorted(pts, key=lambda p: p.qps)),
-            warmup=warmup))
+            scenario=scenario, limits=limits,
+            points=tuple(sorted(pts, key=lambda p: p.qps)), warmup=warmup))
     return out
 
 
@@ -226,14 +220,11 @@ def _point_job(job) -> list[tuple[int, SweepPoint]]:
     out = []
     for r, scen, limits, q in members:
         trace, summary = run_point(profile, scen, limits, config, seed)
-        engine = trace.meta["engine"]
-        events, walked = trace.meta.get("events"), trace.meta.get("walked")
+        out.append((r, SweepPoint(qps=q, summary=summary, seed=seed,
+                                  meta=trace.meta)))
         # The point outlives the run; freeing the trace before the next
         # run starts keeps one trace alive at a time.
         del trace
-        out.append((r, SweepPoint(qps=q, summary=summary, seed=seed,
-                                  engine=engine, events=events,
-                                  walked=walked)))
     return out
 
 
@@ -648,17 +639,18 @@ class ExperimentSpec:
     qps_range: tuple[float, float]
     n_points: int
     config: RunConfig
+    thresholds: Thresholds  # taxonomy.Thresholds, from the threshold_* keys
     lqos_override: float | None = None
     override_reason: str | None = None
     ways_list: tuple[int, ...] = ()
     bw_limits: tuple[float | None, ...] = ()
     targets: dict[str, float] = field(default_factory=dict)
-    thresholds: dict[str, float] = field(default_factory=dict)
     raw: dict[str, str] = field(default_factory=dict)
 
 
-# The keys only one mode reads; the other mode rejects them, and the ones
-# without a default are required in their own mode.
+# The keys only one mode reads, the first two its sweep's range; the other
+# mode rejects them, and the ones without a default are required in their
+# own mode.
 _MODE_KEYS = {"open_loop": ("qps_min", "qps_max", "n_clients", "arrival",
                             "zipf_alpha", "zipf_support"),
               "closed_loop": ("sessions_min", "sessions_max", "think_time")}
@@ -724,6 +716,15 @@ def load_experiment_spec(path: str | Path,
         qps_lo, qps_hi = float(f["sessions_min"]), float(f["sessions_max"])
         n_clients = f["sessions_max"]
         mode = ClosedLoop(f["sessions_min"], f["think_time"])
+    # 0 < lo < hi; a session count, an integer, is then at least 1.
+    lo_key, hi_key = _MODE_KEYS[mode_raw][:2]
+    if not qps_lo > 0.0:
+        raise FileFormatError(f"{source}: key {lo_key!r}: must be positive")
+    if not qps_lo < qps_hi:
+        raise FileFormatError(
+            f"{source}: key {hi_key!r}: must exceed {lo_key!r}")
+    if f["points"] < 2:
+        raise FileFormatError(f"{source}: key 'points': must be at least 2")
     duration = f["duration"]
     scenario = ScenarioConfig(topology=topology, n_clients=n_clients,
                               mode=mode, duration=duration, rtt=f["rtt"])
@@ -775,10 +776,11 @@ def load_experiment_spec(path: str | Path,
         lqos_override=lqos_override,
         override_reason=f.get("override_reason"),
         ways_list=ways_list, bw_limits=bw_limits,
+        thresholds=Thresholds(**{k.removeprefix("threshold_"): v
+                                 for k, v in f.items()
+                                 if k.startswith("threshold_")}),
         targets={k.removeprefix("target_"): v for k, v in f.items()
                  if k.startswith("target_")},
-        thresholds={k.removeprefix("threshold_"): v for k, v in f.items()
-                    if k.startswith("threshold_")},
         raw=raw)
 
 

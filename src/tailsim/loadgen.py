@@ -42,9 +42,9 @@ class ArrivalModel:
             raise ModelError(f"arrival model: unknown kind {self.kind!r}")
         if self.kind == "zipf":
             if self.alpha <= 0:
-                raise ModelError("arrival model: zipf alpha must be > 0")
+                raise ModelError("zipf_alpha: must be positive")
             if self.support_n < 2:
-                raise ModelError("arrival model: zipf support_n must be >= 2")
+                raise ModelError("zipf_support: must be at least 2")
             if self.support_n > ZIPF_SUPPORT_MAX:
                 raise ModelError(
                     f"zipf_support: must be at most {ZIPF_SUPPORT_MAX}")

@@ -136,13 +136,12 @@ class WorkloadProfile:
                     platform: PlatformConfig) -> tuple[float, float, float]:
         """Mean compute, memory and disk phase times of a lone request
         under limits."""
-        d = mean_demands(self, limits, platform)
+        mem = mem_bytes(self, limits, platform)
         rates = drain_rates(self, Topology.ONE_ST, limits, platform)
-        mem = (d.mem_bytes / rates[MEMORY * 4 + IDLE][0][2]
-               if d.mem_bytes > 0 else 0.0)
-        disk = (d.disk_bytes / rates[DISK * 4 + IDLE][0][2]
-                if d.disk_bytes > 0 else 0.0)
-        return d.cpu_seconds, mem, disk
+        mem_t = mem / rates[MEMORY * 4 + IDLE][0][2] if mem > 0 else 0.0
+        disk_t = (self.disk_bytes / rates[DISK * 4 + IDLE][0][2]
+                  if self.disk_bytes > 0 else 0.0)
+        return self.cpu_work, mem_t, disk_t
 
     def isolated_service_time(self, limits: "ResourceLimits",
                               platform: PlatformConfig) -> float:
@@ -240,17 +239,6 @@ class ResourceLimits:
         return cls(llc_ways=platform.llc_total_ways)
 
 
-@dataclass(frozen=True)
-class WorkDemand:
-    """Per-request resource demand realized under given limits."""
-
-    cpu_seconds: float
-    mem_bytes: float
-    disk_bytes: float
-    net_tx_bytes: float
-    net_rx_bytes: float
-
-
 def validate_profile(profile: WorkloadProfile,
                      platform: PlatformConfig) -> WorkloadProfile:
     """Check every profile invariant, reporting all violations by field name.
@@ -321,23 +309,16 @@ def miss_ratio(profile: WorkloadProfile, ways: int, total_ways: int) -> float:
         span ** profile.miss_shape)
 
 
-def mean_demands(profile: WorkloadProfile, limits: ResourceLimits,
-                 platform: PlatformConfig) -> WorkDemand:
-    """Expected per-request demand under the given limits: the service
-    multiplier has mean 1, and memory traffic follows the miss curve at the
-    assigned way count. Only compute time varies from request to request
-    (cpu_work times a ServiceDist.sample draw)."""
-    mem_bytes = 0.0
+def mem_bytes(profile: WorkloadProfile, limits: ResourceLimits,
+              platform: PlatformConfig) -> float:
+    """Mean main-memory bytes a request moves under the limits: its
+    LLC-level accesses that miss at the assigned way count, a cache line
+    each. The one per-request demand the limits change; compute, disk and
+    network demands are the profile's own fields."""
     if profile.mem_accesses > 0:
         m = miss_ratio(profile, limits.llc_ways, platform.llc_total_ways)
-        mem_bytes = profile.mem_accesses * m * platform.cache_line
-    return WorkDemand(
-        cpu_seconds=profile.cpu_work,
-        mem_bytes=mem_bytes,
-        disk_bytes=profile.disk_bytes,
-        net_tx_bytes=profile.net_tx_bytes,
-        net_rx_bytes=profile.net_rx_bytes,
-    )
+        return profile.mem_accesses * m * platform.cache_line
+    return 0.0
 
 
 def drain_rates(profile: WorkloadProfile, topology: Topology,

@@ -50,11 +50,6 @@ class Thresholds:
     high_disk_p95: float = 0.003  # s
     high_disk_qps: float = 1000.0
 
-    @classmethod
-    def from_mapping(cls, raw: dict[str, float]) -> "Thresholds":
-        known = {f: v for f, v in raw.items() if f in cls.__dataclass_fields__}
-        return cls(**known)
-
 
 @dataclass(frozen=True)
 class Classification:

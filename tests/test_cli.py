@@ -333,6 +333,37 @@ class TestReplay:
         for name in manifest["outputs"]:
             assert read(out / name) == read(replay_out / name), name
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "5"), ("--points", "2"), ("--warmup", "1"),
+        ("--platform", "box.platform")])
+    def test_replay_refuses_flags_the_manifest_sets(
+            self, sweep_manifest, tmp_path, capsys, flag, value):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(sweep_manifest))
+        out = tmp_path / "r"
+        assert main(["--out", str(out), flag, value, "replay",
+                     str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag}: replay takes it from the manifest\n")
+        assert not out.exists()
+
+    def test_replay_runs_at_the_given_parallelism(self, spec_dir, tmp_path,
+                                                  pools, capsys):
+        out = tmp_path / "orig"
+        assert main(["--out", str(out), "--points", "3", "sweep",
+                     str(spec_dir / "synth.spec")]) == 0
+        assert pools == []
+        replay_out = tmp_path / "replayed"
+        assert main(["--out", str(replay_out), "--parallelism", "2",
+                     "replay", str(out / "manifest.json")]) == 0
+        assert pools == [2]
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name in manifest["outputs"]:
+            assert read(out / name) == read(replay_out / name), name
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path / "r0"), "--parallelism", "0",
+                     "replay", str(out / "manifest.json")]) == 2
+        assert "--parallelism: must be at least 1" in capsys.readouterr().err
 
     def _replay_matches(self, flags, spec, tmp_path):
         out = tmp_path / "orig"
@@ -467,6 +498,37 @@ duration: 5.0
                    str(spec_dir / "bad.spec")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("qps_min", "0", ["'qps_min'"]),
+        ("qps_min", "700.0", ["'qps_max'", "'qps_min'"]),
+        ("qps_max", "50.0", ["'qps_max'", "'qps_min'"]),
+        ("sessions_min", "0", ["'sessions_min'"]),
+        ("sessions_min", "8", ["'sessions_max'", "'sessions_min'"]),
+        ("points", "1", ["'points'"]),
+        ("--points", "1", ["--points"]),
+        ("zipf_alpha", "0", ["zipf_alpha"]),
+        ("zipf_support", "1", ["zipf_support"])])
+    def test_range_message_names_its_key(self, spec_dir, tmp_path, capsys,
+                                         monkeypatch, key, value, named):
+        import tailsim.experiments
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before the check")
+
+        monkeypatch.setattr(tailsim.experiments, "run_point", no_run)
+        text = (self.CLOSED_SPEC if key.startswith("sessions")
+                else FAST_SPEC)
+        argv = ["--out", str(tmp_path / "o")]
+        if key.startswith("--"):
+            argv += [key, value]
+        else:
+            text = with_value(text, key, value)
+        (spec_dir / "bad.spec").write_text(text)
+        assert main(argv + ["sweep", str(spec_dir / "bad.spec")]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("mode,key,value", [
@@ -1090,3 +1152,6 @@ class TestOnePoolPerCommand:
         for name in names:
             if name != "manifest.json":
                 assert read(outs["1"] / name) == read(outs["2"] / name), name
+        status = [json.loads((outs[par] / "manifest.json").read_text())
+                  ["status"] for par in ("1", "2")]
+        assert status[0] == status[1]

@@ -10,7 +10,7 @@ from tailsim.model import (_PROFILE_FLOAT_FIELDS, COMPUTE, DISK, IDLE, MB,
                            PlatformConfig, ResourceLimits,
                            ServiceDist, Topology, WorkloadProfile,
                            drain_rates, kv_text, load_platform, load_profile,
-                           mean_demands, miss_ratio, parse_int,
+                           mem_bytes, miss_ratio, parse_int,
                            parse_kv_text, platform_to_text,
                            profile_from_mapping, profile_to_text,
                            save_profile, validate_profile)
@@ -135,16 +135,15 @@ class TestMissRatio:
 class TestRequestDemands:
     def test_deterministic_no_memory(self):
         p = make_profile(cpu_work=0.004)
-        d = mean_demands(p, ResourceLimits(), PLATFORM)
-        assert d.cpu_seconds == 0.004
-        assert d.mem_bytes == 0.0
+        assert mem_bytes(p, ResourceLimits(), PLATFORM) == 0.0
+        assert p.phase_times(ResourceLimits(), PLATFORM) == (0.004, 0.0, 0.0)
         rng = np.random.default_rng(1)
         assert np.all(p.cpu_work * p.service_dist.sample(rng, 100) == 0.004)
 
     def test_memory_traffic_arithmetic(self):
         p = make_profile(mem_accesses=1e6, miss_min=0.25, miss_max=0.25)
-        d = mean_demands(p, ResourceLimits(llc_ways=11), PLATFORM)
-        assert d.mem_bytes == pytest.approx(16_000_000)
+        assert mem_bytes(p, ResourceLimits(llc_ways=11), PLATFORM) \
+            == pytest.approx(16_000_000)
 
     def test_exponential_multiplier_mean_is_one(self):
         p = make_profile(cpu_work=0.002,
@@ -152,8 +151,7 @@ class TestRequestDemands:
         rng = np.random.default_rng(7)
         cpu = p.cpu_work * p.service_dist.sample(rng, 10**6)
         assert cpu.mean() == pytest.approx(0.002, rel=0.01)
-        assert mean_demands(p, ResourceLimits(), PLATFORM).cpu_seconds \
-            == 0.002
+        assert p.phase_times(ResourceLimits(), PLATFORM)[0] == 0.002
 
     @given(a=st.integers(1, 11), b=st.integers(1, 11))
     @settings(max_examples=60, deadline=None)
@@ -162,9 +160,8 @@ class TestRequestDemands:
             a, b = b, a
         p = make_profile(mem_accesses=5e5, miss_min=0.05, miss_max=0.5,
                          miss_shape=1.7)
-        da = mean_demands(p, ResourceLimits(llc_ways=a), PLATFORM)
-        db = mean_demands(p, ResourceLimits(llc_ways=b), PLATFORM)
-        assert da.mem_bytes >= db.mem_bytes - 1e-9
+        assert (mem_bytes(p, ResourceLimits(llc_ways=a), PLATFORM)
+                >= mem_bytes(p, ResourceLimits(llc_ways=b), PLATFORM) - 1e-9)
 
 
 class TestServiceDist:
@@ -272,12 +269,6 @@ class TestProfileFiles:
                           ResourceLimits(mem_bw_limit=5000.0), PLATFORM)
         assert one[MEMORY * 4 + IDLE] == ((0, MEMORY, 5000.0 * MB),)
         assert one[DISK * 4 + IDLE] == ((0, DISK, 550.0 * MB),)
-
-    def test_mean_demands_uses_unit_multiplier(self):
-        p = make_profile(cpu_work=0.002,
-                         service_dist=ServiceDist("exponential"))
-        d = mean_demands(p, ResourceLimits(), PLATFORM)
-        assert d.cpu_seconds == 0.002
 
 
 class TestPlatformFiles:

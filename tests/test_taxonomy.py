@@ -81,12 +81,6 @@ class TestThresholds:
                 is Category.STREAMING}
         assert high <= low
 
-    def test_from_mapping_ignores_unknown(self):
-        th = Thresholds.from_mapping({"streaming_net_tx": 42.0,
-                                      "bogus": 1.0})
-        assert th.streaming_net_tx == 42.0
-        assert th.high_disk_bw == 2.0
-
     def test_trace_names_fired_rule(self):
         r = classify(fv(net_tx_bw_peak=200.0))
         assert "streaming" in r.trace[-1]

@@ -561,3 +561,32 @@ def test_exit_time_against_itself(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
     with pytest.raises(SystemExit):
         tool.main([str(tmp_path / "nowhere")])
+
+
+def test_code_lines_counts_code_only(tmp_path, capsys):
+    tool = load_tool("code_lines")
+    root = TOOLS.parent
+    assert tool.main([str(root), "--against", str(root)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("total: ")
+    assert all(re.fullmatch(r"\S+: lines (\d+) -> \1 \(\+0\), "
+                            r"code (\d+) -> \2 \(\+0\)", line)
+               for line in lines), lines
+
+    def tree(name, text):
+        package = tmp_path / name / "src" / "tailsim"
+        package.mkdir(parents=True)
+        (package / "m.py").write_text(text)
+        return str(tmp_path / name)
+
+    base = "def f(x):\n    return x\n"
+    parent = tree("parent", base)
+    documented = tree("documented", '"""A module."""\n\n\ndef f(x):\n'
+                      '    """One line,\n    then two."""\n'
+                      '    # a comment\n    return x  # another\n')
+    grown = tree("grown", base + "\n\nY = f(1)\n")
+    for change, diff in ((documented, "lines 2 -> 8 (+6), code 2 -> 2 (+0)"),
+                         (grown, "lines 2 -> 5 (+3), code 2 -> 3 (+1)")):
+        assert tool.main([change, "--against", parent]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"m.py: {diff}", f"total: {diff}"]
