@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Commands: sweep, characterize, partition, classify, calibrate, replay.
-Each spec command computes its results and returns them as files by name
-(CSV/JSON, SVG panels); ``_dispatch`` writes them, then a manifest that
-embeds the resolved spec and profile text, so `replay` can reproduce the
-exact same outputs byte for byte.
+A run's inputs travel as one ``ExperimentSpec``, built from either of two
+sources: ``_flag_input`` loads the spec file and applies the flags, and
+``_replay_input`` builds the spec a manifest holds, in memory. Each spec
+command computes its results and returns them as files by name (CSV/JSON,
+SVG panels); ``_dispatch`` writes them, then a manifest that embeds the
+spec as it ran (seed, points and warmup resolved), the profile text and
+the platform text, so `replay` reproduces the outputs byte for byte, and
+the manifest but for its run time and directory, writing nothing else.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ import numpy as np
 from . import __version__
 from .experiments import (ExperimentSpec, ExperimentError, SweepResult,
                           calibrate_profile, compare_scenarios,
-                          load_experiment_spec, study)
+                          load_experiment_spec, spec_from_fields, study)
 from .metrics import (SWEEP_CSV_COLUMNS, MetricsError, default_warmup,
                       summary_csv_row)
 from .model import (ClosedLoop, FileFormatError, ModelError, PlatformConfig,
                     Topology, kv_text, load_platform, parse_kv_text,
-                    platform_to_text, profile_to_text)
+                    platform_from_text, platform_to_text,
+                    profile_from_mapping, profile_to_text)
 from .svgplot import line_plot
 from .taxonomy import classify, extract_features
 
@@ -84,19 +89,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "replay":
-            return _cmd_replay(args)
-        return _dispatch(args)
+        if args.parallelism < 1:
+            raise ExperimentError("--parallelism: must be at least 1")
+        inputs = (_replay_input(args) if args.command == "replay"
+                  else _flag_input(args))
+        return _dispatch(*inputs, args.parallelism)
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 
-def _dispatch(args) -> int:
-    """Run a spec command, then write its files and the manifest: the one
-    place that writes a result bundle."""
-    if args.parallelism < 1:
-        raise ExperimentError("--parallelism: must be at least 1")
+def _flag_input(args) -> tuple[str, ExperimentSpec, Path]:
+    """A spec command's run: its command, the spec file with --seed,
+    --points, --warmup and --platform applied, and its output directory."""
     if args.seed is not None and args.seed < 0:
         raise ExperimentError("--seed: must be a non-negative integer")
     platform = (load_platform(args.platform) if args.platform
@@ -113,25 +118,36 @@ def _dispatch(args) -> int:
             raise ExperimentError(
                 f"--warmup: must lie in [0, duration) = [0, {duration:g}) s")
         spec = replace(spec, config=replace(spec.config, warmup=args.warmup))
-    if args.parallelism > 1:
+    out_dir = args.out
+    if out_dir is None:
+        root = Path(os.environ.get(OUT_ROOT_ENV, "tailsim-out"))
+        out_dir = root / f"{args.command}-{spec.name}"
+    return args.command, spec, out_dir
+
+
+def _dispatch(command: str, spec: ExperimentSpec, out_dir: Path,
+              parallelism: int) -> int:
+    """Run a spec command, then write its files and the manifest: the one
+    place that writes a result bundle."""
+    if parallelism > 1:
         spec = replace(spec, config=replace(spec.config,
-                                            parallelism=args.parallelism))
-    out_dir = _resolve_out(args, spec.name)
+                                            parallelism=parallelism))
     t0 = time.perf_counter()
-    result = _COMMANDS[args.command][0](spec)
+    result = _COMMANDS[command][0](spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in result.files.items():
         (out_dir / name).write_text(text)
+    warmup = spec.config.warmup
     manifest = {
-        "command": args.command,
+        "command": command,
         "spec_name": spec.name,
-        "spec_content": kv_text(spec.raw),
+        # The spec as it ran: the values flags may set written in.
+        "spec_content": kv_text({
+            **spec.raw, "seed": spec.config.seed, "points": spec.n_points,
+            "warmup": (default_warmup(spec.scenario.duration)
+                       if warmup is None else warmup)}),
         "profile_content": profile_to_text(spec.profile),
         "platform_content": platform_to_text(spec.config.platform),
-        "seed": spec.config.seed,
-        "points": spec.n_points,
-        "warmup": (spec.config.warmup if spec.config.warmup is not None
-                   else default_warmup(spec.scenario.duration)),
         "out_dir": str(out_dir),
         "outputs": list(result.files),
         "status": result.status,
@@ -147,13 +163,6 @@ def _dispatch(args) -> int:
         return EXIT_UNREACHABLE
     print(f"{result.note} -> {out_dir}")
     return EXIT_OK
-
-
-def _resolve_out(args, spec_name: str) -> Path:
-    if args.out is not None:
-        return args.out
-    root = Path(os.environ.get(OUT_ROOT_ENV, "tailsim-out"))
-    return root / f"{args.command}-{spec_name}"
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +188,10 @@ def _is_str(v) -> bool:
     return isinstance(v, str)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _cmd_replay(args) -> int:
+def _replay_input(args) -> tuple[str, ExperimentSpec, Path]:
+    """The run a manifest records: its command, the spec built from its
+    spec, profile and platform text, and the replay's output directory.
+    Nothing is written here."""
     # The manifest sets every input of the run; a flag that would set one
     # too is refused, not dropped.
     for flag in ("seed", "points", "warmup", "platform"):
@@ -195,50 +203,41 @@ def _cmd_replay(args) -> int:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not a JSON manifest ({exc})") from None
-    # The keys replay reads: (key, required, check, what it must be).
-    keys = [
-        ("command", True, lambda v: _is_str(v) and v in _COMMANDS,
-         "one of " + ", ".join(_COMMANDS)),
-        ("spec_content", True, _is_str, "a string"),
-        ("profile_content", True, _is_str, "a string"),
-        ("seed", True, _is_int, "an integer"),
-        ("points", True, _is_int, "an integer"),
-        ("platform_content", False, lambda v: v is None or _is_str(v),
-         "a string or null"),
-        ("warmup", False,
-         lambda v: v is None or _is_int(v) or isinstance(v, float),
-         "a number or null"),
-    ]
+    # The keys replay reads: key -> (check, what it must be).
+    keys = {"command": (lambda v: _is_str(v) and v in _COMMANDS,
+                        "one of " + ", ".join(_COMMANDS)),
+            **dict.fromkeys(("spec_name", "spec_content", "profile_content",
+                             "platform_content"), (_is_str, "a string"))}
     if args.out is None:
-        keys.append(("out_dir", True, lambda v: _is_str(v) and "\0" not in v,
-                     "a string without NUL"))
-    for key, required, _, _ in keys:
-        if required and not (isinstance(manifest, dict) and key in manifest):
+        keys["out_dir"] = (lambda v: _is_str(v) and "\0" not in v,
+                           "a string without NUL")
+    for key in keys:
+        if not (isinstance(manifest, dict) and key in manifest):
             raise FileFormatError(f"{path}: manifest lacks key {key!r}")
-    for key, _, ok, want in keys:
-        if not ok(manifest.get(key)):
+    # Manifests once held these beside spec_content; such a manifest is
+    # refused rather than read with the key ignored.
+    for key in ("seed", "points", "warmup"):
+        if key in manifest:
+            raise FileFormatError(
+                f"{path}: manifest key {key!r}: an older manifest format "
+                "(spec_content now holds seed, points and warmup); rerun "
+                "the spec")
+    for key, (ok, want) in keys.items():
+        if not ok(manifest[key]):
             raise FileFormatError(
                 f"{path}: manifest key {key!r}: must be {want}")
+    spec_src, profile_src = f"{path}: spec_content", f"{path}: profile_content"
+    spec = spec_from_fields(
+        parse_kv_text(manifest["spec_content"], spec_src), spec_src,
+        manifest["spec_name"],
+        lambda _: profile_from_mapping(
+            parse_kv_text(manifest["profile_content"], profile_src),
+            profile_src),
+        platform_from_text(manifest["platform_content"],
+                           f"{path}: platform_content"))
     out_dir = (args.out if args.out is not None
                else Path(manifest["out_dir"] + "-replay"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    spec_path = out_dir / "replayed.spec"
-    profile_path = out_dir / "replayed.profile"
-    profile_path.write_text(manifest["profile_content"])
-    spec = parse_kv_text(manifest["spec_content"], f"{path}: spec_content")
-    if "profile" in spec:  # else the replayed spec lacks it too
-        spec["profile"] = profile_path.name
-    spec_path.write_text(kv_text(spec))
-    platform_path = None
-    if manifest.get("platform_content") is not None:
-        platform_path = out_dir / "replayed.platform"
-        platform_path.write_text(manifest["platform_content"])
-    ns = argparse.Namespace(
-        command=manifest["command"], spec=spec_path, out=out_dir,
-        seed=manifest["seed"], points=manifest["points"],
-        warmup=manifest.get("warmup"), parallelism=args.parallelism,
-        platform=platform_path)
-    return _dispatch(ns)
+    return manifest["command"], spec, out_dir
 
 
 # ---------------------------------------------------------------------------

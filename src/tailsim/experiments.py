@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -661,35 +662,47 @@ def load_experiment_spec(path: str | Path,
                          seed_override: int | None = None) -> ExperimentSpec:
     """Parse an experiment spec file and resolve its profile reference.
 
-    The profile key names either a shipped profile or a path relative to
-    the spec file. Malformed lines are reported with line numbers.
+    The profile key names a path relative to the spec file, a path from
+    the working directory or a shipped profile, tried in that order. A
+    spec without a name key is named after the file. Malformed lines are
+    reported with line numbers.
     """
     path = Path(path)
     source = str(path)
-    raw = parse_kv_text(path.read_text(), source=source)
-    from .taxonomy import Thresholds  # taxonomy imports this module
-    prefixed = {f"{prefix}_{name}": (parse_number, None) for prefix, names
-                in (("target", CALIBRATION_TARGETS),
-                    ("threshold", Thresholds.__dataclass_fields__))
-                for name in sorted(names)}
-    f = read_fields(raw, {**_SPEC_KEYS, **prefixed}, "spec", source)
-    platform = platform or PlatformConfig()
 
-    profile_ref = f["profile"]
-    candidate = (path.parent / profile_ref).expanduser()
-    if candidate.is_file():
-        profile_path = candidate
-    elif Path(profile_ref).expanduser().is_file():
-        profile_path = Path(profile_ref).expanduser()
-    else:
+    def profile_file(ref: str) -> WorkloadProfile:
+        for candidate in (path.parent / ref, Path(ref)):
+            if candidate.expanduser().is_file():
+                return load_profile(candidate.expanduser())
         try:
-            profile_path = shipped_profile_path(
-                profile_ref.removesuffix(".profile"))
+            shipped = shipped_profile_path(ref.removesuffix(".profile"))
         except FileNotFoundError:
             raise FileFormatError(
-                f"{source}: profile {profile_ref!r} not found (no such "
+                f"{source}: profile {ref!r} not found (no such "
                 "file and no shipped profile by that name)")
-    profile = load_profile(profile_path)
+        return load_profile(shipped)
+
+    spec = spec_from_fields(parse_kv_text(path.read_text(), source=source),
+                            source, path.stem, profile_file,
+                            platform or PlatformConfig())
+    if seed_override is None:
+        return spec
+    return replace(spec, config=replace(spec.config, seed=seed_override))
+
+
+def spec_from_fields(raw: dict[str, str], source: str, name: str,
+                     profile_of: Callable[[str], WorkloadProfile],
+                     platform: PlatformConfig) -> ExperimentSpec:
+    """The spec that parsed spec fields give: profile_of turns the profile
+    key into its profile, name names a spec without a name key, and
+    source heads every message."""
+    from .taxonomy import Thresholds  # taxonomy imports this module
+    prefixed = {f"{prefix}_{key}": (parse_number, None) for prefix, keys
+                in (("target", CALIBRATION_TARGETS),
+                    ("threshold", Thresholds.__dataclass_fields__))
+                for key in sorted(keys)}
+    f = read_fields(raw, {**_SPEC_KEYS, **prefixed}, "spec", source)
+    profile = profile_of(f["profile"])
     validate_profile(profile, platform)
 
     topo_raw = f["topology"].upper()
@@ -744,14 +757,13 @@ def load_experiment_spec(path: str | Path,
     if f["seed"] < 0:
         raise FileFormatError(
             f"{source}: key 'seed': must be a non-negative integer")
-    seed = f["seed"] if seed_override is None else seed_override
     # nan and inf fail this check, which names the range.
     warmup = f.get("warmup")
     if warmup is not None and not 0.0 <= warmup < duration:
         raise FileFormatError(
             f"{source}: key 'warmup': must lie in [0, duration) = "
             f"[0, {duration:g}) s")
-    config = RunConfig(platform=platform, arrival=arrival, seed=seed,
+    config = RunConfig(platform=platform, arrival=arrival, seed=f["seed"],
                        warmup=warmup)
 
     lqos_override = f.get("lqos_override")
@@ -770,7 +782,7 @@ def load_experiment_spec(path: str | Path,
             f"{source}: key 'bw_limits': must be positive when finite")
 
     return ExperimentSpec(
-        name=f.get("name", path.stem), profile=profile,
+        name=f.get("name", name), profile=profile,
         scenario=scenario, limits=limits,
         qps_range=(qps_lo, qps_hi), n_points=f["points"], config=config,
         lqos_override=lqos_override,

@@ -552,8 +552,11 @@ def platform_to_text(platform: PlatformConfig) -> str:
 
 
 def load_platform(path: str | Path) -> PlatformConfig:
-    source = str(path)
-    fields = parse_kv_text(Path(path).read_text(), source=source)
+    return platform_from_text(Path(path).read_text(), str(path))
+
+
+def platform_from_text(text: str, source: str) -> PlatformConfig:
+    fields = parse_kv_text(text, source=source)
     try:
         return PlatformConfig(**read_fields(fields, _PLATFORM_KEYS,
                                             "platform", source))

@@ -18,7 +18,7 @@ from tailsim.metrics import SWEEP_CSV_COLUMNS
 from tailsim.model import (_PLATFORM_KEYS as _PLATFORM_FIELDS,
                            _PROFILE_FLOAT_FIELDS, _SPEC_KEYS, OpenLoop,
                            PlatformConfig, load_platform, load_profile,
-                           validate_profile)
+                           parse_kv_text, validate_profile)
 
 FAST_PROFILE = """\
 name: synth
@@ -366,13 +366,23 @@ class TestReplay:
         assert "--parallelism: must be at least 1" in capsys.readouterr().err
 
     def _replay_matches(self, flags, spec, tmp_path):
+        """Run and replay spec; the replay writes its outputs and a
+        manifest equal to the run's, less the two run keys."""
         out = tmp_path / "orig"
         assert main(["--out", str(out), *flags, "sweep", str(spec)]) == 0
         replay_out = tmp_path / "replayed"
         assert main(["--out", str(replay_out), "replay",
                      str(out / "manifest.json")]) == 0
-        assert read(out / "sweep.csv") == read(replay_out / "sweep.csv")
-        return json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in replay_out.iterdir()) == sorted(
+            manifest["outputs"] + ["manifest.json"])
+        for name in manifest["outputs"]:
+            assert read(out / name) == read(replay_out / name), name
+        replayed = json.loads((replay_out / "manifest.json").read_text())
+        for run_key in ("wall_clock_s", "out_dir"):
+            del manifest[run_key], replayed[run_key]
+        assert replayed == manifest
+        return manifest
 
     def test_seed_past_2_53_is_kept_exactly(self, spec_dir, tmp_path):
         seed = 2**53 + 1  # a float would round it to 2**53
@@ -380,10 +390,7 @@ class TestReplay:
             FAST_SPEC.replace("seed: 77", f"seed: {seed}"))
         manifest = self._replay_matches(["--points", "2"],
                                         spec_dir / "big.spec", tmp_path)
-        assert manifest["seed"] == seed
-        replayed = json.loads(
-            (tmp_path / "replayed" / "manifest.json").read_text())
-        assert replayed["seed"] == seed
+        assert parse_kv_text(manifest["spec_content"])["seed"] == str(seed)
         rounded = tmp_path / "rounded"
         assert main(["--out", str(rounded), "--points", "2", "--seed",
                      str(2**53), "sweep", str(spec_dir / "big.spec")]) == 0
@@ -393,7 +400,18 @@ class TestReplay:
     def test_replay_keeps_warmup_override(self, spec_dir, tmp_path):
         manifest = self._replay_matches(["--warmup", "3", "--points", "3"],
                                         spec_dir / "synth.spec", tmp_path)
-        assert manifest["warmup"] == 3.0
+        spec = parse_kv_text(manifest["spec_content"])
+        assert (spec["warmup"], spec["points"]) == ("3.0", "3")
+
+    def test_unnamed_spec_keeps_its_name(self, spec_dir, tmp_path, capsys):
+        (spec_dir / "noname.spec").write_text(
+            FAST_SPEC.replace("name: synth\n", ""))
+        manifest = self._replay_matches(["--points", "2"],
+                                        spec_dir / "noname.spec", tmp_path)
+        assert manifest["spec_name"] == "noname"
+        notes = [line.split(" -> ")[0]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert notes == ["sweep noname: 2 points"] * 2
 
     def test_replay_keeps_platform_file(self, spec_dir, tmp_path):
         box = spec_dir / "box.platform"
@@ -422,8 +440,8 @@ class TestReplay:
                      str(spec_dir / "synth.spec")]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         bad = tmp_path / "manifest.json"
-        for key in ("command", "spec_content", "profile_content", "seed",
-                    "points", "out_dir"):
+        for key in ("command", "spec_name", "spec_content",
+                    "profile_content", "platform_content", "out_dir"):
             bad.write_text(json.dumps({k: v for k, v in manifest.items()
                                        if k != key}))
             assert main(["replay", str(bad)]) == 2, key
@@ -837,19 +855,31 @@ class TestAdversarialInput:
 
     @pytest.mark.parametrize("key, value", [
         ("command", "bogus"), ("command", "replay"), ("command", ["sweep"]),
-        ("spec_content", 5), ("profile_content", None),
-        ("platform_content", 5), ("seed", "4"), ("seed", True),
-        ("points", 2.5), ("points", False), ("warmup", "1"),
-        ("warmup", True), ("out_dir", 5), ("out_dir", "out\0")])
+        ("spec_name", None), ("spec_content", 5), ("profile_content", None),
+        ("platform_content", 5), ("platform_content", None),
+        ("out_dir", 5), ("out_dir", "out\0"),
+        # spec_content:K sets spec key K in spec_content
+        ("spec_content:seed", "-1"), ("spec_content:points", "1"),
+        ("spec_content:warmup", "1e9"),
+        # keys of the older format, refused whatever they hold
+        ("seed", "4"), ("seed", True), ("seed", 77), ("points", 2.5),
+        ("points", False), ("points", 5), ("warmup", "1"), ("warmup", True),
+        ("warmup", 1.0)])
     def test_manifest_key(self, sweep_manifest, tmp_path, capsys, key,
                           value):
+        named = f"manifest key {key!r}"
+        key, _, spec_key = key.partition(":")
+        if spec_key:
+            named = f"spec_content: key {spec_key!r}"
+            value = with_value(sweep_manifest[key], spec_key, value)
         bad = tmp_path / "manifest.json"
         bad.write_text(json.dumps({**sweep_manifest, key: value}))
         # out_dir is read only without --out
         out = [] if key == "out_dir" else ["--out", str(tmp_path / "r")]
         assert main([*out, "replay", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert str(bad) in err and f"manifest key {key!r}" in err
+        assert str(bad) in err and named in err
+        assert not (tmp_path / "r").exists()
 
 
 class TestCharacterize:

@@ -207,6 +207,7 @@ def short_checkout(root):
 
 
 def test_shipped_outputs_runs_every_command(tmp_path, capsys):
+    from tailsim.cli import main as cli_main
     checkout = short_checkout(tmp_path)
     tool = load_tool("shipped_outputs")
     for out in ("a", "b"):
@@ -221,6 +222,13 @@ def test_shipped_outputs_runs_every_command(tmp_path, capsys):
                 "manifest.json").is_file()
     compare = load_tool("compare_outputs")
     assert compare.compare(tmp_path / "a", tmp_path / "b", io.StringIO()) == 0
+    # each manifest replays into a tree equal to its run's, manifest too
+    for manifest in (tmp_path / "a").glob("*/manifest.json"):
+        assert cli_main(["--out", str(tmp_path / "replayed" /
+                                      manifest.parent.name),
+                         "replay", str(manifest)]) == 0
+    assert compare.compare(tmp_path / "a", tmp_path / "replayed",
+                           io.StringIO()) == 0
     assert tool.main([str(tmp_path / "empty"), str(tmp_path / "c")]) == 2
 
 

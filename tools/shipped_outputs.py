@@ -18,6 +18,16 @@ running the change through its process pool checks that path too:
     python tools/shipped_outputs.py PARENT out-parent
     python tools/shipped_outputs.py CHANGE out-change --parallelism 2
     python tools/compare_outputs.py out-parent out-change
+
+Each manifest written then replays into a tree that compares equal to
+OUT, manifests included:
+
+    for m in out-change/*/manifest.json; do
+        d=$(basename "$(dirname "$m")")
+        PYTHONPATH=CHANGE/src python -m tailsim --out "out-replay/$d" \
+            replay "$m"
+    done
+    python tools/compare_outputs.py out-change out-replay
 """
 
 from __future__ import annotations
